@@ -1,4 +1,4 @@
 """Log products of toric pairs, logarithmic HKR tables, and a symbolic
 calculus of strong Fourier-Mukai-type kernels."""
 
-from .cli import VERSION as __version__  # noqa: F401
+__version__ = "0.1.0"

@@ -2,7 +2,7 @@
 Chern characters, Euler pairings, and the verification suite.
 
 Exit codes: 0 success, 1 computation error (a named error is surfaced),
-2 usage error (bad flags or grammar).
+2 usage error (bad flags or grammar, malformed or missing fan input).
 """
 
 import argparse
@@ -10,6 +10,7 @@ import json
 import re
 import sys
 
+from . import __version__
 from .cohomology import Space, SplitBundle, Summand, graded_cohomology
 from .errors import LogfanError
 from .fans import (check_face_closure, fan_from_json, fan_to_json,
@@ -19,9 +20,6 @@ from .kernels import chern_log, chern_log_expansion, euler_pairing, \
     parse_kernel
 from .logproduct import format_pair, log_product, parse_pair
 from .verify import verify_suite
-
-VERSION = "0.1.0"
-REVISION = "f907a85"
 
 KERNEL_GRAMMAR = ('atom := "diag(" bundle "," shift ")" | '
                   '"graph(deg=" int ["," bundle "," shift] ")" | '
@@ -62,8 +60,20 @@ def parse_order(text, n):
     1-based factor indices, e.g. "1,2;1,2,3;1,3;2,3"."""
     order = []
     for group in text.split(";"):
-        order.append(frozenset(int(x) - 1 for x in group.split(",")))
+        indices = [int(x) for x in group.split(",")]
+        for i in indices:
+            if not 1 <= i <= n:
+                raise ValueError(f"order index {i} is outside 1..{n}")
+        order.append(frozenset(i - 1 for i in indices))
     return order
+
+
+def _parse_kernel(text, source, target):
+    """parse_kernel, with the kernel grammar appended to a parse error."""
+    try:
+        return parse_kernel(text, source, target)
+    except ValueError as exc:
+        raise ValueError(f"{exc}\n{KERNEL_GRAMMAR}") from exc
 
 
 def _parse_pairs(text):
@@ -92,9 +102,20 @@ def cmd_fan(args):
             fan = log_product(pairs, order).fan
         print(json.dumps(fan_to_json(fan), sort_keys=True))
         return 0
-    data = sys.stdin.read() if args.file in (None, "-") else \
-        open(args.file).read()
-    fan = fan_from_json(json.loads(data))
+    if args.file in (None, "-"):
+        data = sys.stdin.read()
+    else:
+        try:
+            with open(args.file) as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.file}: {exc.strerror}") \
+                from exc
+    try:
+        payload = json.loads(data)
+    except RecursionError as exc:
+        raise ValueError("fan JSON is nested too deeply") from exc
+    fan = fan_from_json(payload)
     smooth = all(is_smooth(c, fan.rank) for c in fan.cones)
     closed = check_face_closure(fan)
     print(f"rank {fan.rank}: {len(fan.rays())} rays, "
@@ -147,10 +168,10 @@ def cmd_chern(args):
     trace = [] if args.trace else None
     if args.target:
         target = parse_pair(args.target)
-        expr = parse_kernel(args.kernel, pair, target)
+        expr = _parse_kernel(args.kernel, pair, target)
         value = chern_log_expansion(expr, trace)
     else:
-        expr = parse_kernel(args.kernel, pair, pair)
+        expr = _parse_kernel(args.kernel, pair, pair)
         value = chern_log(expr, trace)
     for line in trace or ():
         print(line)
@@ -161,8 +182,8 @@ def cmd_chern(args):
 def cmd_euler(args):
     source = parse_pair(args.source)
     target = parse_pair(args.target)
-    kernel = parse_kernel(args.kernel, source, target)
-    against = parse_kernel(args.against, source, target)
+    kernel = _parse_kernel(args.kernel, source, target)
+    against = _parse_kernel(args.against, source, target)
     trace = [] if args.trace else None
     value = euler_pairing(kernel, against, trace)
     for line in trace or ():
@@ -194,7 +215,7 @@ def build_parser():
         prog="logfan",
         description="log products, HKR tables and kernel calculus")
     top.add_argument("--version", action="version",
-                     version=f"logfan {VERSION} (rev {REVISION})")
+                     version=f"logfan {__version__}")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     fan = sub.add_parser("fan", help="dump or check fan JSON")
@@ -269,7 +290,6 @@ def main(argv=None):
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        print(KERNEL_GRAMMAR, file=sys.stderr)
         return 2
 
 

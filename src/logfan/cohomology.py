@@ -47,14 +47,6 @@ class SplitBundle:
     def __add__(self, other):
         return SplitBundle(self.summands + other.summands)
 
-    def twisted(self, k):
-        return SplitBundle(tuple(Summand(s.twist + k, s.shift)
-                                 for s in self.summands))
-
-    def shifted(self, n):
-        return SplitBundle(tuple(Summand(s.twist, s.shift + n)
-                                 for s in self.summands))
-
     def dual(self):
         return SplitBundle(tuple(Summand(-s.twist, -s.shift)
                                  for s in self.summands))

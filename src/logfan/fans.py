@@ -99,9 +99,6 @@ class Fan:
     def exceptional_count(self):
         return sum(1 for _, lab in self.labels if lab.kind == EXCEPTIONAL)
 
-    def with_labels(self, labels):
-        return Fan(self.rank, self.cones, tuple(labels))
-
 
 def is_smooth(cone, ambient_rank):
     """True when the cone's rays extend to a basis of Z^ambient_rank."""
@@ -261,12 +258,52 @@ def fan_to_json(fan):
     }
 
 
+def _json_field(data, key, kind, default=None):
+    value = data.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"fan JSON needs {key!r} as {kind.__name__}")
+    return value
+
+
+def _json_ints(value, what, length=None, bound=None):
+    """`value` as a tuple of ints, checked against the schema."""
+    if (not isinstance(value, list)
+            or (length is not None and len(value) != length)
+            or not all(type(x) is int and (bound is None or 0 <= x < bound)
+                       for x in value)):
+        expect = (f"{length} integers" if bound is None
+                  else f"ray indices in 0..{bound - 1}")
+        raise ValueError(f"fan JSON {what} {value!r} is not a list of "
+                         f"{expect}")
+    return tuple(value)
+
+
 def fan_from_json(data):
-    rays = [tuple(int(x) for x in r) for r in data["rays"]]
-    cones = tuple(Cone(tuple(rays[i] for i in c)) for c in data["cones"])
-    labels = tuple((rays[int(i)], DivisorLabel(d["kind"], int(d["arg"])))
-                   for i, d in data.get("labels", {}).items())
-    return Fan(int(data["rank"]), cones, labels)
+    """Inverse of `fan_to_json`.
+
+    Data off the schema raise ValueError: a missing key, an entry of the
+    wrong type, a ray of the wrong length, or a ray index outside the ray
+    list (negative indices included).
+    """
+    if not isinstance(data, dict):
+        raise ValueError("fan JSON must be an object")
+    rank = _json_field(data, "rank", int)
+    if rank < 0:
+        raise ValueError("fan JSON rank must be nonnegative")
+    rays = [_json_ints(r, "ray", length=rank)
+            for r in _json_field(data, "rays", list)]
+    cones = tuple(Cone(tuple(rays[i] for i in
+                             _json_ints(c, "cone", bound=len(rays))))
+                  for c in _json_field(data, "cones", list))
+    labels = []
+    for i, d in _json_field(data, "labels", dict, {}).items():
+        index = int(i) if i.isdigit() else -1
+        if not (0 <= index < len(rays) and isinstance(d, dict)
+                and type(d.get("arg")) is int):
+            raise ValueError(f"fan JSON label {i!r}: {d!r} needs a ray "
+                             f"index in 0..{len(rays) - 1} and an int arg")
+        labels.append((rays[index], DivisorLabel(d.get("kind"), d["arg"])))
+    return Fan(rank, cones, tuple(labels))
 
 
 def fan_dumps(fan):

@@ -1,7 +1,9 @@
-"""Exact integer/rational linear algebra helpers for cone arithmetic.
+"""Exact integer linear algebra helpers for cone arithmetic.
 
-Everything here works with plain Python ints (arbitrary precision) and
-fractions.Fraction; no floats enter the core geometry.
+The core is one fraction-free (Bareiss) elimination on plain Python ints
+(arbitrary precision); determinant, rank and cone membership are read off
+its result.  No floats enter the core geometry, and fractions.Fraction
+appears only in the coefficients `solve_nonnegative` returns.
 """
 
 from fractions import Fraction
@@ -22,56 +24,54 @@ def primitive(vec):
     return tuple(x // g for x in vec)
 
 
+def _echelon(rows):
+    """Fraction-free row echelon form of an integer matrix (Bareiss 1968).
+
+    Returns (m, pivots, sign): the reduced rows, the pivot column of each
+    of the first len(pivots) rows, and the sign of the row permutation.
+    Every division is exact: after k pivots, entry m[i][j] (i >= k) is the
+    (k+1)-minor on the pivot rows and row i, the pivot columns and column
+    j, so the last pivot is the leading minor on the pivot rows/columns.
+    """
+    m = [list(row) for row in rows]
+    n_cols = len(m[0]) if m else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(n_cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        pv = top[col]
+        for row in m[r + 1:]:
+            f = row[col]
+            for j in range(col + 1, n_cols):
+                row[j] = (row[j] * pv - f * top[j]) // prev
+            row[col] = 0
+        prev = pv
+        pivots.append(col)
+    return m, pivots, sign
+
+
 def det(matrix):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer matrix."""
     n = len(matrix)
     if n == 0:
         return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m, pivots, sign = _echelon(matrix)
+    return sign * m[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def matrix_rank(rows):
-    """Rank of an integer matrix over Q (Gaussian elimination on Fractions)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    """Rank of an integer matrix over Q."""
+    return len(_echelon(rows)[1])
 
 
 def minors_gcd(rows):
@@ -95,57 +95,27 @@ def solve_nonnegative(columns, point):
 
     Returns the tuple of Fractions if a solution with all x_i >= 0 exists,
     otherwise None. The columns are assumed linearly independent, so the
-    solution (when the system is consistent) is unique.
+    solution (when the system is consistent) is unique; for dependent
+    columns the free coefficients are taken to be 0.
     """
     k = len(columns)
-    n = len(point)
-    # augmented n x (k+1) system
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(point[i])]
-           for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pivot = None
-        for i in range(row, n):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    # consistency: zero rows must have zero rhs
-    for i in range(row, n):
-        if aug[i][k] != 0:
-            return None
-    xs = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        xs[col] = aug[r][k]
-    if len(pivots) < k:
-        # dependent columns are excluded upstream; free variables stay 0,
-        # which is fine because the solution we report must still verify
-        check = [sum(columns[j][i] * xs[j] for j in range(k)) for i in range(n)]
-        if any(c != p for c, p in zip(check, point)):
-            return None
-    if any(x < 0 for x in xs):
+    m, pivots, _ = _echelon([[c[i] for c in columns] + [p]
+                             for i, p in enumerate(point)])
+    if pivots and pivots[-1] == k:
         return None
-    return tuple(xs)
+    # Cramer: with d the last pivot, every d * x_i is an integer, so the
+    # back-substitution below stays in ints and its divisions are exact
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    ys = [0] * k
+    for r in reversed(range(len(pivots))):
+        row, col = m[r], pivots[r]
+        rest = sum(row[j] * ys[j] for j in pivots[r + 1:])
+        ys[col] = (d * row[k] - rest) // row[col]
+    if any(y * d < 0 for y in ys):
+        return None
+    return tuple(Fraction(y, d) for y in ys)
 
 
 def mat_mul_vec(matrix, vec):
     """Integer matrix times integer vector."""
     return tuple(sum(r * v for r, v in zip(row, vec)) for row in matrix)
-
-
-def mat_mul(a, b):
-    """Product of two integer matrices given as row tuples."""
-    cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                 for row in a)

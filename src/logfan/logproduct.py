@@ -142,9 +142,6 @@ class LogProductSpace:
     stratum_ray: tuple  # ((frozenset, ray), ...)
     strict_transforms: tuple  # ((factor index, ray), ...)
 
-    def stratum_ray_map(self):
-        return dict(self.stratum_ray)
-
     def strict_transform_map(self):
         return dict(self.strict_transforms)
 

@@ -1,8 +1,12 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
-from logfan.cli import main, parse_bundle_expr, parse_order
+from logfan.cli import KERNEL_GRAMMAR, main, parse_bundle_expr, parse_order
 from logfan.cohomology import SplitBundle, Summand
 from logfan.fans import fan_from_json
 
@@ -19,6 +23,16 @@ class TestPlumbing:
             main(["--version"])
         assert exc.value.code == 0
         assert "logfan 0.1.0" in capsys.readouterr().out
+
+    def test_module_run_has_clean_stderr(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "logfan.cli",
+                               "--version"], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == "logfan 0.1.0\n"
+        assert proc.stderr == ""
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -54,6 +68,26 @@ class TestFan:
         assert "smooth=False" in out
 
 
+    @pytest.mark.parametrize("text", [
+        '{"rank": 2}',
+        '{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 2]]}',
+        '{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[-1, 0]]}',
+        'not json',
+        pytest.param("[" * 100_000, id="deeply-nested"),
+    ])
+    def test_check_malformed_input_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "fan.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "fan", "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_check_missing_file_exits_two(self, capsys, tmp_path):
+        code, _, err = run(capsys, "fan", "check", str(tmp_path / "nope"))
+        assert code == 2
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 class TestLogProduct:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "logproduct", "--pairs", "P1:pt,P2:H")
@@ -83,6 +117,12 @@ class TestLogProduct:
                            "P1:pt,P1:pt,P1:pt", "--order", "1,2;1,3;1,2,3;2,3")
         assert code == 1
         assert "NotABuildingSetOrder" in err
+
+    @pytest.mark.parametrize("order", ["1,3", "0,1", "-1,2"])
+    def test_order_index_out_of_range_is_usage_error(self, capsys, order):
+        code, _, err = run(capsys, "logproduct", "--pairs", "P1:pt,P1:pt",
+                           f"--order={order}")
+        assert code == 2 and "outside 1..2" in err
 
 
 class TestCohomology:
@@ -162,6 +202,17 @@ class TestChernEuler:
         code, _, err = run(capsys, "chern", "--pair", "P1:pt", "--kernel",
                            "diag(O)")
         assert code == 2 and "usage error" in err
+        assert KERNEL_GRAMMAR in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cohomology", "--base", "Q3", "--bundle", "O"),
+        ("logproduct", "--pairs", "P1:pt,X9:0"),
+        ("hkr", "--pair", "P1:nope"),
+    ])
+    def test_other_usage_errors_omit_kernel_grammar(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("usage error: ")
+        assert KERNEL_GRAMMAR not in err
 
     def test_unsupported_composition_exits_one(self, capsys):
         code, _, err = run(capsys, "euler", "--source", "P1:pt",
@@ -205,3 +256,6 @@ class TestDeterminism:
 def test_parse_order():
     assert parse_order("1,2;1,2,3", 3) == [frozenset({0, 1}),
                                            frozenset({0, 1, 2})]
+    for bad in ("1,4", "0,1", "-1,2", "1,2;3,4"):
+        with pytest.raises(ValueError):
+            parse_order(bad, 3)

@@ -1,0 +1,166 @@
+"""Property tests for the exact linear algebra core.
+
+The oracles share no code with logfan.linalg: determinants by the Leibniz
+expansion, rank as the size of the largest nonzero minor, and nonnegative
+solutions by Cramer's rule and exact substitution.
+"""
+
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd, prod
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from logfan.linalg import det, matrix_rank, minors_gcd, solve_nonnegative
+
+
+def leibniz(matrix):
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2)
+                         if perm[i] > perm[j])
+        total += (-1) ** inversions * prod(matrix[i][perm[i]]
+                                           for i in range(n))
+    return total
+
+
+def minors(rows, k):
+    for rs in combinations(range(len(rows)), k):
+        for cs in combinations(range(len(rows[0])), k):
+            yield leibniz([[rows[r][c] for c in cs] for r in rs])
+
+
+def oracle_rank(rows):
+    if not rows or not rows[0]:
+        return 0
+    return max(k for k in range(min(len(rows), len(rows[0])) + 1)
+               if k == 0 or any(minors(rows, k)))
+
+
+# zeros (so pivots need row swaps), small entries, and entries near
+# +-10^6 so the exact divisions carry large intermediate products
+ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
+                  st.integers(10**6 - 3, 10**6 + 3),
+                  st.integers(-10**6 - 3, -10**6 + 3))
+
+
+def dense(rows, cols):
+    return st.lists(st.lists(ENTRY, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Integer matrices, often rank-deficient or with zero rows/columns."""
+    n_rows = draw(st.integers(0, 4)) if rows is None else rows
+    n_cols = draw(st.integers(0, 4)) if cols is None else cols
+    m = [[draw(ENTRY) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        i = draw(st.integers(0, n_rows - 1))
+        m[i] = [a * x + b * y for x, y in zip(m[0], m[-1])]
+    if n_rows and draw(st.booleans()):
+        m[draw(st.integers(0, n_rows - 1))] = [0] * n_cols
+    if n_cols and draw(st.booleans()):
+        j = draw(st.integers(0, n_cols - 1))
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
+def test_det_matches_leibniz(m):
+    assert det(m) == leibniz(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rank_matches_largest_nonzero_minor(m):
+    assert matrix_rank(m) == oracle_rank(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.integers(k, 4).flatmap(lambda n: matrices(k, n))))
+def test_minors_gcd_matches_oracle(m):
+    g = 0
+    for minor in minors(m, len(m)):
+        g = gcd(g, minor)
+    assert minors_gcd(m) == g
+
+
+def substitutes(columns, xs, point):
+    return all(sum(x * col[i] for x, col in zip(xs, columns)) == p
+               for i, p in enumerate(point))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    dense(n, n), st.lists(ENTRY, min_size=n, max_size=n))))
+def test_solve_square_matches_cramer(case):
+    columns, point = case
+    d = leibniz(columns)
+    assume(d != 0)
+    xs = []
+    for i in range(len(columns)):
+        replaced = [point if j == i else col for j, col in enumerate(columns)]
+        xs.append(Fraction(leibniz(replaced), d))
+    expected = tuple(xs) if all(x >= 0 for x in xs) else None
+    assert solve_nonnegative(columns, point) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    dense(k, 4), st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4))))
+def test_solve_non_square(case):
+    """Columns of length 4: points in their span are solved exactly (or
+    refused for a negative coefficient); points off it give None."""
+    columns, coeffs, offset = case
+    assume(oracle_rank(columns) == len(columns))
+    point = [sum(c * col[i] for c, col in zip(coeffs, columns)) + offset[i]
+             for i in range(4)]
+    got = solve_nonnegative(columns, point)
+    if oracle_rank(columns + [point]) > len(columns):
+        assert got is None
+    elif not any(offset):
+        assert got == (tuple(coeffs) if min(coeffs) >= 0 else None)
+    elif got is not None:
+        assert min(got) >= 0 and substitutes(columns, got, point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_solve_any_columns_is_sound(columns, coeffs):
+    """Dependent or zero columns included: any answer substitutes exactly
+    and is nonnegative; independent columns give back the coefficients."""
+    assume(columns and columns[0])
+    n = len(columns[0])
+    point = [sum(c * col[i] for c, col in zip(coeffs, columns))
+             for i in range(n)]
+    got = solve_nonnegative(columns, point)
+    if got is not None:
+        assert len(got) == len(columns)
+        assert min(got) >= 0 and substitutes(columns, got, point)
+    if all(c >= 0 for c in coeffs[:len(columns)]) and \
+            oracle_rank(columns) == len(columns):
+        assert got == tuple(coeffs[:len(columns)])
+
+
+def test_solve_dependent_columns():
+    a = (1, 2, 0)
+    assert solve_nonnegative([a, (2, 4, 0)], (3, 6, 0)) == (3, 0)
+    assert solve_nonnegative([a, (2, 4, 0)], (-1, -2, 0)) is None
+    assert solve_nonnegative([a, (2, 4, 0)], (1, 0, 0)) is None
+    assert solve_nonnegative([a, (0, 0, 0)], (2, 4, 0)) == (2, 0)
+
+
+def test_empty_shapes():
+    assert det([]) == 1
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[], []]) == 0
+    assert solve_nonnegative([], (0, 0)) == ()
+    assert solve_nonnegative([], (0, 1)) is None
