@@ -1,8 +1,9 @@
 """Command-line surface: fans, log products, cohomology tables, HKR,
 Chern characters, Euler pairings, and the verification suite.
 
-Exit codes: 0 success, 1 computation error (a named error is surfaced),
-2 usage error (bad flags or grammar, malformed or missing fan input).
+Exit codes: 0 success, 1 computation error (a named error such as
+ResultTooLarge is surfaced), 2 usage error (bad flags or grammar,
+malformed or missing fan input).
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 
 from . import __version__
 from .cohomology import Space, SplitBundle, Summand, graded_cohomology
-from .errors import LogfanError
+from .errors import LogfanError, ResultTooLarge
 from .fans import (check_face_closure, fan_from_json, fan_to_json,
                    is_smooth)
 from .hkr import hkr_cohomology, hkr_homology
@@ -33,7 +34,7 @@ _SUMMAND_RE = re.compile(
 def parse_bundle_expr(text):
     """Split-bundle grammar: summand ("+" summand)*, where a summand is
     O or O(k), optionally with a multiplicity ^m and a shift [s]."""
-    summands = []
+    terms = []
     for part in text.replace(" ", "").split("+"):
         m = _SUMMAND_RE.match(part)
         if not m:
@@ -41,8 +42,8 @@ def parse_bundle_expr(text):
         twist = int(m.group(2)) if m.group(2) is not None else 0
         mult = int(m.group(3)) if m.group(3) else 1
         shift = int(m.group(4)) if m.group(4) else 0
-        summands.extend([Summand(twist, shift)] * mult)
-    return SplitBundle(tuple(summands))
+        terms.append((Summand(twist, shift), mult))
+    return SplitBundle(tuple(terms))
 
 
 def parse_base(text):
@@ -81,14 +82,18 @@ def _parse_pairs(text):
 
 
 def _print_dims(dims, as_json):
-    if as_json:
-        print(json.dumps({"dims": {str(k): v for k, v in sorted(
-            dims.items())}}, sort_keys=True))
-    elif not dims:
-        print("(zero)")
-    else:
-        for deg, dim in sorted(dims.items()):
-            print(f"{deg}: {dim}")
+    try:
+        if as_json:
+            text = json.dumps({"dims": {str(k): v for k, v in sorted(
+                dims.items())}}, sort_keys=True)
+        else:
+            text = "\n".join(f"{deg}: {dim}" for deg, dim in
+                             sorted(dims.items())) or "(zero)"
+    except ValueError as exc:  # int -> str conversion past the digit limit
+        raise ResultTooLarge(
+            f"a dimension has more than {sys.get_int_max_str_digits()} "
+            f"digits, Python's limit for printing an integer") from exc
+    print(text)
 
 
 def cmd_fan(args):

@@ -10,16 +10,32 @@ standard closed forms:
   degree 0 is the structure sheaf (h^0 = 1, h^1 = g), negative degrees have
   h^1 = g - 1 - d, degrees d > 2g - 2 have h^0 = d - g + 1; degrees in the
   range 1..2g-2 (g >= 1) depend on the moduli of the bundle and are refused.
+
+A split bundle is stored in the multiset normal form kernels share
+(`normal_form`), so O(k)^m is one term and costs one lookup whatever m is.
 """
 
 from dataclasses import dataclass
 from math import comb, factorial
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import AmbiguousDegree
 
 
-@dataclass(frozen=True, order=True)
-class Summand:
+def normal_form(pairs):
+    """Multiset normal form of (key, multiplicity) pairs: keys sorted, equal
+    keys merged, zero multiplicities dropped; a negative one is refused."""
+    merged = {}
+    for key, mult in pairs:
+        if mult < 0:
+            raise ValueError("multiplicities must be nonnegative")
+        if mult:
+            merged[key] = merged.get(key, 0) + mult
+    return tuple(sorted(merged.items(), key=itemgetter(0)))
+
+
+class Summand(NamedTuple):
     """One line-bundle summand O(twist)[shift]."""
     twist: int
     shift: int = 0
@@ -27,32 +43,31 @@ class Summand:
 
 @dataclass(frozen=True)
 class SplitBundle:
-    """Finite direct sum of twisted, shifted line bundles."""
-    summands: tuple
+    """Direct sum of line bundles as normal-form terms ((Summand, mult),
+    ...); the constructor also takes bare Summands, one copy each."""
+    terms: tuple
 
     def __post_init__(self):
-        parts = tuple(sorted(
-            s if isinstance(s, Summand) else Summand(*s)
-            for s in self.summands))
-        object.__setattr__(self, "summands", parts)
+        object.__setattr__(self, "terms", normal_form(
+            (t, 1) if isinstance(t, Summand) else t for t in self.terms))
 
     @staticmethod
-    def line(twist, shift=0):
-        return SplitBundle((Summand(twist, shift),))
+    def line(twist, shift=0, mult=1):
+        return SplitBundle(((Summand(twist, shift), mult),))
 
     @staticmethod
     def sum_of(twists):
         return SplitBundle(tuple(Summand(t) for t in twists))
 
     def __add__(self, other):
-        return SplitBundle(self.summands + other.summands)
+        return SplitBundle(self.terms + other.terms)
 
     def dual(self):
-        return SplitBundle(tuple(Summand(-s.twist, -s.shift)
-                                 for s in self.summands))
+        return SplitBundle(tuple((Summand(-s.twist, -s.shift), m)
+                                 for s, m in self.terms))
 
     def degrees(self):
-        return sorted(s.twist for s in self.summands)
+        return [s.twist for s, m in self.terms for _ in range(m)]
 
 
 def cohomology_line_pn(n, k):
@@ -98,12 +113,16 @@ class Space:
 
 def graded_cohomology(space, bundle):
     """Total cohomology table {degree: dim} of a split bundle, with each
-    summand O(k)[s] contributing H^p in total degree p - s."""
+    term O(k)[s]^m contributing m * h^p(O(k)) in total degree p - s."""
     table = {}
-    for s in bundle.summands:
-        for p, dim in space.line_cohomology(s.twist).items():
+    twist = None
+    for s, mult in bundle.terms:
+        if s.twist != twist:  # terms are sorted: one lookup per twist
+            twist = s.twist
+            dims = space.line_cohomology(twist).items()
+        for p, dim in dims:
             deg = p - s.shift
-            table[deg] = table.get(deg, 0) + dim
+            table[deg] = table.get(deg, 0) + mult * dim
     return {d: v for d, v in sorted(table.items()) if v}
 
 
@@ -111,7 +130,7 @@ def euler_characteristic(space, bundle):
     """Alternating sum of cohomology dimensions, computed by the exact
     polynomial formula so ambiguous curve degrees are still fine."""
     total = 0
-    for s in bundle.summands:
+    for s, mult in bundle.terms:
         sign = -1 if s.shift % 2 else 1
         if space.kind == "Pn":
             n = space.param
@@ -121,5 +140,5 @@ def euler_characteristic(space, bundle):
             chi = prod // factorial(n)
         else:
             chi = s.twist - space.param + 1
-        total += sign * chi
+        total += sign * mult * chi
     return total

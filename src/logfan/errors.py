@@ -55,3 +55,7 @@ class UnsupportedHHShape(LogfanError):
 
 class FormalityUnavailable(LogfanError):
     """Tangent inclusion does not split; the formal recipe must not proceed."""
+
+
+class ResultTooLarge(LogfanError):
+    """A result has more digits than Python converts an int to text."""

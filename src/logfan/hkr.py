@@ -3,7 +3,7 @@
 For the pairs handled here the sheaf of log differentials splits:
 
 * (P^n, H): Omega^1(log H) = O(-1)^{+n}, so the q-th wedge power is
-  O(-q)^{C(n,q)};
+  O(-q)^{C(n,q)}, one split-bundle term of multiplicity C(n,q);
 * (C, pt), genus g: Omega^1(log pt) is the single line bundle of degree
   2g - 1.
 
@@ -35,8 +35,7 @@ def _space_of(pair):
 def log_cotangent(pair):
     """Split model of Omega^1 with log poles along the boundary."""
     if pair.kind in ("Pn:H", "P1:pt"):
-        n = pair.dim
-        return SplitBundle.sum_of([-1] * n)
+        return SplitBundle.line(-1, 0, pair.dim)
     if pair.kind == "Cg:pt":
         return SplitBundle.line(2 * pair.param - 1)
     raise NoToricModel(
@@ -48,11 +47,9 @@ def log_wedge(pair, q):
     n = pair.dim
     if q < 0 or q > n:
         raise WedgeOutOfRange(f"wedge degree {q} outside 0..{n}")
-    if q == 0:
-        return SplitBundle.line(0)
     if pair.kind in ("Pn:H", "P1:pt"):
-        return SplitBundle.sum_of([-q] * comb(n, q))
-    return log_cotangent(pair)
+        return SplitBundle.line(-q, 0, comb(n, q))
+    return log_cotangent(pair) if q else SplitBundle.line(0)
 
 
 def hkr_homology(pair):
@@ -93,7 +90,7 @@ def log_serre(pair):
     """Twist/shift of the log Serre kernel: top log wedge power shifted by
     the dimension."""
     top = log_wedge(pair, pair.dim)
-    (summand,) = set(top.summands)
+    ((summand, _),) = top.terms
     return SerreTwist(summand.twist, pair.dim)
 
 

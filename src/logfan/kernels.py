@@ -7,7 +7,7 @@ A kernel is a formal nonnegative-integer combination of atoms:
   f: (P^1, pt) -> (P^m, H), twisted and shifted;
 * ``t(graph(...))``   — the transposed (flipped) graph, going the other way.
 
-Equality is normal-form equality: atoms sorted, multiplicities merged.
+Equality is normal-form equality (`cohomology.normal_form`, as for bundles).
 Composition, adjoints, the excess-intersection route for graph-vs-transpose,
 and the Hochschild scalar action are all closed-form rewrites on atoms; the
 unsupported shapes raise named errors instead of guessing.
@@ -15,10 +15,12 @@ unsupported shapes raise named errors instead of guessing.
 Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 import re
 
+from .cohomology import normal_form
 from .errors import (FormalityUnavailable, UnsupportedComposition,
                      UnsupportedHHShape)
 from .hkr import hkr_homology, log_serre
@@ -45,12 +47,7 @@ class KernelExpr:
     terms: tuple  # ((Atom, multiplicity), ...)
 
     def __post_init__(self):
-        merged = {}
-        for atom, mult in self.terms:
-            if mult < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            merged[atom] = merged.get(atom, 0) + mult
-        terms = tuple(sorted((a, m) for a, m in merged.items() if m))
+        terms = normal_form(self.terms)
         for atom, _ in terms:
             self._check_atom(atom)
         object.__setattr__(self, "terms", terms)
@@ -161,30 +158,22 @@ def excess_intersection(degree, m):
     by multiset containment of the degree lists; otherwise
     FormalityUnavailable is raised by the caller via splits=False.
     """
-    sub = sorted([2, 1, 1], reverse=True)
+    sub = [2, 1, 1]
     ambient = sorted([2, 1] + [degree] * m, reverse=True)
-    remaining = list(ambient)
-    splits = True
-    for deg in sub:
-        if deg in remaining:
-            remaining.remove(deg)
-        else:
-            splits = False
-            break
-    excess = sorted(remaining, reverse=True) if splits else None
+    need, have = Counter(sub), Counter(ambient)
+    splits = not need - have
+    excess = sorted((have - need).elements(), reverse=True) if splits \
+        else None
     return sub, ambient, splits, excess
 
 
 def sym_decomposition(excess_degrees):
     """Diagonal atoms of Sym(E^v[1]) = (+)_q wedge^q(E^v)[q] for a split
     excess bundle with the given degrees: list of (twist, shift, mult)."""
-    counts = {}
     r = len(excess_degrees)
-    for q in range(r + 1):
-        for subset in combinations(excess_degrees, q):
-            key = (-sum(subset), q)
-            counts[key] = counts.get(key, 0) + 1
-    return sorted((t, s, m) for (t, s), m in counts.items())
+    terms = normal_form(((-sum(subset), q), 1) for q in range(r + 1)
+                        for subset in combinations(excess_degrees, q))
+    return [(t, s, m) for (t, s), m in terms]
 
 
 def compose(first, second, trace=None):
@@ -250,8 +239,9 @@ def _scalar_regime(pair):
     return hkr_homology(pair) == {0: 1}
 
 
-def signed_count(expr):
-    return sum(m * (-1) ** (a.shift % 2) for a, m in expr.terms)
+def signed_count(expr, sign=-1):
+    """Atom count weighted by sign ** shift (the shift sign is -1)."""
+    return sum(m * sign ** (a.shift % 2) for a, m in expr.terms)
 
 
 def hh_action(expr, beta, trace=None):
@@ -370,9 +360,7 @@ def _signed_sum(expr):
     parts = []
     for atom, mult in sorted(expr.terms,
                              key=lambda tm: (tm[0].shift, tm[0].twist)):
-        sign = -1 if atom.shift % 2 else 1
-        for _ in range(mult):
-            parts.append(str(sign))
+        parts += [str(-1 if atom.shift % 2 else 1)] * mult
     return " + ".join(parts) if parts else "0"
 
 

@@ -1,8 +1,8 @@
 """Named verification cases covering the package's headline constants.
 
 Each case is a self-describing claim with an expected and an actual value;
-the report passes only if every case does.  `sign_flip` corrupts the
-shift-sign convention inside the suite's own evaluation (a negative
+the report passes only if every case does.  `sign_flip` passes a corrupt
+shift sign (+1) to the library's `kernels.signed_count` (a negative
 control: with it on, the shifted-Chern cases must fail).
 """
 
@@ -17,7 +17,7 @@ from .kernels import (Atom, DIAG, KernelExpr, adjoint_exchange_check,
                       bicategory_law_check, chern_log, compose, diag_kernel,
                       euler_pairing, format_kernel, graph_kernel, hh_action,
                       involution_check, left_adjoint, right_adjoint,
-                      transpose)
+                      signed_count, transpose)
 from .logproduct import (LogPair, building_set, log_product,
                          order_independence_check, projection,
                          strict_transform_rays)
@@ -49,14 +49,10 @@ class VerifyReport:
         return [c for c in self.cases if not c.passed]
 
 
-def _signed(expr, flip):
-    sign = 1 if flip else -1
-    return sum(m * sign ** (a.shift % 2) for a, m in expr.terms)
-
-
 def verify_suite(sign_flip=False, seed=0):
     """Run every named case; `sign_flip` is the negative-control switch."""
     cases = []
+    sign = 1 if sign_flip else -1
 
     def add(case_id, claim, expected, actual):
         cases.append(VerifyCase(case_id, claim, expected, actual))
@@ -173,16 +169,16 @@ def verify_suite(sign_flip=False, seed=0):
         [(-1, 1, 1), (0, 0, 1)], kernels.sym_decomposition([1]))
     add("hh-identity",
         "the identity diagonal kernel acts as 1 on degree-0 classes",
-        1, _signed(diag_kernel(P1), sign_flip))
+        1, signed_count(diag_kernel(P1), sign))
     add("hh-shift-sign",
         "a once-shifted diagonal kernel acts as -1 regardless of twist",
-        -1, _signed(diag_kernel(P1, 7, 1), sign_flip))
+        -1, signed_count(diag_kernel(P1, 7, 1), sign))
     add("chern-normalized",
         "log Chern character of Diag(O,0) is 1",
         1, chern_log(diag_kernel(P1)))
     add("chern-additive",
         "Diag(O,0) + Diag(O(5),1) has log Chern character 1 + (-1) = 0",
-        0, _signed(diag_kernel(P1) + diag_kernel(P1, 5, 1), sign_flip))
+        0, signed_count(diag_kernel(P1) + diag_kernel(P1, 5, 1), sign))
     gid = graph_kernel(P1, P1, 1)
     add("euler-identity",
         "log Euler pairing of the diagonal pushforward with itself is 1",

@@ -146,6 +146,21 @@ class TestCohomology:
                            "--bundle", "O(1)")
         assert code == 1 and "AmbiguousDegree" in err
 
+    def test_huge_multiplicity_is_one_term(self, capsys):
+        # h^0(P^2, O(3)) = 10, taken 10^30 times
+        code, out, _ = run(capsys, "cohomology", "--base", "P2",
+                           "--bundle", f"O(3)^{10 ** 30}")
+        assert code == 0 and out == f"0: {10 * 10 ** 30}\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_result_past_digit_limit_exits_one(self, capsys, extra):
+        code, out, err = run(capsys, "cohomology", "--base", "P5000",
+                             "--bundle", "O(20000)", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ResultTooLarge: ")
+
     def test_bundle_grammar(self):
         assert parse_bundle_expr("O(-1)^2") == SplitBundle.sum_of([-1, -1])
         assert parse_bundle_expr("O+O(-1)[1]") == SplitBundle(

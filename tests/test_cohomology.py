@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from logfan.cohomology import (Space, SplitBundle, Summand,
                                cohomology_line_curve, cohomology_line_pn,
-                               euler_characteristic, graded_cohomology)
+                               euler_characteristic, graded_cohomology,
+                               normal_form)
 from logfan.errors import AmbiguousDegree
 
 P1 = Space("Pn", 1)
@@ -69,6 +70,27 @@ class TestGraded:
         assert graded_cohomology(P1, bundle) == {-1: 1}
 
 
+class TestNormalForm:
+    def test_merge_sort_and_drop_zero(self):
+        assert normal_form([("b", 2), ("a", 0), ("c", 0), ("b", 3),
+                            ("a", 1)]) == (("a", 1), ("b", 5))
+
+    def test_negative_multiplicity_refused(self):
+        with pytest.raises(ValueError):
+            SplitBundle(((Summand(1), 2), (Summand(1), -1)))
+
+    def test_multiplicity_is_one_term(self):
+        bundle = SplitBundle.line(3, 0, 10 ** 30)
+        assert bundle.terms == ((Summand(3, 0), 10 ** 30),)
+        assert graded_cohomology(P2, bundle) == {0: 10 * 10 ** 30}
+        assert euler_characteristic(P2, bundle) == 10 * 10 ** 30
+
+    def test_dual_keeps_multiplicities(self):
+        bundle = SplitBundle.line(-2, 1, 4) + SplitBundle.line(3)
+        assert bundle.dual() == SplitBundle(
+            ((Summand(2, -1), 4), Summand(-3, 0)))
+
+
 class TestEuler:
     def test_p1_twist3(self):
         assert euler_characteristic(P1, SplitBundle.line(3)) == 4
@@ -92,14 +114,20 @@ def test_serre_duality_p1(k):
     assert a.get(1, 0) == b.get(0, 0)
 
 
+# (twist, shift, multiplicity) terms of a split bundle
+TERMS = st.lists(st.tuples(st.integers(-8, 8), st.integers(-3, 3),
+                           st.integers(0, 4)), min_size=0, max_size=5)
+
+
+def _bundle(terms):
+    return SplitBundle(tuple((Summand(t, s), m) for t, s, m in terms))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-3, 3)),
-                min_size=0, max_size=5),
-       st.lists(st.tuples(st.integers(-8, 8), st.integers(-3, 3)),
-                min_size=0, max_size=5))
+@given(TERMS, TERMS)
 def test_chi_additive_over_concatenation(xs, ys):
-    a = SplitBundle(tuple(Summand(t, s) for t, s in xs))
-    b = SplitBundle(tuple(Summand(t, s) for t, s in ys))
+    a = _bundle(xs)
+    b = _bundle(ys)
     assert euler_characteristic(P2, a + b) == \
         euler_characteristic(P2, a) + euler_characteristic(P2, b)
 
@@ -114,10 +142,12 @@ def test_chi_shift_sign_law(twist, shift):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-3, 3)),
-                min_size=0, max_size=5))
-def test_chi_consistent_with_graded(summands):
-    bundle = SplitBundle(tuple(Summand(t, s) for t, s in summands))
+@given(TERMS)
+def test_chi_consistent_with_graded(terms):
+    bundle = _bundle(terms)
+    flat = tuple(Summand(t, s) for t, s, m in terms for _ in range(m))
+    assert SplitBundle(flat) == bundle
+    assert bundle.degrees() == sorted(s.twist for s in flat)
     table = graded_cohomology(P2, bundle)
     assert euler_characteristic(P2, bundle) == \
         sum((-1) ** d * v for d, v in table.items())

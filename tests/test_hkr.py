@@ -76,6 +76,14 @@ class TestHkrHomology:
         # q=0: O -> degree 0; q=1: dual O(1) has h^0 = 2 -> degree 1
         assert hkr_cohomology(P1) == {0: 1, 1: 2}
 
+    @pytest.mark.parametrize("n", [*range(1, 18), 50, 200])
+    def test_pn_closed_forms(self, n):
+        # wedge q of the dual is O(q)^{C(n,q)}, with h^0(O(q)) = C(n+q, n)
+        pair = LogPair("Pn:H", n)
+        assert hkr_homology(pair) == {0: 1}
+        assert hkr_cohomology(pair) == {
+            q: comb(n, q) * comb(n + q, n) for q in range(n + 1)}
+
 
 class TestLogSerre:
     def test_p1(self):
@@ -110,5 +118,5 @@ class TestResidueCheck:
 @given(st.integers(min_value=1, max_value=6))
 def test_wedge_ranks_sum_to_power_of_two(n):
     pair = LogPair("Pn:H", n)
-    total = sum(len(log_wedge(pair, q).summands) for q in range(n + 1))
+    total = sum(m for q in range(n + 1) for _, m in log_wedge(pair, q).terms)
     assert total == 2 ** n
