@@ -5,15 +5,21 @@ simplicial cones in Z^rank, closed under faces (faces are implicit subsets of
 a cone's ray set), and a toric blow-up of an invariant stratum is the stellar
 subdivision at the corresponding cone.
 
+Every check is exact integer arithmetic on the `linalg` core, with no floats:
+smoothness is a gcd of minors, cone membership a nonnegative solve, and
+`check_face_closure` decides whether cones meet in common faces by matching
+walls and counting the cones over one point.
+
 Values are immutable; every operation returns a fresh Fan.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 import json
 import random
 
 from .errors import CenterNotInFan, InvalidCone, RankMismatch
-from .linalg import (matrix_rank, mat_mul_vec, minors_gcd, primitive,
+from .linalg import (det, matrix_rank, mat_mul_vec, minors_gcd, primitive,
                      solve_nonnegative)
 
 BOUNDARY = "boundary"
@@ -65,7 +71,8 @@ class Fan:
     """Set of maximal simplicial cones, with optional ray labels.
 
     Cones are stored canonically sorted so identical fans compare equal
-    bit-for-bit; labels are a sorted (ray, label) tuple.
+    bit-for-bit; a cone listed twice raises ValueError.  Labels are a
+    sorted (ray, label) tuple.
     """
     rank: int
     cones: tuple
@@ -74,6 +81,9 @@ class Fan:
     def __post_init__(self):
         cones = tuple(sorted((c if isinstance(c, Cone) else Cone(tuple(c))
                               for c in self.cones), key=lambda c: c.rays))
+        for a, b in zip(cones, cones[1:]):
+            if a.rays == b.rays:
+                raise ValueError(f"cone {a.rays} listed twice")
         labels = tuple(sorted(((tuple(ray), lab) for ray, lab in self.labels),
                               key=lambda item: (item[0], item[1].kind,
                                                 item[1].arg)))
@@ -210,36 +220,106 @@ def check_support_preserved(before, after, samples=1000, seed=0):
     return True
 
 
-def check_face_closure(fan):
-    """Pairwise check that maximal cones intersect in a common face.
+def _wall_normal(wall, rank):
+    """Cofactor vector u of the rank - 1 rays of `wall`: u.x is the
+    determinant of the wall's rays with x appended as the last row."""
+    return tuple((-1) ** (rank - 1 + j)
+                 * det([r[:j] + r[j + 1:] for r in wall])
+                 for j in range(rank))
 
-    Uses an LP (scipy) to look for a point of cone(A) n cone(B) whose
-    barycentric mass lies outside the shared rays; data are small integers,
-    so the float tolerance is comfortable.
+
+def _dot(u, x):
+    return sum(a * b for a, b in zip(u, x))
+
+
+def _meet_in_face(a, b):
+    """True when cone(a) n cone(b) is the face spanned by the shared rays.
+
+    It is not exactly when (0,...,0,1) is a nonnegative combination of
+    the columns [a;1] (a in A-B), [-b;1] (b in B-A) and [+-s;0] (s shared):
+    a point of both cones with positive mass off the shared rays.  By
+    Caratheodory such a combination exists on a linearly independent
+    column set, which extends to a basis of the columns' span, so trying
+    every subset of `matrix_rank(columns)` columns decides it.
     """
-    from scipy.optimize import linprog
+    shared = set(a.rays) & set(b.rays)
+    union = a.rays + tuple(r for r in b.rays if r not in shared)
+    if matrix_rank(union) == len(union):
+        return True
+    columns = ([r + (1,) for r in a.rays if r not in shared]
+               + [tuple(-x for x in r) + (1,) for r in b.rays
+                  if r not in shared]
+               + [s + (0,) for s in shared]
+               + [tuple(-x for x in s) + (0,) for s in shared])
+    target = (0,) * len(union[0]) + (1,)
+    return all(solve_nonnegative(sub, target) is None
+               for sub in combinations(columns, matrix_rank(columns)))
 
+
+def check_face_closure(fan):
+    """True when every two maximal cones meet in a common face.
+
+    Exact over the integers (determinants and `solve_nonnegative`): no
+    floats, tolerances or solvers.
+
+    A pure fan, where every cone has `rank` rays, is decided by its walls.
+    A wall is a cone's ray set minus one ray; its normal u is the cofactor
+    vector of its rays, and the cone lies on the side of u where its
+    dropped ray is.
+
+    1. A wall in three or more cones, or in two cones on the same side,
+       has two cones overlapping next to it: False.
+    2. If every wall that only one cone has leaves every ray of the fan on
+       that cone's closed side, the answer is whether exactly one cone
+       contains a point p inside the first cone and on no wall's
+       hyperplane.  Proof sketch: the support then has no boundary but
+       those walls, so it is the intersection of their half-spaces, convex,
+       and its interior meets no single-cone wall.  Along a path in the
+       interior that avoids codimension-2 faces, the number of cones
+       containing a point changes only across a wall, and across a wall
+       shared by two cones on opposite sides one cone is left as the other
+       is entered.  So one cone over p means one cone over every generic
+       interior point: the cones' interiors are disjoint, and with every
+       wall matched they meet in common faces, as cones meeting in a common
+       face are exactly those a hyperplane separates along it
+       (Cox-Little-Schenck, Toric Varieties, Lemma 1.2.13).  The point is
+       p = sum t^i r_i over the first cone's rays r_i, with M the largest
+       |u.r_i| over all walls and t = M + 1.  For a wall, u.p = sum a_i t^i
+       with integer a_i = u.r_i, not all 0; if a_d is the last nonzero one,
+       |sum_{i<d} a_i t^i| <= M (t^d - 1) / (t - 1) < t^d <= |a_d t^d|, so
+       u.p != 0.
+    3. Every other input, a fan that is not pure or a single-cone wall
+       that cuts the support (a non-convex support, or overlapping
+       pieces), is checked pair by pair with `_meet_in_face`.  A pair of
+       cones whose rays are linearly dependent together costs one exact
+       solve per subset of matrix_rank(columns) <= rank + 1 of its at most
+       2 * rank columns: up to C(2 * rank, rank) solves, 20 at rank 3 and
+       184756 at rank 10.
+    """
     cones = fan.cones
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            a, b = cones[i].rays, cones[j].rays
-            shared = set(a) & set(b)
-            na, nb = len(a), len(b)
-            # variables x (coeffs in A), y (coeffs in B), all >= 0
-            # constraints: A x - B y = 0, sum(x) + sum(y) = 1
-            a_eq = []
-            for d in range(fan.rank):
-                a_eq.append([float(r[d]) for r in a]
-                            + [-float(r[d]) for r in b])
-            a_eq.append([1.0] * (na + nb))
-            b_eq = [0.0] * fan.rank + [1.0]
-            cost = [0.0 if r in shared else -1.0 for r in a] \
-                 + [0.0 if r in shared else -1.0 for r in b]
-            res = linprog(cost, A_eq=a_eq, b_eq=b_eq,
-                          bounds=[(0, None)] * (na + nb), method="highs")
-            if res.status == 0 and -res.fun > 1e-9:
-                return False
-    return True
+    if cones and all(len(c) == fan.rank for c in cones):
+        walls = {}  # wall -> (normal, side of each cone that has it)
+        for cone in cones:
+            for i, dropped in enumerate(cone.rays):
+                wall = cone.rays[:i] + cone.rays[i + 1:]
+                if wall not in walls:
+                    walls[wall] = (_wall_normal(wall, fan.rank), [])
+                normal, sides = walls[wall]
+                sides.append(1 if _dot(normal, dropped) > 0 else -1)
+        if any(len(sides) > 2 or (len(sides) == 2 and sides[0] == sides[1])
+               for _, sides in walls.values()):
+            return False
+        rays = fan.rays()
+        if all(sides[0] * _dot(normal, x) >= 0
+               for normal, sides in walls.values() if len(sides) == 1
+               for x in rays):
+            first = cones[0].rays
+            t = 1 + max((abs(_dot(normal, r)) for normal, _ in walls.values()
+                         for r in first), default=0)
+            point = tuple(sum(t ** i * r[d] for i, r in enumerate(first))
+                          for d in range(fan.rank))
+            return sum(1 for c in cones if c.contains_point(point)) == 1
+    return all(_meet_in_face(a, b) for a, b in combinations(cones, 2))
 
 
 def fan_to_json(fan):

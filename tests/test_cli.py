@@ -74,6 +74,8 @@ class TestFan:
         '{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[-1, 0]]}',
         'not json',
         pytest.param("[" * 100_000, id="deeply-nested"),
+        pytest.param('{"rank": 2, "rays": [[1, 0], [0, 1]], '
+                     '"cones": [[0, 1], [1, 0]]}', id="cone listed twice"),
     ])
     def test_check_malformed_input_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "fan.json"
@@ -86,6 +88,22 @@ class TestFan:
         code, _, err = run(capsys, "fan", "check", str(tmp_path / "nope"))
         assert code == 2
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_check_needs_no_scipy(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "fan", "dump", "--pairs",
+                        "P1:pt,P1:pt,P1:pt")
+        path = tmp_path / "fan.json"
+        path.write_text(out)
+        script = ("import sys; sys.modules['scipy'] = None; "
+                  "from logfan.cli import main; "
+                  "sys.exit(main(['fan', 'check', sys.argv[1]]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "face-closed=True" in proc.stdout
 
 
 class TestLogProduct:

@@ -1,14 +1,17 @@
 import json
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logfan.errors import CenterNotInFan, InvalidCone, RankMismatch
 from logfan.fans import (BOUNDARY, Cone, DivisorLabel, Fan,
                          check_face_closure, check_support_preserved,
-                         fan_dumps, fan_loads, induces_fan_map, is_smooth,
-                         product_fan, star_subdivide)
+                         fan_dumps, fan_from_json, fan_loads, induces_fan_map,
+                         is_smooth, product_fan, star_subdivide)
+from logfan.linalg import mat_mul_vec, matrix_rank, primitive
+from logfan.logproduct import log_product, parse_pair
 
 
 def octant(rank):
@@ -122,6 +125,73 @@ class TestInducesFanMap:
             induces_fan_map(octant(2), octant(2), ((1, 0),))
 
 
+def lp_face_closure(fan):
+    """Float reference for `check_face_closure`, sharing no code with it:
+    one scipy LP per cone pair looks for a point of cone(A) n cone(B)
+    whose barycentric mass lies outside the shared rays."""
+    from scipy.optimize import linprog
+
+    cones = fan.cones
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            a, b = cones[i].rays, cones[j].rays
+            shared = set(a) & set(b)
+            na, nb = len(a), len(b)
+            # variables x (coeffs in A), y (coeffs in B), all >= 0
+            # constraints: A x - B y = 0, sum(x) + sum(y) = 1
+            a_eq = []
+            for d in range(fan.rank):
+                a_eq.append([float(r[d]) for r in a]
+                            + [-float(r[d]) for r in b])
+            a_eq.append([1.0] * (na + nb))
+            b_eq = [0.0] * fan.rank + [1.0]
+            cost = [0.0 if r in shared else -1.0 for r in a] \
+                 + [0.0 if r in shared else -1.0 for r in b]
+            res = linprog(cost, A_eq=a_eq, b_eq=b_eq,
+                          bounds=[(0, None)] * (na + nb), method="highs")
+            if res.status == 0 and -res.fun > 1e-9:
+                return False
+    return True
+
+
+E1, E2, M1, M2 = (1, 0), (0, 1), (-1, 0), (0, -1)
+
+
+def fan2(*cones):
+    return Fan(2, tuple(Cone(c) for c in cones))
+
+
+def moved(fan):
+    """`fan` in new coordinates: the unimodular upper-triangular matrix
+    with entries j - i + 1 above the diagonal, then reversed axes."""
+    n = fan.rank
+    matrix = [[1 if i == j else (j - i + 1 if j > i else 0)
+               for j in range(n)] for i in reversed(range(n))]
+    return Fan(n, tuple(Cone(tuple(mat_mul_vec(matrix, r) for r in c.rays))
+                        for c in fan.cones))
+
+
+@st.composite
+def cone_sets(draw):
+    """1-5 distinct simplicial cones of rank 2 or 3 on a small pool of
+    rays with entries in -3..3, all of full dimension or of mixed sizes."""
+    rank = draw(st.sampled_from((2, 3)))
+    pool = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank).filter(any),
+                         min_size=rank, max_size=rank + 3))
+    pool = sorted({primitive(v) for v in pool})
+    pure = draw(st.booleans())
+    cones = {}
+    for _ in range(draw(st.integers(1, 5))):
+        size = min(len(pool), rank if pure else draw(st.integers(1, rank)))
+        rays = draw(st.lists(st.sampled_from(pool), min_size=size,
+                             max_size=size, unique=True))
+        if matrix_rank(rays) == len(rays):
+            cone = Cone(tuple(rays))
+            cones[cone.rays] = cone
+    assume(cones)
+    return Fan(rank, tuple(cones.values()))
+
+
 class TestFaceClosure:
     def test_octant_subdivision_face_closed(self):
         fan = star_subdivide(octant(2), Cone(((1, 0), (0, 1))))
@@ -130,6 +200,76 @@ class TestFaceClosure:
     def test_overlapping_cones_detected(self):
         bad = Fan(2, (Cone(((1, 0), (0, 1))), Cone(((1, 1), (1, -1)))))
         assert not check_face_closure(bad)
+
+    def test_wall_in_three_cones(self):
+        # the four quadrants plus the first one subdivided: walls e1 and
+        # e2 lie in three cones each, and the first cone in sorted order,
+        # the third quadrant, overlaps no other
+        assert not check_face_closure(fan2(
+            (E1, E2), (E2, M1), (M1, M2), (M2, E1), (E1, (1, 1)),
+            ((1, 1), E2)))
+
+    def test_cones_on_same_side_of_wall(self):
+        # every wall is in two cones, and the first cone, spanned by
+        # (-1, 2) and (0, -1), overlaps no other; (1, -1) has both its
+        # cones on its counter-clockwise side
+        assert not check_face_closure(fan2(
+            ((-1, 2), M2), ((-1, 2), (1, -1)), (M2, E1), ((1, -1), E1)))
+
+    def test_two_complete_fans_cover_twice(self):
+        # every wall is matched, but each point lies in two cones
+        assert not check_face_closure(fan2(
+            (E1, E2), (E2, M1), (M1, M2), (M2, E1),
+            ((1, 1), (-1, 1)), ((-1, 1), (-1, -1)), ((-1, -1), (1, -1)),
+            ((1, -1), (1, 1))))
+
+    @pytest.mark.parametrize("fan", [
+        Fan(2, (Cone((E1, E2)),)),
+        Fan(2, ()),
+        fan_from_json({"rank": 0, "rays": [], "cones": [[]]}),
+        parse_pair("A1:0").toric_fan(0),
+        parse_pair("P1:pt").toric_fan(0),
+    ], ids=["single cone", "empty", "rank 0", "A1:0", "P1:pt"])
+    def test_small_fans(self, fan):
+        assert check_face_closure(fan)
+
+    def test_not_pure(self):
+        assert not check_face_closure(fan2((E1, E2), ((1, 1),)))
+        assert check_face_closure(fan2((E1, E2), ((-1, -1),)))
+        assert check_face_closure(fan2((E1,), (E2,)))
+
+    def test_non_convex_support(self):
+        assert check_face_closure(fan2((E1, E2), (E2, M1), (M1, M2)))
+        full = log_product([parse_pair("P1:pt")] * 3).fan
+        assert check_face_closure(Fan(3, full.cones[1:]))
+
+    @pytest.mark.parametrize("pairs", [("A1:0",) * 5, ("P1:pt",) * 5])
+    def test_five_factor_products_are_fast(self, pairs):
+        fan = log_product([parse_pair(p) for p in pairs]).fan
+        start = time.perf_counter()
+        assert check_face_closure(fan)
+        assert time.perf_counter() - start < 1.0
+
+    def test_repeated_cone_rejected(self):
+        with pytest.raises(ValueError, match="listed twice"):
+            fan2((E1, E2), (E2, E1))
+
+
+@pytest.mark.parametrize("pairs", [
+    ("A1:0",) * 3, ("A1:0",) * 4, ("P1:pt",) * 2, ("P1:pt",) * 3,
+    ("P1:pt", "P2:H"), ("P2:H",) * 2])
+def test_log_products_match_lp_in_new_coordinates(pairs):
+    pytest.importorskip("scipy")
+    fan = moved(log_product([parse_pair(p) for p in pairs]).fan)
+    assert check_face_closure(fan) is True
+    assert lp_face_closure(fan) is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_sets())
+def test_face_closure_matches_lp(fan):
+    pytest.importorskip("scipy")
+    assert check_face_closure(fan) == lp_face_closure(fan)
 
 
 class TestJson:
