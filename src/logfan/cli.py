@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .cohomology import Space, SplitBundle, Summand, graded_cohomology
 from .errors import LogfanError, ResultTooLarge
-from .fans import (check_face_closure, fan_from_json, fan_to_json,
+from .fans import (check_face_closure, fan_dumps, fan_from_json, fan_to_json,
                    is_smooth)
 from .hkr import hkr_cohomology, hkr_homology
 from .kernels import chern_log, chern_log_expansion, euler_pairing, \
@@ -105,7 +105,7 @@ def cmd_fan(args):
             order = parse_order(args.order, len(pairs)) if args.order \
                 else None
             fan = log_product(pairs, order).fan
-        print(json.dumps(fan_to_json(fan), sort_keys=True))
+        print(fan_dumps(fan))
         return 0
     if args.file in (None, "-"):
         data = sys.stdin.read()

@@ -5,10 +5,12 @@ simplicial cones in Z^rank, closed under faces (faces are implicit subsets of
 a cone's ray set), and a toric blow-up of an invariant stratum is the stellar
 subdivision at the corresponding cone.
 
-Every check is exact integer arithmetic on the `linalg` core, with no floats:
-smoothness is a gcd of minors, cone membership a nonnegative solve, and
-`check_face_closure` decides whether cones meet in common faces by matching
-walls and counting the cones over one point.
+Every check is exact integer arithmetic on the `linalg` core, with no floats
+and no sampling: smoothness is a gcd of minors, cone membership a
+nonnegative solve, `check_face_closure` decides whether cones meet in common
+faces by matching walls and counting the cones over one point, and
+`check_support_preserved` compares two supports by the jumps of their cones'
+indicator functions across each wall hyperplane, one dimension down.
 
 Values are immutable; every operation returns a fresh Fan.
 """
@@ -16,7 +18,6 @@ Values are immutable; every operation returns a fresh Fan.
 from dataclasses import dataclass, field
 from itertools import combinations
 import json
-import random
 
 from .errors import CenterNotInFan, InvalidCone, RankMismatch
 from .linalg import (det, matrix_rank, mat_mul_vec, minors_gcd, primitive,
@@ -102,9 +103,6 @@ class Fan:
     def has_cone(self, cone):
         """True when `cone` is a face of some maximal cone."""
         return any(c.has_face(cone) for c in self.cones)
-
-    def contains_point(self, point):
-        return any(c.contains_point(point) for c in self.cones)
 
     def exceptional_count(self):
         return sum(1 for _, lab in self.labels if lab.kind == EXCEPTIONAL)
@@ -203,23 +201,6 @@ def induces_fan_map(source, target, lattice_map):
     return True
 
 
-def check_support_preserved(before, after, samples=1000, seed=0):
-    """Random-sample test that two fans have the same support.
-
-    Draws rational points from nonnegative integer combinations of each
-    fan's rays and checks membership agrees both ways.
-    """
-    rng = random.Random(seed)
-    for fan_a, fan_b in ((before, after), (after, before)):
-        for _ in range(samples // 2):
-            cone = rng.choice(fan_a.cones)
-            point = tuple(sum(rng.randint(0, 7) * r[i] for r in cone.rays)
-                          for i in range(fan_a.rank))
-            if fan_a.contains_point(point) != fan_b.contains_point(point):
-                return False
-    return True
-
-
 def _wall_normal(wall, rank):
     """Cofactor vector u of the rank - 1 rays of `wall`: u.x is the
     determinant of the wall's rays with x appended as the last row."""
@@ -230,6 +211,18 @@ def _wall_normal(wall, rank):
 
 def _dot(u, x):
     return sum(a * b for a, b in zip(u, x))
+
+
+def _generic_point(normals, rays):
+    """p = sum t^i r_i over `rays`, with M the largest |u.r_i| over the
+    `normals` u and t = M + 1: u.p != 0 for every u with some u.r_i != 0.
+
+    u.p = sum a_i t^i with integer a_i = u.r_i; if a_d is the last nonzero
+    one, |sum_{i<d} a_i t^i| <= M (t^d - 1) / (t - 1) < t^d <= |a_d t^d|.
+    """
+    t = 1 + max((abs(_dot(u, r)) for u in normals for r in rays), default=0)
+    return tuple(map(sum, zip(*[[t ** i * x for x in r]
+                                for i, r in enumerate(rays)])))
 
 
 def _meet_in_face(a, b):
@@ -283,11 +276,8 @@ def check_face_closure(fan):
        wall matched they meet in common faces, as cones meeting in a common
        face are exactly those a hyperplane separates along it
        (Cox-Little-Schenck, Toric Varieties, Lemma 1.2.13).  The point is
-       p = sum t^i r_i over the first cone's rays r_i, with M the largest
-       |u.r_i| over all walls and t = M + 1.  For a wall, u.p = sum a_i t^i
-       with integer a_i = u.r_i, not all 0; if a_d is the last nonzero one,
-       |sum_{i<d} a_i t^i| <= M (t^d - 1) / (t - 1) < t^d <= |a_d t^d|, so
-       u.p != 0.
+       `_generic_point` of the walls' normals and the first cone's rays,
+       which span Q^rank, so no normal is orthogonal to all of them.
     3. Every other input, a fan that is not pure or a single-cone wall
        that cuts the support (a non-convex support, or overlapping
        pieces), is checked pair by pair with `_meet_in_face`.  A pair of
@@ -313,13 +303,86 @@ def check_face_closure(fan):
         if all(sides[0] * _dot(normal, x) >= 0
                for normal, sides in walls.values() if len(sides) == 1
                for x in rays):
-            first = cones[0].rays
-            t = 1 + max((abs(_dot(normal, r)) for normal, _ in walls.values()
-                         for r in first), default=0)
-            point = tuple(sum(t ** i * r[d] for i, r in enumerate(first))
-                          for d in range(fan.rank))
+            point = _generic_point([normal for normal, _ in walls.values()],
+                                   cones[0].rays)
             return sum(1 for c in cones if c.contains_point(point)) == 1
     return all(_meet_in_face(a, b) for a, b in combinations(cones, 2))
+
+
+def check_support_preserved(before, after):
+    """True when the fans `before` and `after` have the same support.
+
+    Exact over the integers, like `check_face_closure`.  Both fans must
+    have the same rank (else RankMismatch) and every cone `rank` rays
+    (else ValueError): the check compares full-dimensional supports.
+
+    Precondition: each fan's cones meet in common faces (disjoint
+    interiors suffice), so the sum of a fan's cone indicator functions is
+    the indicator of its support off a null set.  Two supports, unions of
+    full-dimensional closed cones, are equal exactly when they agree off a
+    null set, so the answer is whether the sum over `before` minus the sum
+    over `after` vanishes almost everywhere, which `_vanishes` decides.
+    """
+    if before.rank != after.rank:
+        raise RankMismatch(f"cannot compare the supports of fans of rank "
+                           f"{before.rank} and {after.rank}")
+    rank = before.rank
+    for cone in before.cones + after.cones:
+        if len(cone) != rank:
+            raise ValueError(f"the support check needs {rank} rays per "
+                             f"cone, and {cone.rays} has {len(cone)}")
+    return _vanishes([(1, c.rays) for c in before.cones]
+                     + [(-1, c.rays) for c in after.cones], rank)
+
+
+def _vanishes(terms, dim):
+    """True when f = sum c * 1_cone over `terms`, pairs (c, rays) of an
+    integer and a tuple of `dim` linearly independent rays in Q^dim, is 0
+    almost everywhere.  Every tuple lists its rays in one common order
+    (`Cone` sorts them, and walls and their projections keep that order),
+    so equal ray sets are equal tuples.
+
+    f is constant on each chamber of the arrangement of the hyperplanes
+    through its cones' walls (Barvinok, Integer Points in Polyhedra, 2008,
+    ch. 2-3, the algebra of indicator functions of cones).  Crossing one
+    hyperplane H with normal u at a point x on no other one, f jumps by
+    g_H(x) = sum c * side * 1_W(x) over the walls W in H, where side is
+    +1 when the wall's cone lies where u is positive: a cone without a
+    wall in H holds both x + eps u and x - eps u or neither.  The chambers
+    are joined by such crossings, so f is constant almost everywhere
+    exactly when every g_H is 0 almost everywhere on H.  Dropping a
+    coordinate where u is nonzero maps H linearly and isomorphically onto
+    Q^(dim - 1), walls onto full-dimensional cones, so that is the same
+    question one dimension down.  The constant is f at one point off every
+    hyperplane, `_generic_point` of the normals and the standard basis.
+    """
+    merged = {}
+    for c, rays in terms:
+        merged[rays] = merged.get(rays, 0) + c
+    merged = {rays: c for rays, c in merged.items() if c}
+    if not merged:
+        return True
+    if dim == 0:
+        return False
+    jumps = {}  # hyperplane normal -> (c * side, wall) terms on it
+    for rays, c in merged.items():
+        for i, dropped in enumerate(rays):
+            wall = rays[:i] + rays[i + 1:]
+            normal = primitive(_wall_normal(wall, dim))
+            if next(x for x in normal if x) < 0:
+                normal = tuple(-x for x in normal)
+            side = 1 if _dot(normal, dropped) > 0 else -1
+            jumps.setdefault(normal, []).append((c * side, wall))
+    for normal, walls in jumps.items():
+        j = next(k for k, x in enumerate(normal) if x)
+        if not _vanishes([(c, tuple(primitive(r[:j] + r[j + 1:])
+                                    for r in wall))
+                          for c, wall in walls], dim - 1):
+            return False
+    basis = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    point = _generic_point(jumps.keys(), basis)
+    return sum(c for rays, c in merged.items()
+               if solve_nonnegative(rays, point) is not None) == 0
 
 
 def fan_to_json(fan):

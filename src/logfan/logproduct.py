@@ -116,16 +116,21 @@ def is_valid_order(order, n):
     building set: whenever two prefix members overlap, their union is also
     in the prefix (so the maximal members inside any union are pairwise
     disjoint).  The full collection must be exactly all subsets of size >= 2.
+
+    Prefixes only grow, so one pass checks each set against the sets before
+    it: the union of two overlapping, incomparable sets is neither of them,
+    so it must come earlier still.
     """
     sets = [frozenset(s) for s in order]
     expected = set(building_set(n))
     if set(sets) != expected or len(sets) != len(expected):
         return False
-    for k in range(1, len(sets) + 1):
-        prefix = set(sets[:k])
-        for a, b in combinations(prefix, 2):
-            if a & b and not (a <= b or b <= a) and (a | b) not in prefix:
-                return False
+    seen = set()
+    for a in sets:
+        if any(a & b and not (a <= b or b <= a) and a | b not in seen
+               for b in seen):
+            return False
+        seen.add(a)
     return True
 
 
@@ -243,18 +248,12 @@ def projection_matrix(pairs, keep):
 def projection(space, keep):
     """Log product of the kept factors plus the projection matrix; the
     matrix induces a fan map from the big log product to the small one."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise EmptyProjection("projection must keep at least one factor")
     matrix = projection_matrix(space.factors, keep)
-    kept_pairs = [space.factors[i] for i in keep]
+    kept_pairs = [space.factors[i] for i in sorted(set(keep))]
     if len(kept_pairs) == 1:
-        target = LogProductSpace(
-            tuple(kept_pairs), kept_pairs[0].toric_fan(0), (), ((0, _bray(kept_pairs[0])),))
+        fan = kept_pairs[0].toric_fan(0)
+        [(boundary, _)] = fan.labels
+        target = LogProductSpace(tuple(kept_pairs), fan, (), ((0, boundary),))
     else:
         target = log_product(kept_pairs)
     return target, matrix
-
-
-def _bray(pair):
-    return tuple(1 if i == 0 else 0 for i in range(pair.dim))

@@ -49,7 +49,7 @@ class VerifyReport:
         return [c for c in self.cases if not c.passed]
 
 
-def verify_suite(sign_flip=False, seed=0):
+def verify_suite(sign_flip=False):
     """Run every named case; `sign_flip` is the negative-control switch."""
     cases = []
     sign = 1 if sign_flip else -1
@@ -205,7 +205,7 @@ def verify_suite(sign_flip=False, seed=0):
                                    diag_kernel(P1, 3, -2)))
 
     # --- property spot checks (full random suites live in the tests) ------
-    rng = random.Random(seed)
+    rng = random.Random(0)
     func_ok = True
     for _ in range(25):
         e, f = random_supported_pair(rng)

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -78,7 +79,7 @@ class TestStarSubdivide:
     def test_support_preserved(self):
         fan = octant(3)
         sub = star_subdivide(fan, Cone(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-        assert check_support_preserved(fan, sub, samples=1000, seed=1)
+        assert check_support_preserved(fan, sub)
 
     def test_new_ray_is_primitivized_sum(self):
         fan = Fan(2, (Cone(((1, 0), (1, 2))),))
@@ -255,9 +256,12 @@ class TestFaceClosure:
             fan2((E1, E2), (E2, E1))
 
 
-@pytest.mark.parametrize("pairs", [
-    ("A1:0",) * 3, ("A1:0",) * 4, ("P1:pt",) * 2, ("P1:pt",) * 3,
-    ("P1:pt", "P2:H"), ("P2:H",) * 2])
+# the log products whose fans the benchmark checks
+FANCHECK_PAIRS = [("A1:0",) * 3, ("A1:0",) * 4, ("P1:pt",) * 2,
+                  ("P1:pt",) * 3, ("P1:pt", "P2:H"), ("P2:H",) * 2]
+
+
+@pytest.mark.parametrize("pairs", FANCHECK_PAIRS)
 def test_log_products_match_lp_in_new_coordinates(pairs):
     pytest.importorskip("scipy")
     fan = moved(log_product([parse_pair(p) for p in pairs]).fan)
@@ -270,6 +274,153 @@ def test_log_products_match_lp_in_new_coordinates(pairs):
 def test_face_closure_matches_lp(fan):
     pytest.importorskip("scipy")
     assert check_face_closure(fan) == lp_face_closure(fan)
+
+
+def in_support(fan, point):
+    return any(c.contains_point(point) for c in fan.cones)
+
+
+def sampled_support_check(before, after, samples=1000, seed=0):
+    """Random-sample reference for `check_support_preserved`: draws points
+    from nonnegative integer combinations of each fan's rays and checks
+    membership agrees both ways.  It is one-sided: False comes with a
+    witness, True only means no sample told the supports apart."""
+    rng = random.Random(seed)
+    for fan_a, fan_b in ((before, after), (after, before)):
+        for _ in range(samples // 2):
+            cone = rng.choice(fan_a.cones)
+            point = tuple(sum(rng.randint(0, 7) * r[i] for r in cone.rays)
+                          for i in range(fan_a.rank))
+            if in_support(fan_a, point) != in_support(fan_b, point):
+                return False
+    return True
+
+
+def product_of(pairs):
+    fan = Fan(0, (Cone(()),))
+    for i, pair in enumerate(pairs):
+        fan = product_fan(fan, pair.toric_fan(i))
+    return fan
+
+
+@st.composite
+def support_cases(draw):
+    """(before, after, witness): a subset of a log-product fan in new
+    coordinates, star-subdivided at random centres, then edited by
+    dropping a cone of the subdivision or adding a cone of the log product
+    outside the subset, or left alone (witness None).  The edited cone is
+    the witness; the two fans are swapped at random."""
+    pairs = draw(st.sampled_from([
+        ("A1:0",) * 2, ("A1:0",) * 3, ("P1:pt",) * 2, ("P1:pt", "A1:0"),
+        ("P1:pt",) * 3, ("P2:H", "A1:0"), ("P1:pt", "P2:H")]))
+    full = moved(log_product([parse_pair(p) for p in pairs]).fan)
+    kept = draw(st.lists(st.sampled_from(full.cones), min_size=1,
+                         unique=True))
+    before = after = Fan(full.rank, tuple(kept))
+    for _ in range(draw(st.integers(0, 3))):
+        cone = draw(st.sampled_from(after.cones))
+        center = draw(st.lists(st.sampled_from(cone.rays), min_size=2,
+                               max_size=len(cone), unique=True))
+        after = star_subdivide(after, Cone(tuple(center)))
+    witness = None
+    edit = draw(st.sampled_from(("none", "drop", "add")))
+    if edit == "drop":
+        witness = draw(st.sampled_from(after.cones))
+        after = Fan(after.rank,
+                    tuple(c for c in after.cones if c != witness))
+    elif edit == "add" and len(kept) < len(full.cones):
+        witness = draw(st.sampled_from(
+            [c for c in full.cones if c not in kept]))
+        after = Fan(after.rank, after.cones + (witness,))
+    if draw(st.booleans()):
+        before, after = after, before
+    return before, after, witness
+
+
+@settings(max_examples=100, deadline=None)
+@given(support_cases())
+def test_support_check_matches_sampled_reference(case):
+    before, after, witness = case
+    exact = check_support_preserved(before, after)
+    if witness is None:
+        assert exact is True
+    else:
+        # the edited cone's barycentre lies in one support only
+        assert exact is False
+        point = tuple(map(sum, zip(*witness.rays)))
+        assert in_support(before, point) != in_support(after, point)
+    if exact:
+        assert sampled_support_check(before, after, samples=200)
+
+
+class TestSupportPreserved:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_octant_subdivisions(self, rank):
+        fan = octant(rank)
+        sub = fan
+        for size in range(rank, 1, -1):
+            sub = star_subdivide(sub, Cone(fan.cones[0].rays[:size]))
+        assert check_support_preserved(fan, sub) is True
+        assert check_support_preserved(sub, fan) is True
+
+    @pytest.mark.parametrize("pairs", FANCHECK_PAIRS)
+    def test_log_product_keeps_product_support(self, pairs):
+        factors = [parse_pair(p) for p in pairs]
+        product = moved(product_of(factors))
+        logp = moved(log_product(factors).fan)
+        assert check_support_preserved(product, logp) is True
+        assert check_support_preserved(logp, product) is True
+
+    @pytest.mark.parametrize("pairs", [("P1:pt",) * 2, ("P1:pt",) * 3,
+                                       ("A1:0",) * 3, ("P1:pt", "P2:H")])
+    def test_dropped_cone_on_either_side(self, pairs):
+        factors = [parse_pair(p) for p in pairs]
+        product = moved(product_of(factors))
+        logp = moved(log_product(factors).fan)
+        for fan, other in ((product, logp), (logp, product)):
+            for cone in fan.cones:
+                less = Fan(fan.rank, tuple(c for c in fan.cones
+                                           if c != cone))
+                assert check_support_preserved(less, other) is False
+                assert check_support_preserved(other, less) is False
+
+    def test_rank_zero_and_empty_fans(self):
+        point, none = Fan(0, (Cone(()),)), Fan(0, ())
+        assert check_support_preserved(point, point) is True
+        assert check_support_preserved(none, none) is True
+        assert check_support_preserved(point, none) is False
+        assert check_support_preserved(none, point) is False
+        complete = product_of([parse_pair("P1:pt")] * 2)
+        assert check_support_preserved(Fan(2, ()), Fan(2, ())) is True
+        assert check_support_preserved(complete, Fan(2, ())) is False
+        assert check_support_preserved(Fan(2, ()), octant(2)) is False
+
+    def test_opposite_half_lines_and_half_planes(self):
+        assert check_support_preserved(
+            Fan(1, (Cone(((1,),)),)), Fan(1, (Cone(((-1,),)),))) is False
+        upper = fan2((E1, E2), (E2, M1))
+        assert check_support_preserved(
+            upper, fan2((E1, (1, 1)), ((1, 1), M1))) is True
+        assert check_support_preserved(upper, fan2((E1, E2))) is False
+        assert check_support_preserved(upper, fan2((M1, M2), (M2, E1))) \
+            is False
+
+    def test_rank_mismatch(self):
+        with pytest.raises(RankMismatch):
+            check_support_preserved(octant(2), octant(3))
+
+    def test_not_pure_rejected(self):
+        mixed = fan2((E1, E2), ((-1, -1),))
+        for before, after in ((mixed, octant(2)), (octant(2), mixed)):
+            with pytest.raises(ValueError, match="needs 2 rays per cone"):
+                check_support_preserved(before, after)
+
+    def test_a1_five_is_fast(self):
+        factors = [parse_pair("A1:0")] * 5
+        product, logp = product_of(factors), log_product(factors).fan
+        start = time.perf_counter()
+        assert check_support_preserved(product, logp) is True
+        assert time.perf_counter() - start < 1.0
 
 
 class TestJson:

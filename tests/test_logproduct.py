@@ -46,6 +46,13 @@ class TestOrderValidity:
         order = [{0, 1}, {0, 1, 2}, {0, 2}, {1, 2}]
         assert is_valid_order(order, 3)
 
+    def test_disjoint_pairs_before_their_union_valid(self):
+        # disjoint sets need no union in the prefix
+        order = [{0, 1}, {2, 3}, {0, 1, 2, 3}, {0, 1, 2}, {0, 1, 3},
+                 {0, 2, 3}, {1, 2, 3}, {0, 2}, {0, 3}, {1, 2}, {1, 3}]
+        assert is_valid_order(order, 4)
+        assert order_independence_check([P1] * 4, order, building_set(4))
+
     def test_two_overlapping_pairs_first_invalid(self):
         order = [{0, 1}, {0, 2}, {0, 1, 2}, {1, 2}]
         assert not is_valid_order(order, 3)
@@ -141,9 +148,18 @@ class TestProjection:
                           for j in range(len(via[0]))) for r in then]
         assert composed == direct
 
+    def test_single_factor_target(self):
+        big = log_product([P1, P2, A1])
+        small, mat = projection(big, [1, 1])
+        assert small.fan == P2.toric_fan(0)
+        assert small.strict_transforms == ((0, (1, 0)),)
+        assert induces_fan_map(big.fan, small.fan, mat)
+
     def test_empty_keep(self):
         with pytest.raises(EmptyProjection):
             projection_matrix([P1, P1], [])
+        with pytest.raises(EmptyProjection):
+            projection(log_product([P1, P1]), [])
 
 
 class TestStrictTransforms:
