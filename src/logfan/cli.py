@@ -4,6 +4,11 @@ Chern characters, Euler pairings, and the verification suite.
 Exit codes: 0 success, 1 computation error (a named error such as
 ResultTooLarge is surfaced), 2 usage error (bad flags or grammar,
 malformed or missing fan input).
+
+`logproduct` and `fan dump` refuse, with TooManyCones (exit 1) and before
+building anything, a log product of more than
+`logproduct.MAX_CONES` = 50,000 maximal cones: A1^8 (40,320) builds,
+A1^9 (362,880) does not.
 """
 
 import argparse

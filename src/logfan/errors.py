@@ -59,3 +59,7 @@ class FormalityUnavailable(LogfanError):
 
 class ResultTooLarge(LogfanError):
     """A result has more digits than Python converts an int to text."""
+
+
+class TooManyCones(LogfanError):
+    """A log product would have more maximal cones than the documented cap."""

@@ -72,8 +72,8 @@ class Fan:
     """Set of maximal simplicial cones, with optional ray labels.
 
     Cones are stored canonically sorted so identical fans compare equal
-    bit-for-bit; a cone listed twice raises ValueError.  Labels are a
-    sorted (ray, label) tuple.
+    bit-for-bit; a cone listed twice, or one with a ray whose length is
+    not `rank`, raises ValueError.  Labels are a sorted (ray, label) tuple.
     """
     rank: int
     cones: tuple
@@ -85,6 +85,11 @@ class Fan:
         for a, b in zip(cones, cones[1:]):
             if a.rays == b.rays:
                 raise ValueError(f"cone {a.rays} listed twice")
+        if {len(r) for c in cones for r in c.rays} - {self.rank}:
+            bad = next(c for c in cones
+                       if any(len(r) != self.rank for r in c.rays))
+            raise ValueError(f"cone {bad.rays} has a ray whose length is "
+                             f"not the rank {self.rank}")
         labels = tuple(sorted(((tuple(ray), lab) for ray, lab in self.labels),
                               key=lambda item: (item[0], item[1].kind,
                                                 item[1].arg)))

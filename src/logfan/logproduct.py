@@ -1,24 +1,39 @@
-"""Log products of toric pairs as iterated blow-up fans.
+"""Log products of toric pairs as nested-set fans.
 
 The n-fold log product of pairs (X_i, D_i) is computed on the fan level:
-start from the direct product fan, then blow up (stellar-subdivide) the
-strata where several boundary divisors meet, highest codimension first.
-Any blow-up order whose every prefix is a building set gives the same fan;
-`order_independence_check` verifies that on the nose.
+the direct product fan blown up along every stratum where two or more
+boundary divisors meet.  That building set is every subset of factors of
+size >= 2, so its nested sets are chains and the blown-up fan has a closed
+form (De Concini-Procesi 1995; Feichtner-Yuzvinsky 2004): a product cone
+holding the boundary rays {b_i : i in I} becomes one cone per maximal
+chain S_1 < ... < S_|I| = I, with those rays replaced by the chain rays
+sum_{i in S_k} b_i.  `log_product` builds the fan from that form.
+
+The iterated blow-up (one stellar subdivision per stratum, in an order
+whose every prefix is a building set) lives only in
+`order_independence_check`, which compares it with the closed form: two
+independent constructions of the same fan.
 
 Factors are complete P^n fans with the coordinate hyperplane e_1 as
 boundary, the P^1 fan with a torus-fixed point, or the affine local model
-(A^1, 0) used to reproduce the rank-3 barycentric picture.
+(A^1, 0) used to reproduce the rank-3 barycentric picture.  A product
+with more than MAX_CONES maximal cones is refused before it is built.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations, permutations
+from math import factorial
 import re
 
 from .errors import (EmptyProjection, NotABuildingSetOrder, NoToricModel,
-                     TooFewFactors)
+                     TooFewFactors, TooManyCones)
 from .fans import (BOUNDARY, EXCEPTIONAL, STRICT_TRANSFORM, Cone,
                    DivisorLabel, Fan, product_fan, star_subdivide)
+
+# Largest number of maximal cones `log_product` builds: A1^8 (8! = 40320
+# cones, a few seconds) fits, A1^9 (362880) does not.
+MAX_CONES = 50_000
 
 
 @dataclass(frozen=True)
@@ -147,80 +162,107 @@ class LogProductSpace:
     stratum_ray: tuple  # ((frozenset, ray), ...)
     strict_transforms: tuple  # ((factor index, ray), ...)
 
-    def strict_transform_map(self):
-        return dict(self.strict_transforms)
+
+def _cone_count(factor_fans):
+    """Number of maximal cones of the log product of `factor_fans`.
+
+    With w_i (v_i) the number of factor i's cones that hold (miss) its
+    boundary ray, a product cone holding the boundary rays of the factors
+    in I has |I|! maximal chains, so the count is sum_k k! e_k, where e_k
+    sums prod_{i in I} w_i prod_{j not in I} v_j over the k-subsets I.
+    """
+    e = [1]
+    for ff in factor_fans:
+        [(b, _)] = ff.labels
+        w = sum(1 for c in ff.cones if b in c.rays)
+        v = len(ff.cones) - w
+        e = [x * v + y * w for x, y in zip(e + [0], [0] + e)]
+    return sum(factorial(k) * x for k, x in enumerate(e))
+
+
+def _product(pairs, order):
+    """The product fan, its boundary ray per factor and the checked order
+    (`building_set(n)` when None); the cone cap is checked first."""
+    n = len(pairs)
+    if n < 2:
+        raise TooFewFactors("log product needs at least two factors")
+    factor_fans = [p.toric_fan(i) for i, p in enumerate(pairs)]
+    count = _cone_count(factor_fans)
+    if count > MAX_CONES:
+        raise TooManyCones(f"the log product has {count} maximal cones, "
+                           f"more than the cap of {MAX_CONES}")
+    if order is not None and not is_valid_order(order, n):
+        raise NotABuildingSetOrder(
+            "sequence is not a valid building-set order")
+    order = [frozenset(s) for s in order or building_set(n)]
+    fan = reduce(product_fan, factor_fans, Fan(0, (Cone(()),)))
+    boundary = {lab.arg: ray for ray, lab in fan.labels}
+    return fan, boundary, order
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def log_product(pairs, order=None):
     """Log product of the given toric pairs, as a LogProductSpace.
 
-    `order` optionally overrides the blow-up order; it must be a valid
+    The fan is the nested-set closed form (see the module docstring), so
+    it does not depend on `order`.  `order` only numbers the exceptional
+    labels: stratum S, whose ray is sum_{i in S} b_i, is labelled
+    Exceptional(index of S in the order).  It must be a valid
     building-set order on all subsets of size >= 2, else
-    NotABuildingSetOrder is raised.  Original boundary rays are relabelled
-    StrictTransform(i) in the result.
+    NotABuildingSetOrder is raised; the default is `building_set(n)`.
+    Each boundary ray b_i is labelled StrictTransform(i).  More than
+    MAX_CONES maximal cones raises TooManyCones before anything is built.
     """
-    n = len(pairs)
-    if n < 2:
-        raise TooFewFactors("log product needs at least two factors")
-    factor_fans = [p.toric_fan(i) for i, p in enumerate(pairs)]
-
-    fan = Fan(0, (Cone(()),))
-    for ff in factor_fans:
-        fan = product_fan(fan, ff)
-
-    boundary = {}
-    for ray, lab in fan.labels:
-        if lab.kind == BOUNDARY:
-            boundary[lab.arg] = ray
-
-    if order is None:
-        order = building_set(n)
-    else:
-        order = [frozenset(s) for s in order]
-        if not is_valid_order(order, n):
-            raise NotABuildingSetOrder(
-                "sequence is not a valid building-set order")
-
-    # Track, for each stratum not yet blown up, the cone currently lying
-    # over it: it starts as {b_i : i in S} and is rewritten whenever a
-    # blow-up center is contained in it.
-    tracked = {s: frozenset(boundary[i] for i in s) for s in order}
-    stratum_ray = {}
-    for step, stratum in enumerate(order):
-        center = Cone(tuple(tracked[stratum]))
-        fan = star_subdivide(fan, center)
-        new_ray = [ray for ray, lab in fan.labels
-                   if lab.kind == EXCEPTIONAL and lab.arg == step][0]
-        stratum_ray[stratum] = new_ray
-        center_set = set(center.rays)
-        for s, rays in tracked.items():
-            if center_set <= rays:
-                tracked[s] = (rays - center_set) | {new_ray}
-
-    labels = tuple(
-        (ray, DivisorLabel(STRICT_TRANSFORM, lab.arg)
-         if lab.kind == BOUNDARY else lab)
-        for ray, lab in fan.labels)
-    fan = Fan(fan.rank, fan.cones, labels)
+    fan, boundary, order = _product(pairs, order)
+    boundary_rays = set(boundary.values())
+    cones = []
+    for cone in fan.cones:
+        inside = [r for r in cone.rays if r in boundary_rays]
+        rest = tuple(r for r in cone.rays if r not in boundary_rays)
+        for chain in permutations(inside):
+            cones.append(Cone(rest + tuple(accumulate(chain, _add))))
+    stratum_ray = {s: reduce(_add, (boundary[i] for i in s)) for s in order}
+    labels = [(ray, DivisorLabel(STRICT_TRANSFORM, i))
+              for i, ray in boundary.items()]
+    labels += [(stratum_ray[s], DivisorLabel(EXCEPTIONAL, step))
+               for step, s in enumerate(order)]
     return LogProductSpace(
-        tuple(pairs), fan,
+        tuple(pairs), Fan(fan.rank, tuple(cones), tuple(labels)),
         tuple(sorted(stratum_ray.items(), key=lambda kv: sorted(kv[0]))),
-        tuple(sorted((i, ray) for i, ray in boundary.items())))
+        tuple(sorted(boundary.items())))
 
 
 def order_independence_check(pairs, order_a, order_b):
-    """True when both orders yield the identical canonical fan."""
-    fan_a = log_product(pairs, order_a).fan
-    fan_b = log_product(pairs, order_b).fan
-    return (fan_a.rank, fan_a.cones, fan_a.rays()) == \
-           (fan_b.rank, fan_b.cones, fan_b.rays())
+    """True when the iterated blow-up in each order gives the closed-form
+    fan of `log_product`.
+
+    Each order is simulated from the product fan: one `star_subdivide`
+    per stratum, at the cone currently lying over it.  That cone starts as
+    {b_i : i in S} and is rewritten whenever a blow-up centre lies in it.
+    """
+    expected = log_product(pairs).fan.cones
+    for order in (order_a, order_b):
+        fan, boundary, order = _product(pairs, order)
+        tracked = {s: frozenset(boundary[i] for i in s) for s in order}
+        for stratum in order:
+            center = tracked[stratum]
+            fan = star_subdivide(fan, Cone(tuple(center)))
+            for s, rays in tracked.items():
+                if center <= rays:
+                    tracked[s] = (rays - center) | {reduce(_add, center)}
+        if fan.cones != expected:
+            return False
+    return True
 
 
 def strict_transform_rays(space, i):
     """Decomposition of the total transform of the factor-i boundary:
     (strict transform ray, list of exceptional rays over strata containing
     the factor)."""
-    strict = space.strict_transform_map()[i]
+    strict = dict(space.strict_transforms)[i]
     exceptional = [ray for stratum, ray in space.stratum_ray
                    if i in stratum]
     return strict, exceptional

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -284,6 +285,31 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+# sha256 of stdout from `python -m logfan.cli ...`: the byte-for-byte
+# output of `logproduct` and `fan dump`, labels and --order included.
+PINNED_STDOUT = [
+    (("logproduct", "--pairs", "A1:0,P1:pt,P2:H,P1:pt", "--json"),
+     "5bf104b578379cbe9c5aa9025e867c47e6aa4914f3633a768a4950ebae6ee0ff"),
+    (("logproduct", "--pairs", "P1:pt,P1:pt,P1:pt", "--order",
+      "1,2;1,2,3;1,3;2,3", "--json"),
+     "6058fcfe28996ccc68f9f54d973daed1a3124cd35f81b7f0a9da3567a4c9e098"),
+    (("fan", "dump", "--pairs", "A1:0,A1:0,A1:0,A1:0"),
+     "c21dfcc3023107e482d80cc812cdfddbcdc018deca2b526fcf35887b8cdb8c9c"),
+    (("logproduct", "--pairs", "P2:H,P2:H,P1:pt"),
+     "a50573b2d83671059e0a6e407cb3c8d9acdf1f0b4467c3976014601670aec4a1"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT)
+def test_pinned_stdout(argv, digest):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "logfan.cli", *argv],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_parse_order():

@@ -415,12 +415,33 @@ class TestSupportPreserved:
             with pytest.raises(ValueError, match="needs 2 rays per cone"):
                 check_support_preserved(before, after)
 
+    def test_ray_longer_than_rank_rejected(self):
+        # used to compare (1, 0, 0) with (1, 0) and answer True
+        with pytest.raises(ValueError, match="not the rank 2"):
+            check_support_preserved(
+                Fan(2, (Cone(((1, 0, 0), (0, 1, 0))),)),
+                Fan(2, (Cone(((1, 0), (0, 1))),)))
+
     def test_a1_five_is_fast(self):
         factors = [parse_pair("A1:0")] * 5
         product, logp = product_of(factors), log_product(factors).fan
         start = time.perf_counter()
         assert check_support_preserved(product, logp) is True
         assert time.perf_counter() - start < 1.0
+
+
+class TestFan:
+    @pytest.mark.parametrize("rank,rays", [
+        (2, ((1, 0, 0), (0, 1, 0))), (3, ((1, 0), (0, 1))), (0, ((1,),)),
+        (1, ((1, 1),))])
+    def test_ray_length_must_be_rank(self, rank, rays):
+        with pytest.raises(ValueError, match=f"not the rank {rank}"):
+            Fan(rank, (Cone(rays),))
+
+    def test_json_keeps_its_schema_error(self):
+        data = {"rank": 2, "rays": [[1, 0, 0], [0, 1, 0]], "cones": [[0, 1]]}
+        with pytest.raises(ValueError, match="is not a list of 2 integers"):
+            fan_from_json(data)
 
 
 class TestJson:

@@ -1,15 +1,22 @@
+import dataclasses
+import json
 import random
 from itertools import combinations_with_replacement, permutations
+from math import factorial
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logfan import fans, logproduct
+from logfan.cli import main
 from logfan.errors import (EmptyProjection, NoToricModel,
-                           NotABuildingSetOrder, TooFewFactors)
-from logfan.fans import induces_fan_map, is_smooth
-from logfan.logproduct import (LogPair, building_set, format_pair,
-                               is_valid_order, log_product,
+                           NotABuildingSetOrder, TooFewFactors, TooManyCones)
+from logfan.fans import (EXCEPTIONAL, STRICT_TRANSFORM, Cone, DivisorLabel,
+                         Fan, induces_fan_map, is_smooth)
+from logfan.logproduct import (MAX_CONES, LogPair, _cone_count, building_set,
+                               format_pair, is_valid_order, log_product,
                                order_independence_check, parse_pair,
                                projection, projection_matrix,
                                strict_transform_rays)
@@ -227,3 +234,141 @@ def test_any_valid_shuffle_gives_same_fan(n, rnd):
     else:
         with pytest.raises(NotABuildingSetOrder):
             log_product([A1] * n, shuffled)
+
+
+def walk_order(rng, n):
+    """A random blow-up order on the subsets of size >= 2 of range(n): each
+    step picks one of the sets that keep the prefix a building set (two
+    overlapping, incomparable members need their union earlier).  Shuffling
+    and rejecting almost never gives a valid order at n = 5."""
+    remaining, order = building_set(n), []
+    while remaining:
+        legal = [s for s in remaining
+                 if all(not a & s or a <= s or s <= a or a | s in order
+                        for a in order)]
+        pick = rng.choice(legal)
+        remaining.remove(pick)
+        order.append(pick)
+    return order
+
+
+def _pairs(text):
+    return [parse_pair(p) for p in text.split(",")]
+
+
+class TestClosedFormAgainstBlowUp:
+    @pytest.mark.parametrize("text", [
+        "A1:0,A1:0,A1:0,A1:0,A1:0", "P1:pt,P1:pt,P1:pt,P1:pt,P1:pt",
+        "A1:0,P1:pt,P2:H,P1:pt,A1:0"])
+    def test_walked_five_factor_orders(self, text):
+        rng = random.Random(text)
+        for _ in range(3):
+            order_a, order_b = walk_order(rng, 5), walk_order(rng, 5)
+            assert is_valid_order(order_a, 5) and is_valid_order(order_b, 5)
+            assert order_independence_check(_pairs(text), order_a, order_b)
+
+    @pytest.mark.parametrize("text", ["P1:pt,P1:pt,P1:pt",
+                                      "A1:0,P1:pt,P2:H,P1:pt"])
+    def test_exceptional_label_is_index_in_order(self, text):
+        pairs = _pairs(text)
+        n = len(pairs)
+        rng = random.Random(n)
+        for order in (building_set(n), walk_order(rng, n),
+                      walk_order(rng, n)):
+            space = log_product(pairs, order)
+            labels = space.fan.label_map()
+            strata = dict(space.stratum_ray)
+            boundary = dict(space.strict_transforms)
+            assert len(strata) == len(order)
+            for step, s in enumerate(order):
+                assert labels[strata[s]] == DivisorLabel(EXCEPTIONAL, step)
+                assert strata[s] == tuple(map(sum, zip(*(boundary[i]
+                                                         for i in s))))
+            for i, ray in boundary.items():
+                assert labels[ray] == DivisorLabel(STRICT_TRANSFORM, i)
+            assert len(labels) == len(order) + n
+            assert space.fan.cones == log_product(pairs).fan.cones
+
+    def test_cli_order_numbers_the_exceptional_labels(self, capsys):
+        text = "1,2;1,2,3;1,3;2,3"
+        assert main(["logproduct", "--pairs", "P1:pt,P1:pt,P1:pt",
+                     "--order", text, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for step, group in enumerate(text.split(";")):
+            index = data["rays"].index(data["stratum_ray"][group])
+            assert data["labels"][str(index)] == {"kind": EXCEPTIONAL,
+                                                  "arg": step}
+
+    @pytest.mark.parametrize("edit", [
+        lambda cone: (),
+        lambda cone: (Cone(tuple(tuple(-x for x in r) for r in cone.rays)),),
+    ], ids=["dropped", "negated"])
+    def test_check_catches_an_edited_cone(self, monkeypatch, edit):
+        pairs, order = [A1] * 3, building_set(3)
+        assert order_independence_check(pairs, order, order)
+        real = logproduct.log_product
+
+        def edited(pairs, order=None):
+            space = real(pairs, order)
+            fan = space.fan
+            cones = edit(fan.cones[0]) + fan.cones[1:]
+            return dataclasses.replace(
+                space, fan=Fan(fan.rank, cones, fan.labels))
+
+        monkeypatch.setattr(logproduct, "log_product", edited)
+        assert not order_independence_check(pairs, order, order)
+
+    def test_check_validates_both_orders(self):
+        bad = [{0, 1}, {0, 2}, {0, 1, 2}, {1, 2}]
+        for orders in ((building_set(3), bad), (bad, building_set(3))):
+            with pytest.raises(NotABuildingSetOrder):
+                order_independence_check([P1] * 3, *orders)
+
+    def test_build_runs_no_subdivision(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("star_subdivide called")
+
+        monkeypatch.setattr(logproduct, "star_subdivide", refuse)
+        monkeypatch.setattr(fans, "star_subdivide", refuse)
+        order = walk_order(random.Random(4), 4)
+        assert len(log_product([A1] * 4).fan.cones) == 24
+        assert len(log_product([A1] * 4, order).fan.cones) == 24
+
+
+class TestConeCap:
+    @pytest.mark.parametrize("text", [
+        "A1:0,A1:0", "P1:pt,P1:pt", "P2:H,P2:H,P2:H", "P1:pt,P3:H",
+        "A1:0,P1:pt,P2:H,P1:pt", "P1:pt,P1:pt,P1:pt,P1:pt,P1:pt"])
+    def test_count_matches_build(self, text):
+        pairs = _pairs(text)
+        count = _cone_count([p.toric_fan(i) for i, p in enumerate(pairs)])
+        assert count == len(log_product(pairs).fan.cones)
+
+    def test_closed_values(self):
+        assert _cone_count([P2.toric_fan(i) for i in range(3)]) == \
+            1 + 6 + 24 + 48
+        for n in range(2, 10):
+            assert _cone_count([A1.toric_fan(i) for i in range(n)]) == \
+                factorial(n)
+        assert factorial(8) <= MAX_CONES < factorial(9)
+
+    def test_refused_before_the_product_fan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("product_fan called")
+
+        monkeypatch.setattr(logproduct, "product_fan", refuse)
+        with pytest.raises(TooManyCones, match="362880"):
+            log_product([A1] * 9)
+        with pytest.raises(TooManyCones):
+            order_independence_check([A1] * 9, building_set(9),
+                                     building_set(9))
+
+    def test_cli_refuses_a1_ninth_power_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["logproduct", "--pairs", ",".join(["A1:0"] * 9)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err.startswith("error: TooManyCones: ")
+        assert out.err.count("\n") == 1
+        assert elapsed < 1.0
