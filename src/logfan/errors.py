@@ -63,3 +63,8 @@ class ResultTooLarge(LogfanError):
 
 class TooManyCones(LogfanError):
     """A log product would have more maximal cones than the documented cap."""
+
+
+class TooManySolves(LogfanError):
+    """The pairwise face check would need more exact solves than the
+    documented cap."""

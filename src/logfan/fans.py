@@ -7,10 +7,13 @@ subdivision at the corresponding cone.
 
 Every check is exact integer arithmetic on the `linalg` core, with no floats
 and no sampling: smoothness is a gcd of minors, cone membership a
-nonnegative solve, `check_face_closure` decides whether cones meet in common
-faces by matching walls and counting the cones over one point, and
-`check_support_preserved` compares two supports by the jumps of their cones'
-indicator functions across each wall hyperplane, one dimension down.
+nonnegative solve, and a wall's hyperplane the primitive normal from one
+elimination.  Both fan checks read one index of the walls by hyperplane
+(`_hyperplanes`): `check_face_closure` decides whether cones meet in common
+faces by matching walls, scanning each boundary hyperplane once and
+counting the cones over one point, and `check_support_preserved` compares
+two supports by the jumps of their cones' indicator functions across each
+wall hyperplane, one dimension down.
 
 Values are immutable; every operation returns a fresh Fan.
 """
@@ -18,10 +21,16 @@ Values are immutable; every operation returns a fresh Fan.
 from dataclasses import dataclass, field
 from itertools import combinations
 import json
+from math import comb
 
-from .errors import CenterNotInFan, InvalidCone, RankMismatch
-from .linalg import (det, matrix_rank, mat_mul_vec, minors_gcd, primitive,
-                     solve_nonnegative)
+from .errors import CenterNotInFan, InvalidCone, RankMismatch, TooManySolves
+from .linalg import (matrix_rank, mat_mul_vec, minors_gcd, normal_vector,
+                     primitive, solve_nonnegative)
+
+# Cap on the upper bound C(#cones, 2) * C(2 * rank, rank) on the exact solves
+# of the pairwise face check: P1^4 minus one cone (141,120, about 2 s) is
+# checked, P1^5 minus one cone (13,267,800) is refused.
+MAX_PAIRWISE_SOLVES = 1_000_000
 
 BOUNDARY = "boundary"
 EXCEPTIONAL = "exceptional"
@@ -42,7 +51,8 @@ class DivisorLabel:
 
 @dataclass(frozen=True)
 class Cone:
-    """Simplicial cone given by its primitive ray generators, sorted lex."""
+    """Simplicial cone given by its primitive ray generators, all of one
+    length, sorted lex."""
     rays: tuple
 
     def __post_init__(self):
@@ -52,6 +62,8 @@ class Cone:
         for r in rays:
             if primitive(r) != r:
                 raise InvalidCone(f"ray {r} is not primitive")
+        if len({len(r) for r in rays}) > 1:
+            raise InvalidCone(f"rays {rays} have different lengths")
         if rays and matrix_rank(rays) != len(rays):
             raise InvalidCone(f"rays {rays} are linearly dependent")
         object.__setattr__(self, "rays", rays)
@@ -85,9 +97,9 @@ class Fan:
         for a, b in zip(cones, cones[1:]):
             if a.rays == b.rays:
                 raise ValueError(f"cone {a.rays} listed twice")
-        if {len(r) for c in cones for r in c.rays} - {self.rank}:
-            bad = next(c for c in cones
-                       if any(len(r) != self.rank for r in c.rays))
+        bad = next((c for c in cones
+                    if c.rays and len(c.rays[0]) != self.rank), None)
+        if bad is not None:
             raise ValueError(f"cone {bad.rays} has a ray whose length is "
                              f"not the rank {self.rank}")
         labels = tuple(sorted(((tuple(ray), lab) for ray, lab in self.labels),
@@ -206,16 +218,31 @@ def induces_fan_map(source, target, lattice_map):
     return True
 
 
-def _wall_normal(wall, rank):
-    """Cofactor vector u of the rank - 1 rays of `wall`: u.x is the
-    determinant of the wall's rays with x appended as the last row."""
-    return tuple((-1) ** (rank - 1 + j)
-                 * det([r[:j] + r[j + 1:] for r in wall])
-                 for j in range(rank))
-
-
 def _dot(u, x):
     return sum(a * b for a, b in zip(u, x))
+
+
+def _hyperplanes(terms, dim):
+    """The walls of `terms`, pairs (c, rays) of an integer and `dim`
+    linearly independent rays, grouped by their hyperplane.
+
+    A wall is a cone's ray tuple minus one ray.  Returns {normal: [(c *
+    side, wall), ...]}, one entry per cone and wall, where the normal is
+    the wall's primitive normal from one elimination (`normal_vector`,
+    first nonzero entry positive, so it names the hyperplane) and side is
+    +1 when the cone lies where it is positive, the side of the dropped
+    ray.  Each distinct wall's normal is computed once.
+    """
+    normals = {}
+    planes = {}
+    for c, rays in terms:
+        for i, dropped in enumerate(rays):
+            wall = rays[:i] + rays[i + 1:]
+            if wall not in normals:
+                normals[wall] = normal_vector(wall, dim)
+            side = 1 if _dot(normals[wall], dropped) > 0 else -1
+            planes.setdefault(normals[wall], []).append((c * side, wall))
+    return planes
 
 
 def _generic_point(normals, rays):
@@ -257,23 +284,25 @@ def _meet_in_face(a, b):
 def check_face_closure(fan):
     """True when every two maximal cones meet in a common face.
 
-    Exact over the integers (determinants and `solve_nonnegative`): no
-    floats, tolerances or solvers.
+    Exact over the integers (`linalg` eliminations): no floats,
+    tolerances or solvers.
 
-    A pure fan, where every cone has `rank` rays, is decided by its walls.
-    A wall is a cone's ray set minus one ray; its normal u is the cofactor
-    vector of its rays, and the cone lies on the side of u where its
-    dropped ray is.
+    A pure fan, where every cone has `rank` rays, is decided by its walls,
+    which `_hyperplanes` lists once: a wall is a cone's ray set minus one
+    ray, its normal u is the primitive normal from one elimination, and
+    the cone lies on the side of u where its dropped ray is.
 
-    1. A wall in three or more cones, or in two cones on the same side,
-       has two cones overlapping next to it: False.
-    2. If every wall that only one cone has leaves every ray of the fan on
-       that cone's closed side, the answer is whether exactly one cone
-       contains a point p inside the first cone and on no wall's
-       hyperplane.  Proof sketch: the support then has no boundary but
-       those walls, so it is the intersection of their half-spaces, convex,
-       and its interior meets no single-cone wall.  Along a path in the
-       interior that avoids codimension-2 faces, the number of cones
+    1. If a (side, wall) entry repeats, two cones lie on one side of a wall
+       and overlap next to it: False.  Three cones on one wall force two
+       of them onto the same side.
+    2. Each boundary hyperplane, a (normal, side) pair of a wall that only
+       one cone has, is scanned once against the rays of the fan.  If
+       every ray lies on that closed side of each, the answer is whether
+       exactly one cone contains a point p inside the first cone and on no
+       wall's hyperplane.  Proof sketch: the support then has no boundary
+       but those walls, so it is the intersection of their half-spaces,
+       convex, and its interior meets no single-cone wall.  Along a path in
+       the interior that avoids codimension-2 faces, the number of cones
        containing a point changes only across a wall, and across a wall
        shared by two cones on opposite sides one cone is left as the other
        is entered.  So one cone over p means one cone over every generic
@@ -289,28 +318,30 @@ def check_face_closure(fan):
        cones whose rays are linearly dependent together costs one exact
        solve per subset of matrix_rank(columns) <= rank + 1 of its at most
        2 * rank columns: up to C(2 * rank, rank) solves, 20 at rank 3 and
-       184756 at rank 10.
+       184756 at rank 10.  Before any of them, a fan whose bound
+       C(#cones, 2) * C(2 * rank, rank) exceeds `MAX_PAIRWISE_SOLVES`
+       raises TooManySolves.
     """
     cones = fan.cones
     if cones and all(len(c) == fan.rank for c in cones):
-        walls = {}  # wall -> (normal, side of each cone that has it)
-        for cone in cones:
-            for i, dropped in enumerate(cone.rays):
-                wall = cone.rays[:i] + cone.rays[i + 1:]
-                if wall not in walls:
-                    walls[wall] = (_wall_normal(wall, fan.rank), [])
-                normal, sides = walls[wall]
-                sides.append(1 if _dot(normal, dropped) > 0 else -1)
-        if any(len(sides) > 2 or (len(sides) == 2 and sides[0] == sides[1])
-               for _, sides in walls.values()):
+        planes = _hyperplanes([(1, c.rays) for c in cones], fan.rank)
+        walls = {(normal, side, wall) for normal, entries in planes.items()
+                 for side, wall in entries}
+        if len(walls) < len(cones) * fan.rank:
             return False
+        boundary = {(normal, side) for normal, side, wall in walls
+                    if (normal, -side, wall) not in walls}
         rays = fan.rays()
-        if all(sides[0] * _dot(normal, x) >= 0
-               for normal, sides in walls.values() if len(sides) == 1
-               for x in rays):
-            point = _generic_point([normal for normal, _ in walls.values()],
-                                   cones[0].rays)
+        if all(side * _dot(normal, x) >= 0
+               for normal, side in boundary for x in rays):
+            point = _generic_point(planes, cones[0].rays)
             return sum(1 for c in cones if c.contains_point(point)) == 1
+    bound = comb(len(cones), 2) * comb(2 * fan.rank, fan.rank)
+    if bound > MAX_PAIRWISE_SOLVES:
+        raise TooManySolves(
+            f"the pairwise face check of {len(cones)} cones of rank "
+            f"{fan.rank} may need {bound:,} exact solves, more than "
+            f"{MAX_PAIRWISE_SOLVES:,}")
     return all(_meet_in_face(a, b) for a, b in combinations(cones, 2))
 
 
@@ -358,8 +389,11 @@ def _vanishes(terms, dim):
     exactly when every g_H is 0 almost everywhere on H.  Dropping a
     coordinate where u is nonzero maps H linearly and isomorphically onto
     Q^(dim - 1), walls onto full-dimensional cones, so that is the same
-    question one dimension down.  The constant is f at one point off every
-    hyperplane, `_generic_point` of the normals and the standard basis.
+    question one dimension down.  The terms (c * side, W) of each g_H are
+    the entries `_hyperplanes` lists under H's primitive normal, from one
+    elimination per distinct wall.  The constant is f at one point off
+    every hyperplane, `_generic_point` of the normals and the standard
+    basis.
     """
     merged = {}
     for c, rays in terms:
@@ -369,15 +403,7 @@ def _vanishes(terms, dim):
         return True
     if dim == 0:
         return False
-    jumps = {}  # hyperplane normal -> (c * side, wall) terms on it
-    for rays, c in merged.items():
-        for i, dropped in enumerate(rays):
-            wall = rays[:i] + rays[i + 1:]
-            normal = primitive(_wall_normal(wall, dim))
-            if next(x for x in normal if x) < 0:
-                normal = tuple(-x for x in normal)
-            side = 1 if _dot(normal, dropped) > 0 else -1
-            jumps.setdefault(normal, []).append((c * side, wall))
+    jumps = _hyperplanes([(c, rays) for rays, c in merged.items()], dim)
     for normal, walls in jumps.items():
         j = next(k for k, x in enumerate(normal) if x)
         if not _vanishes([(c, tuple(primitive(r[:j] + r[j + 1:])

@@ -1,9 +1,11 @@
 """Exact integer linear algebra helpers for cone arithmetic.
 
 The core is one fraction-free (Bareiss) elimination on plain Python ints
-(arbitrary precision); determinant, rank and cone membership are read off
-its result.  No floats enter the core geometry, and fractions.Fraction
-appears only in the coefficients `solve_nonnegative` returns.
+(arbitrary precision); determinant, rank, cone membership and hyperplane
+normals are read off its result, the last two by one shared integer
+back-substitution.  No floats enter the core geometry, and
+fractions.Fraction appears only in the coefficients `solve_nonnegative`
+returns.
 """
 
 from fractions import Fraction
@@ -90,6 +92,34 @@ def minors_gcd(rows):
     return g
 
 
+def _back_substitute(m, pivots, ys):
+    """Fill the pivot entries of `ys`, zero on entry, so that every row of
+    the echelon form `m` is orthogonal to it; its other entries are given.
+
+    Each row is zero left of its pivot, and the entries to the right are
+    filled before it.  With the given entries multiples of the last pivot,
+    every division is exact: by Cramer's rule the result is integral.
+    """
+    for row, col in reversed(list(zip(m, pivots))):
+        ys[col] = -sum(a * y for a, y in zip(row, ys)) // row[col]
+    return ys
+
+
+def normal_vector(rows, n):
+    """Primitive normal of the hyperplane spanned by n - 1 linearly
+    independent integer rows in Q^n, with its first nonzero entry positive.
+
+    The elimination leaves one free column; it is set to the last pivot d
+    and the pivot columns are back-substituted, which gives the rows'
+    cofactor vector up to sign before it is made primitive.
+    """
+    m, pivots, _ = _echelon(rows)
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    u = primitive(_back_substitute(m, pivots, [0 if j in pivots else d
+                                               for j in range(n)]))
+    return u if next(x for x in u if x) > 0 else tuple(-x for x in u)
+
+
 def solve_nonnegative(columns, point):
     """Solve sum_i x_i * columns[i] = point over Q; return coefficients.
 
@@ -103,14 +133,10 @@ def solve_nonnegative(columns, point):
                              for i, p in enumerate(point)])
     if pivots and pivots[-1] == k:
         return None
-    # Cramer: with d the last pivot, every d * x_i is an integer, so the
-    # back-substitution below stays in ints and its divisions are exact
+    # (d * x, -d) is orthogonal to the rows of the augmented matrix, with
+    # d the last pivot, so the back-substitution stays in ints
     d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    ys = [0] * k
-    for r in reversed(range(len(pivots))):
-        row, col = m[r], pivots[r]
-        rest = sum(row[j] * ys[j] for j in pivots[r + 1:])
-        ys[col] = (d * row[k] - rest) // row[col]
+    ys = _back_substitute(m, pivots, [0] * k + [-d])[:k]
     if any(y * d < 0 for y in ys):
         return None
     return tuple(Fraction(y, d) for y in ys)

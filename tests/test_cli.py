@@ -9,7 +9,8 @@ import pytest
 
 from logfan.cli import KERNEL_GRAMMAR, main, parse_bundle_expr, parse_order
 from logfan.cohomology import SplitBundle, Summand
-from logfan.fans import fan_from_json
+from logfan.fans import fan_dumps, fan_from_json, fan_to_json
+from logfan.logproduct import log_product, parse_pair
 
 
 def run(capsys, *argv):
@@ -287,29 +288,48 @@ class TestDeterminism:
         assert first == second
 
 
-# sha256 of stdout from `python -m logfan.cli ...`: the byte-for-byte
-# output of `logproduct` and `fan dump`, labels and --order included.
+def p1_square_overlap():
+    """The P1 x P1 log product plus the cone {e1, e2}, which overlaps the
+    two cones on either side of the exceptional ray e1 + e2."""
+    data = fan_to_json(log_product([parse_pair("P1:pt")] * 2).fan)
+    index = {tuple(r): i for i, r in enumerate(data["rays"])}
+    data["cones"].append(sorted([index[(1, 0)], index[(0, 1)]]))
+    return json.dumps(data)
+
+
+# (argv, stdin, exit code, sha256 of stdout from `python -m logfan.cli
+# ...`): the byte-for-byte output of `logproduct` and `fan dump`, labels
+# and --order included, and of `fan check` on a fan that passes and on
+# one that fails
 PINNED_STDOUT = [
-    (("logproduct", "--pairs", "A1:0,P1:pt,P2:H,P1:pt", "--json"),
+    (("logproduct", "--pairs", "A1:0,P1:pt,P2:H,P1:pt", "--json"), None, 0,
      "5bf104b578379cbe9c5aa9025e867c47e6aa4914f3633a768a4950ebae6ee0ff"),
     (("logproduct", "--pairs", "P1:pt,P1:pt,P1:pt", "--order",
-      "1,2;1,2,3;1,3;2,3", "--json"),
+      "1,2;1,2,3;1,3;2,3", "--json"), None, 0,
      "6058fcfe28996ccc68f9f54d973daed1a3124cd35f81b7f0a9da3567a4c9e098"),
-    (("fan", "dump", "--pairs", "A1:0,A1:0,A1:0,A1:0"),
+    (("fan", "dump", "--pairs", "A1:0,A1:0,A1:0,A1:0"), None, 0,
      "c21dfcc3023107e482d80cc812cdfddbcdc018deca2b526fcf35887b8cdb8c9c"),
-    (("logproduct", "--pairs", "P2:H,P2:H,P1:pt"),
+    (("logproduct", "--pairs", "P2:H,P2:H,P1:pt"), None, 0,
      "a50573b2d83671059e0a6e407cb3c8d9acdf1f0b4467c3976014601670aec4a1"),
+    (("fan", "check", "-"),
+     fan_dumps(log_product([parse_pair("A1:0")] * 4).fan), 0,
+     "40531ad4da0350226ed4c7a310aace7b3ecce0fd4d29666e743a199bbed11e32"),
+    (("fan", "check", "-"), p1_square_overlap(), 1,
+     "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_STDOUT)
-def test_pinned_stdout(argv, digest):
+@pytest.mark.parametrize("argv,stdin,code,digest", PINNED_STDOUT,
+                         ids=[f"argv{i}-{digest}" for i, (*_, digest)
+                              in enumerate(PINNED_STDOUT)])
+def test_pinned_stdout(argv, stdin, code, digest):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "logfan.cli", *argv],
-                          capture_output=True, env=env, timeout=60)
-    assert proc.returncode == 0 and proc.stderr == b""
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+                          input=stdin, capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == code and proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_parse_order():

@@ -1,12 +1,16 @@
 import json
 import random
 import time
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logfan.errors import CenterNotInFan, InvalidCone, RankMismatch
+from logfan import fans
+from logfan.cli import main
+from logfan.errors import (CenterNotInFan, InvalidCone, RankMismatch,
+                           TooManySolves)
 from logfan.fans import (BOUNDARY, Cone, DivisorLabel, Fan,
                          check_face_closure, check_support_preserved,
                          fan_dumps, fan_from_json, fan_loads, induces_fan_map,
@@ -47,6 +51,15 @@ class TestIsSmooth:
     def test_non_primitive_ray_rejected(self):
         with pytest.raises(InvalidCone):
             Cone(((2, 0),))
+
+    @pytest.mark.parametrize("rays", [((1, 0, 0), (0, 1)), ((1,), (0, 1))])
+    def test_mixed_ray_lengths_rejected(self, rays):
+        with pytest.raises(InvalidCone, match="different lengths"):
+            Cone(rays)
+        with pytest.raises(InvalidCone, match="different lengths"):
+            is_smooth(rays, 3)
+        with pytest.raises(InvalidCone, match="different lengths"):
+            star_subdivide(octant(3), rays)
 
 
 class TestStarSubdivide:
@@ -201,6 +214,11 @@ class TestFaceClosure:
     def test_overlapping_cones_detected(self):
         bad = Fan(2, (Cone(((1, 0), (0, 1))), Cone(((1, 1), (1, -1)))))
         assert not check_face_closure(bad)
+        # every hyperplane carries walls on both sides, but no wall is in
+        # two cones: the cone over (1, 1), (-1, 1) overlaps the first
+        # quadrant, and the first cone in sorted order overlaps no other
+        assert not check_face_closure(fan2(
+            (E1, E2), (M1, M2), ((1, 1), (-1, 1)), ((1, -1), (-1, -1))))
 
     def test_wall_in_three_cones(self):
         # the four quadrants plus the first one subdivided: walls e1 and
@@ -241,6 +259,9 @@ class TestFaceClosure:
 
     def test_non_convex_support(self):
         assert check_face_closure(fan2((E1, E2), (E2, M1), (M1, M2)))
+        # the boundary hyperplanes x = 0 and y = 0 carry single-cone walls
+        # on both sides
+        assert check_face_closure(fan2((E1, E2), (M1, M2)))
         full = log_product([parse_pair("P1:pt")] * 3).fan
         assert check_face_closure(Fan(3, full.cones[1:]))
 
@@ -254,6 +275,48 @@ class TestFaceClosure:
     def test_repeated_cone_rejected(self):
         with pytest.raises(ValueError, match="listed twice"):
             fan2((E1, E2), (E2, E1))
+
+
+def p1_product_minus_first_cone(n):
+    full = log_product([parse_pair("P1:pt")] * n).fan
+    return Fan(n, full.cones[1:])
+
+
+class TestPairwiseBudget:
+    def test_bound_below_the_cap_is_checked(self):
+        fan = p1_product_minus_first_cone(4)
+        assert comb(len(fan.cones), 2) * comb(8, 4) == 141_120
+        assert check_face_closure(fan)
+
+    def test_refused_before_any_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pairwise test called")
+
+        monkeypatch.setattr(fans, "_meet_in_face", refuse)
+        monkeypatch.setattr(fans, "solve_nonnegative", refuse)
+        with pytest.raises(TooManySolves, match="13,267,800"):
+            check_face_closure(p1_product_minus_first_cone(5))
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        fan = p1_product_minus_first_cone(3)  # bound C(15, 2) * C(6, 3)
+        monkeypatch.setattr(fans, "MAX_PAIRWISE_SOLVES", 2100)
+        assert check_face_closure(fan)
+        monkeypatch.setattr(fans, "MAX_PAIRWISE_SOLVES", 2099)
+        with pytest.raises(TooManySolves, match="2,100"):
+            check_face_closure(fan)
+
+    def test_cli_refuses_p1_fifth_power_minus_one_cone_at_once(
+            self, capsys, tmp_path):
+        path = tmp_path / "fan.json"
+        path.write_text(fan_dumps(p1_product_minus_first_cone(5)))
+        start = time.perf_counter()
+        code = main(["fan", "check", str(path)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err.startswith("error: TooManySolves: ")
+        assert out.err.count("\n") == 1
+        assert elapsed < 1.0
 
 
 # the log products whose fans the benchmark checks

@@ -1,8 +1,9 @@
 """Property tests for the exact linear algebra core.
 
 The oracles share no code with logfan.linalg: determinants by the Leibniz
-expansion, rank as the size of the largest nonzero minor, and nonnegative
-solutions by Cramer's rule and exact substitution.
+expansion, rank as the size of the largest nonzero minor, nonnegative
+solutions by Cramer's rule and exact substitution, and hyperplane normals
+as Leibniz cofactor vectors.
 """
 
 from fractions import Fraction
@@ -12,7 +13,8 @@ from math import gcd, prod
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logfan.linalg import det, matrix_rank, minors_gcd, solve_nonnegative
+from logfan.linalg import (det, matrix_rank, minors_gcd, normal_vector,
+                           solve_nonnegative)
 
 
 def leibniz(matrix):
@@ -156,6 +158,33 @@ def test_solve_dependent_columns():
     assert solve_nonnegative([a, (2, 4, 0)], (-1, -2, 0)) is None
     assert solve_nonnegative([a, (2, 4, 0)], (1, 0, 0)) is None
     assert solve_nonnegative([a, (0, 0, 0)], (2, 4, 0)) == (2, 0)
+
+
+def cofactors(rows, n):
+    """u with u.x = the determinant of `rows` with x appended as a row."""
+    return [(-1) ** (n - 1 + j) * leibniz([r[:j] + r[j + 1:] for r in rows])
+            for j in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: matrices(n - 1, n)))
+def test_normal_vector_matches_cofactors(rows):
+    n = len(rows[0]) if rows else 1
+    u = cofactors(rows, n)
+    assume(any(u))  # the rows are linearly independent
+    got = normal_vector(rows, n)
+    assert all(sum(a * b for a, b in zip(got, r)) == 0 for r in rows)
+    g = gcd(*u)
+    assert gcd(*got) == 1
+    assert next(x for x in got if x) > 0
+    assert list(got) in ([x // g for x in u], [-x // g for x in u])
+
+
+def test_normal_vector_examples():
+    assert normal_vector([], 1) == (1,)
+    assert normal_vector([(0, 1)], 2) == (1, 0)
+    assert normal_vector([(2, 4, 0), (0, 0, 3)], 3) == (2, -1, 0)
+    assert normal_vector([(1, 1, 0), (1, 0, 1)], 3) == (1, -1, -1)
 
 
 def test_empty_shapes():
