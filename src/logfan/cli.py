@@ -10,8 +10,10 @@ building anything, a log product of more than
 `logproduct.MAX_CONES` = 50,000 maximal cones: A1^8 (40,320) builds,
 A1^9 (362,880) does not.  `fan check` refuses, with TooManySolves (exit
 1), a fan its wall criterion cannot decide when the pairwise fallback's
-bound C(#cones, 2) * C(2 * rank, rank) on exact solves exceeds
-`fans.MAX_PAIRWISE_SOLVES` = 1,000,000: P1^4 minus one cone (141,120) is
+bound on exact solves exceeds `fans.MAX_PAIRWISE_SOLVES` = 1,000,000.
+A pair of cones with m rays between them counts
+C(m, min(m // 2, rank + 1)), so a pure fan counts
+C(#cones, 2) * C(2 * rank, rank): P1^4 minus one cone (141,120) is
 checked, P1^5 minus one cone (13,267,800) is refused at once.
 """
 

@@ -18,6 +18,7 @@ wall hyperplane, one dimension down.
 Values are immutable; every operation returns a fresh Fan.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 import json
@@ -27,9 +28,10 @@ from .errors import CenterNotInFan, InvalidCone, RankMismatch, TooManySolves
 from .linalg import (matrix_rank, mat_mul_vec, minors_gcd, normal_vector,
                      primitive, solve_nonnegative)
 
-# Cap on the upper bound C(#cones, 2) * C(2 * rank, rank) on the exact solves
-# of the pairwise face check: P1^4 minus one cone (141,120, about 2 s) is
-# checked, P1^5 minus one cone (13,267,800) is refused.
+# Cap on `_pairwise_bound`, the upper bound on the exact solves of the
+# pairwise face check (C(#cones, 2) * C(2 * rank, rank) for a pure fan):
+# P1^4 minus one cone (141,120, about 2 s) is checked, P1^5 minus one cone
+# (13,267,800) is refused.
 MAX_PAIRWISE_SOLVES = 1_000_000
 
 BOUNDARY = "boundary"
@@ -281,6 +283,20 @@ def _meet_in_face(a, b):
                for sub in combinations(columns, matrix_rank(columns)))
 
 
+def _pairwise_bound(cones, rank):
+    """Upper bound on the exact solves of `_meet_in_face` over all pairs.
+
+    A pair with m = len(a) + len(b) columns solves once per subset of
+    matrix_rank(columns) <= min(m, rank + 1) columns, at most
+    C(m, min(m // 2, rank + 1)) subsets.  Pairs are counted by cone size,
+    so a pure fan gives C(#cones, 2) * C(2 * rank, rank).
+    """
+    sizes = Counter(map(len, cones))
+    return sum((n * sizes[j] if i < j else comb(n, 2))
+               * comb(i + j, min((i + j) // 2, rank + 1))
+               for i, n in sizes.items() for j in sizes if i <= j)
+
+
 def check_face_closure(fan):
     """True when every two maximal cones meet in a common face.
 
@@ -316,11 +332,11 @@ def check_face_closure(fan):
        that cuts the support (a non-convex support, or overlapping
        pieces), is checked pair by pair with `_meet_in_face`.  A pair of
        cones whose rays are linearly dependent together costs one exact
-       solve per subset of matrix_rank(columns) <= rank + 1 of its at most
-       2 * rank columns: up to C(2 * rank, rank) solves, 20 at rank 3 and
-       184756 at rank 10.  Before any of them, a fan whose bound
-       C(#cones, 2) * C(2 * rank, rank) exceeds `MAX_PAIRWISE_SOLVES`
-       raises TooManySolves.
+       solve per subset of matrix_rank(columns) <= rank + 1 of its
+       len(a) + len(b) columns: up to C(2 * rank, rank) solves for two
+       full cones, 20 at rank 3 and 184756 at rank 10.  Before any of them,
+       a fan whose `_pairwise_bound` exceeds `MAX_PAIRWISE_SOLVES` raises
+       TooManySolves.
     """
     cones = fan.cones
     if cones and all(len(c) == fan.rank for c in cones):
@@ -336,7 +352,7 @@ def check_face_closure(fan):
                for normal, side in boundary for x in rays):
             point = _generic_point(planes, cones[0].rays)
             return sum(1 for c in cones if c.contains_point(point)) == 1
-    bound = comb(len(cones), 2) * comb(2 * fan.rank, fan.rank)
+    bound = _pairwise_bound(cones, fan.rank)
     if bound > MAX_PAIRWISE_SOLVES:
         raise TooManySolves(
             f"the pairwise face check of {len(cones)} cones of rank "

@@ -326,10 +326,10 @@ def test_pinned_stdout(argv, stdin, code, digest):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "logfan.cli", *argv],
-                          input=stdin, capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == code and proc.stderr == ""
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+                          input=None if stdin is None else stdin.encode(),
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == code and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_parse_order():

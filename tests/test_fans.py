@@ -288,6 +288,21 @@ class TestPairwiseBudget:
         assert comb(len(fan.cones), 2) * comb(8, 4) == 141_120
         assert check_face_closure(fan)
 
+    @pytest.mark.parametrize("rank,cones,bound", [
+        (12, [[1], [2]], 2),
+        (10, [[1], [-1], [2, 3], [4]], 15),
+        (9, [[1, 2], [-1, 2], [3], [-3], [4], [5], [-5]], 56),
+    ])
+    def test_high_rank_fan_of_few_rays_is_checked(self, rank, cones, bound):
+        # k > 0 stands for the ray e_k and -k for -e_k
+        def ray(k):
+            return tuple((i == abs(k)) * (1 if k > 0 else -1)
+                         for i in range(1, rank + 1))
+
+        fan = Fan(rank, tuple(Cone(tuple(map(ray, c))) for c in cones))
+        assert fans._pairwise_bound(fan.cones, rank) == bound
+        assert check_face_closure(fan)
+
     def test_refused_before_any_solve(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("pairwise test called")
