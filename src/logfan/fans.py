@@ -13,7 +13,9 @@ elimination.  Both fan checks read one index of the walls by hyperplane
 faces by matching walls, scanning each boundary hyperplane once and
 counting the cones over one point, and `check_support_preserved` compares
 two supports by the jumps of their cones' indicator functions across each
-wall hyperplane, one dimension down.
+wall hyperplane, one dimension down.  A lattice map induces a fan map when
+the images of each source cone's rays lie in one target cone
+(`fan_map_witness`), decided once per distinct image and target cone.
 
 Values are immutable; every operation returns a fresh Fan.
 """
@@ -128,13 +130,20 @@ class Fan:
 
 
 def is_smooth(cone, ambient_rank):
-    """True when the cone's rays extend to a basis of Z^ambient_rank."""
+    """True when the cone's rays extend to a basis of Z^ambient_rank.
+
+    A cone with more rays than `ambient_rank` raises InvalidCone, and one
+    whose rays do not have length `ambient_rank` raises RankMismatch.
+    """
     if not isinstance(cone, Cone):
         cone = Cone(tuple(cone))
     if len(cone) == 0:
         return True
     if len(cone) > ambient_rank:
         raise InvalidCone("more rays than the ambient rank")
+    if len(cone.rays[0]) != ambient_rank:
+        raise RankMismatch(f"cone {cone.rays} does not lie in "
+                           f"Z^{ambient_rank}")
     return minors_gcd(cone.rays) == 1
 
 
@@ -205,19 +214,54 @@ def _shift_labels(fan, offset):
     return Fan(fan.rank, fan.cones, labels)
 
 
-def induces_fan_map(source, target, lattice_map):
-    """True iff the matrix maps every source cone into some target cone."""
+def fan_map_witness(source, target, lattice_map):
+    """The first cone of `source.cones` that `lattice_map` sends into no
+    cone of `target`, as (cone, images) with the images of its rays in
+    ray order; None when every source cone lands in some target cone.
+
+    A linear map sends cone(rays) into a cone exactly when it sends each
+    ray there, so the work is done once per distinct input: each distinct
+    source ray is mapped once, and whether a target cone holds an image is
+    one `Cone.contains_point` solve, made the first time the pair is met
+    and remembered.  A cone whose set of images was already decided reuses
+    the verdict.  Target cones and a cone's images are tried in the order
+    a plain cone-by-cone scan tries them, stopping where it stops, so no
+    input needs more solves than that scan.  A matrix whose shape is not
+    target.rank x source.rank raises RankMismatch.
+    """
     rows = tuple(tuple(r) for r in lattice_map)
     if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
         raise RankMismatch(
             f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}, "
             f"expected {target.rank}x{source.rank}")
+    image = {r: mat_mul_vec(rows, r) for r in source.rays()}
+    held = {}
+    verdicts = {}
+
+    def holds(i, point):
+        if (i, point) not in held:
+            held[i, point] = target.cones[i].contains_point(point)
+        return held[i, point]
+
     for cone in source.cones:
-        images = [mat_mul_vec(rows, r) for r in cone.rays]
-        if not any(all(t.contains_point(img) for img in images)
-                   for t in target.cones):
-            return False
-    return True
+        images = tuple(image[r] for r in cone.rays)
+        key = frozenset(images)
+        if key not in verdicts:
+            verdicts[key] = any(all(holds(i, p) for p in images)
+                                for i in range(len(target.cones)))
+        if not verdicts[key]:
+            return cone, images
+    return None
+
+
+def induces_fan_map(source, target, lattice_map):
+    """True iff the matrix maps every source cone into some target cone.
+
+    The rule (Cox-Little-Schenck, Toric Varieties, 3.3): the images of
+    each source cone's rays lie in one target cone.  `fan_map_witness`
+    decides each distinct image once per target cone.
+    """
+    return fan_map_witness(source, target, lattice_map) is None
 
 
 def _dot(u, x):

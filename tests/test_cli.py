@@ -316,6 +316,8 @@ PINNED_STDOUT = [
      "40531ad4da0350226ed4c7a310aace7b3ecce0fd4d29666e743a199bbed11e32"),
     (("fan", "check", "-"), p1_square_overlap(), 1,
      "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b"),
+    (("verify", "--json"), None, 0,
+     "35b2d86ceef776027f24f0d468e1dcc44202bbdab75c8e238408628703cecb33"),
 ]
 
 

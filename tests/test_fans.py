@@ -2,21 +2,23 @@ import json
 import random
 import time
 from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logfan import fans
+from logfan import fans, linalg
 from logfan.cli import main
 from logfan.errors import (CenterNotInFan, InvalidCone, RankMismatch,
                            TooManySolves)
 from logfan.fans import (BOUNDARY, Cone, DivisorLabel, Fan,
                          check_face_closure, check_support_preserved,
-                         fan_dumps, fan_from_json, fan_loads, induces_fan_map,
-                         is_smooth, product_fan, star_subdivide)
+                         fan_dumps, fan_from_json, fan_loads, fan_map_witness,
+                         induces_fan_map, is_smooth, product_fan,
+                         star_subdivide)
 from logfan.linalg import mat_mul_vec, matrix_rank, primitive
-from logfan.logproduct import log_product, parse_pair
+from logfan.logproduct import log_product, parse_pair, projection
 
 
 def octant(rank):
@@ -60,6 +62,12 @@ class TestIsSmooth:
             is_smooth(rays, 3)
         with pytest.raises(InvalidCone, match="different lengths"):
             star_subdivide(octant(3), rays)
+
+    @pytest.mark.parametrize("rays,rank", [(((1, 0), (0, 1)), 3),
+                                           (((1, 0, 0),), 2)])
+    def test_ray_length_must_be_ambient_rank(self, rays, rank):
+        with pytest.raises(RankMismatch):
+            is_smooth(Cone(rays), rank)
 
 
 class TestStarSubdivide:
@@ -130,6 +138,9 @@ class TestInducesFanMap:
         subdivided2 = star_subdivide(raw2, Cone(((1, 0), (0, 1))))
         assert induces_fan_map(raw3, raw2, proj)
         assert not induces_fan_map(raw3, subdivided2, proj)
+        assert fan_map_witness(raw3, raw2, proj) is None
+        assert fan_map_witness(raw3, subdivided2, proj) == (
+            raw3.cones[0], ((0, 0), (0, 1), (1, 0)))
         source = star_subdivide(raw3, Cone(((1, 0, 0), (0, 1, 0))))
         assert induces_fan_map(source, subdivided2, proj)
         assert induces_fan_map(source, raw2, proj)
@@ -137,6 +148,110 @@ class TestInducesFanMap:
     def test_shape_mismatch(self):
         with pytest.raises(RankMismatch):
             induces_fan_map(octant(2), octant(2), ((1, 0),))
+
+    def test_a1_sixth_power_solves_once_per_image_and_target_cone(self):
+        space = log_product([parse_pair("A1:0")] * 6)
+        target, matrix = projection(space, [0, 5])
+        images = {mat_mul_vec(matrix, r) for r in space.fan.rays()}
+        with mock.patch.object(fans, "solve_nonnegative",
+                               wraps=linalg.solve_nonnegative) as solve:
+            assert induces_fan_map(space.fan, target.fan, matrix)
+        assert len(images) * len(target.fan.cones) <= 8
+        assert solve.call_count <= len(images) * len(target.fan.cones)
+
+
+def oracle_fan_map_witness(source, target, matrix, solve):
+    """Brute-force reference for `fan_map_witness`: every source cone,
+    every target cone and every ray, one `solve` per (target cone, ray)
+    tried, stopping at the first target cone that holds all images."""
+    for cone in source.cones:
+        images = tuple(tuple(sum(a * x for a, x in zip(row, r))
+                             for row in matrix) for r in cone.rays)
+        if not any(all(solve(t.rays, p) is not None for p in images)
+                   for t in target.cones):
+            return cone, images
+    return None
+
+
+@st.composite
+def small_cone(draw, rank, vectors, min_rays=0):
+    """A cone of at most `rank` rays drawn from `vectors`, possibly empty
+    or not full-dimensional."""
+    rays = []
+    for v in draw(st.lists(vectors, min_size=min_rays, max_size=rank)):
+        if any(v) and matrix_rank(rays + [primitive(v)]) == len(rays) + 1:
+            rays.append(primitive(v))
+    return Cone(tuple(rays))
+
+
+@st.composite
+def fan_map_cases(draw):
+    """(source, target, matrix) with a matrix of entries in -1..1, so rays
+    are often sent to 0 or several rays to one image.  The source cones
+    draw their rays from a pool of at most five, so they share rays."""
+    s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def vectors(rank):
+        return st.tuples(*[st.integers(-2, 2)] * rank)
+
+    def fan(rank, min_cones, max_cones, rays, min_rays):
+        cones = draw(st.lists(small_cone(rank, rays, min_rays),
+                              min_size=min_cones, max_size=max_cones))
+        return Fan(rank, tuple({c.rays: c for c in cones}.values()))
+
+    pool = draw(st.lists(vectors(s), min_size=1, max_size=5))
+    matrix = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * s),
+                           min_size=t, max_size=t))
+    return (fan(s, 1, 5, st.sampled_from(pool), 1),
+            fan(t, 0, 5, vectors(t), 0), tuple(matrix))
+
+
+P1_LINE = Fan(1, (Cone(((1,),)), Cone(((-1,),))))
+PROJ = ((1, 0, 0), (0, 1, 0))
+
+
+# Fixed inputs: empty source cones, empty target fans, lower-dimensional
+# target cones, maps sending rays to 0 or several rays to one image,
+# failing maps, one where trying a cone's images out of ray order costs
+# an extra solve, and two cones sharing a first image with different
+# verdicts.
+@given(fan_map_cases())
+@settings(max_examples=150, deadline=None)
+@example((Fan(2, (Cone(()), Cone(((1, 0),)))), octant(2), ((1, 0), (0, 1))))
+@example((Fan(2, (Cone(()),)), Fan(2, ()), ((1, 0), (0, 1))))
+@example((octant(2), Fan(2, ()), ((1, 0), (0, 1))))
+@example((octant(2), Fan(2, (Cone(((1, 0),)), Cone(((0, 1),)))),
+          ((1, 0), (0, 1))))
+@example((octant(2), Fan(2, (Cone(((1, 1),)), Cone(((1, 0),)))),
+          ((1, 1), (1, 1))))
+@example((octant(2), Fan(1, (Cone(()),)), ((0, 0),)))
+@example((octant(2), P1_LINE, ((1, 1),)))
+@example((octant(2), Fan(1, (Cone(((-1,),)),)), ((1, 1),)))
+@example((Fan(3, (Cone(((0, 0, 1), (1, 0, 0))),)), Fan(2, (Cone(((1, 0),)),)),
+          ((1, 0, 1), (0, 0, 1))))
+@example((Fan(3, (Cone(((0, 0, 1), (0, 1, 0))),
+                  Cone(((0, 0, 1), (1, 0, 0))))),
+          Fan(1, (Cone(((1,),)),)), ((-1, 1, 0),)))
+@example((octant(3), star_subdivide(octant(2), Cone(((1, 0), (0, 1)))),
+          PROJ))
+@example((star_subdivide(octant(3), Cone(((1, 0, 0), (0, 1, 0)))),
+          star_subdivide(octant(2), Cone(((1, 0), (0, 1)))), PROJ))
+def test_fan_map_witness_matches_brute_force(case):
+    """Same witness as the brute-force loop, with no more solves."""
+    source, target, matrix = case
+    oracle_solves = []
+
+    def solve(columns, point):
+        oracle_solves.append(point)
+        return linalg.solve_nonnegative(columns, point)
+
+    expected = oracle_fan_map_witness(source, target, matrix, solve)
+    with mock.patch.object(fans, "solve_nonnegative",
+                           wraps=linalg.solve_nonnegative) as counted:
+        got = fan_map_witness(source, target, matrix)
+    assert got == expected
+    assert induces_fan_map(source, target, matrix) is (expected is None)
+    assert counted.call_count <= len(oracle_solves)
 
 
 def lp_face_closure(fan):
