@@ -35,8 +35,9 @@ from .verify import verify_suite
 
 KERNEL_GRAMMAR = ('atom := "diag(" bundle "," shift ")" | '
                   '"graph(deg=" int ["," bundle "," shift] ")" | '
-                  '"t(" atom ")"; expr := atom ("+" atom)*; '
-                  'bundle := "O" | "O(" int ")"')
+                  '"t(" atom ")"; term := [mult "*"] atom; '
+                  'expr := term ("+" term)*; bundle := "O" | "O(" int ")"; '
+                  'mult := int >= 1')
 
 _SUMMAND_RE = re.compile(
     r"^(O(?:\((-?\d+)\))?)(?:\^(\d+))?(?:\[(-?\d+)\])?$")

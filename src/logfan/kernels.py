@@ -12,6 +12,20 @@ Composition, adjoints, the excess-intersection route for graph-vs-transpose,
 and the Hochschild scalar action are all closed-form rewrites on atoms; the
 unsupported shapes raise named errors instead of guessing.
 
+Each rule is written once; its mirror image comes from transposition,
+flipping a kernel across the product (Huybrechts, *Fourier-Mukai
+Transforms in Algebraic Geometry*, 2006, Prop. 5.9):
+
+* composition reverses, transpose(compose(e, f)) ==
+  compose(transpose(f), transpose(e)), so diag then t(graph) and t(graph)
+  then diag are the graph-then-diag and diag-then-graph rules, flipped;
+* the adjoints swap, L(E) = R(E^T)^T, so only the right adjoint has
+  atom formulas.
+
+The scalar regime (log Hochschild homology one-dimensional, in degree 0)
+has a closed form: (P^n, H) and (P^1, pt) are scalar, a pointed curve
+(C_g, pt) only when g = 0, and (A^1, 0) is refused as `hkr` refuses it.
+
 Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
 """
 
@@ -19,24 +33,34 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 import re
+from typing import NamedTuple
 
 from .cohomology import normal_form
 from .errors import (FormalityUnavailable, UnsupportedComposition,
                      UnsupportedHHShape)
-from .hkr import hkr_homology, log_serre
+# hkr_homology is not called here; it stays importable as
+# kernels.hkr_homology, a binding bench/test_bench.py reads
+from .hkr import _space_of, hkr_homology, log_serre  # noqa: F401
 from .logproduct import LogPair, format_pair
 
 DIAG = "diag"
 GRAPH = "graph"
 TGRAPH = "tgraph"
+_FLIP = {DIAG: DIAG, GRAPH: TGRAPH, TGRAPH: GRAPH}
+# the (first, second) kinds composed by flipping the mirrored rule
+_MIRRORED = {(DIAG, TGRAPH), (TGRAPH, DIAG)}
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(NamedTuple):
     kind: str
     degree: int  # map degree for (t)graph atoms, 0 for diag
     twist: int
     shift: int
+
+
+def _flip(atom):
+    """The atom flipped across the product (diag is symmetric)."""
+    return Atom(_FLIP[atom.kind], atom.degree, atom.twist, atom.shift)
 
 
 @dataclass(frozen=True)
@@ -96,10 +120,8 @@ def graph_kernel(source, target, degree, twist=0, shift=0, mult=1):
 def transpose(expr):
     """Flip a kernel across the product: swaps source and target and
     exchanges graph atoms with their transposes (diag is symmetric)."""
-    flip = {DIAG: DIAG, GRAPH: TGRAPH, TGRAPH: GRAPH}
-    return KernelExpr(expr.target, expr.source, tuple(
-        (Atom(flip[a.kind], a.degree, a.twist, a.shift), m)
-        for a, m in expr.terms))
+    return KernelExpr(expr.target, expr.source,
+                      tuple((_flip(a), m) for a, m in expr.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -112,36 +134,28 @@ def right_adjoint(expr):
     dualization survives; for graphs the rewrite bakes in the Serre kernel
     of the target (dimension m) through the projection formula.
     """
-    return _adjoint(expr, right=True)
+    m = expr.target.dim
+    return KernelExpr(expr.target, expr.source, tuple(
+        (_right_atom(a, m), k) for a, k in expr.terms))
 
 
 def left_adjoint(expr):
-    return _adjoint(expr, right=False)
+    """Kernel of the left adjoint functor, L(E) = R(E^T)^T, atom by atom
+    (the target of E^T is the source of E)."""
+    m = expr.source.dim
+    return KernelExpr(expr.target, expr.source, tuple(
+        (_flip(_right_atom(_flip(a), m)), k) for a, k in expr.terms))
 
 
-def _adjoint(expr, right):
-    terms = []
-    for atom, mult in expr.terms:
-        if atom.kind == DIAG:
-            new = Atom(DIAG, 0, -atom.twist, -atom.shift)
-        elif atom.kind == GRAPH:
-            m = expr.target.dim
-            d = atom.degree
-            if right:
-                new = Atom(TGRAPH, d, -atom.twist + d * (m + 1) - 2,
-                           1 - m - atom.shift)
-            else:
-                new = Atom(TGRAPH, d, -atom.twist + d - 1, -atom.shift)
-        else:  # TGRAPH: the underlying map goes expr.target -> expr.source
-            m = expr.source.dim
-            d = atom.degree
-            if right:
-                new = Atom(GRAPH, d, -atom.twist + d - 1, -atom.shift)
-            else:
-                new = Atom(GRAPH, d, -atom.twist + d * (m + 1) - 2,
-                           1 - m - atom.shift)
-        terms.append((new, mult))
-    return KernelExpr(expr.target, expr.source, tuple(terms))
+def _right_atom(atom, m):
+    """One atom of the right adjoint of a kernel with target dimension m."""
+    kind, d, twist, shift = atom
+    if kind == DIAG:
+        return Atom(DIAG, 0, -twist, -shift)
+    if kind == GRAPH:
+        return Atom(TGRAPH, d, -twist + d * (m + 1) - 2, 1 - m - shift)
+    # TGRAPH: the underlying map goes to the source, so m is not read
+    return Atom(GRAPH, d, -twist + d - 1, -shift)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +199,26 @@ def compose(first, second, trace=None):
         raise UnsupportedComposition(
             f"cannot compose: middle pairs {format_pair(first.target)} and "
             f"{format_pair(second.source)} differ")
+    m = first.target.dim
+    same_map = first.source == second.target
     terms = []
     for a, ma in first.terms:
         for b, mb in second.terms:
-            for atom, mult in _compose_atoms(a, b, first, second, trace):
+            for atom, mult in _compose_atoms(a, b, m, same_map, trace):
                 terms.append((atom, ma * mb * mult))
     return KernelExpr(first.source, second.target, tuple(terms))
 
 
-def _compose_atoms(a, b, first, second, trace):
+def _compose_atoms(a, b, m, same_map, trace):
+    """Atoms of `a` then `b` through a middle pair of dimension `m`;
+    `same_map` (the composite goes from a pair to itself) gates the excess
+    route."""
     if a.kind == DIAG and b.kind == DIAG:
         return [(Atom(DIAG, 0, a.twist + b.twist, a.shift + b.shift), 1)]
+    if (a.kind, b.kind) in _MIRRORED:
+        # transpose(a then b) is flip(b) then flip(a): a diag/graph rule
+        return [(_flip(atom), k) for atom, k in
+                _compose_atoms(_flip(b), _flip(a), m, same_map, trace)]
     if a.kind == DIAG and b.kind == GRAPH:
         return [(Atom(GRAPH, b.degree, b.twist + a.twist,
                       b.shift + a.shift), 1)]
@@ -203,17 +226,10 @@ def _compose_atoms(a, b, first, second, trace):
         # twisting downstairs pulls back through the degree-d map
         return [(Atom(GRAPH, a.degree, a.twist + a.degree * b.twist,
                       a.shift + b.shift), 1)]
-    if a.kind == DIAG and b.kind == TGRAPH:
-        return [(Atom(TGRAPH, b.degree, b.twist + b.degree * a.twist,
-                      b.shift + a.shift), 1)]
-    if a.kind == TGRAPH and b.kind == DIAG:
-        return [(Atom(TGRAPH, a.degree, a.twist + b.twist,
-                      a.shift + b.shift), 1)]
     if a.kind == GRAPH and b.kind == TGRAPH:
-        if a.degree != b.degree or first.source != second.target:
+        if a.degree != b.degree or not same_map:
             raise UnsupportedComposition(
                 "graph and transposed graph of different maps")
-        m = first.target.dim
         sub, ambient, splits, excess = excess_intersection(a.degree, m)
         if not splits:
             raise FormalityUnavailable(
@@ -236,7 +252,11 @@ def _compose_atoms(a, b, first, second, trace):
 # Hochschild action, Chern character, Euler pairing
 
 def _scalar_regime(pair):
-    return hkr_homology(pair) == {0: 1}
+    """Whether log Hochschild homology is one-dimensional in degree 0:
+    (P^n, H), (P^1, pt) and (C_0, pt); a pair without cohomology tables
+    is refused as `hkr` refuses it."""
+    _space_of(pair)
+    return pair.kind != "Cg:pt" or pair.param == 0
 
 
 def signed_count(expr, sign=-1):
@@ -357,11 +377,14 @@ def _emit(trace, line):
 
 
 def _signed_sum(expr):
+    """The signed terms, sorted by shift then twist; a multiplicity m > 1
+    prints once, as m*(+1) or m*(-1)."""
     parts = []
     for atom, mult in sorted(expr.terms,
                              key=lambda tm: (tm[0].shift, tm[0].twist)):
-        parts += [str(-1 if atom.shift % 2 else 1)] * mult
-    return " + ".join(parts) if parts else "0"
+        sign = -1 if atom.shift % 2 else 1
+        parts.append(str(sign) if mult == 1 else f"{mult}*({sign:+d})")
+    return " + ".join(parts) or "0"
 
 
 def format_atom(atom):
@@ -373,10 +396,10 @@ def format_atom(atom):
 
 
 def format_kernel(expr):
-    parts = []
-    for atom, mult in expr.terms:
-        parts.extend([format_atom(atom)] * mult)
-    return "+".join(parts) if parts else "0"
+    """The grammar's text of a kernel; a multiplicity m > 1 prints once,
+    as m*atom."""
+    return "+".join(format_atom(a) if m == 1 else f"{m}*{format_atom(a)}"
+                    for a, m in expr.terms) or "0"
 
 
 _BUNDLE_RE = r"O(?:\((-?\d+)\))?"
@@ -408,10 +431,7 @@ def parse_atom(text):
         twist = _parse_bundle(m.group(2)) if m.group(2) else 0
         shift = int(m.group(4)) if m.group(4) else 0
         atom = Atom(GRAPH, int(m.group(1)), twist, shift)
-    if flips % 2:
-        flip = {DIAG: DIAG, GRAPH: TGRAPH, TGRAPH: GRAPH}
-        atom = Atom(flip[atom.kind], atom.degree, atom.twist, atom.shift)
-    return atom
+    return _flip(atom) if flips % 2 else atom
 
 
 def _split_top_level(text):
@@ -428,11 +448,21 @@ def _split_top_level(text):
     return parts
 
 
+def _parse_term(text):
+    """(atom, multiplicity) of `atom` or `N*atom` with N >= 1."""
+    count, star, atom = text.rpartition("*")
+    count = count.strip()
+    if star and not (count.isdecimal() and int(count) >= 1):
+        raise ValueError(f"multiplicity {count!r} is not an integer >= 1")
+    return parse_atom(atom), int(count) if star else 1
+
+
 def parse_kernel(text, source, target):
-    """Parse an expression `atom(+atom)*` against the grammar, attaching
-    the given source and target pairs."""
+    """Parse an expression `term ("+" term)*`, a term being `atom` or
+    `N*atom` (N >= 1 copies), against the grammar, attaching the given
+    source and target pairs."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty kernel expression")
-    atoms = [parse_atom(p) for p in _split_top_level(text)]
-    return KernelExpr(source, target, tuple((a, 1) for a in atoms))
+    return KernelExpr(source, target, tuple(
+        _parse_term(p) for p in _split_top_level(text)))

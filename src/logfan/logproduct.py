@@ -58,15 +58,6 @@ class LogPair:
             return self.param
         return 1
 
-    @property
-    def genus(self):
-        """Genus when the pair is a curve; P^1 with a point counts as g=0."""
-        if self.kind == "Cg:pt":
-            return self.param
-        if self.kind in ("P1:pt", "A1:0"):
-            return 0
-        raise ValueError(f"{format_pair(self)} is not a curve")
-
     def toric_fan(self, factor=0):
         """Complete fan of the factor with the boundary ray labeled.
 

@@ -233,6 +233,15 @@ class TestChernEuler:
         assert "sym: O + O(-1)[1]" in lines
         assert json.loads(lines[-1]) == {"value": 0}
 
+    def test_trace_prints_multiplicity_once(self, capsys):
+        kernel = "+".join(["diag(O,0)"] * 200)
+        code, out, _ = run(capsys, "euler", "--source", "P1:pt",
+                           "--target", "P1:pt", "--kernel", kernel,
+                           "--against", "200*diag(O,0)", "--trace")
+        assert code == 0 and out.splitlines() == [
+            "adjoint: R(200*diag(O,0)) = 200*diag(O,0)",
+            "additivity: 40000*(+1) -> 40000", "40000"]
+
     def test_bad_kernel_grammar_exits_two(self, capsys):
         code, _, err = run(capsys, "chern", "--pair", "P1:pt", "--kernel",
                            "diag(O)")
@@ -318,6 +327,22 @@ PINNED_STDOUT = [
      "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b"),
     (("verify", "--json"), None, 0,
      "35b2d86ceef776027f24f0d468e1dcc44202bbdab75c8e238408628703cecb33"),
+    # the kernel rewrites: diag.diag, diag.t(graph), graph.diag and the
+    # excess route; then t(graph).diag; then two chern chains
+    (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",
+      "diag(O(1),0)+graph(deg=1,O,1)", "--against",
+      "diag(O,1)+graph(deg=1,O(2),0)", "--trace"), None, 0,
+     "78f4511b91620b43765a24793d2d316f3debd901fb2bd3f382be67ec6e682909"),
+    (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",
+      "t(graph(deg=1,O(1),0))+diag(O,0)", "--against", "diag(O(2),1)",
+      "--trace"), None, 0,
+     "82077d6f618737c4e7a9525c9e73c872f10735d5125fb68a002657e9518f0454"),
+    (("chern", "--pair", "P1:pt", "--target", "P2:H", "--kernel",
+      "graph(deg=1,O(3),1)+graph(deg=2)", "--trace"), None, 0,
+     "17fc4a516843a9668aa1a3fc377ed6776e4c10f6ea68b68c357cd6b7bd66274b"),
+    (("chern", "--pair", "P2:H", "--kernel",
+      "diag(O,0)+diag(O(1),1)+t(t(diag(O(-2),3)))", "--trace"), None, 0,
+     "0e23b01c503bd36bf3f36ee7facad7facb01222e08a74883b83c8d4969a5885d"),
 ]
 
 

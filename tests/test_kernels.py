@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logfan.errors import (FormalityUnavailable, UnsupportedComposition,
-                           UnsupportedHHShape)
-from logfan.kernels import (Atom, DIAG, GRAPH, KernelExpr,
+from logfan.errors import (FormalityUnavailable, LogfanError, NoToricModel,
+                           UnsupportedComposition, UnsupportedHHShape)
+from logfan.hkr import hkr_homology
+from logfan.kernels import (Atom, DIAG, GRAPH, TGRAPH, KernelExpr,
+                            _scalar_regime, _signed_sum,
                             adjoint_exchange_check, bicategory_law_check,
                             chern_log, chern_log_expansion, compose,
                             diag_kernel, euler_pairing, excess_intersection,
                             format_kernel, graph_kernel, hh_action,
                             involution_check, left_adjoint, parse_kernel,
                             right_adjoint, sym_decomposition, transpose)
-from logfan.logproduct import LogPair
+from logfan.logproduct import LogPair, parse_pair
 from logfan.verify import random_diag, random_supported_pair
 
 P1 = LogPair("P1:pt")
@@ -242,6 +244,25 @@ class TestGrammar:
         expr = parse_kernel("graph(deg=1)", P1, P2)
         assert expr == graph_kernel(P1, P2, 1)
 
+    def test_multiplicity_prints_once(self):
+        expr = KernelExpr(P1, P1, ((Atom(DIAG, 0, 0, 0), 200),
+                                   (Atom(DIAG, 0, 4, 1), 3),
+                                   (Atom(DIAG, 0, 1, 3), 1)))
+        assert format_kernel(expr) == \
+            "200*diag(O,0)+diag(O(1),3)+3*diag(O(4),1)"
+        assert _signed_sum(expr) == "200*(+1) + 3*(-1) + -1"
+        assert parse_kernel("200*diag(O,0)", P1, P1) == \
+            parse_kernel("+".join(["diag(O,0)"] * 200), P1, P1)
+        assert parse_kernel(" 2 * t(graph(deg=1)) ", P2, P1) == \
+            KernelExpr(P2, P1, ((Atom(TGRAPH, 1, 0, 0), 2),))
+
+    @pytest.mark.parametrize("text", [
+        "0*diag(O,0)", "-1*diag(O,0)", "*diag(O,0)", "2*3*diag(O,0)",
+        "x*diag(O,0)", "t(2*diag(O,0))", "diag(O,0)*2"])
+    def test_bad_multiplicity(self, text):
+        with pytest.raises(ValueError):
+            parse_kernel(text, P1, P1)
+
 
 # ---------------------------------------------------------------------------
 # property suites
@@ -295,3 +316,144 @@ def test_chern_additive(rnd):
     e = random_diag(rnd, P1)
     f = random_diag(rnd, P1)
     assert chern_log(e + f) == chern_log(e) + chern_log(f)
+
+
+# ---------------------------------------------------------------------------
+# the mirrored rules, written out as independent oracles
+
+atoms = st.builds(
+    lambda kind, d, t, s: Atom(kind, 0 if kind == DIAG else d, t, s),
+    st.sampled_from((DIAG, GRAPH, TGRAPH)), st.integers(1, 3),
+    st.integers(-6, 6), st.integers(-6, 6))
+
+
+# kernels from (P^1, pt) to itself, which admit all three atom kinds
+p1_kernels = st.lists(st.tuples(atoms, st.integers(1, 4)),
+                      min_size=1, max_size=4).map(
+    lambda terms: KernelExpr(P1, P1, tuple(terms)))
+
+
+def _left_atom_oracle(atom, source):
+    """The left adjoint's atom formulas, stated directly."""
+    kind, d, twist, shift = atom
+    if kind == DIAG:
+        return Atom(DIAG, 0, -twist, -shift)
+    if kind == GRAPH:
+        return Atom(TGRAPH, d, -twist + d - 1, -shift)
+    m = source.dim  # TGRAPH: the underlying map goes target -> source
+    return Atom(GRAPH, d, -twist + d * (m + 1) - 2, 1 - m - shift)
+
+
+def _left_adjoint_oracle(expr):
+    return KernelExpr(expr.target, expr.source, tuple(
+        (_left_atom_oracle(a, expr.source), k) for a, k in expr.terms))
+
+
+def _mirrored_oracle(a, b):
+    """diag then t(graph), and t(graph) then diag, stated directly."""
+    if a.kind == DIAG and b.kind == TGRAPH:
+        return Atom(TGRAPH, b.degree, b.twist + b.degree * a.twist,
+                    b.shift + a.shift)
+    assert a.kind == TGRAPH and b.kind == DIAG
+    return Atom(TGRAPH, a.degree, a.twist + b.twist, a.shift + b.shift)
+
+
+def _check_mirrored_pairs(e, f):
+    """Each (diag, t(graph)) or (t(graph), diag) atom pair of e then f
+    composes as the oracle says; returns how many pairs were checked."""
+    checked = 0
+    for a, _ in e.terms:
+        for b, _ in f.terms:
+            if {a.kind, b.kind} != {DIAG, TGRAPH}:
+                continue
+            got = compose(KernelExpr(e.source, e.target, ((a, 1),)),
+                          KernelExpr(f.source, f.target, ((b, 1),)))
+            assert got.terms == ((_mirrored_oracle(a, b), 1),)
+            checked += 1
+    return checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_left_adjoint_oracle_supported_pairs(rnd):
+    for expr in random_supported_pair(rnd):
+        assert left_adjoint(expr) == _left_adjoint_oracle(expr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p1_kernels)
+def test_left_adjoint_oracle_p1(expr):
+    assert left_adjoint(expr) == _left_adjoint_oracle(expr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_mirrored_compose_oracle_supported_pairs(rnd):
+    e, f = random_supported_pair(rnd)
+    _check_mirrored_pairs(e, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p1_kernels, p1_kernels)
+def test_mirrored_compose_oracle_p1(e, f):
+    _check_mirrored_pairs(e, f)
+
+
+def test_mirrored_compose_oracle_examples():
+    d = KernelExpr(P3, P3, ((Atom(DIAG, 0, 2, -1), 1),))
+    tg = transpose(graph_kernel(P1, P3, 2, 5, 3))
+    assert _check_mirrored_pairs(d, tg) == 1
+    assert _check_mirrored_pairs(tg, diag_kernel(P1, -4, 2)) == 1
+    assert compose(d, tg) == transpose(graph_kernel(P1, P3, 2, 9, 2))
+
+
+def _compose_or_error(e, f):
+    try:
+        return compose(e, f)
+    except LogfanError as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_transpose_reverses_composition(rnd):
+    e, f = random_supported_pair(rnd)
+    assert transpose(compose(e, f)) == compose(transpose(f), transpose(e))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p1_kernels, p1_kernels)
+def test_transpose_reverses_composition_p1(e, f):
+    forward = _compose_or_error(e, f)
+    mirrored = _compose_or_error(transpose(f), transpose(e))
+    if isinstance(forward, KernelExpr):
+        assert transpose(forward) == mirrored
+    else:
+        assert isinstance(mirrored, type) and issubclass(mirrored,
+                                                         LogfanError)
+
+
+@pytest.mark.parametrize("text", [f"P{n}:H" for n in range(1, 21)]
+                         + ["P1:pt"] + [f"C{g}:pt" for g in range(7)])
+def test_scalar_regime_closed_form(text):
+    pair = parse_pair(text)
+    assert _scalar_regime(pair) == (hkr_homology(pair) == {0: 1})
+
+
+def test_scalar_regime_refuses_like_hkr():
+    pair = parse_pair("A1:0")
+    with pytest.raises(NoToricModel) as ours:
+        _scalar_regime(pair)
+    with pytest.raises(NoToricModel) as theirs:
+        hkr_homology(pair)
+    assert str(ours.value) == str(theirs.value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(atoms, st.integers(1, 10 ** 6)),
+                min_size=1, max_size=5))
+def test_multiplicity_round_trip(terms):
+    expr = KernelExpr(P1, P1, tuple(terms))
+    text = format_kernel(expr)
+    assert parse_kernel(text, P1, P1) == expr
+    assert len(text) <= len(expr.terms) * 40
