@@ -14,7 +14,9 @@ bound on exact solves exceeds `fans.MAX_PAIRWISE_SOLVES` = 1,000,000.
 A pair of cones with m rays between them counts
 C(m, min(m // 2, rank + 1)), so a pure fan counts
 C(#cones, 2) * C(2 * rank, rank): P1^4 minus one cone (141,120) is
-checked, P1^5 minus one cone (13,267,800) is refused at once.
+checked, P1^5 minus one cone (13,267,800) is refused at once.  `hkr`
+refuses, with DimensionTooLarge (exit 1) and before building the table,
+a pair P<n>:H with n above `hkr.MAX_PN_DIM` = 1000.
 """
 
 import argparse
@@ -36,7 +38,8 @@ from .verify import verify_suite
 KERNEL_GRAMMAR = ('atom := "diag(" bundle "," shift ")" | '
                   '"graph(deg=" int ["," bundle "," shift] ")" | '
                   '"t(" atom ")"; term := [mult "*"] atom; '
-                  'expr := term ("+" term)*; bundle := "O" | "O(" int ")"; '
+                  'expr := term ("+" term)* | "0"; '
+                  'bundle := "O" | "O(" int ")"; '
                   'mult := int >= 1')
 
 _SUMMAND_RE = re.compile(

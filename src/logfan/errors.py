@@ -65,6 +65,10 @@ class TooManyCones(LogfanError):
     """A log product would have more maximal cones than the documented cap."""
 
 
+class DimensionTooLarge(LogfanError):
+    """A Hochschild table of (P^n, H) with n above the documented cap."""
+
+
 class TooManySolves(LogfanError):
     """The pairwise face check would need more exact solves than the
     documented cap."""

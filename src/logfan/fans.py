@@ -6,8 +6,9 @@ a cone's ray set), and a toric blow-up of an invariant stratum is the stellar
 subdivision at the corresponding cone.
 
 Every check is exact integer arithmetic on the `linalg` core, with no floats
-and no sampling: smoothness is a gcd of minors, cone membership a
-nonnegative solve, and a wall's hyperplane the primitive normal from one
+and no sampling: a full-dimensional cone's validity and smoothness come
+from one determinant of its rays, cone membership from a nonnegative
+solve, and a wall's hyperplane is the primitive normal from one
 elimination.  Both fan checks read one index of the walls by hyperplane
 (`_hyperplanes`): `check_face_closure` decides whether cones meet in common
 faces by matching walls, scanning each boundary hyperplane once and
@@ -27,8 +28,8 @@ import json
 from math import comb
 
 from .errors import CenterNotInFan, InvalidCone, RankMismatch, TooManySolves
-from .linalg import (matrix_rank, mat_mul_vec, minors_gcd, normal_vector,
-                     primitive, solve_nonnegative)
+from .linalg import (det, matrix_rank, mat_mul_vec, minors_gcd,
+                     normal_vector, primitive, solve_nonnegative)
 
 # Cap on `_pairwise_bound`, the upper bound on the exact solves of the
 # pairwise face check (C(#cones, 2) * C(2 * rank, rank) for a pure fan):
@@ -56,11 +57,28 @@ class DivisorLabel:
 @dataclass(frozen=True)
 class Cone:
     """Simplicial cone given by its primitive ray generators, all of one
-    length, sorted lex."""
+    length, sorted lex.
+
+    A square cone, k rays of length k, keeps the determinant of its rays
+    as `det` (None for any other cone; left out of ==, hash and repr).
+    It is read off one elimination, and |det| = 1 settles validity: the
+    rays are independent, and each is primitive, as the gcd of a ray's
+    entries divides det.  Every other cone is checked in this order:
+    distinct rays, primitive rays, one length, independent rays.
+    """
     rays: tuple
+    det: int | None = field(default=None, init=False, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         rays = tuple(sorted(tuple(r) for r in self.rays))
+        k = len(rays)
+        square = all(len(r) == k for r in rays)
+        d = det(rays) if square else None
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "det", d)
+        if d in (1, -1):
+            return
         if len(set(rays)) != len(rays):
             raise InvalidCone(f"duplicate rays in {rays}")
         for r in rays:
@@ -68,9 +86,8 @@ class Cone:
                 raise InvalidCone(f"ray {r} is not primitive")
         if len({len(r) for r in rays}) > 1:
             raise InvalidCone(f"rays {rays} have different lengths")
-        if rays and matrix_rank(rays) != len(rays):
+        if d == 0 or (not square and matrix_rank(rays) != len(rays)):
             raise InvalidCone(f"rays {rays} are linearly dependent")
-        object.__setattr__(self, "rays", rays)
 
     def __len__(self):
         return len(self.rays)
@@ -133,7 +150,10 @@ def is_smooth(cone, ambient_rank):
     """True when the cone's rays extend to a basis of Z^ambient_rank.
 
     A cone with more rays than `ambient_rank` raises InvalidCone, and one
-    whose rays do not have length `ambient_rank` raises RankMismatch.
+    whose rays do not have length `ambient_rank` raises RankMismatch.  A
+    full-dimensional cone is smooth exactly when |det| = 1
+    (Cox-Little-Schenck, Toric Varieties, 1.2), read off the determinant
+    the cone keeps; a smaller one when its maximal minors have gcd 1.
     """
     if not isinstance(cone, Cone):
         cone = Cone(tuple(cone))
@@ -144,6 +164,8 @@ def is_smooth(cone, ambient_rank):
     if len(cone.rays[0]) != ambient_rank:
         raise RankMismatch(f"cone {cone.rays} does not lie in "
                            f"Z^{ambient_rank}")
+    if cone.det is not None:
+        return abs(cone.det) == 1
     return minors_gcd(cone.rays) == 1
 
 

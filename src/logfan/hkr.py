@@ -10,6 +10,10 @@ For the pairs handled here the sheaf of log differentials splits:
 Hochschild homology collects H^p of the wedge powers into degree q - p;
 the log Serre kernel twists the diagonal by the top wedge power shifted by
 the dimension.
+
+The tables of (P^n, H) are refused, with DimensionTooLarge and before
+any is built, for n above `MAX_PN_DIM` = 1000: P^1000 takes about 0.1 s,
+and past a few thousand the dimensions outgrow what Python prints.
 """
 
 from dataclasses import dataclass
@@ -17,8 +21,11 @@ from math import comb
 
 from .cohomology import Space, SplitBundle, euler_characteristic, \
     graded_cohomology
-from .errors import NoToricModel, WedgeOutOfRange
+from .errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
 from .logproduct import LogPair, format_pair
+
+# Cap on n for the Hochschild tables of (P^n, H)
+MAX_PN_DIM = 1000
 
 
 def _space_of(pair):
@@ -52,10 +59,19 @@ def log_wedge(pair, q):
     return log_cotangent(pair) if q else SplitBundle.line(0)
 
 
+def _table_space(pair):
+    """`_space_of(pair)`, after refusing a (P^n, H) with n > MAX_PN_DIM."""
+    if pair.kind == "Pn:H" and pair.param > MAX_PN_DIM:
+        raise DimensionTooLarge(
+            f"P{pair.param}:H is above the cap of dimension {MAX_PN_DIM} "
+            f"for Hochschild tables")
+    return _space_of(pair)
+
+
 def hkr_homology(pair):
     """{degree: dim} of log Hochschild homology: wedge power q contributes
     H^p in degree q - p."""
-    space = _space_of(pair)
+    space = _table_space(pair)
     table = {}
     for q in range(pair.dim + 1):
         for p, dim in graded_cohomology(space, log_wedge(pair, q)).items():
@@ -68,7 +84,7 @@ def hkr_cohomology(pair):
     """{degree: dim} of log Hochschild cohomology: the dual wedge power
     (log polyvector fields) in wedge degree q contributes H^p in degree
     p + q."""
-    space = _space_of(pair)
+    space = _table_space(pair)
     table = {}
     for q in range(pair.dim + 1):
         dual = log_wedge(pair, q).dual()

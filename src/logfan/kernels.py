@@ -31,7 +31,7 @@ Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 import re
 from typing import NamedTuple
 
@@ -183,11 +183,22 @@ def excess_intersection(degree, m):
 
 def sym_decomposition(excess_degrees):
     """Diagonal atoms of Sym(E^v[1]) = (+)_q wedge^q(E^v)[q] for a split
-    excess bundle with the given degrees: list of (twist, shift, mult)."""
-    r = len(excess_degrees)
-    terms = normal_form(((-sum(subset), q), 1) for q in range(r + 1)
-                        for subset in combinations(excess_degrees, q))
-    return [(t, s, m) for (t, s), m in terms]
+    excess bundle with the given degrees: list of (twist, shift, mult).
+
+    wedge^q(E^v) sums O(-D) over the q-element subsets of the degrees with
+    sum D, so O(-D)[q] has the coefficient of x^D y^q in the product of
+    (1 + x^d y)^c over the distinct degrees d, c the count of d: j of the
+    c copies are chosen in C(c, j) ways."""
+    counts = {(0, 0): 1}  # (-D, q) -> coefficient of x^D y^q
+    for d in set(excess_degrees):
+        c = excess_degrees.count(d)
+        grown = {}
+        for (twist, q), n in counts.items():
+            for j in range(c + 1):
+                key = (twist - j * d, q + j)
+                grown[key] = grown.get(key, 0) + n * comb(c, j)
+        counts = grown
+    return [(t, s, m) for (t, s), m in normal_form(counts.items())]
 
 
 def compose(first, second, trace=None):
@@ -459,10 +470,13 @@ def _parse_term(text):
 
 def parse_kernel(text, source, target):
     """Parse an expression `term ("+" term)*`, a term being `atom` or
-    `N*atom` (N >= 1 copies), against the grammar, attaching the given
+    `N*atom` (N >= 1 copies), or `0` for the kernel with no terms (as
+    `format_kernel` prints it), against the grammar, attaching the given
     source and target pairs."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty kernel expression")
+    if text == "0":
+        return KernelExpr(source, target, ())
     return KernelExpr(source, target, tuple(
         _parse_term(p) for p in _split_top_level(text)))

@@ -205,6 +205,17 @@ class TestHkr:
         assert code == 0 and json.loads(out) == {"dims": {"0": 1, "1": 2}}
 
 
+    def test_dimension_cap(self, capsys):
+        code, out, _ = run(capsys, "hkr", "--pair", "P1000:H", "--json")
+        assert code == 0 and json.loads(out)["dims"]["0"] == 1
+        for extra in ((), ("--cohomology",)):
+            code, out, err = run(capsys, "hkr", "--pair", "P1001:H", *extra)
+            assert code == 1 and out == ""
+            assert err.splitlines() == [
+                "error: DimensionTooLarge: P1001:H is above the cap of "
+                "dimension 1000 for Hochschild tables"]
+
+
 class TestChernEuler:
     def test_chern_example(self, capsys):
         code, out, _ = run(capsys, "chern", "--pair", "P1:pt", "--kernel",
@@ -241,6 +252,16 @@ class TestChernEuler:
         assert code == 0 and out.splitlines() == [
             "adjoint: R(200*diag(O,0)) = 200*diag(O,0)",
             "additivity: 40000*(+1) -> 40000", "40000"]
+
+    def test_zero_kernel(self, capsys):
+        code, out, _ = run(capsys, "chern", "--pair", "P1:pt", "--kernel",
+                           "0")
+        assert code == 0 and out == "0\n"
+        code, out, _ = run(capsys, "euler", "--source", "P1:pt", "--target",
+                           "P1:pt", "--kernel", "0", "--against",
+                           "diag(O,0)", "--trace")
+        assert code == 0 and out.splitlines() == [
+            "adjoint: R(diag(O,0)) = diag(O,0)", "additivity: 0 -> 0", "0"]
 
     def test_bad_kernel_grammar_exits_two(self, capsys):
         code, _, err = run(capsys, "chern", "--pair", "P1:pt", "--kernel",

@@ -1,3 +1,4 @@
+from collections import Counter
 import json
 import random
 import time
@@ -17,7 +18,7 @@ from logfan.fans import (BOUNDARY, Cone, DivisorLabel, Fan,
                          fan_dumps, fan_from_json, fan_loads, fan_map_witness,
                          induces_fan_map, is_smooth, product_fan,
                          star_subdivide)
-from logfan.linalg import mat_mul_vec, matrix_rank, primitive
+from logfan.linalg import mat_mul_vec, matrix_rank, minors_gcd, primitive
 from logfan.logproduct import log_product, parse_pair, projection
 
 
@@ -68,6 +69,138 @@ class TestIsSmooth:
     def test_ray_length_must_be_ambient_rank(self, rays, rank):
         with pytest.raises(RankMismatch):
             is_smooth(Cone(rays), rank)
+
+
+def reference_cone_check(rays):
+    """The checks of a cone's rays, in order, without a determinant:
+    distinct rays, primitive rays, one length, independent rays."""
+    rays = tuple(sorted(rays))
+    if len(set(rays)) != len(rays):
+        raise InvalidCone(f"duplicate rays in {rays}")
+    for r in rays:
+        if primitive(r) != r:
+            raise InvalidCone(f"ray {r} is not primitive")
+    if len({len(r) for r in rays}) > 1:
+        raise InvalidCone(f"rays {rays} have different lengths")
+    if rays and matrix_rank(rays) != len(rays):
+        raise InvalidCone(f"rays {rays} are linearly dependent")
+
+
+@st.composite
+def ray_tuples(draw):
+    """Rays with entries in -3..3, square (k rays of length k) more often
+    than not, with one ray possibly replaced by a copy of another, the
+    zero ray, a multiple of another, or a ray of a different length; or
+    a unimodular square tuple, a signed permutation matrix with shears."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.one_of(st.just(n), st.integers(0, 5)))
+    entries = st.integers(-3, 3)
+    if k == n and draw(st.booleans()):
+        rays = [[int(i == j) * draw(st.sampled_from((1, -1)))
+                 for j in range(n)] for i in draw(st.permutations(range(n)))]
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = draw(entries)
+            if i != j:
+                rays[i] = [a + c * b for a, b in zip(rays[i], rays[j])]
+        rays = [tuple(r) for r in rays]
+    else:
+        rays = draw(st.lists(st.tuples(*[entries] * n),
+                             min_size=k, max_size=k))
+    if rays:
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        change = draw(st.sampled_from(("none", "copy", "zero", "multiple",
+                                       "length")))
+        if change == "copy":
+            rays[i] = rays[j]
+        elif change == "zero":
+            rays[i] = (0,) * n
+        elif change == "multiple":
+            rays[i] = tuple(draw(st.sampled_from((2, -2, 3))) * x
+                            for x in rays[j])
+        elif change == "length":
+            rays[i] = tuple(draw(st.lists(entries, min_size=1, max_size=5)
+                                 .filter(lambda r: len(r) != n)))
+    return tuple(rays)
+
+
+class TestConeChecks:
+    @settings(max_examples=400, deadline=None)
+    @given(ray_tuples())
+    @example(((2, 0), (1, 0)))
+    @example(((1, 0, 0), (0, 1, 0), (1, 1, 2)))
+    @example(((1, 0), (-1, 0)))
+    @example(((0, 0), (1, 0)))
+    @example(())
+    def test_same_verdict_as_reference(self, rays):
+        """`Cone` raises the reference's error, type and message, or
+        builds; `is_smooth` agrees with the gcd of maximal minors."""
+        try:
+            reference_cone_check(rays)
+        except (InvalidCone, ValueError) as exc:  # ValueError: a zero ray
+            with pytest.raises(type(exc)) as ours:
+                Cone(rays)
+            assert type(ours.value) is type(exc)
+            assert str(ours.value) == str(exc)
+            return
+        cone = Cone(rays)
+        assert cone.rays == tuple(sorted(rays))
+        if cone.rays:
+            assert is_smooth(cone, len(cone.rays[0])) == \
+                (minors_gcd(cone.rays) == 1)
+
+    def test_non_primitive_ray_in_dependent_square_cone(self):
+        with pytest.raises(InvalidCone, match="not primitive"):
+            Cone(((2, 0), (1, 0)))
+
+    def test_determinant_two_builds_and_is_not_smooth(self):
+        cone = Cone(((1, 0, 0), (0, 1, 0), (1, 1, 2)))
+        assert abs(cone.det) == 2
+        assert not is_smooth(cone, 3)
+
+    def test_dependent_square_cone_with_primitive_rays(self):
+        with pytest.raises(InvalidCone, match="linearly dependent"):
+            Cone(((1, 0), (-1, 0)))
+
+    def test_zero_ray(self):
+        with pytest.raises(ValueError):
+            Cone(((0, 0), (1, 0)))
+
+    def test_determinant_is_not_part_of_the_value(self):
+        a = Cone(((0, 1), (1, 0)))
+        b = Cone(((1, 0), (0, 1)))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Cone(rays=((0, 1), (1, 0)))"
+        assert Cone(((1, 0, 0),)).det is None
+
+
+def counting(monkeypatch):
+    """Counts of eliminations and `primitive` calls made from now on;
+    `primitive` is counted at its binding in `fans` too."""
+    calls = Counter()
+    for module, name in ((linalg, "_echelon"), (linalg, "primitive"),
+                         (fans, "primitive")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWorkCount:
+    def test_is_smooth_on_square_cones_makes_no_elimination(
+            self, monkeypatch):
+        fan = log_product([parse_pair("A1:0")] * 6).fan
+        calls = counting(monkeypatch)
+        assert all(is_smooth(c, fan.rank) for c in fan.cones)
+        assert len(fan.cones) == 720
+        assert calls["_echelon"] == 0
+
+    def test_unimodular_square_cone_makes_one_elimination(
+            self, monkeypatch):
+        calls = counting(monkeypatch)
+        Cone(((1, 2, 0), (0, 1, 0), (3, 1, 1)))
+        assert calls == {"_echelon": 1}
 
 
 class TestStarSubdivide:

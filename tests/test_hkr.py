@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logfan.cohomology import Space, SplitBundle, euler_characteristic
-from logfan.errors import NoToricModel, WedgeOutOfRange
-from logfan.hkr import (hkr_cohomology, hkr_homology, log_cotangent,
-                        log_serre, log_wedge, residue_euler_check)
+from logfan import hkr
+from logfan.errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
+from logfan.hkr import (MAX_PN_DIM, hkr_cohomology, hkr_homology,
+                        log_cotangent, log_serre, log_wedge,
+                        residue_euler_check)
 from logfan.logproduct import LogPair
 
 P1 = LogPair("P1:pt")
@@ -120,3 +122,24 @@ def test_wedge_ranks_sum_to_power_of_two(n):
     pair = LogPair("Pn:H", n)
     total = sum(m for q in range(n + 1) for _, m in log_wedge(pair, q).terms)
     assert total == 2 ** n
+
+
+class TestDimensionCap:
+    def test_cap_value(self):
+        assert MAX_PN_DIM == 1000
+
+    @pytest.mark.parametrize("table", [hkr_homology, hkr_cohomology])
+    def test_cap_is_inclusive(self, table):
+        dims = table(LogPair("Pn:H", MAX_PN_DIM))
+        assert sum(dims.values()) > 0
+
+    @pytest.mark.parametrize("table", [hkr_homology, hkr_cohomology])
+    def test_refused_before_any_table(self, table, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(hkr, "graded_cohomology", no_table)
+        with pytest.raises(DimensionTooLarge, match="P1001:H"):
+            table(LogPair("Pn:H", MAX_PN_DIM + 1))
+
+    def test_other_pairs_uncapped(self):
+        assert hkr_homology(LogPair("Cg:pt", 2000))[0] == 1

@@ -1,3 +1,4 @@
+from itertools import combinations
 import random
 
 import pytest
@@ -139,6 +140,18 @@ class TestExcess:
         assert sym_decomposition([1, 1]) == \
             [(-2, 2, 1), (-1, 1, 2), (0, 0, 1)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-2, 4), max_size=10))
+    def test_sym_matches_subset_enumeration(self, degrees):
+        """O(-D)[q] once per q-element subset of the degrees with sum D."""
+        counts = {}
+        for q in range(len(degrees) + 1):
+            for subset in combinations(degrees, q):
+                key = (-sum(subset), q)
+                counts[key] = counts.get(key, 0) + 1
+        assert sym_decomposition(degrees) == \
+            [(t, q, m) for (t, q), m in sorted(counts.items())]
+
 
 class TestHHAction:
     def test_identity_acts_as_one(self):
@@ -218,7 +231,8 @@ class TestGrammar:
         ("graph(deg=1)", "graph(deg=1,O,0)"),  # shorthand form expands
         ("graph(deg=2,O(1),-1)", "graph(deg=2,O(1),-1)"),
         ("t(graph(deg=1,O(1),-1))", "t(graph(deg=1,O(1),-1))"),
-        ("diag(O,0)+diag(O(5),1)", "diag(O,0)+diag(O(5),1)")])
+        ("diag(O,0)+diag(O(5),1)", "diag(O,0)+diag(O(5),1)"),
+        ("0", "0"), (" 0 ", "0")])
     def test_round_trip(self, text, canonical):
         source = P1
         target = P1 if text.startswith("diag") else P2
@@ -229,6 +243,18 @@ class TestGrammar:
         assert format_kernel(expr) == canonical
         again = parse_kernel(canonical, expr.source, expr.target)
         assert again == expr
+
+    @pytest.mark.parametrize("source,target", [(P1, P1), (P2, P2),
+                                               (P1, P2), (P2, P1)])
+    def test_empty_kernel_round_trip(self, source, target):
+        empty = KernelExpr(source, target, ())
+        assert format_kernel(empty) == "0"
+        assert parse_kernel("0", source, target) == empty
+
+    @pytest.mark.parametrize("text", ["00", "0+diag(O,0)", "2*0", "t(0)"])
+    def test_zero_is_only_the_whole_expression(self, text):
+        with pytest.raises(ValueError):
+            parse_kernel(text, P1, P1)
 
     def test_whitespace_tolerated(self):
         expr = parse_kernel(" diag(O, 0) + diag(O(5), 1) ", P1, P1)
