@@ -21,7 +21,6 @@ the images of each source cone's rays lie in one target cone
 Values are immutable; every operation returns a fresh Fan.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 import json
@@ -31,11 +30,11 @@ from .errors import CenterNotInFan, InvalidCone, RankMismatch, TooManySolves
 from .linalg import (det, matrix_rank, mat_mul_vec, minors_gcd,
                      normal_vector, primitive, solve_nonnegative)
 
-# Cap on `_pairwise_bound`, the upper bound on the exact solves of the
-# pairwise face check (C(#cones, 2) * C(2 * rank, rank) for a pure fan):
-# P1^4 minus one cone (141,120, about 2 s) is checked, P1^5 minus one cone
-# (13,267,800) is refused.
-MAX_PAIRWISE_SOLVES = 1_000_000
+# Cap on the cone pairs of the pairwise face check, one exact solve each:
+# P1^5 minus one cone (52,650 pairs, about 2.5 s) is checked, A1^6 minus
+# one cone (258,121) is refused.  At the cap, 447 cones of A1^8 take about
+# 14 s on a 2-core x86_64 host.
+MAX_PAIRWISE_SOLVES = 100_000
 
 BOUNDARY = "boundary"
 EXCEPTIONAL = "exceptional"
@@ -64,7 +63,8 @@ class Cone:
     It is read off one elimination, and |det| = 1 settles validity: the
     rays are independent, and each is primitive, as the gcd of a ray's
     entries divides det.  Every other cone is checked in this order:
-    distinct rays, primitive rays, one length, independent rays.
+    distinct rays, nonzero and primitive rays, one length, independent
+    rays.
     """
     rays: tuple
     det: int | None = field(default=None, init=False, compare=False,
@@ -82,6 +82,8 @@ class Cone:
         if len(set(rays)) != len(rays):
             raise InvalidCone(f"duplicate rays in {rays}")
         for r in rays:
+            if not any(r):
+                raise InvalidCone(f"zero ray {r} in {rays}")
             if primitive(r) != r:
                 raise InvalidCone(f"ray {r} is not primitive")
         if len({len(r) for r in rays}) > 1:
@@ -325,49 +327,28 @@ def _generic_point(normals, rays):
                                 for i, r in enumerate(rays)])))
 
 
-def _meet_in_face(a, b):
+def _meet_in_face(a, b, rank):
     """True when cone(a) n cone(b) is the face spanned by the shared rays.
 
     It is not exactly when (0,...,0,1) is a nonnegative combination of
     the columns [a;1] (a in A-B), [-b;1] (b in B-A) and [+-s;0] (s shared):
-    a point of both cones with positive mass off the shared rays.  By
-    Caratheodory such a combination exists on a linearly independent
-    column set, which extends to a basis of the columns' span, so trying
-    every subset of `matrix_rank(columns)` columns decides it.
+    a point of both cones with positive mass off the shared rays.  One
+    exact solve decides it, whatever the columns' rank.
     """
     shared = set(a.rays) & set(b.rays)
-    union = a.rays + tuple(r for r in b.rays if r not in shared)
-    if matrix_rank(union) == len(union):
-        return True
     columns = ([r + (1,) for r in a.rays if r not in shared]
                + [tuple(-x for x in r) + (1,) for r in b.rays
                   if r not in shared]
                + [s + (0,) for s in shared]
                + [tuple(-x for x in s) + (0,) for s in shared])
-    target = (0,) * len(union[0]) + (1,)
-    return all(solve_nonnegative(sub, target) is None
-               for sub in combinations(columns, matrix_rank(columns)))
-
-
-def _pairwise_bound(cones, rank):
-    """Upper bound on the exact solves of `_meet_in_face` over all pairs.
-
-    A pair with m = len(a) + len(b) columns solves once per subset of
-    matrix_rank(columns) <= min(m, rank + 1) columns, at most
-    C(m, min(m // 2, rank + 1)) subsets.  Pairs are counted by cone size,
-    so a pure fan gives C(#cones, 2) * C(2 * rank, rank).
-    """
-    sizes = Counter(map(len, cones))
-    return sum((n * sizes[j] if i < j else comb(n, 2))
-               * comb(i + j, min((i + j) // 2, rank + 1))
-               for i, n in sizes.items() for j in sizes if i <= j)
+    return solve_nonnegative(columns, (0,) * rank + (1,)) is None
 
 
 def check_face_closure(fan):
     """True when every two maximal cones meet in a common face.
 
-    Exact over the integers (`linalg` eliminations): no floats,
-    tolerances or solvers.
+    Exact over the integers (`linalg`): no floats, tolerances or external
+    solvers.
 
     A pure fan, where every cone has `rank` rays, is decided by its walls,
     which `_hyperplanes` lists once: a wall is a cone's ray set minus one
@@ -396,13 +377,9 @@ def check_face_closure(fan):
        which span Q^rank, so no normal is orthogonal to all of them.
     3. Every other input, a fan that is not pure or a single-cone wall
        that cuts the support (a non-convex support, or overlapping
-       pieces), is checked pair by pair with `_meet_in_face`.  A pair of
-       cones whose rays are linearly dependent together costs one exact
-       solve per subset of matrix_rank(columns) <= rank + 1 of its
-       len(a) + len(b) columns: up to C(2 * rank, rank) solves for two
-       full cones, 20 at rank 3 and 184756 at rank 10.  Before any of them,
-       a fan whose `_pairwise_bound` exceeds `MAX_PAIRWISE_SOLVES` raises
-       TooManySolves.
+       pieces), is checked pair by pair with `_meet_in_face`, one exact
+       solve per pair.  Before any of them, a fan of more than
+       `MAX_PAIRWISE_SOLVES` pairs raises TooManySolves.
     """
     cones = fan.cones
     if cones and all(len(c) == fan.rank for c in cones):
@@ -418,13 +395,14 @@ def check_face_closure(fan):
                for normal, side in boundary for x in rays):
             point = _generic_point(planes, cones[0].rays)
             return sum(1 for c in cones if c.contains_point(point)) == 1
-    bound = _pairwise_bound(cones, fan.rank)
-    if bound > MAX_PAIRWISE_SOLVES:
+    pairs = comb(len(cones), 2)
+    if pairs > MAX_PAIRWISE_SOLVES:
         raise TooManySolves(
             f"the pairwise face check of {len(cones)} cones of rank "
-            f"{fan.rank} may need {bound:,} exact solves, more than "
-            f"{MAX_PAIRWISE_SOLVES:,}")
-    return all(_meet_in_face(a, b) for a, b in combinations(cones, 2))
+            f"{fan.rank} needs {pairs:,} exact solves, one per pair, more "
+            f"than {MAX_PAIRWISE_SOLVES:,}")
+    return all(_meet_in_face(a, b, fan.rank)
+               for a, b in combinations(cones, 2))
 
 
 def check_support_preserved(before, after):

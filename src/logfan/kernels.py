@@ -249,9 +249,8 @@ def _compose_atoms(a, b, m, same_map, trace):
         _emit(trace, f"excess: {_degs(excess)}")
         parts = sym_decomposition(excess)
         _emit(trace, "sym: " + " + ".join(
-            _summand(t, s)
-            for t, s, mlt in sorted(parts, key=lambda p: p[1])
-            for _ in range(mlt)))
+            _summand(t, s) if mlt == 1 else f"{mlt}*{_summand(t, s)}"
+            for t, s, mlt in sorted(parts, key=lambda p: p[1])))
         return [(Atom(DIAG, 0, a.twist + b.twist + t,
                       a.shift + b.shift + s), mlt)
                 for t, s, mlt in parts]
@@ -268,6 +267,16 @@ def _scalar_regime(pair):
     is refused as `hkr` refuses it."""
     _space_of(pair)
     return pair.kind != "Cg:pt" or pair.param == 0
+
+
+def _require_scalar(*pairs):
+    """Raise UnsupportedHHShape for the first pair outside the scalar
+    regime."""
+    for pair in pairs:
+        if not _scalar_regime(pair):
+            raise UnsupportedHHShape(
+                f"{format_pair(pair)} has log Hochschild homology beyond "
+                f"degree 0")
 
 
 def signed_count(expr, sign=-1):
@@ -287,11 +296,7 @@ def hh_action(expr, beta, trace=None):
     if not expr.is_diagonal():
         raise UnsupportedHHShape(
             "scalar action is only defined for diagonal kernels")
-    for pair in (expr.source, expr.target):
-        if not _scalar_regime(pair):
-            raise UnsupportedHHShape(
-                f"{format_pair(pair)} has log Hochschild homology beyond "
-                f"degree 0")
+    _require_scalar(expr.source, expr.target)
     _emit(trace, "unit: 1 in HH_0 of " + format_pair(expr.target))
     _emit(trace, f"beta: insert scalar {beta}")
     _emit(trace, "exchange: move the Serre kernel across the adjoint")
@@ -324,7 +329,13 @@ def chern_log_expansion(expr, trace=None):
 
 def euler_pairing(left, right_, trace=None):
     """Log Euler pairing of two kernels with the same source and target:
-    the Chern-type scalar of compose(left, right_adjoint(right_))."""
+    the Chern-type scalar of compose(left, right_adjoint(right_)).
+
+    The signed atom count is that scalar only in the scalar regime, so a
+    pair outside it raises UnsupportedHHShape, and one without cohomology
+    tables NoToricModel, as in `hh_action`.
+    """
+    _require_scalar(left.source, left.target)
     adj = right_adjoint(right_)
     _emit(trace, f"adjoint: R({format_kernel(right_)}) = "
                  f"{format_kernel(adj)}")

@@ -1,11 +1,12 @@
 """Exact integer linear algebra helpers for cone arithmetic.
 
-The core is one fraction-free (Bareiss) elimination on plain Python ints
-(arbitrary precision); determinant, rank, cone membership and hyperplane
-normals are read off its result, the last two by one shared integer
-back-substitution.  No floats enter the core geometry, and
-fractions.Fraction appears only in the coefficients `solve_nonnegative`
-returns.
+Everything runs on plain Python ints (arbitrary precision) with the
+fraction-free (Bareiss 1968) pivot update.  Determinant, rank and
+hyperplane normals are read off one elimination, normals by an integer
+back-substitution; cone membership, and any nonnegative combination, is
+phase 1 of the simplex method on a tableau updated by the same rule.  No
+floats enter the core geometry, and fractions.Fraction appears only in
+the coefficients `solve_nonnegative` returns.
 """
 
 from fractions import Fraction
@@ -92,54 +93,72 @@ def minors_gcd(rows):
     return g
 
 
-def _back_substitute(m, pivots, ys):
-    """Fill the pivot entries of `ys`, zero on entry, so that every row of
-    the echelon form `m` is orthogonal to it; its other entries are given.
-
-    Each row is zero left of its pivot, and the entries to the right are
-    filled before it.  With the given entries multiples of the last pivot,
-    every division is exact: by Cramer's rule the result is integral.
-    """
-    for row, col in reversed(list(zip(m, pivots))):
-        ys[col] = -sum(a * y for a, y in zip(row, ys)) // row[col]
-    return ys
-
-
 def normal_vector(rows, n):
     """Primitive normal of the hyperplane spanned by n - 1 linearly
     independent integer rows in Q^n, with its first nonzero entry positive.
 
     The elimination leaves one free column; it is set to the last pivot d
-    and the pivot columns are back-substituted, which gives the rows'
-    cofactor vector up to sign before it is made primitive.
+    and the pivot columns are back-substituted, last row first, so that
+    each row is orthogonal to the result.  Each row is zero left of its
+    pivot and the entries right of it are filled before it, so by Cramer's
+    rule every division is exact: this is the rows' cofactor vector up to
+    sign before it is made primitive.
     """
     m, pivots, _ = _echelon(rows)
     d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    u = primitive(_back_substitute(m, pivots, [0 if j in pivots else d
-                                               for j in range(n)]))
+    ys = [0 if j in pivots else d for j in range(n)]
+    for row, col in reversed(list(zip(m, pivots))):
+        ys[col] = -sum(a * y for a, y in zip(row, ys)) // row[col]
+    u = primitive(ys)
     return u if next(x for x in u if x) > 0 else tuple(-x for x in u)
 
 
 def solve_nonnegative(columns, point):
-    """Solve sum_i x_i * columns[i] = point over Q; return coefficients.
+    """A solution x >= 0 over Q of sum_i x_i * columns[i] = point, as a
+    tuple of Fractions, or None when there is none; any columns will do.
 
-    Returns the tuple of Fractions if a solution with all x_i >= 0 exists,
-    otherwise None. The columns are assumed linearly independent, so the
-    solution (when the system is consistent) is unique; for dependent
-    columns the free coefficients are taken to be 0.
+    Phase 1 of the simplex method with Bland's rule (Bland 1977), so no
+    basis repeats, on a fraction-free tableau.  Rows with a negative entry
+    of `point` are negated and the start basis is one artificial column
+    per row (column k + i, never stored, never entering again).  The first
+    column with a positive reduced cost enters; the row of least ratio
+    leaves, ties going to the smallest basis index.  The tableau is d
+    times the true one, d the last pivot (positive, as pivots are), and
+    each pivot is the Bareiss update, so entries are minors of the input
+    and divisions exact (Edmonds 1967).  The point is reached exactly when
+    the objective, the sum of the artificials, ends at 0: basic columns
+    take rhs / d, the others 0.
     """
     k = len(columns)
-    m, pivots, _ = _echelon([[c[i] for c in columns] + [p]
-                             for i, p in enumerate(point)])
-    if pivots and pivots[-1] == k:
+    rows = [[s * c[i] for c in columns] + [s * p]
+            for i, p in enumerate(point) for s in (-1 if p < 0 else 1,)]
+    basis = [k + i for i in range(len(rows))]
+    objective = [sum(col) for col in zip(*rows)] or [0] * (k + 1)
+    d = 1
+    while (col := next((j for j in range(k) if objective[j] > 0),
+                       None)) is not None:
+        r = None
+        for i, row in enumerate(rows):
+            if row[col] > 0 and (r is None or (row[k] * rows[r][col],
+                                               basis[i])
+                                 < (rows[r][k] * row[col], basis[r])):
+                r = i
+        top = rows[r]
+        p = top[col]
+        for row in rows + [objective]:
+            f = row[col]
+            if row is not top and (f or p != d):  # else the row stays
+                for j in range(k + 1):
+                    row[j] = (row[j] * p - f * top[j]) // d
+        basis[r] = col
+        d = p
+    if objective[k]:
         return None
-    # (d * x, -d) is orthogonal to the rows of the augmented matrix, with
-    # d the last pivot, so the back-substitution stays in ints
-    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    ys = _back_substitute(m, pivots, [0] * k + [-d])[:k]
-    if any(y * d < 0 for y in ys):
-        return None
-    return tuple(Fraction(y, d) for y in ys)
+    x = [Fraction(0)] * k
+    for i, b in enumerate(basis):
+        if b < k:
+            x[b] = Fraction(rows[i][k], d)
+    return tuple(x)
 
 
 def mat_mul_vec(matrix, vec):

@@ -86,6 +86,15 @@ class TestFan:
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    def test_check_zero_ray_is_invalid_cone(self, capsys, tmp_path):
+        path = tmp_path / "fan.json"
+        path.write_text('{"rank": 2, "rays": [[0, 0], [1, 0]], '
+                        '"cones": [[0, 1]]}')
+        code, out, err = run(capsys, "fan", "check", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: InvalidCone: zero ray (0, 0) in " \
+            "((0, 0), (1, 0))\n"
+
     def test_check_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "fan", "check", str(tmp_path / "nope"))
         assert code == 2
@@ -278,6 +287,14 @@ class TestChernEuler:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("usage error: ")
         assert KERNEL_GRAMMAR not in err
+
+    def test_euler_outside_scalar_regime_exits_one(self, capsys):
+        code, out, err = run(capsys, "euler", "--source", "C1:pt",
+                             "--target", "C1:pt", "--kernel", "diag(O,0)",
+                             "--against", "diag(O,0)")
+        assert code == 1 and out == ""
+        assert err == ("error: UnsupportedHHShape: C1:pt has log Hochschild "
+                       "homology beyond degree 0\n")
 
     def test_unsupported_composition_exits_one(self, capsys):
         code, _, err = run(capsys, "euler", "--source", "P1:pt",

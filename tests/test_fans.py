@@ -73,11 +73,14 @@ class TestIsSmooth:
 
 def reference_cone_check(rays):
     """The checks of a cone's rays, in order, without a determinant:
-    distinct rays, primitive rays, one length, independent rays."""
+    distinct rays, nonzero and primitive rays, one length, independent
+    rays."""
     rays = tuple(sorted(rays))
     if len(set(rays)) != len(rays):
         raise InvalidCone(f"duplicate rays in {rays}")
     for r in rays:
+        if not any(r):
+            raise InvalidCone(f"zero ray {r} in {rays}")
         if primitive(r) != r:
             raise InvalidCone(f"ray {r} is not primitive")
     if len({len(r) for r in rays}) > 1:
@@ -137,7 +140,7 @@ class TestConeChecks:
         builds; `is_smooth` agrees with the gcd of maximal minors."""
         try:
             reference_cone_check(rays)
-        except (InvalidCone, ValueError) as exc:  # ValueError: a zero ray
+        except InvalidCone as exc:
             with pytest.raises(type(exc)) as ours:
                 Cone(rays)
             assert type(ours.value) is type(exc)
@@ -163,7 +166,8 @@ class TestConeChecks:
             Cone(((1, 0), (-1, 0)))
 
     def test_zero_ray(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCone, match=r"zero ray \(0, 0\) in "
+                           r"\(\(0, 0\), \(1, 0\)\)"):
             Cone(((0, 0), (1, 0)))
 
     def test_determinant_is_not_part_of_the_value(self):
@@ -525,31 +529,48 @@ class TestFaceClosure:
             fan2((E1, E2), (E2, E1))
 
 
-def p1_product_minus_first_cone(n):
-    full = log_product([parse_pair("P1:pt")] * n).fan
+def product_minus_first_cone(pair, n):
+    full = log_product([parse_pair(pair)] * n).fan
     return Fan(n, full.cones[1:])
 
 
 class TestPairwiseBudget:
+    """The pairwise face check makes one exact solve per cone pair, and a
+    fan of more than `MAX_PAIRWISE_SOLVES` pairs is refused first."""
+
     def test_bound_below_the_cap_is_checked(self):
-        fan = p1_product_minus_first_cone(4)
-        assert comb(len(fan.cones), 2) * comb(8, 4) == 141_120
+        fan = product_minus_first_cone("P1:pt", 4)
+        assert comb(len(fan.cones), 2) == 2016
         assert check_face_closure(fan)
 
-    @pytest.mark.parametrize("rank,cones,bound", [
-        (12, [[1], [2]], 2),
-        (10, [[1], [-1], [2, 3], [4]], 15),
-        (9, [[1, 2], [-1, 2], [3], [-3], [4], [5], [-5]], 56),
+    @pytest.mark.parametrize("rank,cones", [
+        (12, [[1], [2]]),
+        (10, [[1], [-1], [2, 3], [4]]),
+        (9, [[1, 2], [-1, 2], [3], [-3], [4], [5], [-5]]),
     ])
-    def test_high_rank_fan_of_few_rays_is_checked(self, rank, cones, bound):
+    def test_high_rank_fan_of_few_rays_is_checked(self, rank, cones):
         # k > 0 stands for the ray e_k and -k for -e_k
         def ray(k):
             return tuple((i == abs(k)) * (1 if k > 0 else -1)
                          for i in range(1, rank + 1))
 
         fan = Fan(rank, tuple(Cone(tuple(map(ray, c))) for c in cones))
-        assert fans._pairwise_bound(fan.cones, rank) == bound
         assert check_face_closure(fan)
+
+    @pytest.mark.parametrize("pair,pairs", [("A1:0", 7021),
+                                            ("P1:pt", 52_650)])
+    def test_fifth_power_minus_one_cone_is_a_fan(self, pair, pairs):
+        # the enumeration of column subsets refused both
+        fan = product_minus_first_cone(pair, 5)
+        assert comb(len(fan.cones), 2) == pairs
+        assert check_face_closure(fan)
+
+    def test_one_solve_per_pair(self):
+        fan = product_minus_first_cone("P1:pt", 3)
+        with mock.patch.object(fans, "solve_nonnegative",
+                               wraps=linalg.solve_nonnegative) as solve:
+            assert check_face_closure(fan)
+        assert solve.call_count == comb(len(fan.cones), 2) == 105
 
     def test_refused_before_any_solve(self, monkeypatch):
         def refuse(*args):
@@ -557,21 +578,22 @@ class TestPairwiseBudget:
 
         monkeypatch.setattr(fans, "_meet_in_face", refuse)
         monkeypatch.setattr(fans, "solve_nonnegative", refuse)
-        with pytest.raises(TooManySolves, match="13,267,800"):
-            check_face_closure(p1_product_minus_first_cone(5))
+        for pair, pairs in (("A1:0", "258,121"), ("P1:pt", "1,911,990")):
+            with pytest.raises(TooManySolves, match=pairs):
+                check_face_closure(product_minus_first_cone(pair, 6))
 
     def test_cap_is_inclusive(self, monkeypatch):
-        fan = p1_product_minus_first_cone(3)  # bound C(15, 2) * C(6, 3)
-        monkeypatch.setattr(fans, "MAX_PAIRWISE_SOLVES", 2100)
+        fan = product_minus_first_cone("P1:pt", 3)  # C(15, 2) pairs
+        monkeypatch.setattr(fans, "MAX_PAIRWISE_SOLVES", 105)
         assert check_face_closure(fan)
-        monkeypatch.setattr(fans, "MAX_PAIRWISE_SOLVES", 2099)
-        with pytest.raises(TooManySolves, match="2,100"):
+        monkeypatch.setattr(fans, "MAX_PAIRWISE_SOLVES", 104)
+        with pytest.raises(TooManySolves, match=" 105 "):
             check_face_closure(fan)
 
-    def test_cli_refuses_p1_fifth_power_minus_one_cone_at_once(
+    def test_cli_refuses_p1_sixth_power_minus_one_cone_at_once(
             self, capsys, tmp_path):
         path = tmp_path / "fan.json"
-        path.write_text(fan_dumps(p1_product_minus_first_cone(5)))
+        path.write_text(fan_dumps(product_minus_first_cone("P1:pt", 6)))
         start = time.perf_counter()
         code = main(["fan", "check", str(path)])
         elapsed = time.perf_counter() - start

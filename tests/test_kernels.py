@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 import random
 
 import pytest
@@ -222,6 +223,30 @@ class TestEulerPairing:
 
     def test_shifted_diag(self):
         assert euler_pairing(diag_kernel(P1), diag_kernel(P1, 0, 1)) == -1
+
+    @pytest.mark.parametrize("text,error", [("C1:pt", UnsupportedHHShape),
+                                            ("A1:0", NoToricModel)])
+    def test_outside_scalar_regime_refused(self, text, error):
+        pair = parse_pair(text)
+        trace = []
+        with pytest.raises(error):
+            euler_pairing(diag_kernel(pair), diag_kernel(pair), trace)
+        assert trace == []
+        with pytest.raises(error):
+            euler_pairing(graph_kernel(P1, pair, 1),
+                          graph_kernel(P1, pair, 1))
+
+    def test_sym_line_prints_each_summand_once(self):
+        m = 20
+        gf = graph_kernel(P1, LogPair("Pn:H", m), 1)
+        trace = []
+        euler_pairing(gf, gf, trace)
+        terms = []
+        for q in range(m):
+            summand = "O" if q == 0 else f"O({-q})[{q}]"
+            c = comb(m - 1, q)
+            terms.append(summand if c == 1 else f"{c}*{summand}")
+        assert "sym: " + " + ".join(terms) in trace
 
 
 class TestGrammar:

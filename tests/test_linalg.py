@@ -138,7 +138,8 @@ def test_solve_non_square(case):
 @given(matrices(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 def test_solve_any_columns_is_sound(columns, coeffs):
     """Dependent or zero columns included: any answer substitutes exactly
-    and is nonnegative; independent columns give back the coefficients."""
+    and is nonnegative, a point of nonnegative coefficients gets one, and
+    independent columns give back the coefficients."""
     assume(columns and columns[0])
     n = len(columns[0])
     point = [sum(c * col[i] for c, col in zip(coeffs, columns))
@@ -147,9 +148,10 @@ def test_solve_any_columns_is_sound(columns, coeffs):
     if got is not None:
         assert len(got) == len(columns)
         assert min(got) >= 0 and substitutes(columns, got, point)
-    if all(c >= 0 for c in coeffs[:len(columns)]) and \
-            oracle_rank(columns) == len(columns):
-        assert got == tuple(coeffs[:len(columns)])
+    if all(c >= 0 for c in coeffs[:len(columns)]):
+        assert got is not None
+        if oracle_rank(columns) == len(columns):
+            assert got == tuple(coeffs[:len(columns)])
 
 
 def test_solve_dependent_columns():
@@ -158,6 +160,7 @@ def test_solve_dependent_columns():
     assert solve_nonnegative([a, (2, 4, 0)], (-1, -2, 0)) is None
     assert solve_nonnegative([a, (2, 4, 0)], (1, 0, 0)) is None
     assert solve_nonnegative([a, (0, 0, 0)], (2, 4, 0)) == (2, 0)
+    assert solve_nonnegative([(1, 0), (-1, 0)], (-1, 0)) == (0, 1)
 
 
 def cofactors(rows, n):
