@@ -205,13 +205,9 @@ def product_fan(f, g, offset=0):
     """Direct product of two fans; maximal cones are pairwise direct sums.
 
     `offset` is added to the factor index of every boundary/strict-transform
-    label of `g`, so labels survive repeated products.
+    label of `g`, so labels survive repeated products.  The point fan
+    Fan(0, (Cone(()),)) is a unit; a fan with no cones gives none.
     """
-    if g.rank == 0:
-        return f
-    if f.rank == 0:
-        return _shift_labels(g, offset)
-
     def left(ray):
         return tuple(ray) + (0,) * g.rank
 
@@ -229,13 +225,6 @@ def product_fan(f, g, offset=0):
             lab = DivisorLabel(lab.kind, lab.arg + offset)
         labels.append((right(ray), lab))
     return Fan(f.rank + g.rank, tuple(cones), tuple(labels))
-
-
-def _shift_labels(fan, offset):
-    labels = tuple((ray, DivisorLabel(lab.kind, lab.arg + offset)
-                    if lab.kind in (BOUNDARY, STRICT_TRANSFORM) else lab)
-                   for ray, lab in fan.labels)
-    return Fan(fan.rank, fan.cones, labels)
 
 
 def fan_map_witness(source, target, lattice_map):

@@ -316,9 +316,7 @@ def chern_log_expansion(expr, trace=None):
     scalar: the signed atom count."""
     if expr.source.kind != "P1:pt":
         raise UnsupportedHHShape("expansion needs source (P^1, pt)")
-    if not _scalar_regime(expr.target):
-        raise UnsupportedHHShape(
-            f"{format_pair(expr.target)} is outside the scalar regime")
+    _require_scalar(expr.target)
     if any(a.kind == TGRAPH for a, _ in expr.terms):
         raise UnsupportedHHShape(
             "transposed graphs have no supported expansion chain")
@@ -333,8 +331,11 @@ def euler_pairing(left, right_, trace=None):
 
     The signed atom count is that scalar only in the scalar regime, so a
     pair outside it raises UnsupportedHHShape, and one without cohomology
-    tables NoToricModel, as in `hh_action`.
+    tables NoToricModel, as in `hh_action`; kernels on different pairs
+    raise ValueError, as `+` does.
     """
+    if (left.source, left.target) != (right_.source, right_.target):
+        raise ValueError("can only pair kernels with matching pairs")
     _require_scalar(left.source, left.target)
     adj = right_adjoint(right_)
     _emit(trace, f"adjoint: R({format_kernel(right_)}) = "

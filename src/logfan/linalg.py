@@ -1,12 +1,13 @@
 """Exact integer linear algebra helpers for cone arithmetic.
 
-Everything runs on plain Python ints (arbitrary precision) with the
-fraction-free (Bareiss 1968) pivot update.  Determinant, rank and
-hyperplane normals are read off one elimination, normals by an integer
-back-substitution; cone membership, and any nonnegative combination, is
-phase 1 of the simplex method on a tableau updated by the same rule.  No
-floats enter the core geometry, and fractions.Fraction appears only in
-the coefficients `solve_nonnegative` returns.
+Everything runs on plain Python ints (arbitrary precision), and every
+elimination step is one `_pivot`, the fraction-free update of Bareiss
+(1968).  Determinant, rank and hyperplane normals are read off one
+forward elimination, normals by an integer back-substitution; cone
+membership, and any nonnegative combination, is phase 1 of the simplex
+method on a tableau pivoted by the same `_pivot`.  No floats enter the
+core geometry, and fractions.Fraction appears only in the coefficients
+`solve_nonnegative` returns.
 """
 
 from fractions import Fraction
@@ -27,21 +28,39 @@ def primitive(vec):
     return tuple(x // g for x in vec)
 
 
-def _echelon(rows):
-    """Fraction-free row echelon form of an integer matrix (Bareiss 1968).
+def _pivot(rows, top, col, d):
+    """The one fraction-free step (Bareiss 1968) on the pivot top[col]:
+    every row of `rows` but `top` becomes (row * p - row[col] * top) / d,
+    p = top[col] and d the previous pivot, which zeroes its entry in
+    column `col`.  A row with row[col] == 0 is left alone when p == d,
+    where the step is the identity.  Returns p, the next d.
+    """
+    p = top[col]
+    for row in rows:
+        f = row[col]
+        if row is not top and (f or p != d):
+            for j, t in enumerate(top):
+                row[j] = (row[j] * p - f * t) // d
+    return p
 
-    Returns (m, pivots, sign): the reduced rows, the pivot column of each
-    of the first len(pivots) rows, and the sign of the row permutation.
-    Every division is exact: after k pivots, entry m[i][j] (i >= k) is the
-    (k+1)-minor on the pivot rows and row i, the pivot columns and column
-    j, so the last pivot is the leading minor on the pivot rows/columns.
+
+def _echelon(rows):
+    """Fraction-free row echelon form of an integer matrix: forward
+    elimination, each step one `_pivot` on the rows from the pivot row
+    down.
+
+    Returns (m, pivots, sign, d): the reduced rows, the pivot column of
+    each of the first len(pivots) rows, the sign of the row permutation
+    and the last pivot (1 when there is none).  Every division is exact:
+    after k pivots, entry m[i][j] (i >= k) is the (k+1)-minor on the pivot
+    rows and row i, the pivot columns and column j, so d is the leading
+    minor on the pivot rows/columns.
     """
     m = [list(row) for row in rows]
-    n_cols = len(m[0]) if m else 0
     pivots = []
     sign = 1
-    prev = 1
-    for col in range(n_cols):
+    d = 1
+    for col in range(len(m[0]) if m else 0):
         r = len(pivots)
         if r == len(m):
             break
@@ -51,25 +70,15 @@ def _echelon(rows):
         if p != r:
             m[r], m[p] = m[p], m[r]
             sign = -sign
-        top = m[r]
-        pv = top[col]
-        for row in m[r + 1:]:
-            f = row[col]
-            for j in range(col + 1, n_cols):
-                row[j] = (row[j] * pv - f * top[j]) // prev
-            row[col] = 0
-        prev = pv
+        d = _pivot(m[r:], m[r], col, d)
         pivots.append(col)
-    return m, pivots, sign
+    return m, pivots, sign, d
 
 
 def det(matrix):
     """Determinant of a square integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m, pivots, sign = _echelon(matrix)
-    return sign * m[n - 1][n - 1] if len(pivots) == n else 0
+    _, pivots, sign, d = _echelon(matrix)
+    return sign * d if len(pivots) == len(matrix) else 0
 
 
 def matrix_rank(rows):
@@ -104,8 +113,7 @@ def normal_vector(rows, n):
     rule every division is exact: this is the rows' cofactor vector up to
     sign before it is made primitive.
     """
-    m, pivots, _ = _echelon(rows)
-    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    m, pivots, _, d = _echelon(rows)
     ys = [0 if j in pivots else d for j in range(n)]
     for row, col in reversed(list(zip(m, pivots))):
         ys[col] = -sum(a * y for a, y in zip(row, ys)) // row[col]
@@ -124,10 +132,10 @@ def solve_nonnegative(columns, point):
     column with a positive reduced cost enters; the row of least ratio
     leaves, ties going to the smallest basis index.  The tableau is d
     times the true one, d the last pivot (positive, as pivots are), and
-    each pivot is the Bareiss update, so entries are minors of the input
-    and divisions exact (Edmonds 1967).  The point is reached exactly when
-    the objective, the sum of the artificials, ends at 0: basic columns
-    take rhs / d, the others 0.
+    each pivot is one `_pivot` over the rows and the objective, so entries
+    are minors of the input and divisions exact (Edmonds 1967).  The point
+    is reached exactly when the objective, the sum of the artificials,
+    ends at 0: basic columns take rhs / d, the others 0.
     """
     k = len(columns)
     rows = [[s * c[i] for c in columns] + [s * p]
@@ -143,15 +151,8 @@ def solve_nonnegative(columns, point):
                                                basis[i])
                                  < (rows[r][k] * row[col], basis[r])):
                 r = i
-        top = rows[r]
-        p = top[col]
-        for row in rows + [objective]:
-            f = row[col]
-            if row is not top and (f or p != d):  # else the row stays
-                for j in range(k + 1):
-                    row[j] = (row[j] * p - f * top[j]) // d
+        d = _pivot(rows + [objective], rows[r], col, d)
         basis[r] = col
-        d = p
     if objective[k]:
         return None
     x = [Fraction(0)] * k

@@ -296,6 +296,13 @@ class TestChernEuler:
         assert err == ("error: UnsupportedHHShape: C1:pt has log Hochschild "
                        "homology beyond degree 0\n")
 
+    def test_chern_outside_scalar_regime_exits_one(self, capsys):
+        code, out, err = run(capsys, "chern", "--pair", "P1:pt", "--target",
+                             "C1:pt", "--kernel", "graph(deg=1)")
+        assert code == 1 and out == ""
+        assert err == ("error: UnsupportedHHShape: C1:pt has log Hochschild "
+                       "homology beyond degree 0\n")
+
     def test_unsupported_composition_exits_one(self, capsys):
         code, _, err = run(capsys, "euler", "--source", "P1:pt",
                            "--target", "P2:H", "--kernel", "graph(deg=2)",

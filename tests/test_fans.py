@@ -257,6 +257,11 @@ class TestProductFan:
         assert product_fan(fan, point).cones == fan.cones
         assert product_fan(point, fan).cones == fan.cones
 
+    def test_empty_rank_zero_fan_annihilates(self):
+        empty = Fan(0, ())
+        assert product_fan(empty, p1_fan()).cones == ()
+        assert product_fan(p1_fan(), empty).cones == ()
+
     def test_octant_times_octant(self):
         fan = product_fan(octant(1), octant(1))
         assert fan.cones == octant(2).cones

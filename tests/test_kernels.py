@@ -236,6 +236,12 @@ class TestEulerPairing:
             euler_pairing(graph_kernel(P1, pair, 1),
                           graph_kernel(P1, pair, 1))
 
+    def test_mismatched_pairs_refused(self):
+        trace = []
+        with pytest.raises(ValueError, match="matching pairs"):
+            euler_pairing(graph_kernel(P1, P2, 1), diag_kernel(P2), trace)
+        assert trace == []
+
     def test_sym_line_prints_each_summand_once(self):
         m = 20
         gf = graph_kernel(P1, LogPair("Pn:H", m), 1)

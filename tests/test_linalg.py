@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, prod
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logfan.linalg import (det, matrix_rank, minors_gcd, normal_vector,
@@ -74,6 +74,7 @@ def matrices(draw, rows=None, cols=None):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
+@example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])  # zeros below a pivot of 2
 def test_det_matches_leibniz(m):
     assert det(m) == leibniz(m)
 
@@ -102,6 +103,7 @@ def substitutes(columns, xs, point):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     dense(n, n), st.lists(ENTRY, min_size=n, max_size=n))))
+@example(([[2, 0], [0, 3]], [2, 3]))  # p != d at a row with f == 0
 def test_solve_square_matches_cramer(case):
     columns, point = case
     d = leibniz(columns)
@@ -171,6 +173,7 @@ def cofactors(rows, n):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: matrices(n - 1, n)))
+@example(((2, 0, 1), (0, 3, 1)))  # (3, 2, -6): row 2 rescaled by 2
 def test_normal_vector_matches_cofactors(rows):
     n = len(rows[0]) if rows else 1
     u = cofactors(rows, n)

@@ -1,0 +1,66 @@
+"""The log Euler characteristic e(U), U = X minus D, read three ways.
+
+By Deligne's log de Rham theorem and log HKR, the alternating sum of log
+Hochschild homology is e(U).  For a toric pair, e(U) is the number of
+maximal cones that miss the boundary ray (U's torus-fixed points).  In
+the scalar regime it is also the log Euler pairing of the diagonal
+kernel with itself.  A log product only blows up boundary strata, so its
+maximal cones with no labelled ray number the product of the factors'
+counts.  The cones are counted here, not by the library.
+"""
+
+from itertools import product
+from math import prod
+
+import pytest
+
+from logfan.errors import NoToricModel, UnsupportedHHShape
+from logfan.hkr import hkr_homology
+from logfan.kernels import diag_kernel, euler_pairing
+from logfan.logproduct import log_product, parse_pair
+
+PAIRS = ([f"P{n}:H" for n in range(1, 5)] + ["P1:pt", "A1:0"]
+         + [f"C{g}:pt" for g in range(4)])
+FACTORS = ("A1:0", "P1:pt", "P2:H", "C0:pt")
+
+
+def alternating_sum(table):
+    return sum((-1) ** (deg % 2) * dim for deg, dim in table.items())
+
+
+def open_cones(fan):
+    """Maximal cones holding no labelled ray."""
+    labelled = {ray for ray, _ in fan.labels}
+    return sum(1 for c in fan.cones if not labelled & set(c.rays))
+
+
+def pair_count(text):
+    return open_cones(parse_pair(text).toric_fan())
+
+
+@pytest.mark.parametrize("text", PAIRS)
+def test_single_pair(text):
+    pair = parse_pair(text)
+    if text == "A1:0":  # U = C*
+        assert pair_count(text) == 0
+        with pytest.raises(NoToricModel):
+            hkr_homology(pair)
+        return
+    e = alternating_sum(hkr_homology(pair))
+    diag = diag_kernel(pair)
+    if pair.kind == "Cg:pt" and pair.param > 0:
+        assert e == 1 - 2 * pair.param
+        with pytest.raises(NoToricModel):
+            pair.toric_fan()
+        with pytest.raises(UnsupportedHHShape):
+            euler_pairing(diag, diag)
+    else:
+        assert pair_count(text) == e == euler_pairing(diag, diag)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_log_product_multiplies(n):
+    counts = {text: pair_count(text) for text in FACTORS}
+    for texts in product(FACTORS, repeat=n):
+        fan = log_product([parse_pair(t) for t in texts]).fan
+        assert open_cones(fan) == prod(counts[t] for t in texts), texts
