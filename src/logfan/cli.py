@@ -14,7 +14,10 @@ pairwise fallback, one exact solve per pair of cones, has more than
 `fans.MAX_PAIRWISE_SOLVES` = 100,000 pairs: P1^5 minus one cone (52,650)
 is checked, A1^6 minus one cone (258,121) is refused at once.  `hkr`
 refuses, with DimensionTooLarge (exit 1) and before building the table,
-a pair P<n>:H with n above `hkr.MAX_PN_DIM` = 1000.
+a pair P<n>:H with n above `cohomology.MAX_PN_DIM` = 1000.  `cohomology`
+refuses, before building the table, a base P<n> above that same cap
+(DimensionTooLarge) and, on P<n>, a twist O(k) with |k| above
+`cohomology.MAX_TWIST` = 10^6 (TwistTooLarge), both exit 1.
 """
 
 import argparse

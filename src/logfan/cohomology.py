@@ -13,14 +13,28 @@ standard closed forms:
 
 A split bundle is stored in the multiset normal form kernels share
 (`normal_form`), so O(k)^m is one term and costs one lookup whatever m is.
+Bare summands given to the constructor are counted in C
+(`collections.Counter`) before that merge, so a summand written out 10^6
+times costs one hash per copy, not one Python step.
+
+The tables on P^n are refused, before any is built, for n above
+`MAX_PN_DIM` = 1000 (DimensionTooLarge) and for a twist k with |k| above
+`MAX_TWIST` = 10^6 (TwistTooLarge): C(n + k, n) then has at most 3433
+digits and takes milliseconds.  Curve tables are O(1) arithmetic and
+have no cap.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import AmbiguousDegree
+from .errors import AmbiguousDegree, DimensionTooLarge, TwistTooLarge
+
+# Caps on n and on |twist| for the tables of P^n (shared with `hkr`)
+MAX_PN_DIM = 1000
+MAX_TWIST = 10 ** 6
 
 
 def normal_form(pairs):
@@ -44,12 +58,18 @@ class Summand(NamedTuple):
 @dataclass(frozen=True)
 class SplitBundle:
     """Direct sum of line bundles as normal-form terms ((Summand, mult),
-    ...); the constructor also takes bare Summands, one copy each."""
+    ...); the constructor also takes bare Summands, one copy each.
+
+    The raw terms are counted in C first: a bare Summand seen c times
+    becomes (summand, c) and a (summand, m) pair seen c times becomes
+    (summand, m * c).  A bare Summand never equals a pair, so the two
+    kinds only merge in `normal_form`, which validates the result."""
     terms: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "terms", normal_form(
-            (t, 1) if isinstance(t, Summand) else t for t in self.terms))
+            (t, c) if isinstance(t, Summand) else (t[0], t[1] * c)
+            for t, c in Counter(self.terms).items()))
 
     @staticmethod
     def line(twist, shift=0, mult=1):
@@ -113,7 +133,19 @@ class Space:
 
 def graded_cohomology(space, bundle):
     """Total cohomology table {degree: dim} of a split bundle, with each
-    term O(k)[s]^m contributing m * h^p(O(k)) in total degree p - s."""
+    term O(k)[s]^m contributing m * h^p(O(k)) in total degree p - s.
+    On P^n, n > MAX_PN_DIM or a twist with |k| > MAX_TWIST is refused
+    before the table is built."""
+    if space.kind == "Pn":
+        if space.param > MAX_PN_DIM:
+            raise DimensionTooLarge(
+                f"P{space.param} is above the cap of dimension {MAX_PN_DIM} "
+                f"for cohomology tables")
+        terms = bundle.terms  # sorted: the extreme twists come first, last
+        if terms and max(-terms[0][0].twist, terms[-1][0].twist) > MAX_TWIST:
+            raise TwistTooLarge(
+                f"a twist is outside the cap |k| <= {MAX_TWIST} for "
+                f"cohomology tables on P^n")
     table = {}
     twist = None
     for s, mult in bundle.terms:

@@ -66,7 +66,12 @@ class TooManyCones(LogfanError):
 
 
 class DimensionTooLarge(LogfanError):
-    """A Hochschild table of (P^n, H) with n above the documented cap."""
+    """A cohomology or Hochschild table of P^n with n above the documented
+    cap."""
+
+
+class TwistTooLarge(LogfanError):
+    """A cohomology table of P^n with a twist above the documented cap."""
 
 
 class TooManySolves(LogfanError):

@@ -147,6 +147,13 @@ class Fan:
     def exceptional_count(self):
         return sum(1 for _, lab in self.labels if lab.kind == EXCEPTIONAL)
 
+    def open_cone_count(self):
+        """Maximal cones holding no labelled ray.  For a toric pair (X, D)
+        these are the torus-fixed points of U = X minus D, so the count
+        is the Euler characteristic e(U)."""
+        labelled = {ray for ray, _ in self.labels}
+        return sum(1 for c in self.cones if labelled.isdisjoint(c.rays))
+
 
 def is_smooth(cone, ambient_rank):
     """True when the cone's rays extend to a basis of Z^ambient_rank.
@@ -206,7 +213,8 @@ def product_fan(f, g, offset=0):
 
     `offset` is added to the factor index of every boundary/strict-transform
     label of `g`, so labels survive repeated products.  The point fan
-    Fan(0, (Cone(()),)) is a unit; a fan with no cones gives none.
+    Fan(0, (Cone(()),)) is a unit; a fan with no cones gives no cones and
+    no labels.
     """
     def left(ray):
         return tuple(ray) + (0,) * g.rank
@@ -219,6 +227,8 @@ def product_fan(f, g, offset=0):
         for b in g.cones:
             cones.append(Cone(tuple(left(r) for r in a.rays)
                               + tuple(right(r) for r in b.rays)))
+    if not cones:
+        return Fan(f.rank + g.rank, ())
     labels = [(left(ray), lab) for ray, lab in f.labels]
     for ray, lab in g.labels:
         if lab.kind in (BOUNDARY, STRICT_TRANSFORM):

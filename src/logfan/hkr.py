@@ -12,20 +12,18 @@ the log Serre kernel twists the diagonal by the top wedge power shifted by
 the dimension.
 
 The tables of (P^n, H) are refused, with DimensionTooLarge and before
-any is built, for n above `MAX_PN_DIM` = 1000: P^1000 takes about 0.1 s,
-and past a few thousand the dimensions outgrow what Python prints.
+any is built, for n above `MAX_PN_DIM` = 1000, the cap of the cohomology
+tables: P^1000 takes about 0.1 s, and past a few thousand the dimensions
+outgrow what Python prints.
 """
 
 from dataclasses import dataclass
 from math import comb
 
-from .cohomology import Space, SplitBundle, euler_characteristic, \
-    graded_cohomology
+from .cohomology import MAX_PN_DIM, Space, SplitBundle, \
+    euler_characteristic, graded_cohomology
 from .errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
 from .logproduct import LogPair, format_pair
-
-# Cap on n for the Hochschild tables of (P^n, H)
-MAX_PN_DIM = 1000
 
 
 def _space_of(pair):

@@ -164,9 +164,8 @@ def _cone_count(factor_fans):
     """
     e = [1]
     for ff in factor_fans:
-        [(b, _)] = ff.labels
-        w = sum(1 for c in ff.cones if b in c.rays)
-        v = len(ff.cones) - w
+        v = ff.open_cone_count()
+        w = len(ff.cones) - v
         e = [x * v + y * w for x, y in zip(e + [0], [0] + e)]
     return sum(factorial(k) * x for k, x in enumerate(e))
 

@@ -204,6 +204,22 @@ def verify_suite(sign_flip=False):
                                    diag_kernel(P1, -1, 0),
                                    diag_kernel(P1, 3, -2)))
 
+    # --- the log Euler characteristic e(U), U = X minus D -----------------
+    # log de Rham and log HKR: the alternating sum of log Hochschild
+    # homology is e(U); a toric U has one fixed point per maximal cone
+    # missing the boundary ray; in the scalar regime the diagonal kernel
+    # pairs with itself to e(U)
+    euler_pairs = (P1, p2, LogPair("Pn:H", 3), LogPair("Cg:pt", 0))
+    add("log-euler-three-ways",
+        "e(U) of P1:pt, P2:H, P3:H, C0:pt is 1 three ways: alternating sum "
+        "of log HKR, maximal cones missing the boundary ray, log Euler "
+        "pairing of the diagonal with itself",
+        [(1, 1, 1)] * len(euler_pairs),
+        [(sum(-v if d % 2 else v for d, v in hkr_homology(pr).items()),
+          pr.toric_fan().open_cone_count(),
+          euler_pairing(diag_kernel(pr), diag_kernel(pr)))
+         for pr in euler_pairs])
+
     # --- property spot checks (full random suites live in the tests) ------
     rng = random.Random(0)
     func_ok = True

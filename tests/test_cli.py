@@ -1,5 +1,6 @@
 import hashlib
 import json
+from math import comb
 import os
 from pathlib import Path
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from logfan import cohomology
 from logfan.cli import KERNEL_GRAMMAR, main, parse_bundle_expr, parse_order
 from logfan.cohomology import SplitBundle, Summand
 from logfan.fans import fan_dumps, fan_from_json, fan_to_json
@@ -17,6 +19,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def no_table(*_):
+    raise AssertionError("a cohomology table was started")
 
 
 class TestPlumbing:
@@ -185,10 +191,41 @@ class TestCohomology:
                         reason="no int-to-str digit limit")
     @pytest.mark.parametrize("extra", [(), ("--json",)])
     def test_result_past_digit_limit_exits_one(self, capsys, extra):
-        code, out, err = run(capsys, "cohomology", "--base", "P5000",
-                             "--bundle", "O(20000)", *extra)
+        # 3433 digits for one copy, times a 901-digit multiplicity
+        code, out, err = run(capsys, "cohomology", "--base", "P1000",
+                             "--bundle", f"O(1000000)^{10 ** 900}", *extra)
         assert code == 1 and out == ""
         assert err.startswith("error: ResultTooLarge: ")
+
+    def test_largest_allowed_input_prints(self, capsys):
+        code, out, _ = run(capsys, "cohomology", "--base", "P1000",
+                           "--bundle", "O(1000000)")
+        assert code == 0 and out == f"0: {comb(1001000, 1000)}\n"
+        code, out, _ = run(capsys, "cohomology", "--base", "P1000",
+                           "--bundle", "O(-1000000)")
+        assert code == 0 and out == f"1000: {comb(999999, 1000)}\n"
+
+    @pytest.mark.parametrize("base", ["P1001", "P1000000", "P3000000"])
+    def test_dimension_cap_refuses_before_any_table(self, capsys,
+                                                    monkeypatch, base):
+        monkeypatch.setattr(cohomology, "cohomology_line_pn", no_table)
+        code, out, err = run(capsys, "cohomology", "--base", base,
+                             "--bundle", f"O({base[1:]})")
+        assert code == 1 and out == ""
+        assert err == (f"error: DimensionTooLarge: {base} is above the cap "
+                       f"of dimension 1000 for cohomology tables\n")
+
+    @pytest.mark.parametrize("bundle", [
+        "O(1000001)", "O(-1000001)+O", "O+O(3)^2+O(-1000001)[1]",
+        f"O({10 ** 3999})"])
+    def test_twist_cap_refuses_before_any_table(self, capsys, monkeypatch,
+                                                bundle):
+        monkeypatch.setattr(cohomology, "cohomology_line_pn", no_table)
+        code, out, err = run(capsys, "cohomology", "--base", "P1000",
+                             "--bundle", bundle)
+        assert code == 1 and out == ""
+        assert err == ("error: TwistTooLarge: a twist is outside the cap "
+                       "|k| <= 1000000 for cohomology tables on P^n\n")
 
     def test_bundle_grammar(self):
         assert parse_bundle_expr("O(-1)^2") == SplitBundle.sum_of([-1, -1])
@@ -371,7 +408,7 @@ PINNED_STDOUT = [
     (("fan", "check", "-"), p1_square_overlap(), 1,
      "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b"),
     (("verify", "--json"), None, 0,
-     "35b2d86ceef776027f24f0d468e1dcc44202bbdab75c8e238408628703cecb33"),
+     "8717399a1a9a33b1c33458d8e082d09e44d99cc3bd2a8ca51a78abb8c528272f"),
     # the kernel rewrites: diag.diag, diag.t(graph), graph.diag and the
     # excess route; then t(graph).diag; then two chern chains
     (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",

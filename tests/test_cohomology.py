@@ -1,14 +1,16 @@
 from math import comb
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logfan.cohomology import (Space, SplitBundle, Summand,
-                               cohomology_line_curve, cohomology_line_pn,
-                               euler_characteristic, graded_cohomology,
-                               normal_form)
-from logfan.errors import AmbiguousDegree
+from logfan import hkr
+from logfan.cohomology import (MAX_PN_DIM, MAX_TWIST, Space, SplitBundle,
+                               Summand, cohomology_line_curve,
+                               cohomology_line_pn, euler_characteristic,
+                               graded_cohomology, normal_form)
+from logfan.errors import AmbiguousDegree, DimensionTooLarge, TwistTooLarge
 
 P1 = Space("Pn", 1)
 P2 = Space("Pn", 2)
@@ -151,3 +153,75 @@ def test_chi_consistent_with_graded(terms):
     table = graded_cohomology(P2, bundle)
     assert euler_characteristic(P2, bundle) == \
         sum((-1) ** d * v for d, v in table.items())
+
+
+def former_terms(raw):
+    """SplitBundle's former merge, one Python step per raw term."""
+    merged = {}
+    for key, mult in ((t, 1) if isinstance(t, Summand) else t for t in raw):
+        if mult < 0:
+            raise ValueError("multiplicities must be nonnegative")
+        if mult:
+            merged[key] = merged.get(key, 0) + mult
+    return tuple(sorted(merged.items(), key=itemgetter(0)))
+
+
+# few keys, so terms collide often; a twist of True equals, and hashes
+# like, the distinct object 1
+SUMMANDS = st.builds(Summand, st.sampled_from((-1, 0, 1, True)),
+                     st.integers(0, 1))
+
+
+@st.composite
+def raw_terms(draw):
+    """Bare Summands and (Summand, mult) pairs, zero and negative
+    multiplicities included; picks from a small pool repeat the same
+    object, and the pool repeats equal but distinct ones."""
+    pool = draw(st.lists(SUMMANDS | st.tuples(SUMMANDS, st.integers(-1, 4)),
+                         min_size=1, max_size=6))
+    return tuple(draw(st.lists(st.sampled_from(pool), max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_terms())
+def test_constructor_matches_former_merge(raw):
+    try:
+        expected = former_terms(raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            SplitBundle(raw)
+        assert str(caught.value) == str(exc)
+        return
+    # repr tells the kept key object apart: Summand(True, 0) == (1, 0)
+    assert repr(SplitBundle(raw).terms) == repr(expected)
+
+
+def test_million_bare_summands_are_one_term():
+    bundle = SplitBundle((Summand(3, 1),) * 10 ** 6)
+    assert bundle == SplitBundle.line(3, 1, 10 ** 6)
+    assert bundle.terms == ((Summand(3, 1), 10 ** 6),)
+
+
+class TestCaps:
+    def test_hkr_shares_the_dimension_cap(self):
+        assert hkr.MAX_PN_DIM is MAX_PN_DIM
+        assert (MAX_PN_DIM, MAX_TWIST) == (1000, 10 ** 6)
+
+    def test_dimension_cap(self):
+        top = Space("Pn", MAX_PN_DIM)
+        assert graded_cohomology(top, SplitBundle.line(1)) == {0: 1001}
+        for bundle in (SplitBundle(()), SplitBundle.line(0)):
+            with pytest.raises(DimensionTooLarge, match="P1001 is above"):
+                graded_cohomology(Space("Pn", MAX_PN_DIM + 1), bundle)
+
+    def test_twist_cap(self):
+        bundle = SplitBundle.sum_of([-MAX_TWIST, 0, MAX_TWIST])
+        assert graded_cohomology(P1, bundle) == {0: MAX_TWIST + 2,
+                                                 1: MAX_TWIST - 1}
+        for twist in (MAX_TWIST + 1, -MAX_TWIST - 1, 10 ** 5000):
+            with pytest.raises(TwistTooLarge):
+                graded_cohomology(P1, bundle + SplitBundle.line(twist, 1))
+
+    def test_curves_are_not_capped(self):
+        assert graded_cohomology(Space("curve", 0),
+                                 SplitBundle.line(10 ** 7)) == {0: 10 ** 7 + 1}

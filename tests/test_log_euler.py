@@ -56,6 +56,7 @@ def test_single_pair(text):
             euler_pairing(diag, diag)
     else:
         assert pair_count(text) == e == euler_pairing(diag, diag)
+        assert pair.toric_fan().open_cone_count() == e
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
