@@ -17,7 +17,10 @@ refuses, with DimensionTooLarge (exit 1) and before building the table,
 a pair P<n>:H with n above `cohomology.MAX_PN_DIM` = 1000.  `cohomology`
 refuses, before building the table, a base P<n> above that same cap
 (DimensionTooLarge) and, on P<n>, a twist O(k) with |k| above
-`cohomology.MAX_TWIST` = 10^6 (TwistTooLarge), both exit 1.
+`cohomology.MAX_TWIST` = 10^6 (TwistTooLarge), both exit 1.  `euler`
+refuses an excess bundle of rank above that cap (DimensionTooLarge): a
+degree-1 graph into P<m>:H with m > 1001.  Output with an integer past
+Python's digit limit is ResultTooLarge (exit 1) and prints nothing.
 """
 
 import argparse
@@ -27,7 +30,7 @@ import sys
 
 from . import __version__
 from .cohomology import Space, SplitBundle, Summand, graded_cohomology
-from .errors import LogfanError, ResultTooLarge
+from .errors import LogfanError, printable
 from .fans import (check_face_closure, fan_dumps, fan_from_json, fan_to_json,
                    is_smooth)
 from .hkr import hkr_cohomology, hkr_homology
@@ -98,17 +101,18 @@ def _parse_pairs(text):
 
 
 def _print_dims(dims, as_json):
-    try:
-        if as_json:
-            text = json.dumps({"dims": {str(k): v for k, v in sorted(
-                dims.items())}}, sort_keys=True)
-        else:
-            text = "\n".join(f"{deg}: {dim}" for deg, dim in
-                             sorted(dims.items())) or "(zero)"
-    except ValueError as exc:  # int -> str conversion past the digit limit
-        raise ResultTooLarge(
-            f"a dimension has more than {sys.get_int_max_str_digits()} "
-            f"digits, Python's limit for printing an integer") from exc
+    items = sorted(dims.items())
+    print(printable(lambda: json.dumps(
+        {"dims": {str(k): v for k, v in items}}, sort_keys=True) if as_json
+        else "\n".join(f"{deg}: {dim}" for deg, dim in items) or "(zero)"))
+
+
+def _print_value(value, trace, as_json):
+    """The trace lines, then the value of a chern or euler chain."""
+    text = printable(lambda: json.dumps({"value": value}) if as_json
+                     else str(value))
+    for line in trace or ():
+        print(line)
     print(text)
 
 
@@ -194,9 +198,7 @@ def cmd_chern(args):
     else:
         expr = _parse_kernel(args.kernel, pair, pair)
         value = chern_log(expr, trace)
-    for line in trace or ():
-        print(line)
-    print(json.dumps({"value": value}) if args.json else value)
+    _print_value(value, trace, args.json)
     return 0
 
 
@@ -207,9 +209,7 @@ def cmd_euler(args):
     against = _parse_kernel(args.against, source, target)
     trace = [] if args.trace else None
     value = euler_pairing(kernel, against, trace)
-    for line in trace or ():
-        print(line)
-    print(json.dumps({"value": value}) if args.json else value)
+    _print_value(value, trace, args.json)
     return 0
 
 

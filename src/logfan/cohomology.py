@@ -17,16 +17,22 @@ Bare summands given to the constructor are counted in C
 (`collections.Counter`) before that merge, so a summand written out 10^6
 times costs one hash per copy, not one Python step.
 
+`exterior_algebra` is the one construction of wedge powers, (+)_q
+wedge^q(E)[q] of an unshifted split bundle E, as a split bundle; `hkr`
+and the excess route of `kernels` read it.  It refuses a rank above
+`MAX_PN_DIM`.
+
 The tables on P^n are refused, before any is built, for n above
 `MAX_PN_DIM` = 1000 (DimensionTooLarge) and for a twist k with |k| above
 `MAX_TWIST` = 10^6 (TwistTooLarge): C(n + k, n) then has at most 3433
-digits and takes milliseconds.  Curve tables are O(1) arithmetic and
-have no cap.
+digits and takes milliseconds.  The Euler characteristic on P^n is the
+alternating sum of that table, under the same caps.  Curve tables are
+O(1) arithmetic and have no cap.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -86,8 +92,29 @@ class SplitBundle:
         return SplitBundle(tuple((Summand(-s.twist, -s.shift), m)
                                  for s, m in self.terms))
 
-    def degrees(self):
-        return [s.twist for s, m in self.terms for _ in range(m)]
+
+def exterior_algebra(bundle):
+    """(+)_q wedge^q(E)[q] of an unshifted split bundle E: O(D)[q] has the
+    coefficient of x^D y^q in the product of (1 + x^d y)^c over E's terms
+    O(d)^c.  A shifted summand (ValueError) and a rank above MAX_PN_DIM
+    (DimensionTooLarge) are refused before any power is built."""
+    if any(s.shift for s, _ in bundle.terms):
+        raise ValueError("exterior powers need an unshifted bundle")
+    rank = sum(c for _, c in bundle.terms)
+    if rank > MAX_PN_DIM:
+        raise DimensionTooLarge(
+            f"a bundle of rank {rank} is above the cap of rank "
+            f"{MAX_PN_DIM} for exterior powers")
+    counts = {(0, 0): 1}  # (D, q) -> coefficient of x^D y^q
+    for s, c in bundle.terms:
+        grown = {}
+        for (twist, q), n in counts.items():
+            for j in range(c + 1):
+                key = (twist + j * s.twist, q + j)
+                grown[key] = grown.get(key, 0) + n * comb(c, j)
+        counts = grown
+    return SplitBundle(tuple((Summand(twist, q), n)
+                             for (twist, q), n in counts.items()))
 
 
 def cohomology_line_pn(n, k):
@@ -159,18 +186,12 @@ def graded_cohomology(space, bundle):
 
 
 def euler_characteristic(space, bundle):
-    """Alternating sum of cohomology dimensions, computed by the exact
-    polynomial formula so ambiguous curve degrees are still fine."""
-    total = 0
-    for s, mult in bundle.terms:
-        sign = -1 if s.shift % 2 else 1
-        if space.kind == "Pn":
-            n = space.param
-            prod = 1
-            for i in range(1, n + 1):
-                prod *= s.twist + i
-            chi = prod // factorial(n)
-        else:
-            chi = s.twist - space.param + 1
-        total += sign * mult * chi
-    return total
+    """Alternating sum of cohomology dimensions: on P^n that of the
+    `graded_cohomology` table, under its caps; on a genus-g curve
+    Riemann-Roch, d - g + 1 per line, so the degrees whose cohomology is
+    ambiguous are still fine."""
+    if space.kind == "Pn":
+        return sum(-dim if deg % 2 else dim
+                   for deg, dim in graded_cohomology(space, bundle).items())
+    return sum((-mult if s.shift % 2 else mult) * (s.twist - space.param + 1)
+               for s, mult in bundle.terms)

@@ -4,6 +4,8 @@ Every operation that can fail raises one of these, so callers (and the CLI)
 can distinguish computation errors from bugs.
 """
 
+import sys
+
 
 class LogfanError(Exception):
     """Base class for all named computation errors."""
@@ -77,3 +79,14 @@ class TwistTooLarge(LogfanError):
 class TooManySolves(LogfanError):
     """The pairwise face check would need more exact solves than the
     documented cap."""
+
+
+def printable(build):
+    """The text `build()`, where Python's ValueError for printing an int
+    past its digit limit is ResultTooLarge."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ResultTooLarge(
+            f"an integer has more than {sys.get_int_max_str_digits()} "
+            f"digits, Python's limit for printing one") from exc

@@ -7,9 +7,13 @@ For the pairs handled here the sheaf of log differentials splits:
 * (C, pt), genus g: Omega^1(log pt) is the single line bundle of degree
   2g - 1.
 
-Hochschild homology collects H^p of the wedge powers into degree q - p;
-the log Serre kernel twists the diagonal by the top wedge power shifted by
-the dimension.
+`log_cotangent` is the only model written per kind; the wedge powers all
+come from one call to `cohomology.exterior_algebra`, W = (+)_q
+wedge^q[q].  Hochschild homology puts H^p(wedge^q) in degree q - p, so
+it is the table of W with its degrees negated; Hochschild cohomology puts
+H^p((wedge^q)^v) in degree p + q, the table of the dual of W.  The log
+Serre kernel twists the diagonal by the top wedge power shifted by the
+dimension.
 
 The tables of (P^n, H) are refused, with DimensionTooLarge and before
 any is built, for n above `MAX_PN_DIM` = 1000, the cap of the cohomology
@@ -17,11 +21,8 @@ tables: P^1000 takes about 0.1 s, and past a few thousand the dimensions
 outgrow what Python prints.
 """
 
-from dataclasses import dataclass
-from math import comb
-
-from .cohomology import MAX_PN_DIM, Space, SplitBundle, \
-    euler_characteristic, graded_cohomology
+from .cohomology import MAX_PN_DIM, Space, SplitBundle, Summand, \
+    euler_characteristic, exterior_algebra, graded_cohomology
 from .errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
 from .logproduct import LogPair, format_pair
 
@@ -48,13 +49,15 @@ def log_cotangent(pair):
 
 
 def log_wedge(pair, q):
-    """q-th wedge power of the log cotangent bundle."""
+    """q-th wedge power of the log cotangent bundle: the shift-q part of
+    its exterior algebra."""
     n = pair.dim
     if q < 0 or q > n:
         raise WedgeOutOfRange(f"wedge degree {q} outside 0..{n}")
-    if pair.kind in ("Pn:H", "P1:pt"):
-        return SplitBundle.line(-q, 0, comb(n, q))
-    return log_cotangent(pair) if q else SplitBundle.line(0)
+    return SplitBundle(tuple(
+        (Summand(s.twist), mult)
+        for s, mult in exterior_algebra(log_cotangent(pair)).terms
+        if s.shift == q))
 
 
 def _table_space(pair):
@@ -68,44 +71,26 @@ def _table_space(pair):
 
 def hkr_homology(pair):
     """{degree: dim} of log Hochschild homology: wedge power q contributes
-    H^p in degree q - p."""
+    H^p in degree q - p, the table of (+)_q wedge^q[q] negated."""
     space = _table_space(pair)
-    table = {}
-    for q in range(pair.dim + 1):
-        for p, dim in graded_cohomology(space, log_wedge(pair, q)).items():
-            deg = q - p
-            table[deg] = table.get(deg, 0) + dim
-    return {d: v for d, v in sorted(table.items()) if v}
+    table = graded_cohomology(space, exterior_algebra(log_cotangent(pair)))
+    return {-deg: table[deg] for deg in reversed(table)}
 
 
 def hkr_cohomology(pair):
     """{degree: dim} of log Hochschild cohomology: the dual wedge power
     (log polyvector fields) in wedge degree q contributes H^p in degree
-    p + q."""
+    p + q, the table of the dual of (+)_q wedge^q[q]."""
     space = _table_space(pair)
-    table = {}
-    for q in range(pair.dim + 1):
-        dual = log_wedge(pair, q).dual()
-        for p, dim in graded_cohomology(space, dual).items():
-            deg = p + q
-            table[deg] = table.get(deg, 0) + dim
-    return {d: v for d, v in sorted(table.items()) if v}
-
-
-@dataclass(frozen=True)
-class SerreTwist:
-    """Data of the log Serre kernel on the diagonal: a line-bundle twist
-    and a homological shift."""
-    twist: int
-    shift: int
+    return graded_cohomology(
+        space, exterior_algebra(log_cotangent(pair)).dual())
 
 
 def log_serre(pair):
-    """Twist/shift of the log Serre kernel: top log wedge power shifted by
-    the dimension."""
-    top = log_wedge(pair, pair.dim)
-    ((summand, _),) = top.terms
-    return SerreTwist(summand.twist, pair.dim)
+    """The log Serre kernel's line bundle on the diagonal, as a Summand
+    O(twist)[shift]: the top log wedge power shifted by the dimension."""
+    ((top, _),) = log_wedge(pair, pair.dim).terms
+    return Summand(top.twist, pair.dim)
 
 
 def residue_euler_check(n, q):

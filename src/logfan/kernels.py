@@ -12,6 +12,10 @@ Composition, adjoints, the excess-intersection route for graph-vs-transpose,
 and the Hochschild scalar action are all closed-form rewrites on atoms; the
 unsupported shapes raise named errors instead of guessing.
 
+The excess route reads the excess bundle E as a `cohomology.SplitBundle`
+and Sym(E^v[1]) = (+)_q wedge^q(E^v)[q] as `exterior_algebra(E.dual())`,
+which refuses a rank above `cohomology.MAX_PN_DIM` (DimensionTooLarge).
+
 Each rule is written once; its mirror image comes from transposition,
 flipping a kernel across the product (Huybrechts, *Fourier-Mukai
 Transforms in Algebraic Geometry*, 2006, Prop. 5.9):
@@ -29,15 +33,13 @@ has a closed form: (P^n, H) and (P^1, pt) are scalar, a pointed curve
 Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from math import comb
 import re
 from typing import NamedTuple
 
-from .cohomology import normal_form
+from .cohomology import SplitBundle, Summand, exterior_algebra, normal_form
 from .errors import (FormalityUnavailable, UnsupportedComposition,
-                     UnsupportedHHShape)
+                     UnsupportedHHShape, printable)
 # hkr_homology is not called here; it stays importable as
 # kernels.hkr_homology, a binding bench/test_bench.py reads
 from .hkr import _space_of, hkr_homology, log_serre  # noqa: F401
@@ -162,43 +164,22 @@ def _right_atom(atom, m):
 # excess intersection and composition
 
 def excess_intersection(degree, m):
-    """Excess data for the self-intersection of a degree-`degree` graph
-    inside P^1 x P^m.
+    """Excess bundle, a SplitBundle on P^1, of the self-intersection of a
+    degree-`degree` graph inside P^1 x P^m.
 
-    Returns (sub_degrees, ambient_degrees, splits, excess_degrees) where the
-    degree lists describe split bundles on P^1: the tangent complex of the
-    graph inside the tangent complex of the ambient product restricted to
-    it.  The route is only usable when the sub-bundle splits off, detected
-    by multiset containment of the degree lists; otherwise
-    FormalityUnavailable is raised by the caller via splits=False.
+    The graph's tangent complex O(2) + 2*O(1) must split off the ambient
+    one restricted to it, O(2) + O(1) + m*O(degree), checked on counts of
+    degrees; otherwise there is no formality route (FormalityUnavailable).
     """
-    sub = [2, 1, 1]
-    ambient = sorted([2, 1] + [degree] * m, reverse=True)
-    need, have = Counter(sub), Counter(ambient)
-    splits = not need - have
-    excess = sorted((have - need).elements(), reverse=True) if splits \
-        else None
-    return sub, ambient, splits, excess
-
-
-def sym_decomposition(excess_degrees):
-    """Diagonal atoms of Sym(E^v[1]) = (+)_q wedge^q(E^v)[q] for a split
-    excess bundle with the given degrees: list of (twist, shift, mult).
-
-    wedge^q(E^v) sums O(-D) over the q-element subsets of the degrees with
-    sum D, so O(-D)[q] has the coefficient of x^D y^q in the product of
-    (1 + x^d y)^c over the distinct degrees d, c the count of d: j of the
-    c copies are chosen in C(c, j) ways."""
-    counts = {(0, 0): 1}  # (-D, q) -> coefficient of x^D y^q
-    for d in set(excess_degrees):
-        c = excess_degrees.count(d)
-        grown = {}
-        for (twist, q), n in counts.items():
-            for j in range(c + 1):
-                key = (twist - j * d, q + j)
-                grown[key] = grown.get(key, 0) + n * comb(c, j)
-        counts = grown
-    return [(t, s, m) for (t, s), m in normal_form(counts.items())]
+    sub = {Summand(2): 1, Summand(1): 2}
+    ambient = {Summand(2): 1, Summand(1): 1}
+    ambient[Summand(degree)] = ambient.get(Summand(degree), 0) + m
+    if any(ambient.get(s, 0) < c for s, c in sub.items()):
+        raise FormalityUnavailable(
+            f"tangent sub-bundle {_bundle_text(sub.items())} does not split "
+            f"off {_bundle_text(ambient.items())}; no formality route")
+    return SplitBundle(tuple((s, c - sub.get(s, 0))
+                             for s, c in ambient.items()))
 
 
 def compose(first, second, trace=None):
@@ -241,19 +222,13 @@ def _compose_atoms(a, b, m, same_map, trace):
         if a.degree != b.degree or not same_map:
             raise UnsupportedComposition(
                 "graph and transposed graph of different maps")
-        sub, ambient, splits, excess = excess_intersection(a.degree, m)
-        if not splits:
-            raise FormalityUnavailable(
-                f"tangent sub-bundle {_degs(sub)} does not split off "
-                f"{_degs(ambient)}; no formality route")
-        _emit(trace, f"excess: {_degs(excess)}")
-        parts = sym_decomposition(excess)
-        _emit(trace, "sym: " + " + ".join(
-            _summand(t, s) if mlt == 1 else f"{mlt}*{_summand(t, s)}"
-            for t, s, mlt in sorted(parts, key=lambda p: p[1])))
-        return [(Atom(DIAG, 0, a.twist + b.twist + t,
-                      a.shift + b.shift + s), mlt)
-                for t, s, mlt in parts]
+        excess = excess_intersection(a.degree, m)
+        _emit(trace, lambda: f"excess: {_bundle_text(excess.terms)}")
+        sym = exterior_algebra(excess.dual())
+        _emit(trace, lambda: f"sym: {_bundle_text(sym.terms)}")
+        return [(Atom(DIAG, 0, a.twist + b.twist + s.twist,
+                      a.shift + b.shift + s.shift), mlt)
+                for s, mlt in sym.terms]
     raise UnsupportedComposition(
         f"no composition rule for {a.kind} followed by {b.kind}")
 
@@ -297,11 +272,11 @@ def hh_action(expr, beta, trace=None):
         raise UnsupportedHHShape(
             "scalar action is only defined for diagonal kernels")
     _require_scalar(expr.source, expr.target)
-    _emit(trace, "unit: 1 in HH_0 of " + format_pair(expr.target))
-    _emit(trace, f"beta: insert scalar {beta}")
-    _emit(trace, "exchange: move the Serre kernel across the adjoint")
+    _emit(trace, lambda: "unit: 1 in HH_0 of " + format_pair(expr.target))
+    _emit(trace, lambda: f"beta: insert scalar {beta}")
+    _emit(trace, lambda: "exchange: move the Serre kernel across the adjoint")
     value = beta * signed_count(expr)
-    _emit(trace, "counit: " + _signed_sum(expr) + f" -> {value}")
+    _emit(trace, lambda: f"counit: {_signed_sum(expr)} -> {value}")
     return value
 
 
@@ -321,7 +296,7 @@ def chern_log_expansion(expr, trace=None):
         raise UnsupportedHHShape(
             "transposed graphs have no supported expansion chain")
     value = signed_count(expr)
-    _emit(trace, "additivity: " + _signed_sum(expr) + f" -> {value}")
+    _emit(trace, lambda: f"additivity: {_signed_sum(expr)} -> {value}")
     return value
 
 
@@ -338,11 +313,11 @@ def euler_pairing(left, right_, trace=None):
         raise ValueError("can only pair kernels with matching pairs")
     _require_scalar(left.source, left.target)
     adj = right_adjoint(right_)
-    _emit(trace, f"adjoint: R({format_kernel(right_)}) = "
-                 f"{format_kernel(adj)}")
+    _emit(trace, lambda: f"adjoint: R({format_kernel(right_)}) = "
+                         f"{format_kernel(adj)}")
     composite = compose(left, adj, trace)
     value = signed_count(composite)
-    _emit(trace, "additivity: " + _signed_sum(composite) + f" -> {value}")
+    _emit(trace, lambda: f"additivity: {_signed_sum(composite)} -> {value}")
     return value
 
 
@@ -350,8 +325,7 @@ def euler_pairing(left, right_, trace=None):
 # law checks used by the verification suite and property tests
 
 def serre_kernel(pair):
-    s = log_serre(pair)
-    return diag_kernel(pair, s.twist, s.shift)
+    return diag_kernel(pair, *log_serre(pair))
 
 
 def adjoint_exchange_check(expr):
@@ -387,16 +361,20 @@ def _summand(twist, shift):
     return text if shift == 0 else f"{text}[{shift}]"
 
 
-def _degs(degrees):
-    parts = []
-    for deg in degrees:
-        parts.append(format_bundle(deg))
-    return " + ".join(parts) if parts else "0"
+def _bundle_text(terms):
+    """A split bundle's (Summand, multiplicity) terms, sorted by shift then
+    twist; a multiplicity m > 1 prints once, as m*summand."""
+    return " + ".join(
+        _summand(*s) if m == 1 else f"{m}*{_summand(*s)}"
+        for s, m in sorted(terms, key=lambda tm: (tm[0].shift, tm[0].twist))
+    ) or "0"
 
 
 def _emit(trace, line):
+    """Append the text `line()` to the trace, built only when one is kept
+    (`errors.printable`)."""
     if trace is not None:
-        trace.append(line)
+        trace.append(printable(line))
 
 
 def _signed_sum(expr):

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import random
 
 from . import kernels
-from .cohomology import Space, SplitBundle, graded_cohomology
+from .cohomology import Space, SplitBundle, exterior_algebra, \
+    graded_cohomology
 from .fans import induces_fan_map, is_smooth
 from .hkr import hkr_homology, log_serre, residue_euler_check
 from .kernels import (Atom, DIAG, KernelExpr, adjoint_exchange_check,
@@ -158,15 +159,15 @@ def verify_suite(sign_flip=False):
         "graph followed by its adjoint transpose decomposes through the "
         "excess bundle: Diag(O(1),-1) + Diag(O,0)",
         "diag(O,0)+diag(O(1),-1)", format_kernel(compose(gf, radj)))
-    sub, ambient, splits, excess = kernels.excess_intersection(1, 2)
     add("excess-bundle",
         "degree-1 graph in (P^1)x(P^2): tangent sub-bundle splits off, "
         "excess = O(1)",
-        (True, [1]), (splits, excess))
+        SplitBundle.line(1), kernels.excess_intersection(1, 2))
     add("sym-decomposition",
         "Sym of the dualized shifted excess O(1): O + O(-1)[1] as "
         "diagonal atoms",
-        [(-1, 1, 1), (0, 0, 1)], kernels.sym_decomposition([1]))
+        SplitBundle.line(0) + SplitBundle.line(-1, 1),
+        exterior_algebra(SplitBundle.line(1).dual()))
     add("hh-identity",
         "the identity diagonal kernel acts as 1 on degree-0 classes",
         1, signed_count(diag_kernel(P1), sign))

@@ -346,6 +346,47 @@ class TestChernEuler:
                            "--against", "graph(deg=2)")
         assert code == 1 and "FormalityUnavailable" in err
 
+    def test_excess_rank_cap(self, capsys, monkeypatch):
+        # the excess of a degree-1 graph into P<m>:H is O(1)^(m-1)
+        code, out, _ = run(capsys, "euler", "--source", "P1:pt",
+                           "--target", "P1001:H", "--kernel", "graph(deg=1)",
+                           "--against", "graph(deg=1)")
+        assert code == 0 and out == "0\n"
+
+        def no_power(*_):
+            raise AssertionError("a wedge power was built")
+        monkeypatch.setattr(cohomology, "comb", no_power)
+        for m in (1002, 10 ** 9):
+            code, out, err = run(capsys, "euler", "--source", "P1:pt",
+                                 "--target", f"P{m}:H", "--kernel",
+                                 "graph(deg=1)", "--against", "graph(deg=1)",
+                                 "--trace")
+            assert code == 1 and out == ""
+            assert err == (f"error: DimensionTooLarge: a bundle of rank "
+                           f"{m - 1} is above the cap of rank 1000 for "
+                           f"exterior powers\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("extra", [(), ("--trace",), ("--json",),
+                                       ("--trace", "--json")])
+    @pytest.mark.parametrize("argv", [
+        # 3000-digit multiplicities whose product has 6000 digits
+        ("euler", "--source", "P1:pt", "--target", "P1:pt",
+         "--kernel", f"{'7' * 3000}*diag(O,0)",
+         "--against", f"{'7' * 3000}*diag(O,0)"),
+        # two 4300-digit multiplicities whose sum has 4301 digits
+        ("chern", "--pair", "P1:pt", "--kernel",
+         f"{'9' * 4300}*diag(O,0)+{'9' * 4300}*diag(O(1),0)"),
+        ("chern", "--pair", "P1:pt", "--target", "P2:H", "--kernel",
+         f"{'9' * 4300}*graph(deg=1)+{'9' * 4300}*graph(deg=2)"),
+    ], ids=["euler", "chern", "chern-expansion"])
+    def test_value_past_digit_limit_exits_one(self, capsys, argv, extra):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ResultTooLarge: ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_all_cases_pass(self, capsys):
@@ -408,7 +449,7 @@ PINNED_STDOUT = [
     (("fan", "check", "-"), p1_square_overlap(), 1,
      "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b"),
     (("verify", "--json"), None, 0,
-     "8717399a1a9a33b1c33458d8e082d09e44d99cc3bd2a8ca51a78abb8c528272f"),
+     "f0f41172dc4efcf6b42776c17a1e3d8a3bb72b9c12d000fa637d850d43cc641b"),
     # the kernel rewrites: diag.diag, diag.t(graph), graph.diag and the
     # excess route; then t(graph).diag; then two chern chains
     (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",

@@ -1,11 +1,11 @@
-from math import comb
+from math import comb, factorial
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logfan import hkr
+from logfan import cohomology, hkr
 from logfan.cohomology import (MAX_PN_DIM, MAX_TWIST, Space, SplitBundle,
                                Summand, cohomology_line_curve,
                                cohomology_line_pn, euler_characteristic,
@@ -106,6 +106,56 @@ class TestEuler:
     def test_shift_flips_sign(self):
         assert euler_characteristic(P1, SplitBundle.line(1, -1)) == -2
 
+    def test_curve_ambiguous_degrees(self):
+        # d - g + 1 for every degree, 1..2g-2 included, where the table
+        # itself is refused
+        for g in range(1, 6):
+            curve = Space("curve", g)
+            for d in range(1, 2 * g - 1):
+                with pytest.raises(AmbiguousDegree):
+                    graded_cohomology(curve, SplitBundle.line(d))
+                assert euler_characteristic(
+                    curve, SplitBundle.line(d, 1, 3)) == -3 * (d - g + 1)
+
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "cohomology_line_pn", no_table)
+        for n in (MAX_PN_DIM + 1, 10 ** 5):
+            with pytest.raises(DimensionTooLarge):
+                euler_characteristic(Space("Pn", n), SplitBundle.line(1))
+
+    def test_twist_cap(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "cohomology_line_pn", no_table)
+        for twist in (MAX_TWIST + 1, -MAX_TWIST - 1):
+            with pytest.raises(TwistTooLarge):
+                euler_characteristic(P2, SplitBundle.line(twist))
+
+
+def no_table(*_):
+    raise AssertionError("a cohomology table was started")
+
+
+def former_chi_pn(n, terms):
+    """The former closed form on P^n: chi(O(k)) = prod_{i=1..n} (k + i) /
+    n!, signed by the shift and times the multiplicity."""
+    total = 0
+    for k, shift, mult in terms:
+        prod = 1
+        for i in range(1, n + 1):
+            prod *= k + i
+        sign = -1 if shift % 2 else 1
+        total += sign * mult * (prod // factorial(n))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30),
+       st.lists(st.tuples(st.integers(-60, 60), st.integers(-3, 3),
+                          st.integers(0, 5)), max_size=6))
+def test_chi_matches_former_product_formula(n, terms):
+    bundle = SplitBundle(tuple((Summand(k, s), m) for k, s, m in terms))
+    assert euler_characteristic(Space("Pn", n), bundle) == \
+        former_chi_pn(n, terms)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-20, max_value=20))
@@ -149,7 +199,7 @@ def test_chi_consistent_with_graded(terms):
     bundle = _bundle(terms)
     flat = tuple(Summand(t, s) for t, s, m in terms for _ in range(m))
     assert SplitBundle(flat) == bundle
-    assert bundle.degrees() == sorted(s.twist for s in flat)
+    assert [s for s, m in bundle.terms for _ in range(m)] == sorted(flat)
     table = graded_cohomology(P2, bundle)
     assert euler_characteristic(P2, bundle) == \
         sum((-1) ** d * v for d, v in table.items())

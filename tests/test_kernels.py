@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logfan.errors import (FormalityUnavailable, LogfanError, NoToricModel,
-                           UnsupportedComposition, UnsupportedHHShape)
+from logfan.cohomology import SplitBundle, Summand, exterior_algebra
+from logfan.errors import (DimensionTooLarge, FormalityUnavailable,
+                           LogfanError, NoToricModel, UnsupportedComposition,
+                           UnsupportedHHShape)
 from logfan.hkr import hkr_homology
 from logfan.kernels import (Atom, DIAG, GRAPH, TGRAPH, KernelExpr,
                             _scalar_regime, _signed_sum,
@@ -16,7 +18,7 @@ from logfan.kernels import (Atom, DIAG, GRAPH, TGRAPH, KernelExpr,
                             diag_kernel, euler_pairing, excess_intersection,
                             format_kernel, graph_kernel, hh_action,
                             involution_check, left_adjoint, parse_kernel,
-                            right_adjoint, sym_decomposition, transpose)
+                            right_adjoint, transpose)
 from logfan.logproduct import LogPair, parse_pair
 from logfan.verify import random_diag, random_supported_pair
 
@@ -120,38 +122,62 @@ class TestCompose:
 
 class TestExcess:
     def test_p2_transversal(self):
-        sub, ambient, splits, excess = excess_intersection(1, 2)
-        assert splits
-        assert excess == [1]
-        assert sorted(sub) == [1, 1, 2]
-        assert sorted(ambient) == [1, 1, 1, 2]
+        assert excess_intersection(1, 2) == SplitBundle.line(1)
 
     def test_p3_transversal(self):
-        _, _, splits, excess = excess_intersection(1, 3)
-        assert splits and excess == [1, 1]
+        assert excess_intersection(1, 3) == SplitBundle.line(1, 0, 2)
+
+    def test_p1_target_has_no_excess(self):
+        assert excess_intersection(1, 1) == SplitBundle(())
+
+    def test_copies_are_one_term(self):
+        assert excess_intersection(1, 10 ** 9).terms == \
+            ((Summand(1), 10 ** 9 - 1),)
 
     def test_degree_two_does_not_split(self):
-        _, _, splits, excess = excess_intersection(2, 2)
-        assert not splits and excess is None
+        with pytest.raises(FormalityUnavailable, match=(
+                r"^tangent sub-bundle 2\*O\(1\) \+ O\(2\) does not split "
+                r"off O\(1\) \+ 3\*O\(2\); no formality route$")):
+            excess_intersection(2, 2)
 
     def test_sym_rank_one(self):
-        assert sym_decomposition([1]) == [(-1, 1, 1), (0, 0, 1)]
+        assert exterior_algebra(SplitBundle.line(1).dual()) == \
+            SplitBundle.line(0) + SplitBundle.line(-1, 1)
 
     def test_sym_rank_two(self):
-        assert sym_decomposition([1, 1]) == \
-            [(-2, 2, 1), (-1, 1, 2), (0, 0, 1)]
+        assert exterior_algebra(SplitBundle.line(1, 0, 2).dual()) == \
+            SplitBundle(((Summand(-2, 2), 1), (Summand(-1, 1), 2),
+                         Summand(0, 0)))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.integers(-2, 4), max_size=10))
-    def test_sym_matches_subset_enumeration(self, degrees):
-        """O(-D)[q] once per q-element subset of the degrees with sum D."""
+    @given(st.lists(st.tuples(st.integers(-2, 4), st.integers(1, 3)),
+                    max_size=5))
+    def test_sym_matches_subset_enumeration(self, terms):
+        """O(-D)[q] once per q-element subset of the degrees with sum D;
+        the degrees repeat twists, and each comes with a multiplicity."""
+        degrees = [d for d, m in terms for _ in range(m)]
         counts = {}
         for q in range(len(degrees) + 1):
             for subset in combinations(degrees, q):
-                key = (-sum(subset), q)
+                key = Summand(-sum(subset), q)
                 counts[key] = counts.get(key, 0) + 1
-        assert sym_decomposition(degrees) == \
-            [(t, q, m) for (t, q), m in sorted(counts.items())]
+        excess = SplitBundle(tuple((Summand(d), m) for d, m in terms))
+        assert exterior_algebra(excess.dual()) == \
+            SplitBundle(tuple(counts.items()))
+
+    def test_shifted_summand_refused(self):
+        with pytest.raises(ValueError, match="unshifted"):
+            exterior_algebra(SplitBundle.line(1) + SplitBundle.line(0, 1))
+
+    def test_rank_cap(self):
+        top = exterior_algebra(SplitBundle.line(-1, 0, 1000))
+        assert len(top.terms) == 1001
+        for rank in (1001, 10 ** 9):
+            with pytest.raises(DimensionTooLarge, match=f"rank {rank} "):
+                exterior_algebra(SplitBundle.line(1, 0, rank))
+        with pytest.raises(DimensionTooLarge):
+            exterior_algebra(SplitBundle.line(1, 0, 600)
+                             + SplitBundle.line(2, 0, 401))
 
 
 class TestHHAction:
