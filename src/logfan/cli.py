@@ -5,22 +5,8 @@ Exit codes: 0 success, 1 computation error (a named error such as
 ResultTooLarge is surfaced), 2 usage error (bad flags or grammar,
 malformed or missing fan input).
 
-`logproduct` and `fan dump` refuse, with TooManyCones (exit 1) and before
-building anything, a log product of more than
-`logproduct.MAX_CONES` = 50,000 maximal cones: A1^8 (40,320) builds,
-A1^9 (362,880) does not.  `fan check` refuses, with TooManySolves (exit
-1) and before any solve, a fan its wall criterion cannot decide when the
-pairwise fallback, one exact solve per pair of cones, has more than
-`fans.MAX_PAIRWISE_SOLVES` = 100,000 pairs: P1^5 minus one cone (52,650)
-is checked, A1^6 minus one cone (258,121) is refused at once.  `hkr`
-refuses, with DimensionTooLarge (exit 1) and before building the table,
-a pair P<n>:H with n above `cohomology.MAX_PN_DIM` = 1000.  `cohomology`
-refuses, before building the table, a base P<n> above that same cap
-(DimensionTooLarge) and, on P<n>, a twist O(k) with |k| above
-`cohomology.MAX_TWIST` = 10^6 (TwistTooLarge), both exit 1.  `euler`
-refuses an excess bundle of rank above that cap (DimensionTooLarge): a
-degree-1 graph into P<m>:H with m > 1001.  Output with an integer past
-Python's digit limit is ResultTooLarge (exit 1) and prints nothing.
+Each documented cap refuses its input with a named error (exit 1) before
+the work starts; the caps table in README.md lists them.
 """
 
 import argparse

@@ -148,10 +148,6 @@ class Space:
     kind: str  # "Pn" or "curve"
     param: int
 
-    @property
-    def dim(self):
-        return self.param if self.kind == "Pn" else 1
-
     def line_cohomology(self, twist):
         if self.kind == "Pn":
             return cohomology_line_pn(self.param, twist)

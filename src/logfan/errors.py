@@ -68,8 +68,8 @@ class TooManyCones(LogfanError):
 
 
 class DimensionTooLarge(LogfanError):
-    """A cohomology or Hochschild table of P^n with n above the documented
-    cap."""
+    """A cohomology or Hochschild table of P^n, an exterior algebra or a
+    fan whose dimension or rank is above the documented cap."""
 
 
 class TwistTooLarge(LogfanError):

@@ -12,8 +12,9 @@ Composition, adjoints, the excess-intersection route for graph-vs-transpose,
 and the Hochschild scalar action are all closed-form rewrites on atoms; the
 unsupported shapes raise named errors instead of guessing.
 
-The excess route reads the excess bundle E as a `cohomology.SplitBundle`
-and Sym(E^v[1]) = (+)_q wedge^q(E^v)[q] as `exterior_algebra(E.dual())`,
+The excess route reads the excess bundle E from its closed form,
+(m - 1)*O(1) for a degree-1 graph into P^m (no other degree splits), and
+Sym(E^v[1]) = (+)_q wedge^q(E^v)[q] as `exterior_algebra(E.dual())`,
 which refuses a rank above `cohomology.MAX_PN_DIM` (DimensionTooLarge).
 
 Each rule is written once; its mirror image comes from transposition,
@@ -31,6 +32,10 @@ has a closed form: (P^n, H) and (P^1, pt) are scalar, a pointed curve
 (C_g, pt) only when g = 0, and (A^1, 0) is refused as `hkr` refuses it.
 
 Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
+
+`parse_kernel` reads the CLI grammar term by term: the terms are the
+pieces between the `+`s, and each is read with one pattern that holds its
+multiplicity, its `t(` layers and its atom.
 """
 
 from dataclasses import dataclass
@@ -101,11 +106,6 @@ class KernelExpr:
         return KernelExpr(self.source, self.target,
                           self.terms + other.terms)
 
-    def shifted(self, n):
-        return KernelExpr(self.source, self.target, tuple(
-            (Atom(a.kind, a.degree, a.twist, a.shift + n), m)
-            for a, m in self.terms))
-
     def is_diagonal(self):
         return all(a.kind == DIAG for a, _ in self.terms)
 
@@ -168,18 +168,19 @@ def excess_intersection(degree, m):
     degree-`degree` graph inside P^1 x P^m.
 
     The graph's tangent complex O(2) + 2*O(1) must split off the ambient
-    one restricted to it, O(2) + O(1) + m*O(degree), checked on counts of
-    degrees; otherwise there is no formality route (FormalityUnavailable).
+    one restricted to it, O(2) + O(1) + m*O(degree) (the formality
+    criterion of Arinkin-Caldararu, *When is the self-intersection of a
+    subvariety a fibration?*, 2012).  For m >= 1 the ambient bundle holds
+    a second O(1) only when degree = 1, so only degree-1 graphs split, with
+    excess m*O(1) - O(1) = (m - 1)*O(1); any other graph has no formality
+    route (FormalityUnavailable).
     """
-    sub = {Summand(2): 1, Summand(1): 2}
-    ambient = {Summand(2): 1, Summand(1): 1}
-    ambient[Summand(degree)] = ambient.get(Summand(degree), 0) + m
-    if any(ambient.get(s, 0) < c for s, c in sub.items()):
+    if degree != 1:
+        ambient = SplitBundle((Summand(2), Summand(1), (Summand(degree), m)))
         raise FormalityUnavailable(
-            f"tangent sub-bundle {_bundle_text(sub.items())} does not split "
-            f"off {_bundle_text(ambient.items())}; no formality route")
-    return SplitBundle(tuple((s, c - sub.get(s, 0))
-                             for s, c in ambient.items()))
+            f"tangent sub-bundle 2*O(1) + O(2) does not split off "
+            f"{_bundle_text(ambient.terms)}; no formality route")
+    return SplitBundle.line(1, 0, m - 1)
 
 
 def compose(first, second, trace=None):
@@ -272,11 +273,15 @@ def hh_action(expr, beta, trace=None):
         raise UnsupportedHHShape(
             "scalar action is only defined for diagonal kernels")
     _require_scalar(expr.source, expr.target)
-    _emit(trace, lambda: "unit: 1 in HH_0 of " + format_pair(expr.target))
-    _emit(trace, lambda: f"beta: insert scalar {beta}")
-    _emit(trace, lambda: "exchange: move the Serre kernel across the adjoint")
+    # the lines reach `trace` only once the chain has succeeded
+    steps = None if trace is None else []
+    _emit(steps, lambda: "unit: 1 in HH_0 of " + format_pair(expr.target))
+    _emit(steps, lambda: f"beta: insert scalar {beta}")
+    _emit(steps, lambda: "exchange: move the Serre kernel across the adjoint")
     value = beta * signed_count(expr)
-    _emit(trace, lambda: f"counit: {_signed_sum(expr)} -> {value}")
+    _emit(steps, lambda: f"counit: {_signed_sum(expr)} -> {value}")
+    if trace is not None:
+        trace.extend(steps)
     return value
 
 
@@ -313,11 +318,15 @@ def euler_pairing(left, right_, trace=None):
         raise ValueError("can only pair kernels with matching pairs")
     _require_scalar(left.source, left.target)
     adj = right_adjoint(right_)
-    _emit(trace, lambda: f"adjoint: R({format_kernel(right_)}) = "
+    # the lines reach `trace` only once the chain has succeeded
+    steps = None if trace is None else []
+    _emit(steps, lambda: f"adjoint: R({format_kernel(right_)}) = "
                          f"{format_kernel(adj)}")
-    composite = compose(left, adj, trace)
+    composite = compose(left, adj, steps)
     value = signed_count(composite)
-    _emit(trace, lambda: f"additivity: {_signed_sum(composite)} -> {value}")
+    _emit(steps, lambda: f"additivity: {_signed_sum(composite)} -> {value}")
+    if trace is not None:
+        trace.extend(steps)
     return value
 
 
@@ -403,70 +412,46 @@ def format_kernel(expr):
                     for a, m in expr.terms) or "0"
 
 
-_BUNDLE_RE = r"O(?:\((-?\d+)\))?"
-_DIAG_RE = re.compile(rf"^diag\(({_BUNDLE_RE}),(-?\d+)\)$")
-_GRAPH_RE = re.compile(
-    rf"^graph\(deg=(\d+)(?:,({_BUNDLE_RE}),(-?\d+))?\)$")
-
-
-def _parse_bundle(text):
-    m = re.fullmatch(_BUNDLE_RE, text)
-    if not m:
-        raise ValueError(f"cannot parse bundle {text!r}")
-    return int(m.group(1)) if m.group(1) is not None else 0
-
-
-def parse_atom(text):
-    text = text.strip()
-    flips = 0
-    while text.startswith("t(") and text.endswith(")"):
-        text = text[2:-1].strip()
-        flips += 1
-    m = _DIAG_RE.match(text)
-    if m:
-        atom = Atom(DIAG, 0, _parse_bundle(m.group(1)), int(m.group(3)))
-    else:
-        m = _GRAPH_RE.match(text)
-        if not m:
-            raise ValueError(f"cannot parse atom {text!r}")
-        twist = _parse_bundle(m.group(2)) if m.group(2) else 0
-        shift = int(m.group(4)) if m.group(4) else 0
-        atom = Atom(GRAPH, int(m.group(1)), twist, shift)
-    return _flip(atom) if flips % 2 else atom
-
-
-def _split_top_level(text):
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
-def _parse_term(text):
-    """(atom, multiplicity) of `atom` or `N*atom` with N >= 1."""
-    count, star, atom = text.rpartition("*")
-    count = count.strip()
-    if star and not (count.isdecimal() and int(count) >= 1):
-        raise ValueError(f"multiplicity {count!r} is not an integer >= 1")
-    return parse_atom(atom), int(count) if star else 1
+# One term: an optional N*, a run of t( layers, a diag or graph atom with
+# its twist and shift, and the closing parens, with whitespace allowed
+# where the grammar's separators are; a term is valid only when its closing
+# parens number its t( layers.
+_TERM_RE = re.compile(r"""
+    \s* (?: (?P<mult>\d+) \s* \* )? \s*
+    (?P<open> (?: t\( \s* )* )
+    (?: diag\( O (?: \( (?P<dtwist>-?\d+) \) )? , (?P<dshift>-?\d+) \)
+      | graph\(deg= (?P<deg>\d+)
+        (?: , O (?: \( (?P<gtwist>-?\d+) \) )? , (?P<gshift>-?\d+) )? \) )
+    (?P<close> (?: \s* \) )* ) \s*""", re.VERBOSE)
 
 
 def parse_kernel(text, source, target):
     """Parse an expression `term ("+" term)*`, a term being `atom` or
     `N*atom` (N >= 1 copies), or `0` for the kernel with no terms (as
     `format_kernel` prints it), against the grammar, attaching the given
-    source and target pairs."""
+    source and target pairs.
+
+    No `+` occurs inside a term (integers are -?digits, counts are
+    digits), so the terms are the pieces between the `+`s, and each is
+    read by one match of `_TERM_RE`."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty kernel expression")
     if text == "0":
         return KernelExpr(source, target, ())
-    return KernelExpr(source, target, tuple(
-        _parse_term(p) for p in _split_top_level(text)))
+    terms = []
+    for part in text.split("+"):
+        m = _TERM_RE.fullmatch(part)
+        if not m or m["open"].count("(") != m["close"].count(")"):
+            raise ValueError(f"cannot parse term {part!r}")
+        mult = int(m["mult"] or 1)
+        if mult < 1:
+            raise ValueError(f"multiplicity {mult} is not an integer >= 1")
+        if m["deg"] is None:
+            atom = Atom(DIAG, 0, int(m["dtwist"] or 0), int(m["dshift"]))
+        else:
+            atom = Atom(GRAPH, int(m["deg"]), int(m["gtwist"] or 0),
+                        int(m["gshift"] or 0))
+        terms.append((_flip(atom) if m["open"].count("(") % 2 else atom,
+                      mult))
+    return KernelExpr(source, target, tuple(terms))

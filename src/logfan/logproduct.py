@@ -17,7 +17,8 @@ independent constructions of the same fan.
 Factors are complete P^n fans with the coordinate hyperplane e_1 as
 boundary, the P^1 fan with a torus-fixed point, or the affine local model
 (A^1, 0) used to reproduce the rank-3 barycentric picture.  A product
-with more than MAX_CONES maximal cones is refused before it is built.
+with more than MAX_CONES maximal cones, or a fan of rank above MAX_RANK,
+is refused before it is built.
 """
 
 from dataclasses import dataclass
@@ -26,14 +27,21 @@ from itertools import accumulate, combinations, permutations
 from math import factorial
 import re
 
-from .errors import (EmptyProjection, NotABuildingSetOrder, NoToricModel,
-                     TooFewFactors, TooManyCones)
+from .errors import (DimensionTooLarge, EmptyProjection,
+                     NotABuildingSetOrder, NoToricModel, TooFewFactors,
+                     TooManyCones)
 from .fans import (BOUNDARY, EXCEPTIONAL, STRICT_TRANSFORM, Cone,
                    DivisorLabel, Fan, product_fan, star_subdivide)
 
 # Largest number of maximal cones `log_product` builds: A1^8 (8! = 40320
 # cones, a few seconds) fits, A1^9 (362880) does not.
 MAX_CONES = 50_000
+# Largest rank of a fan `toric_fan` and `log_product` build: the sum of the
+# factor dimensions, checked before any factor fan is built.  The slowest
+# products under both caps are the rank-10 ones, such as P2:H^3 x A1:0^4
+# (49,704 cones) in about 3-4 s against about 2 s for A1^8 on a 2-core
+# x86_64 host; a rank-12 one takes about 5 s, a rank-20 one about 12 s.
+MAX_RANK = 10
 
 
 @dataclass(frozen=True)
@@ -63,12 +71,14 @@ class LogPair:
 
         P^n: rays e_1..e_n and -(e_1+..+e_n), boundary e_1, maximal cones
         all n-subsets.  (A^1, 0) is the single octant ray.  Pointed curves
-        of genus > 0 have no fan.
+        of genus > 0 have no fan.  A rank above MAX_RANK raises
+        DimensionTooLarge before any cone is built.
         """
         if self.kind == "Cg:pt" and self.param > 0:
             raise NoToricModel(
                 f"{format_pair(self)} has no toric local model")
         n = self.dim
+        _check_rank(n)
         boundary = tuple(1 if i == 0 else 0 for i in range(n))
         if self.kind == "A1:0":
             cones = (Cone((boundary,)),)
@@ -80,6 +90,12 @@ class LogPair:
                           for sub in combinations(rays, n))
         labels = ((boundary, DivisorLabel(BOUNDARY, factor)),)
         return Fan(n, cones, labels)
+
+
+def _check_rank(rank):
+    if rank > MAX_RANK:
+        raise DimensionTooLarge(
+            f"a fan of rank {rank} is above the cap of rank {MAX_RANK}")
 
 
 PAIR_RE = re.compile(r"^(P(\d+):H|P1:pt|C(\d+):pt|A1:0)$")
@@ -172,10 +188,12 @@ def _cone_count(factor_fans):
 
 def _product(pairs, order):
     """The product fan, its boundary ray per factor and the checked order
-    (`building_set(n)` when None); the cone cap is checked first."""
+    (`building_set(n)` when None); the rank cap is checked first, then the
+    cone cap."""
     n = len(pairs)
     if n < 2:
         raise TooFewFactors("log product needs at least two factors")
+    _check_rank(sum(p.dim for p in pairs))
     factor_fans = [p.toric_fan(i) for i, p in enumerate(pairs)]
     count = _cone_count(factor_fans)
     if count > MAX_CONES:
@@ -204,7 +222,8 @@ def log_product(pairs, order=None):
     building-set order on all subsets of size >= 2, else
     NotABuildingSetOrder is raised; the default is `building_set(n)`.
     Each boundary ray b_i is labelled StrictTransform(i).  More than
-    MAX_CONES maximal cones raises TooManyCones before anything is built.
+    MAX_CONES maximal cones raises TooManyCones, and a rank above MAX_RANK
+    DimensionTooLarge, before anything is built.
     """
     fan, boundary, order = _product(pairs, order)
     boundary_rays = set(boundary.values())

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb
 import random
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from logfan.cohomology import SplitBundle, Summand, exterior_algebra
 from logfan.errors import (DimensionTooLarge, FormalityUnavailable,
-                           LogfanError, NoToricModel, UnsupportedComposition,
-                           UnsupportedHHShape)
+                           LogfanError, NoToricModel, ResultTooLarge,
+                           UnsupportedComposition, UnsupportedHHShape)
 from logfan.hkr import hkr_homology
 from logfan.kernels import (Atom, DIAG, GRAPH, TGRAPH, KernelExpr,
-                            _scalar_regime, _signed_sum,
+                            _bundle_text, _scalar_regime, _signed_sum,
                             adjoint_exchange_check, bicategory_law_check,
                             chern_log, chern_log_expansion, compose,
                             diag_kernel, euler_pairing, excess_intersection,
@@ -140,6 +141,25 @@ class TestExcess:
                 r"off O\(1\) \+ 3\*O\(2\); no formality route$")):
             excess_intersection(2, 2)
 
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_closed_form_is_the_splitting_count(self, degree):
+        """The sub-bundle O(2) + 2*O(1) splits off O(2) + O(1) + m*O(d)
+        exactly when each summand's count there is at least its count in
+        the sub-bundle; the excess is the difference of the counts."""
+        sub = Counter({Summand(2): 1, Summand(1): 2})
+        for m in range(1, 12):
+            ambient = Counter({Summand(2): 1, Summand(1): 1})
+            ambient[Summand(degree)] += m
+            if ambient >= sub:
+                assert excess_intersection(degree, m) == \
+                    SplitBundle(tuple((ambient - sub).items()))
+            else:
+                with pytest.raises(FormalityUnavailable) as info:
+                    excess_intersection(degree, m)
+                assert str(info.value) == (
+                    f"tangent sub-bundle 2*O(1) + O(2) does not split off "
+                    f"{_bundle_text(ambient.items())}; no formality route")
+
     def test_sym_rank_one(self):
         assert exterior_algebra(SplitBundle.line(1).dual()) == \
             SplitBundle.line(0) + SplitBundle.line(-1, 1)
@@ -199,6 +219,13 @@ class TestHHAction:
         with pytest.raises(UnsupportedHHShape):
             hh_action(graph_kernel(P1, P2, 1), 1)
 
+    def test_raising_chain_leaves_the_trace(self):
+        # the counit line prints a count past Python's digit limit
+        trace = ["kept"]
+        with pytest.raises(ResultTooLarge):
+            hh_action(diag_kernel(P1, 0, 0, 10 ** 4400), 1, trace)
+        assert trace == ["kept"]
+
 
 class TestChern:
     def test_normalized(self):
@@ -212,8 +239,7 @@ class TestChern:
         assert chern_log_expansion(graph_kernel(P1, P1, 1)) == 1
 
     def test_expansion_shift(self):
-        assert chern_log_expansion(
-            graph_kernel(P1, P2, 1).shifted(1)) == -1
+        assert chern_log_expansion(graph_kernel(P1, P2, 1, shift=1)) == -1
 
     def test_expansion_additive(self):
         gf = graph_kernel(P1, P2, 1)
@@ -261,6 +287,14 @@ class TestEulerPairing:
         with pytest.raises(error):
             euler_pairing(graph_kernel(P1, pair, 1),
                           graph_kernel(P1, pair, 1))
+
+    def test_raising_chain_leaves_the_trace(self):
+        # the adjoint step succeeds, the excess route then raises
+        g2 = graph_kernel(P1, P2, 2)
+        trace = ["kept"]
+        with pytest.raises(FormalityUnavailable):
+            euler_pairing(g2, g2, trace)
+        assert trace == ["kept"]
 
     def test_mismatched_pairs_refused(self):
         trace = []
@@ -540,3 +574,67 @@ def test_multiplicity_round_trip(terms):
     text = format_kernel(expr)
     assert parse_kernel(text, P1, P1) == expr
     assert len(text) <= len(expr.terms) * 40
+
+
+# ---------------------------------------------------------------------------
+# the kernel grammar, one term at a time
+
+@st.composite
+def written_terms(draw):
+    """(text, (atom, multiplicity)) of one well-formed term from (P^1, pt)
+    to itself: an optional N*, 0-3 t( layers, and a diag or graph atom
+    whose twist and shift may be left out where the grammar allows."""
+    twist = draw(st.integers(-30, 30))
+    shift = draw(st.integers(-30, 30))
+    bundle = draw(st.sampled_from(["O", f"O({twist})"] if twist == 0
+                                  else [f"O({twist})"]))
+    if draw(st.booleans()):
+        atom, text = Atom(DIAG, 0, twist, shift), f"diag({bundle},{shift})"
+    else:
+        degree = draw(st.integers(1, 5))
+        if draw(st.booleans()):
+            atom = Atom(GRAPH, degree, twist, shift)
+            text = f"graph(deg={degree},{bundle},{shift})"
+        else:
+            atom, text = Atom(GRAPH, degree, 0, 0), f"graph(deg={degree})"
+    layers = draw(st.integers(0, 3))
+    text = "t(" * layers + text + ")" * layers
+    if layers % 2 and atom.kind == GRAPH:
+        atom = atom._replace(kind=TGRAPH)
+    mult = draw(st.none() | st.integers(1, 10 ** 6))
+    if mult is not None:
+        text = f"{mult}*{text}"
+    return text, (atom, mult or 1)
+
+
+def _with_spaces(draw, text):
+    """`text` with spaces drawn into it; the grammar drops every space."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=4)))
+    return "".join(text[a:b] + " " for a, b in
+                   zip([0] + cuts, cuts + [len(text)]))[:-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.lists(written_terms(), min_size=1, max_size=4))
+def test_parse_written_terms(data, terms):
+    text = "+".join(_with_spaces(data.draw, t) for t, _ in terms)
+    assert parse_kernel(text, P1, P1) == \
+        KernelExpr(P1, P1, tuple(term for _, term in terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), written_terms())
+def test_parse_refuses_malformed_terms(data, term):
+    text = term[0]
+    atom_start = text.index("*") + 1 if "*" in text else 0
+    # a + inside the atom, so neither side is a term
+    cut = data.draw(st.integers(atom_start + 1, len(text) - 1))
+    # one t( layer more or fewer than the closing parens
+    inner = text[atom_start:]
+    unbalanced = ["t(" + inner, inner + ")"]
+    if inner.startswith("t("):
+        unbalanced += [inner[2:], inner[:-1]]
+    for bad in [text[:cut] + "+" + text[cut:], *unbalanced,
+                f"t(2*{inner})"]:
+        with pytest.raises(ValueError):
+            parse_kernel(bad, P1, P1)

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from logfan import fans, logproduct
 from logfan.cli import main
-from logfan.errors import (EmptyProjection, NoToricModel,
+from logfan.errors import (DimensionTooLarge, EmptyProjection, NoToricModel,
                            NotABuildingSetOrder, TooFewFactors, TooManyCones)
 from logfan.fans import (EXCEPTIONAL, STRICT_TRANSFORM, Cone, DivisorLabel,
                          Fan, induces_fan_map, is_smooth)
-from logfan.logproduct import (MAX_CONES, LogPair, _cone_count, building_set,
-                               format_pair, is_valid_order, log_product,
-                               order_independence_check, parse_pair,
-                               projection, projection_matrix,
+from logfan.logproduct import (MAX_CONES, MAX_RANK, LogPair, _cone_count,
+                               building_set, format_pair, is_valid_order,
+                               log_product, order_independence_check,
+                               parse_pair, projection, projection_matrix,
                                strict_transform_rays)
 
 P1 = LogPair("P1:pt")
@@ -370,5 +370,45 @@ class TestConeCap:
         out = capsys.readouterr()
         assert code == 1 and out.out == ""
         assert out.err.startswith("error: TooManyCones: ")
+        assert out.err.count("\n") == 1
+        assert elapsed < 1.0
+
+
+class TestRankCap:
+    HUGE = LogPair("Pn:H", 10 ** 9)
+
+    def test_refused_before_any_cone(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a cone was built")
+
+        monkeypatch.setattr(Cone, "__post_init__", refuse)
+        with pytest.raises(DimensionTooLarge, match="rank 1000000000 "):
+            self.HUGE.toric_fan()
+        with pytest.raises(DimensionTooLarge, match="rank 1000000001 "):
+            log_product([self.HUGE, P1])
+        with pytest.raises(DimensionTooLarge):
+            order_independence_check([self.HUGE, P1], building_set(2),
+                                     building_set(2))
+
+    def test_cap_is_inclusive(self):
+        top = LogPair("Pn:H", MAX_RANK)
+        assert top.toric_fan().rank == MAX_RANK
+        assert log_product([LogPair("Pn:H", MAX_RANK - 1), P1]).fan.rank \
+            == MAX_RANK
+        with pytest.raises(DimensionTooLarge):
+            LogPair("Pn:H", MAX_RANK + 1).toric_fan()
+        with pytest.raises(DimensionTooLarge):
+            log_product([top, P1])
+
+    @pytest.mark.parametrize("argv", [
+        ("logproduct", "--pairs", "P1000000000:H,P1:pt"),
+        ("fan", "dump", "--pairs", "P1000000000:H")])
+    def test_cli_refuses_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(list(argv))
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err.startswith("error: DimensionTooLarge: ")
         assert out.err.count("\n") == 1
         assert elapsed < 1.0
