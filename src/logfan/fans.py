@@ -7,15 +7,20 @@ subdivision at the corresponding cone.
 
 Every check is exact integer arithmetic on the `linalg` core, with no floats
 and no sampling: a full-dimensional cone's validity and smoothness come
-from one determinant of its rays, cone membership from a nonnegative
-solve, and a wall's hyperplane is the primitive normal from one
-elimination.  Both fan checks read one index of the walls by hyperplane
-(`_hyperplanes`): `check_face_closure` decides whether cones meet in common
-faces by matching walls, scanning each boundary hyperplane once and
-counting the cones over one point, and `check_support_preserved` compares
-two supports by the jumps of their cones' indicator functions across each
-wall hyperplane, one dimension down.  A lattice map induces a fan map when
-the images of each source cone's rays lie in one target cone
+from the absolute determinant of its rays, cone membership from a
+nonnegative solve, and a wall's hyperplane is the primitive normal from
+one elimination.  A cone has two routes in: `Cone(rays)` validates, with
+one elimination for a square cone, and serves user input and every
+builder here; the private `Cone._known_valid` takes rays and determinant
+from `logproduct.log_product`, whose closed form proves them valid.
+
+Both fan checks read one index of the walls by hyperplane (`_hyperplanes`):
+`check_face_closure` decides whether cones meet in common faces by
+matching walls, scanning each boundary hyperplane once and counting the
+cones over one point, and `check_support_preserved` compares two supports
+by the jumps of their cones' indicator functions across each wall
+hyperplane, one dimension down.  A lattice map induces a fan map when the
+images of each source cone's rays lie in one target cone
 (`fan_map_witness`), decided once per distinct image and target cone.
 
 Values are immutable; every operation returns a fresh Fan.
@@ -58,13 +63,16 @@ class Cone:
     """Simplicial cone given by its primitive ray generators, all of one
     length, sorted lex.
 
-    A square cone, k rays of length k, keeps the determinant of its rays
-    as `det` (None for any other cone; left out of ==, hash and repr).
-    It is read off one elimination, and |det| = 1 settles validity: the
-    rays are independent, and each is primitive, as the gcd of a ray's
-    entries divides det.  Every other cone is checked in this order:
+    A square cone, k rays of length k, keeps the absolute determinant of
+    its rays as `det` (None for any other cone; left out of ==, hash and
+    repr).  There are two routes in.  `Cone(rays)` checks its input: the
+    determinant is read off one elimination, and det = 1 settles validity:
+    the rays are independent, and each is primitive, as the gcd of a
+    ray's entries divides det.  Every other cone is checked in this order:
     distinct rays, nonzero and primitive rays, one length, independent
-    rays.
+    rays.  `Cone._known_valid(rays, det)` only sorts: it serves
+    `logproduct.log_product`, whose closed form proves its cones valid
+    and gives their determinants.
     """
     rays: tuple
     det: int | None = field(default=None, init=False, compare=False,
@@ -74,10 +82,10 @@ class Cone:
         rays = tuple(sorted(tuple(r) for r in self.rays))
         k = len(rays)
         square = all(len(r) == k for r in rays)
-        d = det(rays) if square else None
+        d = abs(det(rays)) if square else None
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "det", d)
-        if d in (1, -1):
+        if d == 1:
             return
         if len(set(rays)) != len(rays):
             raise InvalidCone(f"duplicate rays in {rays}")
@@ -90,6 +98,16 @@ class Cone:
             raise InvalidCone(f"rays {rays} have different lengths")
         if d == 0 or (not square and matrix_rank(rays) != len(rays)):
             raise InvalidCone(f"rays {rays} are linearly dependent")
+
+    @classmethod
+    def _known_valid(cls, rays, det):
+        """The cone on `rays`, which the caller knows to be distinct,
+        primitive, of one length and independent, with `det` their
+        absolute determinant (None unless square): no check is run."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rays", tuple(sorted(rays)))
+        object.__setattr__(cone, "det", det)
+        return cone
 
     def __len__(self):
         return len(self.rays)
@@ -174,7 +192,7 @@ def is_smooth(cone, ambient_rank):
         raise RankMismatch(f"cone {cone.rays} does not lie in "
                            f"Z^{ambient_rank}")
     if cone.det is not None:
-        return abs(cone.det) == 1
+        return cone.det == 1
     return minors_gcd(cone.rays) == 1
 
 
@@ -515,8 +533,9 @@ def fan_from_json(data):
     """Inverse of `fan_to_json`.
 
     Data off the schema raise ValueError: a missing key, an entry of the
-    wrong type, a ray of the wrong length, or a ray index outside the ray
-    list (negative indices included).
+    wrong type, a ray of the wrong length, a ray index outside the ray
+    list (negative indices included), or a label on a ray that no cone
+    holds, which `fan_to_json` could not write back.
     """
     if not isinstance(data, dict):
         raise ValueError("fan JSON must be an object")
@@ -528,6 +547,7 @@ def fan_from_json(data):
     cones = tuple(Cone(tuple(rays[i] for i in
                              _json_ints(c, "cone", bound=len(rays))))
                   for c in _json_field(data, "cones", list))
+    held = {r for c in cones for r in c.rays}
     labels = []
     for i, d in _json_field(data, "labels", dict, {}).items():
         index = int(i) if i.isdigit() else -1
@@ -535,6 +555,9 @@ def fan_from_json(data):
                 and type(d.get("arg")) is int):
             raise ValueError(f"fan JSON label {i!r}: {d!r} needs a ray "
                              f"index in 0..{len(rays) - 1} and an int arg")
+        if rays[index] not in held:
+            raise ValueError(f"fan JSON label {i!r} is on the ray "
+                             f"{list(rays[index])}, which no cone holds")
         labels.append((rays[index], DivisorLabel(d.get("kind"), d["arg"])))
     return Fan(rank, cones, tuple(labels))
 

@@ -194,11 +194,15 @@ def compose(first, second, trace=None):
             f"{format_pair(second.source)} differ")
     m = first.target.dim
     same_map = first.source == second.target
+    # the lines reach `trace` only once every atom pair has composed
+    steps = None if trace is None else []
     terms = []
     for a, ma in first.terms:
         for b, mb in second.terms:
-            for atom, mult in _compose_atoms(a, b, m, same_map, trace):
+            for atom, mult in _compose_atoms(a, b, m, same_map, steps):
                 terms.append((atom, ma * mb * mult))
+    if trace is not None:
+        trace.extend(steps)
     return KernelExpr(first.source, second.target, tuple(terms))
 
 

@@ -158,7 +158,7 @@ class TestConeChecks:
 
     def test_determinant_two_builds_and_is_not_smooth(self):
         cone = Cone(((1, 0, 0), (0, 1, 0), (1, 1, 2)))
-        assert abs(cone.det) == 2
+        assert cone.det == 2
         assert not is_smooth(cone, 3)
 
     def test_dependent_square_cone_with_primitive_rays(self):
@@ -176,6 +176,11 @@ class TestConeChecks:
         assert a == b and hash(a) == hash(b)
         assert repr(a) == "Cone(rays=((0, 1), (1, 0)))"
         assert Cone(((1, 0, 0),)).det is None
+
+    def test_determinant_is_absolute(self):
+        # the sorted rays ((0, 1), (1, 0)) have determinant -1
+        assert Cone(((1, 0), (0, 1))).det == 1
+        assert Cone(((1, 0), (1, -2))).det == 2
 
 
 def counting(monkeypatch):
@@ -811,6 +816,23 @@ class TestJson:
     def test_schema_fields(self):
         data = json.loads(fan_dumps(p1_fan()))
         assert set(data) == {"rank", "rays", "cones", "labels"}
+
+    def test_label_on_a_ray_no_cone_holds_refused(self, capsys, tmp_path):
+        # `fan_to_json` writes no label for such a ray, so the fan could
+        # not round-trip
+        data = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                "cones": [[0, 1]],
+                "labels": {"2": {"kind": "boundary", "arg": 0}}}
+        with pytest.raises(ValueError, match=r"label '2' is on the ray "
+                           r"\[-1, -1\], which no cone holds"):
+            fan_from_json(data)
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(data))
+        assert main(["fan", "check", str(path)]) == 2
+        assert "which no cone holds" in capsys.readouterr().err
+        data["labels"] = {"1": {"kind": "boundary", "arg": 0}}
+        assert fan_loads(fan_dumps(fan_from_json(data))) == \
+            fan_from_json(data)
 
 
 @settings(max_examples=50, deadline=None)

@@ -120,6 +120,17 @@ class TestCompose:
         with pytest.raises(FormalityUnavailable):
             compose(g2, transpose(g2))
 
+    def test_raising_composition_leaves_the_trace(self):
+        # the first atom pair takes the excess route, a later one raises
+        g = graph_kernel(P1, P2, 1) + graph_kernel(P1, P2, 2)
+        trace = []
+        with pytest.raises(UnsupportedComposition):
+            compose(g, transpose(g), trace)
+        assert trace == []
+        gf = graph_kernel(P1, P2, 1)
+        compose(gf, transpose(gf), trace)
+        assert trace == ["excess: O(1)", "sym: O + O(-1)[1]"]
+
 
 class TestExcess:
     def test_p2_transversal(self):

@@ -1,20 +1,25 @@
+import ast
 import dataclasses
+from functools import reduce
 import json
+from pathlib import Path
 import random
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logfan import fans, logproduct
-from logfan.cli import main
-from logfan.errors import (DimensionTooLarge, EmptyProjection, NoToricModel,
-                           NotABuildingSetOrder, TooFewFactors, TooManyCones)
+from logfan.cli import main, parse_order
+from logfan.errors import (DimensionTooLarge, EmptyProjection, InvalidCone,
+                           NoToricModel, NotABuildingSetOrder, TooFewFactors,
+                           TooManyCones)
 from logfan.fans import (EXCEPTIONAL, STRICT_TRANSFORM, Cone, DivisorLabel,
-                         Fan, induces_fan_map, is_smooth)
+                         Fan, fan_dumps, fan_loads, induces_fan_map,
+                         is_smooth, product_fan, star_subdivide)
 from logfan.logproduct import (MAX_CONES, MAX_RANK, LogPair, _cone_count,
                                building_set, format_pair, is_valid_order,
                                log_product, order_independence_check,
@@ -412,3 +417,110 @@ class TestRankCap:
         assert out.err.startswith("error: DimensionTooLarge: ")
         assert out.err.count("\n") == 1
         assert elapsed < 1.0
+
+
+# The log products that `PINNED_STDOUT` in test_cli.py prints or checks, as
+# (pairs, --order or None)
+PINNED_PRODUCTS = [
+    ("A1:0,P1:pt,P2:H,P1:pt", None),
+    ("P1:pt,P1:pt,P1:pt", "1,2;1,2,3;1,3;2,3"),
+    ("A1:0,A1:0,A1:0,A1:0", None),
+    ("P2:H,P2:H,P1:pt", None),
+    ("P1:pt,P1:pt", None),
+]
+
+
+def pinned_space(text, order):
+    pairs = _pairs(text)
+    return log_product(pairs, order and parse_order(order, len(pairs)))
+
+
+def _vector_sum(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def assert_matches_public_path(space):
+    """Every cone equals the validating `Cone` on its rays, determinant
+    included, and each stratum ray is the sum of its boundary rays."""
+    for cone in space.fan.cones:
+        public = Cone(cone.rays)
+        assert (cone.rays, cone.det) == (public.rays, public.det)
+        assert cone.det == 1
+    boundary = dict(space.strict_transforms)
+    for stratum, ray in space.stratum_ray:
+        assert ray == reduce(_vector_sum, (boundary[i] for i in stratum))
+
+
+class TestKnownValidCones:
+    """`log_product` builds its cones through `Cone._known_valid`, which
+    runs no check; these tests hold it to the validating `Cone`."""
+
+    @pytest.mark.parametrize("text,order", PINNED_PRODUCTS)
+    def test_pinned_products(self, text, order):
+        assert_matches_public_path(pinned_space(text, order))
+
+    @pytest.mark.parametrize("text", [",".join(["A1:0"] * 6),
+                                      ",".join(["P1:pt"] * 6)])
+    def test_sixth_powers(self, text):
+        assert_matches_public_path(log_product(_pairs(text)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(["A1:0", "P1:pt", "C0:pt", "P2:H",
+                                     "P3:H"]), min_size=2, max_size=5))
+    def test_sampled_products(self, texts):
+        pairs = [parse_pair(t) for t in texts]
+        assume(sum(p.dim for p in pairs) <= MAX_RANK)
+        assert_matches_public_path(log_product(pairs))
+
+    def test_fan_loads_still_validates(self):
+        det2 = fan_loads(json.dumps({"rank": 3, "rays": [[1, 0, 0],
+                                     [0, 1, 0], [1, 1, 2]],
+                                     "cones": [[0, 1, 2]]}))
+        [cone] = det2.cones
+        assert cone.det == 2 and not is_smooth(cone, 3)
+        with pytest.raises(InvalidCone, match="linearly dependent"):
+            fan_loads(json.dumps({"rank": 2, "rays": [[1, 0], [-1, 0]],
+                                  "cones": [[0, 1]]}))
+
+    def test_only_log_product_calls_it(self):
+        """Every use of `_known_valid` in the package sits in
+        `logproduct.log_product`; every other builder validates."""
+        uses = []
+        src = Path(logproduct.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            stack = [(tree, None)]
+            while stack:
+                node, function = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    function = node.name
+                if ((isinstance(node, ast.Attribute)
+                     and node.attr == "_known_valid")
+                        or (isinstance(node, ast.Constant)
+                            and node.value == "_known_valid")):
+                    uses.append((path.name, function))
+                stack.extend((child, function)
+                             for child in ast.iter_child_nodes(node))
+        assert uses == [("logproduct.py", "log_product")]
+
+
+class TestLabelsOnHeldRays:
+    def test_every_builder_labels_only_held_rays(self):
+        factors = [p.toric_fan(i) for i, p in enumerate(
+            _pairs("A1:0,P1:pt,P2:H,C0:pt,P3:H"))]
+        fans_built = list(factors)
+        fans_built += [product_fan(f, g, 1) for f in factors for g in factors]
+        fans_built.append(product_fan(Fan(0, ()), factors[1]))
+        product = reduce(product_fan, factors[:3], Fan(0, (Cone(()),)))
+        fans_built.append(star_subdivide(product, product.cones[0]))
+        fans_built += [pinned_space(*p).fan for p in PINNED_PRODUCTS]
+        fans_built.append(log_product([A1] * 5).fan)
+        for fan in fans_built:
+            held = {r for c in fan.cones for r in c.rays}
+            assert {ray for ray, _ in fan.labels} <= held
+
+    @pytest.mark.parametrize("text,order", PINNED_PRODUCTS)
+    def test_pinned_products_round_trip(self, text, order):
+        fan = pinned_space(text, order).fan
+        assert fan.labels
+        assert fan_loads(fan_dumps(fan)) == fan
