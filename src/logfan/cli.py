@@ -2,8 +2,8 @@
 Chern characters, Euler pairings, and the verification suite.
 
 Exit codes: 0 success, 1 computation error (a named error such as
-ResultTooLarge is surfaced), 2 usage error (bad flags or grammar,
-malformed or missing fan input).
+ResultTooLarge is surfaced) or an output pipe closed early, 2 usage error
+(bad flags or grammar, malformed or missing fan input).
 
 Each documented cap refuses its input with a named error (exit 1) before
 the work starts; the caps table in README.md lists them.
@@ -11,6 +11,7 @@ the work starts; the caps table in README.md lists them.
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -20,17 +21,10 @@ from .errors import LogfanError, printable
 from .fans import (check_face_closure, fan_dumps, fan_from_json, fan_to_json,
                    is_smooth)
 from .hkr import hkr_cohomology, hkr_homology
-from .kernels import chern_log, chern_log_expansion, euler_pairing, \
-    parse_kernel
+from .kernels import (KERNEL_GRAMMAR, chern_log, chern_log_expansion,
+                      euler_pairing, parse_kernel)
 from .logproduct import format_pair, log_product, parse_pair
 from .verify import verify_suite
-
-KERNEL_GRAMMAR = ('atom := "diag(" bundle "," shift ")" | '
-                  '"graph(deg=" int ["," bundle "," shift] ")" | '
-                  '"t(" atom ")"; term := [mult "*"] atom; '
-                  'expr := term ("+" term)* | "0"; '
-                  'bundle := "O" | "O(" int ")"; '
-                  'mult := int >= 1')
 
 _SUMMAND_RE = re.compile(
     r"^(O(?:\((-?\d+)\))?)(?:\^(\d+))?(?:\[(-?\d+)\])?$")
@@ -66,20 +60,18 @@ def parse_order(text, n):
     1-based factor indices, e.g. "1,2;1,2,3;1,3;2,3"."""
     order = []
     for group in text.split(";"):
-        indices = [int(x) for x in group.split(",")]
+        try:
+            indices = [int(x) for x in group.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"cannot parse order group {group!r}: --order takes "
+                f"semicolon-separated groups of comma-separated 1-based "
+                f"indices, e.g. \"1,2;1,2,3\"") from None
         for i in indices:
             if not 1 <= i <= n:
                 raise ValueError(f"order index {i} is outside 1..{n}")
         order.append(frozenset(i - 1 for i in indices))
     return order
-
-
-def _parse_kernel(text, source, target):
-    """parse_kernel, with the kernel grammar appended to a parse error."""
-    try:
-        return parse_kernel(text, source, target)
-    except ValueError as exc:
-        raise ValueError(f"{exc}\n{KERNEL_GRAMMAR}") from exc
 
 
 def _parse_pairs(text):
@@ -179,10 +171,10 @@ def cmd_chern(args):
     trace = [] if args.trace else None
     if args.target:
         target = parse_pair(args.target)
-        expr = _parse_kernel(args.kernel, pair, target)
+        expr = parse_kernel(args.kernel, pair, target)
         value = chern_log_expansion(expr, trace)
     else:
-        expr = _parse_kernel(args.kernel, pair, pair)
+        expr = parse_kernel(args.kernel, pair, pair)
         value = chern_log(expr, trace)
     _print_value(value, trace, args.json)
     return 0
@@ -191,8 +183,8 @@ def cmd_chern(args):
 def cmd_euler(args):
     source = parse_pair(args.source)
     target = parse_pair(args.target)
-    kernel = _parse_kernel(args.kernel, source, target)
-    against = _parse_kernel(args.against, source, target)
+    kernel = parse_kernel(args.kernel, source, target)
+    against = parse_kernel(args.against, source, target)
     trace = [] if args.trace else None
     value = euler_pairing(kernel, against, trace)
     _print_value(value, trace, args.json)
@@ -291,7 +283,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        code = _HANDLERS[args.subcommand](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left, as `| head` does: send what is still buffered
+        # to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except LogfanError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

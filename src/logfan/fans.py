@@ -6,13 +6,14 @@ a cone's ray set), and a toric blow-up of an invariant stratum is the stellar
 subdivision at the corresponding cone.
 
 Every check is exact integer arithmetic on the `linalg` core, with no floats
-and no sampling: a full-dimensional cone's validity and smoothness come
-from the absolute determinant of its rays, cone membership from a
+and no sampling: a cone's validity and smoothness come from the index of
+its rays' lattice in its saturation (`lattice_index`, the absolute
+determinant for a full-dimensional cone), cone membership from a
 nonnegative solve, and a wall's hyperplane is the primitive normal from
 one elimination.  A cone has two routes in: `Cone(rays)` validates, with
-one elimination for a square cone, and serves user input and every
-builder here; the private `Cone._known_valid` takes rays and determinant
-from `logproduct.log_product`, whose closed form proves them valid.
+one index computation, and serves user input and every builder here; the
+private `Cone._known_valid` takes rays and index from
+`logproduct.log_product`, whose closed form proves them valid.
 
 Both fan checks read one index of the walls by hyperplane (`_hyperplanes`):
 `check_face_closure` decides whether cones meet in common faces by
@@ -32,8 +33,8 @@ import json
 from math import comb
 
 from .errors import CenterNotInFan, InvalidCone, RankMismatch, TooManySolves
-from .linalg import (det, matrix_rank, mat_mul_vec, minors_gcd,
-                     normal_vector, primitive, solve_nonnegative)
+from .linalg import (lattice_index, mat_mul_vec, normal_vector, primitive,
+                     solve_nonnegative)
 
 # Cap on the cone pairs of the pairwise face check, one exact solve each:
 # P1^5 minus one cone (52,650 pairs, about 2.5 s) is checked, A1^6 minus
@@ -63,16 +64,17 @@ class Cone:
     """Simplicial cone given by its primitive ray generators, all of one
     length, sorted lex.
 
-    A square cone, k rays of length k, keeps the absolute determinant of
-    its rays as `det` (None for any other cone; left out of ==, hash and
-    repr).  There are two routes in.  `Cone(rays)` checks its input: the
-    determinant is read off one elimination, and det = 1 settles validity:
-    the rays are independent, and each is primitive, as the gcd of a
-    ray's entries divides det.  Every other cone is checked in this order:
-    distinct rays, nonzero and primitive rays, one length, independent
-    rays.  `Cone._known_valid(rays, det)` only sorts: it serves
-    `logproduct.log_product`, whose closed form proves its cones valid
-    and gives their determinants.
+    `det` is the index of the rays' lattice in its saturation, the gcd of
+    their maximal minors (`lattice_index`): the absolute determinant of a
+    square cone, k rays of length k.  It is left out of ==, hash and repr.
+    There are two routes in.  `Cone(rays)` checks its input: the index is
+    computed once, and index 1 settles validity: the rays are independent,
+    and each is primitive, as the gcd of a ray's entries divides every
+    maximal minor.  Every other cone is checked in this order: distinct
+    rays, nonzero and primitive rays, one length, and independent rays,
+    which is a nonzero index.  `Cone._known_valid(rays, det)` only sorts:
+    it serves `logproduct.log_product`, whose closed form proves its cones
+    valid and gives their indices.
     """
     rays: tuple
     det: int | None = field(default=None, init=False, compare=False,
@@ -80,9 +82,7 @@ class Cone:
 
     def __post_init__(self):
         rays = tuple(sorted(tuple(r) for r in self.rays))
-        k = len(rays)
-        square = all(len(r) == k for r in rays)
-        d = abs(det(rays)) if square else None
+        d = lattice_index(rays) if len({len(r) for r in rays}) < 2 else None
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "det", d)
         if d == 1:
@@ -94,16 +94,16 @@ class Cone:
                 raise InvalidCone(f"zero ray {r} in {rays}")
             if primitive(r) != r:
                 raise InvalidCone(f"ray {r} is not primitive")
-        if len({len(r) for r in rays}) > 1:
+        if d is None:
             raise InvalidCone(f"rays {rays} have different lengths")
-        if d == 0 or (not square and matrix_rank(rays) != len(rays)):
+        if d == 0:
             raise InvalidCone(f"rays {rays} are linearly dependent")
 
     @classmethod
     def _known_valid(cls, rays, det):
         """The cone on `rays`, which the caller knows to be distinct,
         primitive, of one length and independent, with `det` their
-        absolute determinant (None unless square): no check is run."""
+        lattice index: no check is run."""
         cone = object.__new__(cls)
         object.__setattr__(cone, "rays", tuple(sorted(rays)))
         object.__setattr__(cone, "det", det)
@@ -176,24 +176,18 @@ class Fan:
 def is_smooth(cone, ambient_rank):
     """True when the cone's rays extend to a basis of Z^ambient_rank.
 
-    A cone with more rays than `ambient_rank` raises InvalidCone, and one
-    whose rays do not have length `ambient_rank` raises RankMismatch.  A
-    full-dimensional cone is smooth exactly when |det| = 1
-    (Cox-Little-Schenck, Toric Varieties, 1.2), read off the determinant
-    the cone keeps; a smaller one when its maximal minors have gcd 1.
+    A cone whose rays do not have length `ambient_rank` raises
+    RankMismatch.  Otherwise the cone is smooth exactly when the index it
+    keeps, the gcd of its rays' maximal minors, is 1; for a
+    full-dimensional cone that is |det| = 1 (Cox-Little-Schenck, Toric
+    Varieties, 1.2).
     """
     if not isinstance(cone, Cone):
         cone = Cone(tuple(cone))
-    if len(cone) == 0:
-        return True
-    if len(cone) > ambient_rank:
-        raise InvalidCone("more rays than the ambient rank")
-    if len(cone.rays[0]) != ambient_rank:
+    if cone.rays and len(cone.rays[0]) != ambient_rank:
         raise RankMismatch(f"cone {cone.rays} does not lie in "
                            f"Z^{ambient_rank}")
-    if cone.det is not None:
-        return cone.det == 1
-    return minors_gcd(cone.rays) == 1
+    return cone.det == 1
 
 
 def star_subdivide(fan, center):

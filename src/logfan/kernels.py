@@ -416,6 +416,13 @@ def format_kernel(expr):
                     for a, m in expr.terms) or "0"
 
 
+KERNEL_GRAMMAR = ('atom := "diag(" bundle "," shift ")" | '
+                  '"graph(deg=" int ["," bundle "," shift] ")" | '
+                  '"t(" atom ")"; term := [mult "*"] atom; '
+                  'expr := term ("+" term)* | "0"; '
+                  'bundle := "O" | "O(" int ")"; '
+                  'mult := int >= 1')
+
 # One term: an optional N*, a run of t( layers, a diag or graph atom with
 # its twist and shift, and the closing parens, with whitespace allowed
 # where the grammar's separators are; a term is valid only when its closing
@@ -437,20 +444,23 @@ def parse_kernel(text, source, target):
 
     No `+` occurs inside a term (integers are -?digits, counts are
     digits), so the terms are the pieces between the `+`s, and each is
-    read by one match of `_TERM_RE`."""
+    read by one match of `_TERM_RE`.  Text off the grammar raises a
+    ValueError that ends with `KERNEL_GRAMMAR`."""
     text = text.replace(" ", "")
     if not text:
-        raise ValueError("empty kernel expression")
+        raise ValueError(f"empty kernel expression\n{KERNEL_GRAMMAR}")
     if text == "0":
         return KernelExpr(source, target, ())
     terms = []
     for part in text.split("+"):
         m = _TERM_RE.fullmatch(part)
         if not m or m["open"].count("(") != m["close"].count(")"):
-            raise ValueError(f"cannot parse term {part!r}")
+            raise ValueError(f"cannot parse term {part!r}\n"
+                             f"{KERNEL_GRAMMAR}")
         mult = int(m["mult"] or 1)
         if mult < 1:
-            raise ValueError(f"multiplicity {mult} is not an integer >= 1")
+            raise ValueError(f"multiplicity {mult} is not an integer >= 1"
+                             f"\n{KERNEL_GRAMMAR}")
         if m["deg"] is None:
             atom = Atom(DIAG, 0, int(m["dtwist"] or 0), int(m["dshift"]))
         else:

@@ -2,8 +2,9 @@
 
 Everything runs on plain Python ints (arbitrary precision), and every
 elimination step is one `_pivot`, the fraction-free update of Bareiss
-(1968).  Determinant, rank and hyperplane normals are read off one
-forward elimination, normals by an integer back-substitution; cone
+(1968).  Rank, a nonzero maximal minor and hyperplane normals are read
+off one forward elimination, normals by an integer back-substitution,
+and a lattice index by a Hermite reduction modulo that minor; cone
 membership, and any nonnegative combination, is phase 1 of the simplex
 method on a tableau pivoted by the same `_pivot`.  No floats enter the
 core geometry, and fractions.Fraction appears only in the coefficients
@@ -11,7 +12,6 @@ core geometry, and fractions.Fraction appears only in the coefficients
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 
@@ -49,16 +49,14 @@ def _echelon(rows):
     elimination, each step one `_pivot` on the rows from the pivot row
     down.
 
-    Returns (m, pivots, sign, d): the reduced rows, the pivot column of
-    each of the first len(pivots) rows, the sign of the row permutation
-    and the last pivot (1 when there is none).  Every division is exact:
-    after k pivots, entry m[i][j] (i >= k) is the (k+1)-minor on the pivot
-    rows and row i, the pivot columns and column j, so d is the leading
-    minor on the pivot rows/columns.
+    Returns (m, pivots, d): the reduced rows, the pivot column of each of
+    the first len(pivots) rows and the last pivot (1 when there is none).
+    Every division is exact: after k pivots, entry m[i][j] (i >= k) is the
+    (k+1)-minor on the pivot rows and row i, the pivot columns and column
+    j, so d is, up to sign, the minor on the pivot rows/columns.
     """
     m = [list(row) for row in rows]
     pivots = []
-    sign = 1
     d = 1
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -67,18 +65,10 @@ def _echelon(rows):
         p = next((i for i in range(r, len(m)) if m[i][col]), None)
         if p is None:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            sign = -sign
+        m[r], m[p] = m[p], m[r]
         d = _pivot(m[r:], m[r], col, d)
         pivots.append(col)
-    return m, pivots, sign, d
-
-
-def det(matrix):
-    """Determinant of a square integer matrix."""
-    _, pivots, sign, d = _echelon(matrix)
-    return sign * d if len(pivots) == len(matrix) else 0
+    return m, pivots, d
 
 
 def matrix_rank(rows):
@@ -86,20 +76,46 @@ def matrix_rank(rows):
     return len(_echelon(rows)[1])
 
 
-def minors_gcd(rows):
-    """gcd of all maximal (k x k) minors of a k x n integer matrix.
+def lattice_index(rows):
+    """The index of the lattice spanned by k integer rows in its
+    saturation (their span over Q, intersected with Z^n): the gcd of the
+    k x k minors, 1 exactly when the rows extend to a basis of Z^n and 0
+    when they are dependent.
 
-    Equals 1 exactly when the rows extend to a basis of Z^n.
+    One `_echelon` gives the rank and, at rank k, a nonzero maximal minor
+    D, which is the answer for a square matrix.  Otherwise the index is
+    that of the lattice L in Z^k spanned by the columns, which divides D.
+    It is read off a Hermite reduction modulo R, at first |D| (Domich,
+    Kannan and Trotter 1987): the index of L divides R, so R Z^k lies in
+    L and every entry may be kept reduced mod R.  Euclid column steps
+    fold the first entry of every column into one pivot column, which
+    starts as R e_1, until it ends as the gcd h of those entries and R.
+    The index of L is h times that of L', spanned by the other columns
+    without their first entry, and the index of L' divides R / h; so R
+    becomes R / h and the reduction goes on one row down.
     """
+    _, pivots, d = _echelon(rows)
     k = len(rows)
-    n = len(rows[0])
-    g = 0
-    for cols in combinations(range(n), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        g = gcd(g, abs(det(sub)))
-        if g == 1:
-            return 1
-    return g
+    if len(pivots) < k:
+        return 0
+    if not rows or len(rows[0]) == k:
+        return abs(d)
+    index, mod = 1, abs(d)
+    columns = list(zip(*rows))
+    for i in range(k):
+        pivot = [mod] + [0] * (k - i - 1)
+        rest = []
+        for c in columns:
+            c = [t % mod for t in c]
+            while c[0]:
+                q = pivot[0] // c[0]
+                pivot, c = c, [(s - q * t) % mod for s, t in zip(pivot, c)]
+            if any(c[1:]):
+                rest.append(c[1:])
+        index *= pivot[0]
+        mod //= pivot[0]
+        columns = rest
+    return index
 
 
 def normal_vector(rows, n):
@@ -113,7 +129,7 @@ def normal_vector(rows, n):
     rule every division is exact: this is the rows' cofactor vector up to
     sign before it is made primitive.
     """
-    m, pivots, _, d = _echelon(rows)
+    m, pivots, d = _echelon(rows)
     ys = [0 if j in pivots else d for j in range(n)]
     for row, col in reversed(list(zip(m, pivots))):
         ys[col] = -sum(a * y for a, y in zip(row, ys)) // row[col]

@@ -256,7 +256,7 @@ def log_product(pairs, order=None):
         rest = tuple(r for r in cone.rays if r not in bit)
         # the chains depend only on the boundary rays the cone holds; each
         # is a unitriangular change of them, so the new cone is valid and
-        # keeps the product cone's |det|
+        # keeps the product cone's lattice index
         cones += [Cone._known_valid(rest + chain, cone.det)
                   for chain in chains[inside]]
     stratum_ray = {s: ray_of[sum(1 << i for i in s)] for s in order}

@@ -32,6 +32,24 @@ class TestPlumbing:
         assert exc.value.code == 0
         assert "logfan 0.1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ("fan", "dump", "--pairs", ",".join(["A1:0"] * 7)),
+        ("logproduct", "--json", "--pairs", ",".join(["A1:0"] * 7)),
+    ])
+    def test_closed_output_pipe_exits_one_quietly(self, argv):
+        """A reader that leaves early, as `| head -c 20` does: exit 1 and
+        nothing on stderr.  Each output is over 160 kB, more than a pipe
+        holds, so the child is still writing when the pipe closes."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-m", "logfan.cli", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
     def test_module_run_has_clean_stderr(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
@@ -319,6 +337,8 @@ class TestChernEuler:
         ("cohomology", "--base", "Q3", "--bundle", "O"),
         ("logproduct", "--pairs", "P1:pt,X9:0"),
         ("hkr", "--pair", "P1:nope"),
+        ("euler", "--source", "P1:H", "--target", "P2:H", "--kernel",
+         "graph(deg=1)", "--against", "graph(deg=1)"),
     ])
     def test_other_usage_errors_omit_kernel_grammar(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -480,6 +500,17 @@ def test_pinned_stdout(argv, stdin, code, digest):
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == code and proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("order,group", [("1,a", "1,a"), ("1,2;", ""),
+                                         (",2", ",2")])
+def test_malformed_order_names_the_group(capsys, order, group):
+    code, out, err = run(capsys, "logproduct", "--pairs", "P1:pt,P1:pt",
+                         "--order", order)
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: cannot parse order group {group!r}: "
+                   f"--order takes semicolon-separated groups of "
+                   f"comma-separated 1-based indices, e.g. \"1,2;1,2,3\"\n")
 
 
 def test_parse_order():

@@ -1,8 +1,9 @@
 from collections import Counter
+from itertools import combinations
 import json
 import random
 import time
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from logfan.fans import (BOUNDARY, Cone, DivisorLabel, Fan,
                          fan_dumps, fan_from_json, fan_loads, fan_map_witness,
                          induces_fan_map, is_smooth, product_fan,
                          star_subdivide)
-from logfan.linalg import mat_mul_vec, matrix_rank, minors_gcd, primitive
+from logfan.linalg import mat_mul_vec, matrix_rank, primitive
 from logfan.logproduct import log_product, parse_pair, projection
 
 
@@ -64,8 +65,9 @@ class TestIsSmooth:
         with pytest.raises(InvalidCone, match="different lengths"):
             star_subdivide(octant(3), rays)
 
-    @pytest.mark.parametrize("rays,rank", [(((1, 0), (0, 1)), 3),
-                                           (((1, 0, 0),), 2)])
+    @pytest.mark.parametrize("rays,rank", [
+        (((1, 0), (0, 1)), 3), (((1, 0, 0),), 2),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2)])
     def test_ray_length_must_be_ambient_rank(self, rays, rank):
         with pytest.raises(RankMismatch):
             is_smooth(Cone(rays), rank)
@@ -87,6 +89,18 @@ def reference_cone_check(rays):
         raise InvalidCone(f"rays {rays} have different lengths")
     if rays and matrix_rank(rays) != len(rays):
         raise InvalidCone(f"rays {rays} are linearly dependent")
+
+
+def minors_gcd(rays):
+    """gcd of the maximal minors of the rays, each by Laplace expansion
+    along its first row."""
+    def minor(m):
+        return sum((-1) ** j * x * minor([r[:j] + r[j + 1:] for r in m[1:]])
+                   for j, x in enumerate(m[0])) if m else 1
+    g = 0
+    for cols in combinations(range(len(rays[0])), len(rays)):
+        g = gcd(g, minor([[r[c] for c in cols] for r in rays]))
+    return g
 
 
 @st.composite
@@ -175,12 +189,17 @@ class TestConeChecks:
         b = Cone(((1, 0), (0, 1)))
         assert a == b and hash(a) == hash(b)
         assert repr(a) == "Cone(rays=((0, 1), (1, 0)))"
-        assert Cone(((1, 0, 0),)).det is None
+        assert Cone(((1, 0, 0),)).det == 1
 
     def test_determinant_is_absolute(self):
         # the sorted rays ((0, 1), (1, 0)) have determinant -1
         assert Cone(((1, 0), (0, 1))).det == 1
         assert Cone(((1, 0), (1, -2))).det == 2
+
+    def test_non_square_cone_keeps_its_index(self):
+        # the minors of (1, 1, 0), (1, -1, 0) are -2, 0 and 0
+        assert Cone(((1, 1, 0), (1, -1, 0))).det == 2
+        assert Cone(((1, 1, 0), (0, 0, 1))).det == 1
 
 
 def counting(monkeypatch):

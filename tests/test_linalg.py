@@ -1,19 +1,23 @@
 """Property tests for the exact linear algebra core.
 
 The oracles share no code with logfan.linalg: determinants by the Leibniz
-expansion, rank as the size of the largest nonzero minor, nonnegative
-solutions by Cramer's rule and exact substitution, and hyperplane normals
-as Leibniz cofactor vectors.
+expansion, lattice indices as the gcd of every maximal minor so expanded,
+rank as the size of the largest nonzero minor, nonnegative solutions by
+Cramer's rule and exact substitution, and hyperplane normals as Leibniz
+cofactor vectors.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, prod
+import time
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logfan.linalg import (det, matrix_rank, minors_gcd, normal_vector,
+from logfan.errors import InvalidCone
+from logfan.fans import Cone, is_smooth
+from logfan.linalg import (lattice_index, matrix_rank, normal_vector,
                            solve_nonnegative)
 
 
@@ -75,8 +79,8 @@ def matrices(draw, rows=None, cols=None):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
 @example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])  # zeros below a pivot of 2
-def test_det_matches_leibniz(m):
-    assert det(m) == leibniz(m)
+def test_lattice_index_of_square_is_abs_det(m):
+    assert lattice_index(m) == abs(leibniz(m))
 
 
 @settings(max_examples=300, deadline=None)
@@ -85,14 +89,52 @@ def test_rank_matches_largest_nonzero_minor(m):
     assert matrix_rank(m) == oracle_rank(m)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda k: st.integers(k, 4).flatmap(lambda n: matrices(k, n))))
-def test_minors_gcd_matches_oracle(m):
+@st.composite
+def lattice_rows(draw):
+    """k x n matrices, n <= 6 and k up to n + 1, from `matrices`, often
+    with one row scaled so that the rows are not primitive."""
+    n = draw(st.integers(1, 6))
+    m = draw(matrices(draw(st.integers(1, n + 1)), n))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(m) - 1))
+        m[i] = [draw(st.sampled_from((2, 3, 6))) * x for x in m[i]]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_rows())
+@example([[1, 1, 0], [1, -1, 0]])  # index 2: not a basis of Z^3
+@example([[1, 0, -1], [-8, 8, 8]])  # the last row alone holds the 8
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])  # k > n
+def test_lattice_index_matches_minors_gcd(m):
+    """The index is the gcd of every maximal minor (0 for dependent
+    rows), and a cone on the rows is smooth exactly when it is 1."""
     g = 0
     for minor in minors(m, len(m)):
         g = gcd(g, minor)
-    assert minors_gcd(m) == g
+    assert lattice_index(m) == g
+    rays = [tuple(r) for r in m]
+    try:
+        cone = Cone(rays)
+    except InvalidCone:
+        assert g != 1
+    else:
+        assert cone.det == g
+        assert is_smooth(cone, len(m[0])) == (g == 1)
+        assert is_smooth(rays, len(m[0])) == (g == 1)
+
+
+def test_lattice_index_of_a_wide_cone_is_fast():
+    """(1, 1, 0, ...), (1, -1, 0, ...) and e_3 .. e_20 in Z^40: C(40, 20),
+    about 1.4 * 10^11 maximal minors, but one elimination and a Hermite
+    reduction modulo 2."""
+    n = 40
+    rays = [(1, 1) + (0,) * (n - 2), (1, -1) + (0,) * (n - 2)]
+    rays += [tuple(int(j == i) for j in range(n)) for i in range(2, 20)]
+    start = time.perf_counter()
+    cone = Cone(rays)
+    assert cone.det == 2 and not is_smooth(cone, n)
+    assert time.perf_counter() - start < 5
 
 
 def substitutes(columns, xs, point):
@@ -194,7 +236,8 @@ def test_normal_vector_examples():
 
 
 def test_empty_shapes():
-    assert det([]) == 1
+    assert lattice_index([]) == 1
+    assert lattice_index([[], []]) == 0
     assert matrix_rank([]) == 0
     assert matrix_rank([[], []]) == 0
     assert solve_nonnegative([], (0, 0)) == ()
