@@ -7,24 +7,21 @@ ResultTooLarge is surfaced) or an output pipe closed early, 2 usage error
 
 Each documented cap refuses its input with a named error (exit 1) before
 the work starts; the caps table in README.md lists them.
+
+Each subcommand imports only the modules it runs: the module top loads
+the argument parser and `errors` alone, so `--version` and a usage error
+from argparse load nothing else, `cohomology` loads `logfan.cohomology`,
+`hkr`, `chern` and `euler` leave out the fan layer, and `fan check` leaves
+out `logproduct`.  `json` is imported only where JSON is read or printed.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
 
 from . import __version__
-from .cohomology import Space, SplitBundle, Summand, graded_cohomology
-from .errors import LogfanError, printable
-from .fans import (check_face_closure, fan_dumps, fan_from_json, fan_to_json,
-                   is_smooth)
-from .hkr import hkr_cohomology, hkr_homology
-from .kernels import (KERNEL_GRAMMAR, chern_log, chern_log_expansion,
-                      euler_pairing, parse_kernel)
-from .logproduct import format_pair, log_product, parse_pair
-from .verify import verify_suite
+from .errors import KERNEL_GRAMMAR, LogfanError, printable
 
 _SUMMAND_RE = re.compile(
     r"^(O(?:\((-?\d+)\))?)(?:\^(\d+))?(?:\[(-?\d+)\])?$")
@@ -33,6 +30,7 @@ _SUMMAND_RE = re.compile(
 def parse_bundle_expr(text):
     """Split-bundle grammar: summand ("+" summand)*, where a summand is
     O or O(k), optionally with a multiplicity ^m and a shift [s]."""
+    from .cohomology import SplitBundle, Summand
     terms = []
     for part in text.replace(" ", "").split("+"):
         m = _SUMMAND_RE.match(part)
@@ -46,6 +44,7 @@ def parse_bundle_expr(text):
 
 
 def parse_base(text):
+    from .cohomology import Space
     m = re.match(r"^P(\d+)$", text.strip())
     if m:
         return Space("Pn", int(m.group(1)))
@@ -75,19 +74,27 @@ def parse_order(text, n):
 
 
 def _parse_pairs(text):
+    from .logproduct import parse_pair
     return [parse_pair(p) for p in text.split(",")]
+
+
+def _dumps(payload):
+    """`payload` as JSON with sorted keys; json is imported only here and
+    where `fan check` reads its input."""
+    import json
+    return json.dumps(payload, sort_keys=True)
 
 
 def _print_dims(dims, as_json):
     items = sorted(dims.items())
-    print(printable(lambda: json.dumps(
-        {"dims": {str(k): v for k, v in items}}, sort_keys=True) if as_json
+    print(printable(lambda: _dumps(
+        {"dims": {str(k): v for k, v in items}}) if as_json
         else "\n".join(f"{deg}: {dim}" for deg, dim in items) or "(zero)"))
 
 
 def _print_value(value, trace, as_json):
     """The trace lines, then the value of a chern or euler chain."""
-    text = printable(lambda: json.dumps({"value": value}) if as_json
+    text = printable(lambda: _dumps({"value": value}) if as_json
                      else str(value))
     for line in trace or ():
         print(line)
@@ -96,15 +103,22 @@ def _print_value(value, trace, as_json):
 
 def cmd_fan(args):
     if args.action == "dump":
+        from .fans import fan_dumps
         pairs = _parse_pairs(args.pairs)
         if len(pairs) == 1:
+            if args.order:
+                raise ValueError("--order orders the blow-ups of a log "
+                                 "product and needs at least two pairs")
             fan = pairs[0].toric_fan(0)
         else:
+            from .logproduct import log_product
             order = parse_order(args.order, len(pairs)) if args.order \
                 else None
             fan = log_product(pairs, order).fan
         print(fan_dumps(fan))
         return 0
+    import json
+    from .fans import check_face_closure, fan_from_json, is_smooth
     if args.file in (None, "-"):
         data = sys.stdin.read()
     else:
@@ -128,17 +142,19 @@ def cmd_fan(args):
 
 
 def cmd_logproduct(args):
+    from .logproduct import format_pair, log_product
     pairs = _parse_pairs(args.pairs)
     order = parse_order(args.order, len(pairs)) if args.order else None
     space = log_product(pairs, order)
     if args.json:
+        from .fans import fan_to_json
         payload = fan_to_json(space.fan)
         payload["stratum_ray"] = {
             ",".join(str(i + 1) for i in sorted(s)): list(ray)
             for s, ray in space.stratum_ray}
         payload["strict_transforms"] = {
             str(i + 1): list(ray) for i, ray in space.strict_transforms}
-        print(json.dumps(payload, sort_keys=True))
+        print(_dumps(payload))
         return 0
     print("factors: " + ", ".join(format_pair(p) for p in space.factors))
     print(f"rank {space.fan.rank}: {len(space.fan.rays())} rays, "
@@ -153,6 +169,7 @@ def cmd_logproduct(args):
 
 
 def cmd_cohomology(args):
+    from .cohomology import graded_cohomology
     space = parse_base(args.base)
     bundle = parse_bundle_expr(args.bundle)
     _print_dims(graded_cohomology(space, bundle), args.json)
@@ -160,6 +177,8 @@ def cmd_cohomology(args):
 
 
 def cmd_hkr(args):
+    from .hkr import hkr_cohomology, hkr_homology
+    from .logproduct import parse_pair
     pair = parse_pair(args.pair)
     dims = hkr_cohomology(pair) if args.cohomology else hkr_homology(pair)
     _print_dims(dims, args.json)
@@ -167,6 +186,8 @@ def cmd_hkr(args):
 
 
 def cmd_chern(args):
+    from .kernels import chern_log, chern_log_expansion, parse_kernel
+    from .logproduct import parse_pair
     pair = parse_pair(args.pair)
     trace = [] if args.trace else None
     if args.target:
@@ -181,6 +202,8 @@ def cmd_chern(args):
 
 
 def cmd_euler(args):
+    from .kernels import euler_pairing, parse_kernel
+    from .logproduct import parse_pair
     source = parse_pair(args.source)
     target = parse_pair(args.target)
     kernel = parse_kernel(args.kernel, source, target)
@@ -192,13 +215,14 @@ def cmd_euler(args):
 
 
 def cmd_verify(args):
+    from .verify import verify_suite
     report = verify_suite(sign_flip=args.sign_flip)
     if args.json:
-        print(json.dumps({"cases": [
+        print(_dumps({"cases": [
             {"case_id": c.case_id, "claim": c.claim,
              "expected": repr(c.expected), "actual": repr(c.actual),
              "pass": c.passed} for c in report.cases],
-            "passed": report.passed}, sort_keys=True))
+            "passed": report.passed}))
     else:
         for c in report.cases:
             mark = "PASS" if c.passed else "FAIL"

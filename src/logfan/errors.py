@@ -1,10 +1,21 @@
-"""Named error types shared across the package.
+"""Named error types shared across the package, and the kernel grammar
+the CLI prints.
 
 Every operation that can fail raises one of these, so callers (and the CLI)
 can distinguish computation errors from bugs.
 """
 
 import sys
+
+# The kernel expression grammar, printed by `--help` and after a kernel
+# that fails to parse; it lives here so that the CLI can print it without
+# importing the kernel calculus.
+KERNEL_GRAMMAR = ('atom := "diag(" bundle "," shift ")" | '
+                  '"graph(deg=" int ["," bundle "," shift] ")" | '
+                  '"t(" atom ")"; term := [mult "*"] atom; '
+                  'expr := term ("+" term)* | "0"; '
+                  'bundle := "O" | "O(" int ")"; '
+                  'mult := int >= 1')
 
 
 class LogfanError(Exception):
@@ -79,6 +90,14 @@ class TwistTooLarge(LogfanError):
 class TooManySolves(LogfanError):
     """The pairwise face check would need more exact solves than the
     documented cap."""
+
+
+class FanSchemaError(ValueError):
+    """Fan data off the JSON schema: a missing key, an entry of the wrong
+    type or length, a ray index outside the ray list, a cone listed twice,
+    an unknown label kind or a label on a ray no cone holds.  It is a
+    ValueError and not a LogfanError, so the CLI reports it as a usage
+    error (exit 2)."""
 
 
 def printable(build):

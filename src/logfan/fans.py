@@ -32,7 +32,8 @@ from itertools import combinations
 import json
 from math import comb
 
-from .errors import CenterNotInFan, InvalidCone, RankMismatch, TooManySolves
+from .errors import (CenterNotInFan, FanSchemaError, InvalidCone,
+                     RankMismatch, TooManySolves)
 from .linalg import (lattice_index, mat_mul_vec, normal_vector, primitive,
                      solve_nonnegative)
 
@@ -56,7 +57,7 @@ class DivisorLabel:
 
     def __post_init__(self):
         if self.kind not in (BOUNDARY, EXCEPTIONAL, STRICT_TRANSFORM):
-            raise ValueError(f"unknown label kind {self.kind!r}")
+            raise FanSchemaError(f"unknown label kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class Fan:
 
     Cones are stored canonically sorted so identical fans compare equal
     bit-for-bit; a cone listed twice, or one with a ray whose length is
-    not `rank`, raises ValueError.  Labels are a sorted (ray, label) tuple.
+    not `rank`, raises FanSchemaError.  Labels are a sorted (ray, label) tuple.
     """
     rank: int
     cones: tuple
@@ -137,12 +138,12 @@ class Fan:
                               for c in self.cones), key=lambda c: c.rays))
         for a, b in zip(cones, cones[1:]):
             if a.rays == b.rays:
-                raise ValueError(f"cone {a.rays} listed twice")
+                raise FanSchemaError(f"cone {a.rays} listed twice")
         bad = next((c for c in cones
                     if c.rays and len(c.rays[0]) != self.rank), None)
         if bad is not None:
-            raise ValueError(f"cone {bad.rays} has a ray whose length is "
-                             f"not the rank {self.rank}")
+            raise FanSchemaError(f"cone {bad.rays} has a ray whose length "
+                                 f"is not the rank {self.rank}")
         labels = tuple(sorted(((tuple(ray), lab) for ray, lab in self.labels),
                               key=lambda item: (item[0], item[1].kind,
                                                 item[1].arg)))
@@ -506,7 +507,7 @@ def fan_to_json(fan):
 def _json_field(data, key, kind, default=None):
     value = data.get(key, default)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"fan JSON needs {key!r} as {kind.__name__}")
+        raise FanSchemaError(f"fan JSON needs {key!r} as {kind.__name__}")
     return value
 
 
@@ -518,24 +519,26 @@ def _json_ints(value, what, length=None, bound=None):
                        for x in value)):
         expect = (f"{length} integers" if bound is None
                   else f"ray indices in 0..{bound - 1}")
-        raise ValueError(f"fan JSON {what} {value!r} is not a list of "
-                         f"{expect}")
+        raise FanSchemaError(f"fan JSON {what} {value!r} is not a list of "
+                             f"{expect}")
     return tuple(value)
 
 
 def fan_from_json(data):
     """Inverse of `fan_to_json`.
 
-    Data off the schema raise ValueError: a missing key, an entry of the
-    wrong type, a ray of the wrong length, a ray index outside the ray
-    list (negative indices included), or a label on a ray that no cone
-    holds, which `fan_to_json` could not write back.
+    Data off the schema raise FanSchemaError, a ValueError: a missing
+    key, an entry of the wrong type, a ray of the wrong length, a ray
+    index outside the ray list (negative indices included), a cone listed
+    twice, an unknown label kind, or a label on a ray that no cone holds,
+    which `fan_to_json` could not write back.  Invalid cones raise
+    InvalidCone.
     """
     if not isinstance(data, dict):
-        raise ValueError("fan JSON must be an object")
+        raise FanSchemaError("fan JSON must be an object")
     rank = _json_field(data, "rank", int)
     if rank < 0:
-        raise ValueError("fan JSON rank must be nonnegative")
+        raise FanSchemaError("fan JSON rank must be nonnegative")
     rays = [_json_ints(r, "ray", length=rank)
             for r in _json_field(data, "rays", list)]
     cones = tuple(Cone(tuple(rays[i] for i in
@@ -547,11 +550,13 @@ def fan_from_json(data):
         index = int(i) if i.isdigit() else -1
         if not (0 <= index < len(rays) and isinstance(d, dict)
                 and type(d.get("arg")) is int):
-            raise ValueError(f"fan JSON label {i!r}: {d!r} needs a ray "
-                             f"index in 0..{len(rays) - 1} and an int arg")
+            raise FanSchemaError(f"fan JSON label {i!r}: {d!r} needs a "
+                                 f"ray index in 0..{len(rays) - 1} and an "
+                                 f"int arg")
         if rays[index] not in held:
-            raise ValueError(f"fan JSON label {i!r} is on the ray "
-                             f"{list(rays[index])}, which no cone holds")
+            raise FanSchemaError(f"fan JSON label {i!r} is on the ray "
+                                 f"{list(rays[index])}, which no cone "
+                                 f"holds")
         labels.append((rays[index], DivisorLabel(d.get("kind"), d["arg"])))
     return Fan(rank, cones, tuple(labels))
 

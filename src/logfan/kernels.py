@@ -43,8 +43,8 @@ import re
 from typing import NamedTuple
 
 from .cohomology import SplitBundle, Summand, exterior_algebra, normal_form
-from .errors import (FormalityUnavailable, UnsupportedComposition,
-                     UnsupportedHHShape, printable)
+from .errors import (KERNEL_GRAMMAR, FormalityUnavailable,
+                     UnsupportedComposition, UnsupportedHHShape, printable)
 # hkr_homology is not called here; it stays importable as
 # kernels.hkr_homology, a binding bench/test_bench.py reads
 from .hkr import _space_of, hkr_homology, log_serre  # noqa: F401
@@ -415,13 +415,6 @@ def format_kernel(expr):
     return "+".join(format_atom(a) if m == 1 else f"{m}*{format_atom(a)}"
                     for a, m in expr.terms) or "0"
 
-
-KERNEL_GRAMMAR = ('atom := "diag(" bundle "," shift ")" | '
-                  '"graph(deg=" int ["," bundle "," shift] ")" | '
-                  '"t(" atom ")"; term := [mult "*"] atom; '
-                  'expr := term ("+" term)* | "0"; '
-                  'bundle := "O" | "O(" int ")"; '
-                  'mult := int >= 1')
 
 # One term: an optional N*, a run of t( layers, a diag or graph atom with
 # its twist and shift, and the closing parens, with whitespace allowed

@@ -22,6 +22,10 @@ boundary, the P^1 fan with a torus-fixed point, or the affine local model
 (A^1, 0) used to reproduce the rank-3 barycentric picture.  A product
 with more than MAX_CONES maximal cones, or a fan of rank above MAX_RANK,
 is refused before it is built.
+
+The four functions that build fans import `fans` when they run, so the
+pair grammar (`LogPair`, `parse_pair`, `format_pair`) that `hkr` and
+`kernels` read loads neither the fan layer nor `linalg`.
 """
 
 from dataclasses import dataclass
@@ -34,8 +38,6 @@ import re
 from .errors import (DimensionTooLarge, EmptyProjection,
                      NotABuildingSetOrder, NoToricModel, TooFewFactors,
                      TooManyCones)
-from .fans import (BOUNDARY, EXCEPTIONAL, STRICT_TRANSFORM, Cone,
-                   DivisorLabel, Fan, product_fan, star_subdivide)
 
 # Largest number of maximal cones `log_product` builds: A1^8 (8! = 40320
 # cones, about 0.15 s in process on a 2-core x86_64 host) fits, A1^9
@@ -80,6 +82,7 @@ class LogPair:
         of genus > 0 have no fan.  A rank above MAX_RANK raises
         DimensionTooLarge before any cone is built.
         """
+        from .fans import BOUNDARY, Cone, DivisorLabel, Fan
         if self.kind == "Cg:pt" and self.param > 0:
             raise NoToricModel(
                 f"{format_pair(self)} has no toric local model")
@@ -171,7 +174,7 @@ class LogProductSpace:
     index to the ray of the strict transform of its boundary divisor.
     """
     factors: tuple
-    fan: Fan
+    fan: "Fan"
     stratum_ray: tuple  # ((frozenset, ray), ...)
     strict_transforms: tuple  # ((factor index, ray), ...)
 
@@ -196,6 +199,7 @@ def _product(pairs, order):
     """The product fan, its boundary ray per factor and the checked order
     (`building_set(n)` when None); the rank cap is checked first, then the
     cone cap."""
+    from .fans import Cone, Fan, product_fan
     n = len(pairs)
     if n < 2:
         raise TooFewFactors("log product needs at least two factors")
@@ -241,6 +245,7 @@ def log_product(pairs, order=None):
     MAX_CONES maximal cones raises TooManyCones, and a rank above MAX_RANK
     DimensionTooLarge, before anything is built.
     """
+    from .fans import EXCEPTIONAL, STRICT_TRANSFORM, Cone, DivisorLabel, Fan
     fan, boundary, order = _product(pairs, order)
     ray_of = _subset_sums([boundary[i] for i in range(len(pairs))])
     bit = {ray: 1 << i for i, ray in boundary.items()}
@@ -278,6 +283,7 @@ def order_independence_check(pairs, order_a, order_b):
     per stratum, at the cone currently lying over it.  That cone starts as
     {b_i : i in S} and is rewritten whenever a blow-up centre lies in it.
     """
+    from .fans import Cone, star_subdivide
     expected = log_product(pairs).fan.cones
     for order in (order_a, order_b):
         fan, boundary, order = _product(pairs, order)

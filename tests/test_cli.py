@@ -71,6 +71,63 @@ class TestPlumbing:
         assert exc.value.code == 2
 
 
+# What `main(argv)` leaves in `sys.modules` of a fresh interpreter: the
+# `logfan` modules, `fractions`, which only `linalg` imports, and `json`.
+# `-S` keeps site hooks from importing anything first.
+IMPORT_PROBE = """
+import sys
+from logfan.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+print(code, *sorted(m for m in sys.modules
+                    if m.split(".")[0] == "logfan"
+                    or m in ("fractions", "json")), file=sys.stderr)
+"""
+
+BASE = {"logfan", "logfan.cli", "logfan.errors"}
+PAIRS = BASE | {"logfan.cohomology", "logfan.hkr", "logfan.logproduct"}
+KERNELS = PAIRS | {"logfan.kernels"}
+FAN_LAYER = BASE | {"logfan.fans", "logfan.linalg", "fractions", "json"}
+EVERY = KERNELS | FAN_LAYER | {"logfan.verify"}
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv,code,modules", [
+        (["--version"], 0, BASE),
+        (["hkr"], 2, BASE),
+        (["cohomology", "--base", "P2", "--bundle", "O(-1)^2"], 0,
+         BASE | {"logfan.cohomology"}),
+        (["hkr", "--pair", "P1:pt", "--json"], 0, PAIRS | {"json"}),
+        (["chern", "--pair", "P1:pt", "--kernel", "diag(O,1)"], 0, KERNELS),
+        (["euler", "--source", "P1:pt", "--target", "P2:H", "--kernel",
+          "graph(deg=1)", "--against", "graph(deg=1)", "--json"], 0,
+         KERNELS | {"json"}),
+        (["fan", "check", "{fan}"], 0, FAN_LAYER),
+        (["fan", "dump", "--pairs", "A1:0,A1:0"], 0,
+         FAN_LAYER | {"logfan.logproduct"}),
+        (["logproduct", "--pairs", "A1:0,P1:pt", "--json"], 0,
+         FAN_LAYER | {"logfan.logproduct"}),
+        (["verify"], 0, EVERY),
+    ], ids=["version", "usage-error", "cohomology", "hkr", "chern", "euler",
+            "fan-check", "fan-dump", "logproduct", "verify"])
+    def test_subcommand_imports_only_what_it_runs(self, tmp_path, argv,
+                                                  code, modules):
+        path = tmp_path / "fan.json"
+        path.write_text(fan_dumps(log_product(
+            [parse_pair("A1:0")] * 2).fan))
+        argv = [a.format(fan=path) for a in argv]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE,
+                               *argv], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              timeout=120)
+        last = proc.stderr.splitlines()[-1].split()
+        assert (int(last[0]), set(last[1:])) == (code, modules)
+
+
 class TestFan:
     def test_dump_and_check(self, capsys, monkeypatch, tmp_path):
         code, out, _ = run(capsys, "fan", "dump", "--pairs",
@@ -118,6 +175,13 @@ class TestFan:
         assert code == 1 and out == ""
         assert err == "error: InvalidCone: zero ray (0, 0) in " \
             "((0, 0), (1, 0))\n"
+
+    def test_dump_refuses_an_order_for_one_pair(self, capsys):
+        code, out, err = run(capsys, "fan", "dump", "--pairs", "P1:pt",
+                             "--order", "1,2")
+        assert (code, out) == (2, "")
+        assert err == ("usage error: --order orders the blow-ups of a log "
+                       "product and needs at least two pairs\n")
 
     def test_check_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "fan", "check", str(tmp_path / "nope"))

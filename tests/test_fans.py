@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from logfan import fans, linalg
 from logfan.cli import main
-from logfan.errors import (CenterNotInFan, InvalidCone, RankMismatch,
-                           TooManySolves)
+from logfan.errors import (CenterNotInFan, FanSchemaError, InvalidCone,
+                           LogfanError, RankMismatch, TooManySolves)
 from logfan.fans import (BOUNDARY, Cone, DivisorLabel, Fan,
                          check_face_closure, check_support_preserved,
                          fan_dumps, fan_from_json, fan_loads, fan_map_witness,
@@ -852,6 +852,43 @@ class TestJson:
         data["labels"] = {"1": {"kind": "boundary", "arg": 0}}
         assert fan_loads(fan_dumps(fan_from_json(data))) == \
             fan_from_json(data)
+
+    @pytest.mark.parametrize("text,match", [
+        ('[]', "must be an object"),
+        ('{"rays": [], "cones": []}', "needs 'rank' as int"),
+        ('{"rank": 2, "cones": []}', "needs 'rays' as list"),
+        ('{"rank": 2, "rays": []}', "needs 'cones' as list"),
+        ('{"rank": true, "rays": [], "cones": []}', "needs 'rank' as int"),
+        ('{"rank": -1, "rays": [], "cones": []}', "must be nonnegative"),
+        ('{"rank": 2, "rays": [[1, 0.5]], "cones": []}', "2 integers"),
+        ('{"rank": 2, "rays": [[1, 0, 0]], "cones": []}', "2 integers"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, "1"]]}',
+         "ray indices"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 2]]}',
+         r"ray indices in 0\.\.1"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[-1, 0]]}',
+         r"ray indices in 0\.\.1"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1], [1, 0]]}',
+         "listed twice"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]], '
+         '"labels": []}', "needs 'labels' as dict"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]], '
+         '"labels": {"5": {"kind": "boundary", "arg": 0}}}', "ray index"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]], '
+         '"labels": {"0": {"kind": "boundary", "arg": "0"}}}', "int arg"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]], '
+         '"labels": {"0": {"kind": "nonsense", "arg": 0}}}',
+         "unknown label kind"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1]],'
+         ' "labels": {"2": {"kind": "boundary", "arg": 0}}}',
+         "which no cone holds"),
+    ])
+    def test_every_schema_failure_is_fan_schema_error(self, text, match):
+        with pytest.raises(FanSchemaError, match=match) as exc:
+            fan_loads(text)
+        # a ValueError, not a named computation error: `fan check` exits 2
+        assert isinstance(exc.value, ValueError)
+        assert not isinstance(exc.value, LogfanError)
 
 
 @settings(max_examples=50, deadline=None)

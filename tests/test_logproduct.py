@@ -333,7 +333,6 @@ class TestClosedFormAgainstBlowUp:
         def refuse(*args):
             raise AssertionError("star_subdivide called")
 
-        monkeypatch.setattr(logproduct, "star_subdivide", refuse)
         monkeypatch.setattr(fans, "star_subdivide", refuse)
         order = walk_order(random.Random(4), 4)
         assert len(log_product([A1] * 4).fan.cones) == 24
@@ -361,7 +360,7 @@ class TestConeCap:
         def refuse(*args):
             raise AssertionError("product_fan called")
 
-        monkeypatch.setattr(logproduct, "product_fan", refuse)
+        monkeypatch.setattr(fans, "product_fan", refuse)
         with pytest.raises(TooManyCones, match="362880"):
             log_product([A1] * 9)
         with pytest.raises(TooManyCones):
