@@ -80,7 +80,7 @@ def _parse_pairs(text):
 
 def _dumps(payload):
     """`payload` as JSON with sorted keys; json is imported only here and
-    where `fan check` reads its input."""
+    by `fans`, whose `fan_loads` reads `fan check`'s input."""
     import json
     return json.dumps(payload, sort_keys=True)
 
@@ -117,8 +117,7 @@ def cmd_fan(args):
             fan = log_product(pairs, order).fan
         print(fan_dumps(fan))
         return 0
-    import json
-    from .fans import check_face_closure, fan_from_json, is_smooth
+    from .fans import check_face_closure, fan_loads, is_smooth
     if args.file in (None, "-"):
         data = sys.stdin.read()
     else:
@@ -128,11 +127,7 @@ def cmd_fan(args):
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") \
                 from exc
-    try:
-        payload = json.loads(data)
-    except RecursionError as exc:
-        raise ValueError("fan JSON is nested too deeply") from exc
-    fan = fan_from_json(payload)
+    fan = fan_loads(data)
     smooth = all(is_smooth(c, fan.rank) for c in fan.cones)
     closed = check_face_closure(fan)
     print(f"rank {fan.rank}: {len(fan.rays())} rays, "

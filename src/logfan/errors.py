@@ -93,9 +93,10 @@ class TooManySolves(LogfanError):
 
 
 class FanSchemaError(ValueError):
-    """Fan data off the JSON schema: a missing key, an entry of the wrong
-    type or length, a ray index outside the ray list, a cone listed twice,
-    an unknown label kind or a label on a ray no cone holds.  It is a
+    """Fan data off the JSON schema: JSON text nested too deeply to read, a
+    missing key, an entry of the wrong type or length, a ray index outside
+    the ray list, a cone listed twice, an unknown label kind or a label on
+    a ray no cone holds.  It is a
     ValueError and not a LogfanError, so the CLI reports it as a usage
     error (exit 2)."""
 

@@ -530,8 +530,9 @@ def fan_from_json(data):
     Data off the schema raise FanSchemaError, a ValueError: a missing
     key, an entry of the wrong type, a ray of the wrong length, a ray
     index outside the ray list (negative indices included), a cone listed
-    twice, an unknown label kind, or a label on a ray that no cone holds,
-    which `fan_to_json` could not write back.  Invalid cones raise
+    twice, a label key that is not a decimal ray index, an unknown
+    label kind, or a label on a ray that no cone holds, which
+    `fan_to_json` could not write back.  Invalid cones raise
     InvalidCone.
     """
     if not isinstance(data, dict):
@@ -547,7 +548,10 @@ def fan_from_json(data):
     held = {r for c in cones for r in c.rays}
     labels = []
     for i, d in _json_field(data, "labels", dict, {}).items():
-        index = int(i) if i.isdigit() else -1
+        try:
+            index = int(i) if isinstance(i, str) and i.isdecimal() else -1
+        except ValueError:  # more digits than Python reads as an int
+            index = -1
         if not (0 <= index < len(rays) and isinstance(d, dict)
                 and type(d.get("arg")) is int):
             raise FanSchemaError(f"fan JSON label {i!r}: {d!r} needs a "
@@ -566,4 +570,10 @@ def fan_dumps(fan):
 
 
 def fan_loads(text):
-    return fan_from_json(json.loads(text))
+    """`fan_from_json` of JSON text; text nested too deeply for Python's
+    JSON reader raises FanSchemaError."""
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise FanSchemaError("fan JSON is nested too deeply") from exc
+    return fan_from_json(data)

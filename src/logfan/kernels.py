@@ -33,6 +33,14 @@ has a closed form: (P^n, H) and (P^1, pt) are scalar, a pointed curve
 
 Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
 
+The chains that take a trace (`compose`, `hh_action` and so `chern_log`,
+`chern_log_expansion` and `euler_pairing`) compute their value first.
+Only then, and only when the caller passed a trace list, a chain builds
+all of its lines in one `errors.printable` call and extends the trace
+once, so a chain that raises leaves the trace as it was and a call
+without a trace builds no text.  `compose` records each excess route as
+its (excess, Sym) pair of bundles and prints them after its loop.
+
 `parse_kernel` reads the CLI grammar term by term: the terms are the
 pieces between the `+`s, and each is read with one pattern that holds its
 multiplicity, its `t(` layers and its atom.
@@ -45,9 +53,7 @@ from typing import NamedTuple
 from .cohomology import SplitBundle, Summand, exterior_algebra, normal_form
 from .errors import (KERNEL_GRAMMAR, FormalityUnavailable,
                      UnsupportedComposition, UnsupportedHHShape, printable)
-# hkr_homology is not called here; it stays importable as
-# kernels.hkr_homology, a binding bench/test_bench.py reads
-from .hkr import _space_of, hkr_homology, log_serre  # noqa: F401
+from .hkr import _space_of, log_serre
 from .logproduct import LogPair, format_pair
 
 DIAG = "diag"
@@ -194,28 +200,31 @@ def compose(first, second, trace=None):
             f"{format_pair(second.source)} differ")
     m = first.target.dim
     same_map = first.source == second.target
-    # the lines reach `trace` only once every atom pair has composed
-    steps = None if trace is None else []
+    routes = []
     terms = []
     for a, ma in first.terms:
         for b, mb in second.terms:
-            for atom, mult in _compose_atoms(a, b, m, same_map, steps):
+            for atom, mult in _compose_atoms(a, b, m, same_map, routes):
                 terms.append((atom, ma * mb * mult))
+    value = KernelExpr(first.source, second.target, tuple(terms))
     if trace is not None:
-        trace.extend(steps)
-    return KernelExpr(first.source, second.target, tuple(terms))
+        trace.extend(printable(lambda: [
+            line for excess, sym in routes
+            for line in (f"excess: {_bundle_text(excess.terms)}",
+                         f"sym: {_bundle_text(sym.terms)}")]))
+    return value
 
 
-def _compose_atoms(a, b, m, same_map, trace):
+def _compose_atoms(a, b, m, same_map, routes):
     """Atoms of `a` then `b` through a middle pair of dimension `m`;
     `same_map` (the composite goes from a pair to itself) gates the excess
-    route."""
+    route, which appends its (excess, Sym) bundles to `routes`."""
     if a.kind == DIAG and b.kind == DIAG:
         return [(Atom(DIAG, 0, a.twist + b.twist, a.shift + b.shift), 1)]
     if (a.kind, b.kind) in _MIRRORED:
         # transpose(a then b) is flip(b) then flip(a): a diag/graph rule
         return [(_flip(atom), k) for atom, k in
-                _compose_atoms(_flip(b), _flip(a), m, same_map, trace)]
+                _compose_atoms(_flip(b), _flip(a), m, same_map, routes)]
     if a.kind == DIAG and b.kind == GRAPH:
         return [(Atom(GRAPH, b.degree, b.twist + a.twist,
                       b.shift + a.shift), 1)]
@@ -228,9 +237,8 @@ def _compose_atoms(a, b, m, same_map, trace):
             raise UnsupportedComposition(
                 "graph and transposed graph of different maps")
         excess = excess_intersection(a.degree, m)
-        _emit(trace, lambda: f"excess: {_bundle_text(excess.terms)}")
         sym = exterior_algebra(excess.dual())
-        _emit(trace, lambda: f"sym: {_bundle_text(sym.terms)}")
+        routes.append((excess, sym))
         return [(Atom(DIAG, 0, a.twist + b.twist + s.twist,
                       a.shift + b.shift + s.shift), mlt)
                 for s, mlt in sym.terms]
@@ -277,15 +285,13 @@ def hh_action(expr, beta, trace=None):
         raise UnsupportedHHShape(
             "scalar action is only defined for diagonal kernels")
     _require_scalar(expr.source, expr.target)
-    # the lines reach `trace` only once the chain has succeeded
-    steps = None if trace is None else []
-    _emit(steps, lambda: "unit: 1 in HH_0 of " + format_pair(expr.target))
-    _emit(steps, lambda: f"beta: insert scalar {beta}")
-    _emit(steps, lambda: "exchange: move the Serre kernel across the adjoint")
     value = beta * signed_count(expr)
-    _emit(steps, lambda: f"counit: {_signed_sum(expr)} -> {value}")
     if trace is not None:
-        trace.extend(steps)
+        trace.extend(printable(lambda: [
+            "unit: 1 in HH_0 of " + format_pair(expr.target),
+            f"beta: insert scalar {beta}",
+            "exchange: move the Serre kernel across the adjoint",
+            f"counit: {_signed_sum(expr)} -> {value}"]))
     return value
 
 
@@ -305,7 +311,9 @@ def chern_log_expansion(expr, trace=None):
         raise UnsupportedHHShape(
             "transposed graphs have no supported expansion chain")
     value = signed_count(expr)
-    _emit(trace, lambda: f"additivity: {_signed_sum(expr)} -> {value}")
+    if trace is not None:
+        trace.extend(printable(lambda: [
+            f"additivity: {_signed_sum(expr)} -> {value}"]))
     return value
 
 
@@ -322,15 +330,15 @@ def euler_pairing(left, right_, trace=None):
         raise ValueError("can only pair kernels with matching pairs")
     _require_scalar(left.source, left.target)
     adj = right_adjoint(right_)
-    # the lines reach `trace` only once the chain has succeeded
-    steps = None if trace is None else []
-    _emit(steps, lambda: f"adjoint: R({format_kernel(right_)}) = "
-                         f"{format_kernel(adj)}")
-    composite = compose(left, adj, steps)
+    # compose's lines go between the adjoint and additivity lines
+    composed = None if trace is None else []
+    composite = compose(left, adj, composed)
     value = signed_count(composite)
-    _emit(steps, lambda: f"additivity: {_signed_sum(composite)} -> {value}")
     if trace is not None:
-        trace.extend(steps)
+        trace.extend(printable(lambda: [
+            f"adjoint: R({format_kernel(right_)}) = {format_kernel(adj)}",
+            *composed,
+            f"additivity: {_signed_sum(composite)} -> {value}"]))
     return value
 
 
@@ -381,13 +389,6 @@ def _bundle_text(terms):
         _summand(*s) if m == 1 else f"{m}*{_summand(*s)}"
         for s, m in sorted(terms, key=lambda tm: (tm[0].shift, tm[0].twist))
     ) or "0"
-
-
-def _emit(trace, line):
-    """Append the text `line()` to the trace, built only when one is kept
-    (`errors.printable`)."""
-    if trace is not None:
-        trace.append(printable(line))
 
 
 def _signed_sum(expr):

@@ -381,6 +381,29 @@ class TestChernEuler:
             "adjoint: R(200*diag(O,0)) = 200*diag(O,0)",
             "additivity: 40000*(+1) -> 40000", "40000"]
 
+    @pytest.mark.parametrize("argv,lines", [
+        (("chern", "--pair", "P1:pt", "--kernel",
+          "diag(O,0)+3*diag(O(5),1)"),
+         ["unit: 1 in HH_0 of P1:pt", "beta: insert scalar 1",
+          "exchange: move the Serre kernel across the adjoint",
+          "counit: 1 + 3*(-1) -> -2", "-2"]),
+        # two atom pairs take the excess route, in the order composed
+        (("euler", "--source", "P1:pt", "--target", "P3:H", "--kernel",
+          "graph(deg=1)+graph(deg=1,O(2),1)", "--against",
+          "2*graph(deg=1)"),
+         ["adjoint: R(2*graph(deg=1,O,0)) = 2*t(graph(deg=1,O(2),-2))",
+          "excess: 2*O(1)", "sym: O + 2*O(-1)[1] + O(-2)[2]",
+          "excess: 2*O(1)", "sym: O + 2*O(-1)[1] + O(-2)[2]",
+          "additivity: 2*(+1) + 4*(-1) + 2*(-1) + 2*(+1) + 4*(+1) + "
+          "2*(-1) -> 0", "0"]),
+        (("chern", "--pair", "P1:pt", "--target", "P3:H", "--kernel",
+          "graph(deg=1)+2*graph(deg=2,O(1),1)"),
+         ["additivity: 1 + 2*(-1) -> -1", "-1"]),
+    ], ids=["hh-action", "two-excess-routes", "expansion"])
+    def test_trace_lines(self, capsys, argv, lines):
+        code, out, err = run(capsys, *argv, "--trace")
+        assert (code, out.splitlines(), err) == (0, lines, "")
+
     def test_zero_kernel(self, capsys):
         code, out, _ = run(capsys, "chern", "--pair", "P1:pt", "--kernel",
                            "0")

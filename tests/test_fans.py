@@ -836,6 +836,13 @@ class TestJson:
         data = json.loads(fan_dumps(p1_fan()))
         assert set(data) == {"rank", "rays", "cones", "labels"}
 
+    @pytest.mark.parametrize("key", ["0", "00", "٠"])
+    def test_decimal_label_keys_load(self, key):
+        # "٠" is ARABIC-INDIC DIGIT ZERO, a decimal digit int() reads
+        fan = fan_from_json({"rank": 1, "rays": [[1]], "cones": [[0]],
+                             "labels": {key: {"kind": BOUNDARY, "arg": 0}}})
+        assert fan.label_map() == {(1,): DivisorLabel(BOUNDARY, 0)}
+
     def test_label_on_a_ray_no_cone_holds_refused(self, capsys, tmp_path):
         # `fan_to_json` writes no label for such a ray, so the fan could
         # not round-trip
@@ -882,10 +889,29 @@ class TestJson:
         ('{"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1]],'
          ' "labels": {"2": {"kind": "boundary", "arg": 0}}}',
          "which no cone holds"),
+        # a digit that is not a decimal digit: "²".isdigit() holds
+        pytest.param('{"rank": 2, "rays": [[1, 0], [0, 1]], '
+                     '"cones": [[0, 1]], '
+                     '"labels": {"²": {"kind": "boundary", "arg": 0}}}',
+                     "label '²'.*ray index", id="superscript label key"),
+        # more digits than Python's int() reads by default
+        pytest.param('{"rank": 2, "rays": [[1, 0], [0, 1]], '
+                     '"cones": [[0, 1]], "labels": {"%s": '
+                     '{"kind": "boundary", "arg": 0}}}' % ("0" * 5000),
+                     "ray index", id="5000-digit label key"),
+        # a key JSON text cannot hold, from a library caller's dict
+        pytest.param({"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]],
+                      "labels": {0: {"kind": "boundary", "arg": 0}}},
+                     "label 0:.*ray index", id="int label key"),
+        pytest.param("[" * 100_000, "nested too deeply",
+                     id="deeply nested list"),
+        pytest.param('{"a":' * 100_000, "nested too deeply",
+                     id="deeply nested object"),
     ])
     def test_every_schema_failure_is_fan_schema_error(self, text, match):
+        load = fan_loads if isinstance(text, str) else fan_from_json
         with pytest.raises(FanSchemaError, match=match) as exc:
-            fan_loads(text)
+            load(text)
         # a ValueError, not a named computation error: `fan check` exits 2
         assert isinstance(exc.value, ValueError)
         assert not isinstance(exc.value, LogfanError)
