@@ -21,10 +21,12 @@ import re
 import sys
 
 from . import __version__
-from .errors import KERNEL_GRAMMAR, LogfanError, printable
+from .errors import KERNEL_GRAMMAR, LogfanError, printable, read_int
 
 _SUMMAND_RE = re.compile(
     r"^(O(?:\((-?\d+)\))?)(?:\^(\d+))?(?:\[(-?\d+)\])?$")
+# one --order group: comma-separated signed indices
+_GROUP_RE = re.compile(r"\s*[-+]?\d+\s*(?:,\s*[-+]?\d+\s*)*")
 
 
 def parse_bundle_expr(text):
@@ -36,9 +38,9 @@ def parse_bundle_expr(text):
         m = _SUMMAND_RE.match(part)
         if not m:
             raise ValueError(f"cannot parse bundle summand {part!r}")
-        twist = int(m.group(2)) if m.group(2) is not None else 0
-        mult = int(m.group(3)) if m.group(3) else 1
-        shift = int(m.group(4)) if m.group(4) else 0
+        twist = read_int(m.group(2) or "0")
+        mult = read_int(m.group(3) or "1")
+        shift = read_int(m.group(4) or "0")
         terms.append((Summand(twist, shift), mult))
     return SplitBundle(tuple(terms))
 
@@ -47,10 +49,10 @@ def parse_base(text):
     from .cohomology import Space
     m = re.match(r"^P(\d+)$", text.strip())
     if m:
-        return Space("Pn", int(m.group(1)))
+        return Space("Pn", read_int(m.group(1)))
     m = re.match(r"^C(\d+)$", text.strip())
     if m:
-        return Space("curve", int(m.group(1)))
+        return Space("curve", read_int(m.group(1)))
     raise ValueError(f"cannot parse base {text!r}; expected P<n> or C<g>")
 
 
@@ -59,13 +61,12 @@ def parse_order(text, n):
     1-based factor indices, e.g. "1,2;1,2,3;1,3;2,3"."""
     order = []
     for group in text.split(";"):
-        try:
-            indices = [int(x) for x in group.split(",")]
-        except ValueError:
+        if not _GROUP_RE.fullmatch(group):
             raise ValueError(
                 f"cannot parse order group {group!r}: --order takes "
                 f"semicolon-separated groups of comma-separated 1-based "
-                f"indices, e.g. \"1,2;1,2,3\"") from None
+                f"indices, e.g. \"1,2;1,2,3\"")
+        indices = [read_int(x) for x in group.split(",")]
         for i in indices:
             if not 1 <= i <= n:
                 raise ValueError(f"order index {i} is outside 1..{n}")

@@ -93,6 +93,15 @@ class SplitBundle:
                                  for s, m in self.terms))
 
 
+def check_wedge_rank(rank):
+    """Refuse wedge powers of a bundle of rank above MAX_PN_DIM
+    (DimensionTooLarge)."""
+    if rank > MAX_PN_DIM:
+        raise DimensionTooLarge(
+            f"a bundle of rank {rank} is above the cap of rank "
+            f"{MAX_PN_DIM} for exterior powers")
+
+
 def exterior_algebra(bundle):
     """(+)_q wedge^q(E)[q] of an unshifted split bundle E: O(D)[q] has the
     coefficient of x^D y^q in the product of (1 + x^d y)^c over E's terms
@@ -100,11 +109,7 @@ def exterior_algebra(bundle):
     (DimensionTooLarge) are refused before any power is built."""
     if any(s.shift for s, _ in bundle.terms):
         raise ValueError("exterior powers need an unshifted bundle")
-    rank = sum(c for _, c in bundle.terms)
-    if rank > MAX_PN_DIM:
-        raise DimensionTooLarge(
-            f"a bundle of rank {rank} is above the cap of rank "
-            f"{MAX_PN_DIM} for exterior powers")
+    check_wedge_rank(sum(c for _, c in bundle.terms))
     counts = {(0, 0): 1}  # (D, q) -> coefficient of x^D y^q
     for s, c in bundle.terms:
         grown = {}

@@ -1,5 +1,7 @@
-"""Named error types shared across the package, and the kernel grammar
-the CLI prints.
+"""Named error types shared across the package, the kernel grammar the
+CLI prints, and the two sides of Python's digit limit for ints:
+`printable` for the text the package prints, `read_int` for the digits
+the grammars read.
 
 Every operation that can fail raises one of these, so callers (and the CLI)
 can distinguish computation errors from bugs.
@@ -93,12 +95,19 @@ class TooManySolves(LogfanError):
 
 
 class FanSchemaError(ValueError):
-    """Fan data off the JSON schema: JSON text nested too deeply to read, a
-    missing key, an entry of the wrong type or length, a ray index outside
-    the ray list, a cone listed twice, an unknown label kind or a label on
-    a ray no cone holds.  It is a
-    ValueError and not a LogfanError, so the CLI reports it as a usage
-    error (exit 2)."""
+    """Fan data off the JSON schema: JSON text nested too deeply to read or
+    holding an integer past Python's digit limit, a missing key, an entry
+    of the wrong type or length, a ray index outside the ray list, a cone
+    listed twice, an unknown label kind or a label on a ray no cone holds.
+    It is a ValueError and not a LogfanError, so the CLI reports it as a
+    usage error (exit 2)."""
+
+
+def digit_limit(verb):
+    """The text naming Python's digit limit for `verb` ("printing" or
+    "reading") an int, without the digits."""
+    return (f"an integer has more than {sys.get_int_max_str_digits()} "
+            f"digits, Python's limit for {verb} one")
 
 
 def printable(build):
@@ -107,6 +116,14 @@ def printable(build):
     try:
         return build()
     except ValueError as exc:
-        raise ResultTooLarge(
-            f"an integer has more than {sys.get_int_max_str_digits()} "
-            f"digits, Python's limit for printing one") from exc
+        raise ResultTooLarge(digit_limit("printing")) from exc
+
+
+def read_int(digits):
+    """`int(digits)` for a digit group a grammar matched, the reading twin
+    of `printable`: more digits than Python reads as an int raise a
+    ValueError that names the limit and does not repeat the digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(digit_limit("reading")) from None

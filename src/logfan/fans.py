@@ -33,7 +33,7 @@ import json
 from math import comb
 
 from .errors import (CenterNotInFan, FanSchemaError, InvalidCone,
-                     RankMismatch, TooManySolves)
+                     RankMismatch, TooManySolves, digit_limit)
 from .linalg import (lattice_index, mat_mul_vec, normal_vector, primitive,
                      solve_nonnegative)
 
@@ -113,9 +113,6 @@ class Cone:
     def __len__(self):
         return len(self.rays)
 
-    def has_face(self, other):
-        return set(other.rays) <= set(self.rays)
-
     def contains_point(self, point):
         """Exact membership test for a rational point."""
         return solve_nonnegative(self.rays, point) is not None
@@ -159,10 +156,6 @@ class Fan:
     def label_map(self):
         return dict(self.labels)
 
-    def has_cone(self, cone):
-        """True when `cone` is a face of some maximal cone."""
-        return any(c.has_face(cone) for c in self.cones)
-
     def exceptional_count(self):
         return sum(1 for _, lab in self.labels if lab.kind == EXCEPTIONAL)
 
@@ -204,8 +197,6 @@ def star_subdivide(fan, center):
         center = Cone(tuple(center))
     if len(center) < 2:
         raise CenterNotInFan("subdivision center needs at least two rays")
-    if not fan.has_cone(center):
-        raise CenterNotInFan(f"{center.rays} is not a cone of the fan")
     new_ray = primitive(tuple(sum(xs) for xs in zip(*center.rays)))
     center_set = set(center.rays)
     new_cones = []
@@ -216,6 +207,8 @@ def star_subdivide(fan, center):
                 new_cones.append(Cone(kept + (new_ray,)))
         else:
             new_cones.append(cone)
+    if len(new_cones) == len(fan.cones):  # no cone held the center
+        raise CenterNotInFan(f"{center.rays} is not a cone of the fan")
     step = fan.exceptional_count()
     labels = fan.labels + ((new_ray, DivisorLabel(EXCEPTIONAL, step)),)
     return Fan(fan.rank, tuple(new_cones), labels)
@@ -571,9 +564,14 @@ def fan_dumps(fan):
 
 def fan_loads(text):
     """`fan_from_json` of JSON text; text nested too deeply for Python's
-    JSON reader raises FanSchemaError."""
+    JSON reader, or holding an integer of more digits than Python reads,
+    raises FanSchemaError."""
     try:
         data = json.loads(text)
     except RecursionError as exc:
         raise FanSchemaError("fan JSON is nested too deeply") from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an int literal past Python's digit limit
+        raise FanSchemaError(f"fan JSON: {digit_limit('reading')}") from None
     return fan_from_json(data)

@@ -1,19 +1,21 @@
 """Log Hochschild homology of a pair via the wedge-power decomposition.
 
-For the pairs handled here the sheaf of log differentials splits:
+For the pairs handled here the sheaf of log differentials is one split
+term O(d)^c:
 
-* (P^n, H): Omega^1(log H) = O(-1)^{+n}, so the q-th wedge power is
-  O(-q)^{C(n,q)}, one split-bundle term of multiplicity C(n,q);
+* (P^n, H) and (P^1, pt): Omega^1(log H) = O(-1)^{+n};
 * (C, pt), genus g: Omega^1(log pt) is the single line bundle of degree
   2g - 1.
 
-`log_cotangent` is the only model written per kind; the wedge powers all
-come from one call to `cohomology.exterior_algebra`, W = (+)_q
-wedge^q[q].  Hochschild homology puts H^p(wedge^q) in degree q - p, so
-it is the table of W with its degrees negated; Hochschild cohomology puts
-H^p((wedge^q)^v) in degree p + q, the table of the dual of W.  The log
-Serre kernel twists the diagonal by the top wedge power shifted by the
-dimension.
+`_space_of` is the only function that reads the pair's kind; it returns
+the host, P^n or the curve, and `log_cotangent` reads the model off it.
+A single wedge power is read off that one term in closed form,
+wedge^q = O(qd)^C(c, q), and so is the log Serre kernel's line, the top
+power O(cd) shifted by c = dim.  The tables need every power and make
+one call to `cohomology.exterior_algebra`, W = (+)_q wedge^q[q].
+Hochschild homology puts H^p(wedge^q) in degree q - p, so it is the table
+of W with its degrees negated; Hochschild cohomology puts
+H^p((wedge^q)^v) in degree p + q, the table of the dual of W.
 
 The tables of (P^n, H) are refused, with DimensionTooLarge and before
 any is built, for n above `MAX_PN_DIM` = 1000, the cap of the cohomology
@@ -21,52 +23,53 @@ tables: P^1000 takes about 0.1 s, and past a few thousand the dimensions
 outgrow what Python prints.
 """
 
+from math import comb
+
 from .cohomology import MAX_PN_DIM, Space, SplitBundle, Summand, \
-    euler_characteristic, exterior_algebra, graded_cohomology
+    check_wedge_rank, euler_characteristic, exterior_algebra, \
+    graded_cohomology
 from .errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
 from .logproduct import LogPair, format_pair
 
 
 def _space_of(pair):
-    if pair.kind == "Pn:H":
-        return Space("Pn", pair.param)
-    if pair.kind == "P1:pt":
-        return Space("Pn", 1)
+    """The host of the pair's model: P^n for (P^n, H) and (P^1, pt), the
+    genus-g curve for (C_g, pt); (A^1, 0) is not projective."""
     if pair.kind == "Cg:pt":
         return Space("curve", pair.param)
-    raise NoToricModel(
-        f"{format_pair(pair)} is not projective; no cohomology tables")
+    if pair.kind == "A1:0":
+        raise NoToricModel(
+            f"{format_pair(pair)} is not projective; no cohomology tables")
+    return Space("Pn", pair.dim)
 
 
 def log_cotangent(pair):
-    """Split model of Omega^1 with log poles along the boundary."""
-    if pair.kind in ("Pn:H", "P1:pt"):
-        return SplitBundle.line(-1, 0, pair.dim)
-    if pair.kind == "Cg:pt":
-        return SplitBundle.line(2 * pair.param - 1)
-    raise NoToricModel(
-        f"{format_pair(pair)} has no projective log cotangent model")
+    """Split model of Omega^1 with log poles along the boundary, one term
+    O(d)^c: O(-1)^n on P^n, O(2g - 1) on a genus-g curve."""
+    space = _space_of(pair)
+    if space.kind == "Pn":
+        return SplitBundle.line(-1, 0, space.param)
+    return SplitBundle.line(2 * space.param - 1)
 
 
 def log_wedge(pair, q):
-    """q-th wedge power of the log cotangent bundle: the shift-q part of
-    its exterior algebra."""
-    n = pair.dim
-    if q < 0 or q > n:
-        raise WedgeOutOfRange(f"wedge degree {q} outside 0..{n}")
-    return SplitBundle(tuple(
-        (Summand(s.twist), mult)
-        for s, mult in exterior_algebra(log_cotangent(pair)).terms
-        if s.shift == q))
+    """q-th wedge power of the log cotangent bundle O(d)^c: O(qd)^C(c, q),
+    refused past the rank cap of `exterior_algebra`."""
+    ((line, c),) = log_cotangent(pair).terms
+    if q < 0 or q > c:
+        raise WedgeOutOfRange(f"wedge degree {q} outside 0..{c}")
+    check_wedge_rank(c)
+    return SplitBundle.line(q * line.twist, 0, comb(c, q))
 
 
 def _table_space(pair):
     """`_space_of(pair)`, after refusing a (P^n, H) with n > MAX_PN_DIM."""
-    if pair.kind == "Pn:H" and pair.param > MAX_PN_DIM:
+    space = _space_of(pair)
+    if space.kind == "Pn" and space.param > MAX_PN_DIM:
         raise DimensionTooLarge(
-            f"P{pair.param}:H is above the cap of dimension {MAX_PN_DIM} "
-            f"for Hochschild tables")
-    return _space_of(pair)
+            f"{format_pair(pair)} is above the cap of dimension "
+            f"{MAX_PN_DIM} for Hochschild tables")
+    return space
 
 
 def hkr_homology(pair):
@@ -89,8 +92,8 @@ def hkr_cohomology(pair):
 def log_serre(pair):
     """The log Serre kernel's line bundle on the diagonal, as a Summand
     O(twist)[shift]: the top log wedge power shifted by the dimension."""
-    ((top, _),) = log_wedge(pair, pair.dim).terms
-    return Summand(top.twist, pair.dim)
+    ((line, c),) = log_cotangent(pair).terms
+    return Summand(c * line.twist, c)
 
 
 def residue_euler_check(n, q):

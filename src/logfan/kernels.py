@@ -52,7 +52,8 @@ from typing import NamedTuple
 
 from .cohomology import SplitBundle, Summand, exterior_algebra, normal_form
 from .errors import (KERNEL_GRAMMAR, FormalityUnavailable,
-                     UnsupportedComposition, UnsupportedHHShape, printable)
+                     UnsupportedComposition, UnsupportedHHShape, printable,
+                     read_int)
 from .hkr import _space_of, log_serre
 from .logproduct import LogPair, format_pair
 
@@ -451,15 +452,20 @@ def parse_kernel(text, source, target):
         if not m or m["open"].count("(") != m["close"].count(")"):
             raise ValueError(f"cannot parse term {part!r}\n"
                              f"{KERNEL_GRAMMAR}")
-        mult = int(m["mult"] or 1)
+        try:
+            mult = read_int(m["mult"] or "1")
+            if m["deg"] is None:
+                atom = Atom(DIAG, 0, read_int(m["dtwist"] or "0"),
+                            read_int(m["dshift"]))
+            else:
+                atom = Atom(GRAPH, read_int(m["deg"]),
+                            read_int(m["gtwist"] or "0"),
+                            read_int(m["gshift"] or "0"))
+        except ValueError as exc:
+            raise ValueError(f"{exc}\n{KERNEL_GRAMMAR}") from None
         if mult < 1:
             raise ValueError(f"multiplicity {mult} is not an integer >= 1"
                              f"\n{KERNEL_GRAMMAR}")
-        if m["deg"] is None:
-            atom = Atom(DIAG, 0, int(m["dtwist"] or 0), int(m["dshift"]))
-        else:
-            atom = Atom(GRAPH, int(m["deg"]), int(m["gtwist"] or 0),
-                        int(m["gshift"] or 0))
         terms.append((_flip(atom) if m["open"].count("(") % 2 else atom,
                       mult))
     return KernelExpr(source, target, tuple(terms))

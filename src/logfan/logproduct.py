@@ -37,7 +37,7 @@ import re
 
 from .errors import (DimensionTooLarge, EmptyProjection,
                      NotABuildingSetOrder, NoToricModel, TooFewFactors,
-                     TooManyCones)
+                     TooManyCones, read_int)
 
 # Largest number of maximal cones `log_product` builds: A1^8 (8! = 40320
 # cones, about 0.15 s in process on a 2-core x86_64 host) fits, A1^9
@@ -119,8 +119,8 @@ def parse_pair(text):
     if text.strip() == "A1:0":
         return LogPair("A1:0")
     if m.group(2) is not None:
-        return LogPair("Pn:H", int(m.group(2)))
-    return LogPair("Cg:pt", int(m.group(3)))
+        return LogPair("Pn:H", read_int(m.group(2)))
+    return LogPair("Cg:pt", read_int(m.group(3)))
 
 
 def format_pair(pair):

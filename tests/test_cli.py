@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from math import comb
 import os
@@ -587,6 +588,45 @@ def test_pinned_stdout(argv, stdin, code, digest):
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == code and proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# every grammar's digit groups, and fan JSON, past Python's digit limit
+LONG = "9" * 4400
+OVER_LONG_INTEGERS = [
+    pytest.param(("chern", "--pair", "P1:pt", "--kernel",
+                  f"{LONG}*diag(O,0)"), None, id="kernel-mult"),
+    pytest.param(("chern", "--pair", "P1:pt", "--kernel",
+                  f"diag(O({LONG}),0)"), None, id="kernel-twist"),
+    pytest.param(("cohomology", "--base", "P2", "--bundle", f"O^{LONG}"),
+                 None, id="bundle-mult"),
+    pytest.param(("cohomology", "--base", "P2", "--bundle", f"O({LONG})"),
+                 None, id="bundle-twist"),
+    pytest.param(("cohomology", "--base", f"P{LONG}", "--bundle", "O"),
+                 None, id="base"),
+    pytest.param(("hkr", "--pair", f"P{LONG}:H"), None, id="pair-Pn"),
+    pytest.param(("hkr", "--pair", f"C{LONG}:pt"), None, id="pair-curve"),
+    pytest.param(("logproduct", "--pairs", "P1:pt,P1:pt", "--order",
+                  f"1,{LONG}"), None, id="order"),
+    pytest.param(("fan", "check", "-"),
+                 '{"rank": 1, "rays": [[%s]], "cones": [[0]]}' % ("9" * 5000),
+                 id="fan-json-ray"),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+@pytest.mark.parametrize("argv,stdin", OVER_LONG_INTEGERS)
+def test_over_long_integer_is_a_usage_error_naming_the_limit(
+        capsys, monkeypatch, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    first, *rest = err.splitlines()
+    assert (code, out) == (2, "")
+    assert first.startswith("usage error: ")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in first
+    assert rest == ([KERNEL_GRAMMAR] if argv[0] == "chern" else [])
+    assert "set_int_max_str_digits" not in err and "9" * 10 not in err
 
 
 @pytest.mark.parametrize("order,group", [("1,a", "1,a"), ("1,2;", ""),

@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import combinations
 import json
 import random
+import sys
 import time
 from math import comb, gcd
 from unittest import mock
@@ -903,6 +904,12 @@ class TestJson:
         pytest.param({"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]],
                       "labels": {0: {"kind": "boundary", "arg": 0}}},
                      "label 0:.*ray index", id="int label key"),
+        pytest.param('{"rank": 1, "rays": [[%s]], "cones": [[0]]}'
+                     % ("9" * 5000), "fan JSON: an integer has more than",
+                     id="5000-digit ray entry",
+                     marks=pytest.mark.skipif(
+                         not hasattr(sys, "get_int_max_str_digits"),
+                         reason="no int-to-str digit limit")),
         pytest.param("[" * 100_000, "nested too deeply",
                      id="deeply nested list"),
         pytest.param('{"a":' * 100_000, "nested too deeply",

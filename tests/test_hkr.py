@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logfan.cohomology import Space, SplitBundle, Summand, \
-    euler_characteristic
+    euler_characteristic, exterior_algebra
 from logfan import hkr
 from logfan.errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
 from logfan.hkr import (MAX_PN_DIM, hkr_cohomology, hkr_homology,
                         log_cotangent, log_serre, log_wedge,
                         residue_euler_check)
-from logfan.logproduct import LogPair
+from logfan.logproduct import LogPair, format_pair
 
 P1 = LogPair("P1:pt")
 P2 = LogPair("Pn:H", 2)
@@ -32,8 +32,11 @@ class TestLogCotangent:
         assert log_cotangent(LogPair("Cg:pt", 3)).terms == ((Summand(5), 1),)
 
     def test_local_model_rejected(self):
-        with pytest.raises(NoToricModel):
-            log_cotangent(LogPair("A1:0"))
+        # the one refusal of `_space_of`, whichever function asks
+        for call in (log_cotangent, log_serre, lambda p: log_wedge(p, 0)):
+            with pytest.raises(NoToricModel, match="^A1:0 is not projective; "
+                               "no cohomology tables$"):
+                call(LogPair("A1:0"))
 
 
 class TestLogWedge:
@@ -143,6 +146,32 @@ def test_wedge_ranks_sum_to_power_of_two(n):
     pair = LogPair("Pn:H", n)
     total = sum(m for q in range(n + 1) for _, m in log_wedge(pair, q).terms)
     assert total == 2 ** n
+
+
+MODELLED_PAIRS = [*(LogPair("Pn:H", n) for n in range(1, 41)), P1,
+                  *(LogPair("Cg:pt", g) for g in range(7))]
+
+
+@pytest.mark.parametrize("pair", MODELLED_PAIRS, ids=format_pair)
+def test_closed_forms_match_the_exterior_algebra(pair):
+    """log_wedge and log_serre read the one-term log cotangent bundle in
+    closed form; the exterior algebra builds every power, independently."""
+    algebra = exterior_algebra(log_cotangent(pair)).terms
+    for q in range(pair.dim + 1):
+        assert log_wedge(pair, q) == SplitBundle(tuple(
+            (Summand(s.twist), m) for s, m in algebra if s.shift == q))
+    assert [(log_serre(pair), 1)] == [
+        (s, m) for s, m in algebra if s.shift == pair.dim]
+
+
+def test_single_powers_build_no_exterior_algebra(monkeypatch):
+    def no_algebra(*_):
+        raise AssertionError("an exterior algebra was built")
+    monkeypatch.setattr(hkr, "exterior_algebra", no_algebra)
+    assert log_wedge(LogPair("Pn:H", 12), 5) == SplitBundle.line(-5, 0, 792)
+    assert log_serre(LogPair("Pn:H", 12)) == Summand(-12, 12)
+    assert log_serre(LogPair("Cg:pt", 3)) == Summand(5, 1)
+    assert residue_euler_check(12, 5)[3]
 
 
 class TestDimensionCap:
