@@ -10,9 +10,11 @@ the work starts; the caps table in README.md lists them.
 
 Each subcommand imports only the modules it runs: the module top loads
 the argument parser and `errors` alone, so `--version` and a usage error
-from argparse load nothing else, `cohomology` loads `logfan.cohomology`,
-`hkr`, `chern` and `euler` leave out the fan layer, and `fan check` leaves
-out `logproduct`.  `json` is imported only where JSON is read or printed.
+from argparse load nothing else, `cohomology` loads `logfan.cohomology`
+and `logfan.values`, the base of the package's value classes, `hkr`,
+`chern` and `euler` leave out the fan layer, and `fan check` leaves out
+`logproduct`.  `json` is imported only where JSON is read or printed, and
+no subcommand loads `dataclasses` or `inspect`.
 """
 
 import argparse
@@ -21,7 +23,8 @@ import re
 import sys
 
 from . import __version__
-from .errors import KERNEL_GRAMMAR, LogfanError, printable, read_int
+from .errors import (KERNEL_GRAMMAR, LogfanError, printable, quote,
+                     read_int)
 
 _SUMMAND_RE = re.compile(
     r"^(O(?:\((-?\d+)\))?)(?:\^(\d+))?(?:\[(-?\d+)\])?$")
@@ -37,7 +40,7 @@ def parse_bundle_expr(text):
     for part in text.replace(" ", "").split("+"):
         m = _SUMMAND_RE.match(part)
         if not m:
-            raise ValueError(f"cannot parse bundle summand {part!r}")
+            raise ValueError(f"cannot parse bundle summand {quote(part)}")
         twist = read_int(m.group(2) or "0")
         mult = read_int(m.group(3) or "1")
         shift = read_int(m.group(4) or "0")
@@ -53,7 +56,8 @@ def parse_base(text):
     m = re.match(r"^C(\d+)$", text.strip())
     if m:
         return Space("curve", read_int(m.group(1)))
-    raise ValueError(f"cannot parse base {text!r}; expected P<n> or C<g>")
+    raise ValueError(f"cannot parse base {quote(text)}; expected P<n> or "
+                     f"C<g>")
 
 
 def parse_order(text, n):
@@ -63,7 +67,7 @@ def parse_order(text, n):
     for group in text.split(";"):
         if not _GROUP_RE.fullmatch(group):
             raise ValueError(
-                f"cannot parse order group {group!r}: --order takes "
+                f"cannot parse order group {quote(group)}: --order takes "
                 f"semicolon-separated groups of comma-separated 1-based "
                 f"indices, e.g. \"1,2;1,2,3\"")
         indices = [read_int(x) for x in group.split(",")]

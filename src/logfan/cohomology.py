@@ -31,12 +31,13 @@ O(1) arithmetic and have no cap.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import AmbiguousDegree, DimensionTooLarge, TwistTooLarge
+from .errors import (AmbiguousDegree, DimensionTooLarge, TwistTooLarge,
+                     printable)
+from .values import FrozenValue
 
 # Caps on n and on |twist| for the tables of P^n (shared with `hkr`)
 MAX_PN_DIM = 1000
@@ -61,8 +62,7 @@ class Summand(NamedTuple):
     shift: int = 0
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(FrozenValue):
     """Direct sum of line bundles as normal-form terms ((Summand, mult),
     ...); the constructor also takes bare Summands, one copy each.
 
@@ -70,12 +70,12 @@ class SplitBundle:
     becomes (summand, c) and a (summand, m) pair seen c times becomes
     (summand, m * c).  A bare Summand never equals a pair, so the two
     kinds only merge in `normal_form`, which validates the result."""
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms):
         object.__setattr__(self, "terms", normal_form(
             (t, c) if isinstance(t, Summand) else (t[0], t[1] * c)
-            for t, c in Counter(self.terms).items()))
+            for t, c in Counter(terms).items()))
 
     @staticmethod
     def line(twist, shift=0, mult=1):
@@ -97,9 +97,11 @@ def check_wedge_rank(rank):
     """Refuse wedge powers of a bundle of rank above MAX_PN_DIM
     (DimensionTooLarge)."""
     if rank > MAX_PN_DIM:
-        raise DimensionTooLarge(
-            f"a bundle of rank {rank} is above the cap of rank "
-            f"{MAX_PN_DIM} for exterior powers")
+        raise DimensionTooLarge(printable(
+            lambda: f"a bundle of rank {rank} is above the cap of rank "
+                    f"{MAX_PN_DIM} for exterior powers",
+            f"a bundle's rank is above the cap of rank {MAX_PN_DIM} for "
+            f"exterior powers"))
 
 
 def exterior_algebra(bundle):
@@ -147,11 +149,13 @@ def cohomology_line_curve(g, d):
         f"h^*(O({d} pt)) on a genus-{g} curve depends on the bundle")
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(FrozenValue):
     """P^n or a smooth projective curve of genus g, as a cohomology host."""
-    kind: str  # "Pn" or "curve"
-    param: int
+    __slots__ = ("kind", "param")  # kind is "Pn" or "curve"
+
+    def __init__(self, kind, param):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
 
     def line_cohomology(self, twist):
         if self.kind == "Pn":

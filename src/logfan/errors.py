@@ -1,7 +1,8 @@
 """Named error types shared across the package, the kernel grammar the
-CLI prints, and the two sides of Python's digit limit for ints:
-`printable` for the text the package prints, `read_int` for the digits
-the grammars read.
+CLI prints, the two sides of Python's digit limit for ints (`printable`
+for the text the package prints, `read_int` for the digits the grammars
+read), and `quote`, which bounds the malformed input a usage error
+echoes.
 
 Every operation that can fail raises one of these, so callers (and the CLI)
 can distinguish computation errors from bugs.
@@ -18,6 +19,10 @@ KERNEL_GRAMMAR = ('atom := "diag(" bundle "," shift ")" | '
                   'expr := term ("+" term)* | "0"; '
                   'bundle := "O" | "O(" int ")"; '
                   'mult := int >= 1')
+
+
+# The longest malformed input that a usage error quotes whole (`quote`)
+QUOTE_LIMIT = 60
 
 
 class LogfanError(Exception):
@@ -110,13 +115,28 @@ def digit_limit(verb):
             f"digits, Python's limit for {verb} one")
 
 
-def printable(build):
+def printable(build, fallback=None):
     """The text `build()`, where Python's ValueError for printing an int
-    past its digit limit is ResultTooLarge."""
+    past its digit limit is ResultTooLarge, or the text `fallback` when
+    one is given: an error message built from a number computed from the
+    input, such as a sum, gives the fallback, which leaves the number
+    out."""
     try:
         return build()
     except ValueError as exc:
+        if fallback is not None:
+            return fallback
         raise ResultTooLarge(digit_limit("printing")) from exc
+
+
+def quote(text):
+    """`repr(text)` for malformed input `text` of up to QUOTE_LIMIT
+    characters (or not a string); longer text is quoted by its first
+    QUOTE_LIMIT characters and its length, so that a usage error stays
+    one short line."""
+    if not isinstance(text, str) or len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 def read_int(digits):

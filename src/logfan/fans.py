@@ -24,18 +24,20 @@ hyperplane, one dimension down.  A lattice map induces a fan map when the
 images of each source cone's rays lie in one target cone
 (`fan_map_witness`), decided once per distinct image and target cone.
 
-Values are immutable; every operation returns a fresh Fan.
+Cones, fans and labels are immutable values on `values.FrozenValue`:
+slotted, compared and hashed by their fields, with `Cone.det` left out.
+Every operation returns a fresh Fan.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 import json
 from math import comb
 
 from .errors import (CenterNotInFan, FanSchemaError, InvalidCone,
-                     RankMismatch, TooManySolves, digit_limit)
+                     RankMismatch, TooManySolves, digit_limit, quote)
 from .linalg import (lattice_index, mat_mul_vec, normal_vector, primitive,
                      solve_nonnegative)
+from .values import FrozenValue
 
 # Cap on the cone pairs of the pairwise face check, one exact solve each:
 # P1^5 minus one cone (52,650 pairs, about 2.5 s) is checked, A1^6 minus
@@ -48,20 +50,19 @@ EXCEPTIONAL = "exceptional"
 STRICT_TRANSFORM = "strict_transform"
 
 
-@dataclass(frozen=True)
-class DivisorLabel:
+class DivisorLabel(FrozenValue):
     """Tag on a ray: boundary of a factor, exceptional of a blow-up step,
     or strict transform of an original boundary divisor."""
-    kind: str
-    arg: int
+    __slots__ = ("kind", "arg")
 
-    def __post_init__(self):
-        if self.kind not in (BOUNDARY, EXCEPTIONAL, STRICT_TRANSFORM):
-            raise FanSchemaError(f"unknown label kind {self.kind!r}")
+    def __init__(self, kind, arg):
+        if kind not in (BOUNDARY, EXCEPTIONAL, STRICT_TRANSFORM):
+            raise FanSchemaError(f"unknown label kind {quote(kind)}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(FrozenValue):
     """Simplicial cone given by its primitive ray generators, all of one
     length, sorted lex.
 
@@ -77,12 +78,11 @@ class Cone:
     it serves `logproduct.log_product`, whose closed form proves its cones
     valid and gives their indices.
     """
-    rays: tuple
-    det: int | None = field(default=None, init=False, compare=False,
-                            repr=False)
+    __slots__ = ("rays", "det")
+    _fields = ("rays",)
 
-    def __post_init__(self):
-        rays = tuple(sorted(tuple(r) for r in self.rays))
+    def __init__(self, rays):
+        rays = tuple(sorted(tuple(r) for r in rays))
         d = lattice_index(rays) if len({len(r) for r in rays}) < 2 else None
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "det", d)
@@ -118,32 +118,30 @@ class Cone:
         return solve_nonnegative(self.rays, point) is not None
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(FrozenValue):
     """Set of maximal simplicial cones, with optional ray labels.
 
     Cones are stored canonically sorted so identical fans compare equal
     bit-for-bit; a cone listed twice, or one with a ray whose length is
     not `rank`, raises FanSchemaError.  Labels are a sorted (ray, label) tuple.
     """
-    rank: int
-    cones: tuple
-    labels: tuple = field(default=())
+    __slots__ = ("rank", "cones", "labels")
 
-    def __post_init__(self):
+    def __init__(self, rank, cones, labels=()):
         cones = tuple(sorted((c if isinstance(c, Cone) else Cone(tuple(c))
-                              for c in self.cones), key=lambda c: c.rays))
+                              for c in cones), key=lambda c: c.rays))
         for a, b in zip(cones, cones[1:]):
             if a.rays == b.rays:
                 raise FanSchemaError(f"cone {a.rays} listed twice")
         bad = next((c for c in cones
-                    if c.rays and len(c.rays[0]) != self.rank), None)
+                    if c.rays and len(c.rays[0]) != rank), None)
         if bad is not None:
             raise FanSchemaError(f"cone {bad.rays} has a ray whose length "
-                                 f"is not the rank {self.rank}")
-        labels = tuple(sorted(((tuple(ray), lab) for ray, lab in self.labels),
+                                 f"is not the rank {rank}")
+        labels = tuple(sorted(((tuple(ray), lab) for ray, lab in labels),
                               key=lambda item: (item[0], item[1].kind,
                                                 item[1].arg)))
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cones", cones)
         object.__setattr__(self, "labels", labels)
 
@@ -547,11 +545,11 @@ def fan_from_json(data):
             index = -1
         if not (0 <= index < len(rays) and isinstance(d, dict)
                 and type(d.get("arg")) is int):
-            raise FanSchemaError(f"fan JSON label {i!r}: {d!r} needs a "
+            raise FanSchemaError(f"fan JSON label {quote(i)}: {d!r} needs a "
                                  f"ray index in 0..{len(rays) - 1} and an "
                                  f"int arg")
         if rays[index] not in held:
-            raise FanSchemaError(f"fan JSON label {i!r} is on the ray "
+            raise FanSchemaError(f"fan JSON label {quote(i)} is on the ray "
                                  f"{list(rays[index])}, which no cone "
                                  f"holds")
         labels.append((rays[index], DivisorLabel(d.get("kind"), d["arg"])))

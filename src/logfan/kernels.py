@@ -46,16 +46,16 @@ pieces between the `+`s, and each is read with one pattern that holds its
 multiplicity, its `t(` layers and its atom.
 """
 
-from dataclasses import dataclass
 import re
 from typing import NamedTuple
 
 from .cohomology import SplitBundle, Summand, exterior_algebra, normal_form
 from .errors import (KERNEL_GRAMMAR, FormalityUnavailable,
                      UnsupportedComposition, UnsupportedHHShape, printable,
-                     read_int)
+                     quote, read_int)
 from .hkr import _space_of, log_serre
 from .logproduct import LogPair, format_pair
+from .values import FrozenValue
 
 DIAG = "diag"
 GRAPH = "graph"
@@ -77,18 +77,17 @@ def _flip(atom):
     return Atom(_FLIP[atom.kind], atom.degree, atom.twist, atom.shift)
 
 
-@dataclass(frozen=True)
-class KernelExpr:
-    """Formal sum of atoms from `source` to `target`, in normal form."""
-    source: LogPair
-    target: LogPair
-    terms: tuple  # ((Atom, multiplicity), ...)
+class KernelExpr(FrozenValue):
+    """Formal sum of atoms from `source` to `target` (LogPairs), in normal
+    form: terms ((Atom, multiplicity), ...)."""
+    __slots__ = ("source", "target", "terms")
 
-    def __post_init__(self):
-        terms = normal_form(self.terms)
-        for atom, _ in terms:
+    def __init__(self, source, target, terms):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "terms", normal_form(terms))
+        for atom, _ in self.terms:
             self._check_atom(atom)
-        object.__setattr__(self, "terms", terms)
 
     def _check_atom(self, atom):
         if atom.kind == DIAG:
@@ -184,9 +183,11 @@ def excess_intersection(degree, m):
     """
     if degree != 1:
         ambient = SplitBundle((Summand(2), Summand(1), (Summand(degree), m)))
+        text = printable(lambda: _bundle_text(ambient.terms),
+                         "the ambient tangent bundle restricted to the graph")
         raise FormalityUnavailable(
-            f"tangent sub-bundle 2*O(1) + O(2) does not split off "
-            f"{_bundle_text(ambient.terms)}; no formality route")
+            f"tangent sub-bundle 2*O(1) + O(2) does not split off {text}; "
+            f"no formality route")
     return SplitBundle.line(1, 0, m - 1)
 
 
@@ -450,7 +451,7 @@ def parse_kernel(text, source, target):
     for part in text.split("+"):
         m = _TERM_RE.fullmatch(part)
         if not m or m["open"].count("(") != m["close"].count(")"):
-            raise ValueError(f"cannot parse term {part!r}\n"
+            raise ValueError(f"cannot parse term {quote(part)}\n"
                              f"{KERNEL_GRAMMAR}")
         try:
             mult = read_int(m["mult"] or "1")

@@ -28,7 +28,6 @@ pair grammar (`LogPair`, `parse_pair`, `format_pair`) that `hkr` and
 `kernels` read loads neither the fan layer nor `linalg`.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations, permutations
 from math import factorial
@@ -37,7 +36,9 @@ import re
 
 from .errors import (DimensionTooLarge, EmptyProjection,
                      NotABuildingSetOrder, NoToricModel, TooFewFactors,
-                     TooManyCones, read_int)
+                     TooManyCones, printable, quote,
+                     read_int)
+from .values import FrozenValue
 
 # Largest number of maximal cones `log_product` builds: A1^8 (8! = 40320
 # cones, about 0.15 s in process on a 2-core x86_64 host) fits, A1^9
@@ -52,21 +53,21 @@ MAX_CONES = 50_000
 MAX_RANK = 10
 
 
-@dataclass(frozen=True)
-class LogPair:
+class LogPair(FrozenValue):
     """A pair (X, D): projective space with a coordinate hyperplane, a
     torus-fixed point on P^1, a pointed genus-g curve, or the affine local
     model (A^1, 0)."""
-    kind: str
-    param: int = 0
+    __slots__ = ("kind", "param")
 
-    def __post_init__(self):
-        if self.kind not in ("Pn:H", "P1:pt", "Cg:pt", "A1:0"):
-            raise ValueError(f"unknown pair kind {self.kind!r}")
-        if self.kind == "Pn:H" and self.param < 1:
+    def __init__(self, kind, param=0):
+        if kind not in ("Pn:H", "P1:pt", "Cg:pt", "A1:0"):
+            raise ValueError(f"unknown pair kind {kind!r}")
+        if kind == "Pn:H" and param < 1:
             raise ValueError("projective space needs dimension >= 1")
-        if self.kind == "Cg:pt" and self.param < 0:
+        if kind == "Cg:pt" and param < 0:
             raise ValueError("genus must be nonnegative")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
 
     @property
     def dim(self):
@@ -103,8 +104,10 @@ class LogPair:
 
 def _check_rank(rank):
     if rank > MAX_RANK:
-        raise DimensionTooLarge(
-            f"a fan of rank {rank} is above the cap of rank {MAX_RANK}")
+        raise DimensionTooLarge(printable(
+            lambda: f"a fan of rank {rank} is above the cap of rank "
+                    f"{MAX_RANK}",
+            f"a fan's rank is above the cap of rank {MAX_RANK}"))
 
 
 PAIR_RE = re.compile(r"^(P(\d+):H|P1:pt|C(\d+):pt|A1:0)$")
@@ -113,7 +116,7 @@ PAIR_RE = re.compile(r"^(P(\d+):H|P1:pt|C(\d+):pt|A1:0)$")
 def parse_pair(text):
     m = PAIR_RE.match(text.strip())
     if not m:
-        raise ValueError(f"cannot parse pair {text!r}")
+        raise ValueError(f"cannot parse pair {quote(text)}")
     if text.strip() == "P1:pt":
         return LogPair("P1:pt")
     if text.strip() == "A1:0":
@@ -165,18 +168,21 @@ def is_valid_order(order, n):
     return True
 
 
-@dataclass(frozen=True)
-class LogProductSpace:
+class LogProductSpace(FrozenValue):
     """The log product fan together with divisor bookkeeping.
 
     `stratum_ray` maps each blown-up stratum (a frozenset of factor
-    indices) to its exceptional ray; `strict_transforms` maps each factor
-    index to the ray of the strict transform of its boundary divisor.
+    indices) to its exceptional ray, as ((frozenset, ray), ...);
+    `strict_transforms` maps each factor index to the ray of the strict
+    transform of its boundary divisor, as ((factor index, ray), ...).
     """
-    factors: tuple
-    fan: "Fan"
-    stratum_ray: tuple  # ((frozenset, ray), ...)
-    strict_transforms: tuple  # ((factor index, ray), ...)
+    __slots__ = ("factors", "fan", "stratum_ray", "strict_transforms")
+
+    def __init__(self, factors, fan, stratum_ray, strict_transforms):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "stratum_ray", stratum_ray)
+        object.__setattr__(self, "strict_transforms", strict_transforms)
 
 
 def _cone_count(factor_fans):

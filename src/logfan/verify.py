@@ -6,7 +6,6 @@ shift sign (+1) to the library's `kernels.signed_count` (a negative
 control: with it on, the shifted-Chern cases must fail).
 """
 
-from dataclasses import dataclass
 import random
 
 from . import kernels
@@ -22,25 +21,30 @@ from .kernels import (Atom, DIAG, KernelExpr, adjoint_exchange_check,
 from .logproduct import (LogPair, building_set, log_product,
                          order_independence_check, projection,
                          strict_transform_rays)
+from .values import FrozenValue
 
 P1 = LogPair("P1:pt")
 
 
-@dataclass(frozen=True)
-class VerifyCase:
-    case_id: str
-    claim: str
-    expected: object
-    actual: object
+class VerifyCase(FrozenValue):
+    __slots__ = ("case_id", "claim", "expected", "actual")
+
+    def __init__(self, case_id, claim, expected, actual):
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
     @property
     def passed(self):
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    cases: tuple
+class VerifyReport(FrozenValue):
+    __slots__ = ("cases",)
+
+    def __init__(self, cases):
+        object.__setattr__(self, "cases", cases)
 
     @property
     def passed(self):

@@ -12,6 +12,7 @@ import pytest
 from logfan import cohomology
 from logfan.cli import KERNEL_GRAMMAR, main, parse_bundle_expr, parse_order
 from logfan.cohomology import SplitBundle, Summand
+from logfan.errors import QUOTE_LIMIT
 from logfan.fans import fan_dumps, fan_from_json, fan_to_json
 from logfan.logproduct import log_product, parse_pair
 
@@ -73,8 +74,10 @@ class TestPlumbing:
 
 
 # What `main(argv)` leaves in `sys.modules` of a fresh interpreter: the
-# `logfan` modules, `fractions`, which only `linalg` imports, and `json`.
-# `-S` keeps site hooks from importing anything first.
+# `logfan` modules, `fractions`, which only `linalg` imports, `json`, and
+# `dataclasses` and `inspect`, which no case may load: the value classes
+# share `logfan.values` instead.  `-S` keeps site hooks from importing
+# anything first.
 IMPORT_PROBE = """
 import sys
 from logfan.cli import main
@@ -85,13 +88,15 @@ except SystemExit as exc:
 sys.stdout.flush()
 print(code, *sorted(m for m in sys.modules
                     if m.split(".")[0] == "logfan"
-                    or m in ("fractions", "json")), file=sys.stderr)
+                    or m in ("dataclasses", "fractions", "inspect", "json")),
+      file=sys.stderr)
 """
 
 BASE = {"logfan", "logfan.cli", "logfan.errors"}
-PAIRS = BASE | {"logfan.cohomology", "logfan.hkr", "logfan.logproduct"}
+VALUES = BASE | {"logfan.values"}
+PAIRS = VALUES | {"logfan.cohomology", "logfan.hkr", "logfan.logproduct"}
 KERNELS = PAIRS | {"logfan.kernels"}
-FAN_LAYER = BASE | {"logfan.fans", "logfan.linalg", "fractions", "json"}
+FAN_LAYER = VALUES | {"logfan.fans", "logfan.linalg", "fractions", "json"}
 EVERY = KERNELS | FAN_LAYER | {"logfan.verify"}
 
 
@@ -100,7 +105,7 @@ class TestImports:
         (["--version"], 0, BASE),
         (["hkr"], 2, BASE),
         (["cohomology", "--base", "P2", "--bundle", "O(-1)^2"], 0,
-         BASE | {"logfan.cohomology"}),
+         VALUES | {"logfan.cohomology"}),
         (["hkr", "--pair", "P1:pt", "--json"], 0, PAIRS | {"json"}),
         (["chern", "--pair", "P1:pt", "--kernel", "diag(O,1)"], 0, KERNELS),
         (["euler", "--source", "P1:pt", "--target", "P2:H", "--kernel",
@@ -627,6 +632,83 @@ def test_over_long_integer_is_a_usage_error_naming_the_limit(
     assert f"more than {sys.get_int_max_str_digits()} digits" in first
     assert rest == ([KERNEL_GRAMMAR] if argv[0] == "chern" else [])
     assert "set_int_max_str_digits" not in err and "9" * 10 not in err
+
+
+# readable integers whose sum, computed from them, is past Python's digit
+# limit for printing: the cap refuses it by name and leaves the number out
+NINES = "9" * 4300
+OVER_LONG_SUMS = [
+    pytest.param(("fan", "dump", "--pairs", f"P1:pt,P{NINES}:H"),
+                 "DimensionTooLarge: a fan's rank is above the cap of "
+                 "rank 10", id="fan-dump-rank"),
+    pytest.param(("logproduct", "--pairs", f"P{NINES}:H,P1:pt"),
+                 "DimensionTooLarge: a fan's rank is above the cap of "
+                 "rank 10", id="logproduct-rank"),
+    pytest.param(("euler", "--source", "P1:pt", "--target", f"P{NINES}:H",
+                  "--kernel", "graph(deg=2)", "--against", "graph(deg=2)"),
+                 "FormalityUnavailable: tangent sub-bundle 2*O(1) + O(2) "
+                 "does not split off the ambient tangent bundle restricted "
+                 "to the graph; no formality route", id="formality-ambient"),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+@pytest.mark.parametrize("argv,error", OVER_LONG_SUMS)
+def test_over_long_sum_is_refused_without_the_number(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+# malformed input of any length, quoted by a bounded prefix and its length
+# once it is longer than QUOTE_LIMIT characters
+LONG_TEXT = "9" * 4400
+QUOTED_INPUTS = [
+    pytest.param(("hkr", "--pair", f"P{LONG_TEXT}:X"), None,
+                 "cannot parse pair", f"P{LONG_TEXT}:X", id="pair"),
+    pytest.param(("cohomology", "--base", "P2", "--bundle",
+                  f"O({LONG_TEXT}"), None, "cannot parse bundle summand",
+                 f"O({LONG_TEXT}", id="bundle"),
+    pytest.param(("cohomology", "--base", f"Q{LONG_TEXT}", "--bundle", "O"),
+                 None, "cannot parse base", f"Q{LONG_TEXT}", id="base"),
+    pytest.param(("logproduct", "--pairs", "P1:pt,P1:pt", "--order",
+                  f"1,{LONG_TEXT}a"), None, "cannot parse order group",
+                 f"1,{LONG_TEXT}a", id="order"),
+    pytest.param(("chern", "--pair", "P1:pt", "--kernel",
+                  f"diag(O,{LONG_TEXT}"), None, "cannot parse term",
+                 f"diag(O,{LONG_TEXT}", id="kernel"),
+    pytest.param(("fan", "check", "-"),
+                 '{"rank": 1, "rays": [[1]], "cones": [[0]], '
+                 '"labels": {"%s": {}}}' % LONG_TEXT,
+                 "fan JSON label", LONG_TEXT, id="fan-json-label"),
+    pytest.param(("fan", "check", "-"),
+                 '{"rank": 1, "rays": [[1]], "cones": [[0]], '
+                 '"labels": {"0": {"kind": "%s", "arg": 0}}}' % LONG_TEXT,
+                 "unknown label kind", LONG_TEXT, id="fan-json-label-kind"),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,what,text", QUOTED_INPUTS)
+def test_usage_error_quotes_a_bounded_prefix_of_long_input(
+        capsys, monkeypatch, argv, stdin, what, text):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    first, *rest = err.splitlines()
+    assert (code, out) == (2, "")
+    assert first.startswith(f"usage error: {what} {text[:QUOTE_LIMIT]!r}... "
+                            f"({len(text)} characters)")
+    assert rest == ([KERNEL_GRAMMAR] if argv[0] == "chern" else [])
+    assert len(first) < 300
+
+
+def test_usage_error_quotes_ordinary_input_whole(capsys):
+    """Input of up to QUOTE_LIMIT characters is quoted as it always was."""
+    code, out, err = run(capsys, "hkr", "--pair", "P1:Q")
+    assert (code, out, err) == (
+        2, "", "usage error: cannot parse pair 'P1:Q'\n")
+    code, out, err = run(capsys, "hkr", "--pair", "X" * QUOTE_LIMIT)
+    assert err == f"usage error: cannot parse pair {'X' * QUOTE_LIMIT!r}\n"
 
 
 @pytest.mark.parametrize("order,group", [("1,a", "1,a"), ("1,2;", ""),

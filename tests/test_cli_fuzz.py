@@ -18,7 +18,7 @@ import re
 import sys
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from logfan.cli import KERNEL_GRAMMAR, main
@@ -142,6 +142,10 @@ def invoke(argv, stdin):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(ARGV, FAN_JSON)
+# a 4,300-digit dimension is readable, but the rank, the sum of the
+# factor dimensions, has 4,301 digits: run on every pass, not by chance
+@example(["fan", "dump", "--pairs", f"P1:pt,P{'9' * 4300}:H"], "")
+@example(["logproduct", "--pairs", f"P{'9' * 4300}:H,P1:pt"], "")
 def test_cli_refuses_bad_input_with_one_error_line(argv, fan_json):
     code, err = invoke(argv, fan_json)
     assert code in (0, 1, 2)

@@ -1,5 +1,6 @@
 from math import comb, factorial
 from operator import itemgetter
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from logfan import cohomology, hkr
 from logfan.cohomology import (MAX_PN_DIM, MAX_TWIST, Space, SplitBundle,
                                Summand, cohomology_line_curve,
                                cohomology_line_pn, euler_characteristic,
-                               graded_cohomology, normal_form)
+                               exterior_algebra, graded_cohomology,
+                               normal_form)
 from logfan.errors import AmbiguousDegree, DimensionTooLarge, TwistTooLarge
 
 P1 = Space("Pn", 1)
@@ -271,6 +273,17 @@ class TestCaps:
         for twist in (MAX_TWIST + 1, -MAX_TWIST - 1, 10 ** 5000):
             with pytest.raises(TwistTooLarge):
                 graded_cohomology(P1, bundle + SplitBundle.line(twist, 1))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_unprintable_wedge_rank_names_only_the_cap(self):
+        # two readable multiplicities whose sum, the rank, is not printable
+        nines = int("9" * 4300)
+        bundle = SplitBundle(((Summand(0), nines), (Summand(1), nines)))
+        with pytest.raises(DimensionTooLarge) as exc:
+            exterior_algebra(bundle)
+        assert str(exc.value) == ("a bundle's rank is above the cap of "
+                                  "rank 1000 for exterior powers")
 
     def test_curves_are_not_capped(self):
         assert graded_cohomology(Space("curve", 0),
