@@ -129,14 +129,17 @@ def printable(build, fallback=None):
         raise ResultTooLarge(digit_limit("printing")) from exc
 
 
-def quote(text):
-    """`repr(text)` for malformed input `text` of up to QUOTE_LIMIT
-    characters (or not a string); longer text is quoted by its first
-    QUOTE_LIMIT characters and its length, so that a usage error stays
-    one short line."""
-    if not isinstance(text, str) or len(text) <= QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+def quote(value):
+    """`repr(value)` for malformed input `value` whose text, the string
+    itself or the repr of any other value, has up to QUOTE_LIMIT
+    characters; longer text is quoted by its first QUOTE_LIMIT characters
+    and its length, so that a usage error stays one short line."""
+    is_text = isinstance(value, str)
+    text = value if is_text else repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return repr(value)
+    head = repr(text[:QUOTE_LIMIT]) if is_text else text[:QUOTE_LIMIT]
+    return f"{head}... ({len(text)} characters)"
 
 
 def read_int(digits):

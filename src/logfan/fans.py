@@ -216,9 +216,10 @@ def product_fan(f, g, offset=0):
     """Direct product of two fans; maximal cones are pairwise direct sums.
 
     `offset` is added to the factor index of every boundary/strict-transform
-    label of `g`, so labels survive repeated products.  The point fan
-    Fan(0, (Cone(()),)) is a unit; a fan with no cones gives no cones and
-    no labels.
+    label of `g`, so labels survive repeated products; its one nonzero
+    caller is the fancheck workload's set-up, bench/workloads.py:220.  The
+    point fan Fan(0, (Cone(()),)) is a unit; a fan with no cones gives no
+    cones and no labels.
     """
     def left(ray):
         return tuple(ray) + (0,) * g.rank
@@ -510,8 +511,8 @@ def _json_ints(value, what, length=None, bound=None):
                        for x in value)):
         expect = (f"{length} integers" if bound is None
                   else f"ray indices in 0..{bound - 1}")
-        raise FanSchemaError(f"fan JSON {what} {value!r} is not a list of "
-                             f"{expect}")
+        raise FanSchemaError(f"fan JSON {what} {quote(value)} is not a list "
+                             f"of {expect}")
     return tuple(value)
 
 
@@ -545,9 +546,9 @@ def fan_from_json(data):
             index = -1
         if not (0 <= index < len(rays) and isinstance(d, dict)
                 and type(d.get("arg")) is int):
-            raise FanSchemaError(f"fan JSON label {quote(i)}: {d!r} needs a "
-                                 f"ray index in 0..{len(rays) - 1} and an "
-                                 f"int arg")
+            raise FanSchemaError(f"fan JSON label {quote(i)}: {quote(d)} "
+                                 f"needs a ray index in 0..{len(rays) - 1} "
+                                 f"and an int arg")
         if rays[index] not in held:
             raise FanSchemaError(f"fan JSON label {quote(i)} is on the ray "
                                  f"{list(rays[index])}, which no cone "

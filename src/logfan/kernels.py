@@ -28,8 +28,9 @@ Transforms in Algebraic Geometry*, 2006, Prop. 5.9):
   atom formulas.
 
 The scalar regime (log Hochschild homology one-dimensional, in degree 0)
-has a closed form: (P^n, H) and (P^1, pt) are scalar, a pointed curve
-(C_g, pt) only when g = 0, and (A^1, 0) is refused as `hkr` refuses it.
+has a closed form, which `_require_scalar` asks: (P^n, H) and (P^1, pt)
+are scalar, a pointed curve (C_g, pt) only when g = 0, and (A^1, 0) is
+refused as `hkr` refuses it.
 
 Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
 
@@ -54,7 +55,7 @@ from .errors import (KERNEL_GRAMMAR, FormalityUnavailable,
                      UnsupportedComposition, UnsupportedHHShape, printable,
                      quote, read_int)
 from .hkr import _space_of, log_serre
-from .logproduct import LogPair, format_pair
+from .logproduct import format_pair
 from .values import FrozenValue
 
 DIAG = "diag"
@@ -251,19 +252,14 @@ def _compose_atoms(a, b, m, same_map, routes):
 # ---------------------------------------------------------------------------
 # Hochschild action, Chern character, Euler pairing
 
-def _scalar_regime(pair):
-    """Whether log Hochschild homology is one-dimensional in degree 0:
-    (P^n, H), (P^1, pt) and (C_0, pt); a pair without cohomology tables
-    is refused as `hkr` refuses it."""
-    _space_of(pair)
-    return pair.kind != "Cg:pt" or pair.param == 0
-
-
 def _require_scalar(*pairs):
-    """Raise UnsupportedHHShape for the first pair outside the scalar
-    regime."""
+    """Raise UnsupportedHHShape for the first pair whose log Hochschild
+    homology is not one-dimensional in degree 0: the scalar regime is
+    (P^n, H), (P^1, pt) and (C_0, pt).  A pair without cohomology tables
+    is refused as `hkr` refuses it."""
     for pair in pairs:
-        if not _scalar_regime(pair):
+        _space_of(pair)
+        if pair.kind == "Cg:pt" and pair.param != 0:
             raise UnsupportedHHShape(
                 f"{format_pair(pair)} has log Hochschild homology beyond "
                 f"degree 0")

@@ -2,13 +2,14 @@
 
 Everything runs on plain Python ints (arbitrary precision), and every
 elimination step is one `_pivot`, the fraction-free update of Bareiss
-(1968).  Rank, a nonzero maximal minor and hyperplane normals are read
-off one forward elimination, normals by an integer back-substitution,
-and a lattice index by a Hermite reduction modulo that minor; cone
-membership, and any nonnegative combination, is phase 1 of the simplex
-method on a tableau pivoted by the same `_pivot`.  No floats enter the
-core geometry, and fractions.Fraction appears only in the coefficients
-`solve_nonnegative` returns.
+(1968).  One forward elimination gives the rank, read inside
+`lattice_index` and `normal_vector` and not exported: a lattice index is
+a nonzero maximal minor or a Hermite reduction modulo one, a normal an
+integer back-substitution.  Cone membership, and any nonnegative
+combination, is phase 1 of the simplex method on a tableau pivoted by
+the same `_pivot`.  No floats enter the core geometry, and
+fractions.Fraction appears only in the coefficients `solve_nonnegative`
+returns.
 """
 
 from fractions import Fraction
@@ -69,11 +70,6 @@ def _echelon(rows):
         d = _pivot(m[r:], m[r], col, d)
         pivots.append(col)
     return m, pivots, d
-
-
-def matrix_rank(rows):
-    """Rank of an integer matrix over Q."""
-    return len(_echelon(rows)[1])
 
 
 def lattice_index(rows):

@@ -663,6 +663,7 @@ def test_over_long_sum_is_refused_without_the_number(capsys, argv, error):
 # malformed input of any length, quoted by a bounded prefix and its length
 # once it is longer than QUOTE_LIMIT characters
 LONG_TEXT = "9" * 4400
+LONG_RAY = list(range(100000))
 QUOTED_INPUTS = [
     pytest.param(("hkr", "--pair", f"P{LONG_TEXT}:X"), None,
                  "cannot parse pair", f"P{LONG_TEXT}:X", id="pair"),
@@ -685,6 +686,14 @@ QUOTED_INPUTS = [
                  '{"rank": 1, "rays": [[1]], "cones": [[0]], '
                  '"labels": {"0": {"kind": "%s", "arg": 0}}}' % LONG_TEXT,
                  "unknown label kind", LONG_TEXT, id="fan-json-label-kind"),
+    # a value that is not a string is quoted by its repr's prefix
+    pytest.param(("fan", "check", "-"),
+                 json.dumps({"rank": 2, "rays": [LONG_RAY], "cones": [[0]]}),
+                 "fan JSON ray", LONG_RAY, id="fan-json-ray"),
+    pytest.param(("fan", "check", "-"),
+                 json.dumps({"rank": 1, "rays": [[1]], "cones": [[0]],
+                             "labels": {"0": LONG_RAY}}),
+                 "fan JSON label '0':", LONG_RAY, id="fan-json-label-value"),
 ]
 
 
@@ -695,20 +704,31 @@ def test_usage_error_quotes_a_bounded_prefix_of_long_input(
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)
     first, *rest = err.splitlines()
+    if isinstance(text, str):
+        head, size = repr(text[:QUOTE_LIMIT]), len(text)
+    else:
+        head, size = repr(text)[:QUOTE_LIMIT], len(repr(text))
     assert (code, out) == (2, "")
-    assert first.startswith(f"usage error: {what} {text[:QUOTE_LIMIT]!r}... "
-                            f"({len(text)} characters)")
+    assert first.startswith(f"usage error: {what} {head}... "
+                            f"({size} characters)")
     assert rest == ([KERNEL_GRAMMAR] if argv[0] == "chern" else [])
     assert len(first) < 300
 
 
-def test_usage_error_quotes_ordinary_input_whole(capsys):
-    """Input of up to QUOTE_LIMIT characters is quoted as it always was."""
+def test_usage_error_quotes_ordinary_input_whole(capsys, monkeypatch):
+    """Input of up to QUOTE_LIMIT characters, or a value whose repr is that
+    short, is quoted as it always was."""
     code, out, err = run(capsys, "hkr", "--pair", "P1:Q")
     assert (code, out, err) == (
         2, "", "usage error: cannot parse pair 'P1:Q'\n")
     code, out, err = run(capsys, "hkr", "--pair", "X" * QUOTE_LIMIT)
     assert err == f"usage error: cannot parse pair {'X' * QUOTE_LIMIT!r}\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"rank": 2, "rays": [[1, 0, 0]], "cones": [[0]]}'))
+    code, out, err = run(capsys, "fan", "check", "-")
+    assert (code, out, err) == (
+        2, "", "usage error: fan JSON ray [1, 0, 0] is not a list of 2 "
+        "integers\n")
 
 
 @pytest.mark.parametrize("order,group", [("1,a", "1,a"), ("1,2;", ""),

@@ -20,7 +20,7 @@ from logfan.fans import (BOUNDARY, Cone, DivisorLabel, Fan,
                          fan_dumps, fan_from_json, fan_loads, fan_map_witness,
                          induces_fan_map, is_smooth, product_fan,
                          star_subdivide)
-from logfan.linalg import mat_mul_vec, matrix_rank, primitive
+from logfan.linalg import mat_mul_vec, primitive
 from logfan.logproduct import log_product, parse_pair, projection
 
 
@@ -75,9 +75,9 @@ class TestIsSmooth:
 
 
 def reference_cone_check(rays):
-    """The checks of a cone's rays, in order, without a determinant:
+    """The checks of a cone's rays, in order, without `linalg`:
     distinct rays, nonzero and primitive rays, one length, independent
-    rays."""
+    rays (a nonzero maximal minor)."""
     rays = tuple(sorted(rays))
     if len(set(rays)) != len(rays):
         raise InvalidCone(f"duplicate rays in {rays}")
@@ -88,13 +88,13 @@ def reference_cone_check(rays):
             raise InvalidCone(f"ray {r} is not primitive")
     if len({len(r) for r in rays}) > 1:
         raise InvalidCone(f"rays {rays} have different lengths")
-    if rays and matrix_rank(rays) != len(rays):
+    if rays and minors_gcd(rays) == 0:
         raise InvalidCone(f"rays {rays} are linearly dependent")
 
 
 def minors_gcd(rays):
     """gcd of the maximal minors of the rays, each by Laplace expansion
-    along its first row."""
+    along its first row: 0 exactly when the rays are dependent."""
     def minor(m):
         return sum((-1) ** j * x * minor([r[:j] + r[j + 1:] for r in m[1:]])
                    for j, x in enumerate(m[0])) if m else 1
@@ -346,7 +346,7 @@ def small_cone(draw, rank, vectors, min_rays=0):
     or not full-dimensional."""
     rays = []
     for v in draw(st.lists(vectors, min_size=min_rays, max_size=rank)):
-        if any(v) and matrix_rank(rays + [primitive(v)]) == len(rays) + 1:
+        if any(v) and minors_gcd(rays + [primitive(v)]):
             rays.append(primitive(v))
     return Cone(tuple(rays))
 
@@ -481,7 +481,7 @@ def cone_sets(draw):
         size = min(len(pool), rank if pure else draw(st.integers(1, rank)))
         rays = draw(st.lists(st.sampled_from(pool), min_size=size,
                              max_size=size, unique=True))
-        if matrix_rank(rays) == len(rays):
+        if minors_gcd(rays):
             cone = Cone(tuple(rays))
             cones[cone.rays] = cone
     assume(cones)

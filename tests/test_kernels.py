@@ -13,7 +13,7 @@ from logfan.errors import (DimensionTooLarge, FormalityUnavailable,
                            UnsupportedComposition, UnsupportedHHShape)
 from logfan.hkr import hkr_homology
 from logfan.kernels import (Atom, DIAG, GRAPH, TGRAPH, KernelExpr,
-                            _bundle_text, _scalar_regime, _signed_sum,
+                            _bundle_text, _require_scalar, _signed_sum,
                             adjoint_exchange_check, bicategory_law_check,
                             chern_log, chern_log_expansion, compose,
                             diag_kernel, euler_pairing, excess_intersection,
@@ -564,14 +564,22 @@ def test_transpose_reverses_composition_p1(e, f):
 @pytest.mark.parametrize("text", [f"P{n}:H" for n in range(1, 21)]
                          + ["P1:pt"] + [f"C{g}:pt" for g in range(7)])
 def test_scalar_regime_closed_form(text):
+    """`_require_scalar` raises exactly when the HKR table is not one
+    class in degree 0."""
     pair = parse_pair(text)
-    assert _scalar_regime(pair) == (hkr_homology(pair) == {0: 1})
+    if hkr_homology(pair) == {0: 1}:
+        _require_scalar(P1, pair)
+        return
+    with pytest.raises(UnsupportedHHShape) as exc:
+        _require_scalar(P1, pair)
+    assert str(exc.value) == (f"{text} has log Hochschild homology beyond "
+                              f"degree 0")
 
 
 def test_scalar_regime_refuses_like_hkr():
     pair = parse_pair("A1:0")
     with pytest.raises(NoToricModel) as ours:
-        _scalar_regime(pair)
+        _require_scalar(pair)
     with pytest.raises(NoToricModel) as theirs:
         hkr_homology(pair)
     assert str(ours.value) == str(theirs.value)
