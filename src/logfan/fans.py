@@ -121,15 +121,14 @@ class Cone(FrozenValue):
 class Fan(FrozenValue):
     """Set of maximal simplicial cones, with optional ray labels.
 
-    Cones are stored canonically sorted so identical fans compare equal
-    bit-for-bit; a cone listed twice, or one with a ray whose length is
-    not `rank`, raises FanSchemaError.  Labels are a sorted (ray, label) tuple.
+    The `Cone`s are stored canonically sorted so identical fans compare
+    equal bit-for-bit; a cone listed twice, or one with a ray whose length
+    is not `rank`, raises FanSchemaError.  Labels are a sorted tuple.
     """
     __slots__ = ("rank", "cones", "labels")
 
     def __init__(self, rank, cones, labels=()):
-        cones = tuple(sorted((c if isinstance(c, Cone) else Cone(tuple(c))
-                              for c in cones), key=lambda c: c.rays))
+        cones = tuple(sorted(cones, key=lambda c: c.rays))
         for a, b in zip(cones, cones[1:]):
             if a.rays == b.rays:
                 raise FanSchemaError(f"cone {a.rays} listed twice")
@@ -166,7 +165,7 @@ class Fan(FrozenValue):
 
 
 def is_smooth(cone, ambient_rank):
-    """True when the cone's rays extend to a basis of Z^ambient_rank.
+    """True when the `Cone`'s rays extend to a basis of Z^ambient_rank.
 
     A cone whose rays do not have length `ambient_rank` raises
     RankMismatch.  Otherwise the cone is smooth exactly when the index it
@@ -174,8 +173,6 @@ def is_smooth(cone, ambient_rank):
     full-dimensional cone that is |det| = 1 (Cox-Little-Schenck, Toric
     Varieties, 1.2).
     """
-    if not isinstance(cone, Cone):
-        cone = Cone(tuple(cone))
     if cone.rays and len(cone.rays[0]) != ambient_rank:
         raise RankMismatch(f"cone {cone.rays} does not lie in "
                            f"Z^{ambient_rank}")
@@ -183,7 +180,7 @@ def is_smooth(cone, ambient_rank):
 
 
 def star_subdivide(fan, center):
-    """Stellar subdivision of `fan` at the cone `center`.
+    """Stellar subdivision of `fan` at the `Cone` `center`.
 
     The new ray is the primitive multiple of the sum of the center's ray
     generators (the barycentric convention); every maximal cone containing
@@ -191,8 +188,6 @@ def star_subdivide(fan, center):
     support is unchanged and the new ray is labeled Exceptional with the
     next blow-up step index.
     """
-    if not isinstance(center, Cone):
-        center = Cone(tuple(center))
     if len(center) < 2:
         raise CenterNotInFan("subdivision center needs at least two rays")
     new_ray = primitive(tuple(sum(xs) for xs in zip(*center.rays)))
@@ -523,9 +518,9 @@ def fan_from_json(data):
     key, an entry of the wrong type, a ray of the wrong length, a ray
     index outside the ray list (negative indices included), a cone listed
     twice, a label key that is not a decimal ray index, an unknown
-    label kind, or a label on a ray that no cone holds, which
-    `fan_to_json` could not write back.  Invalid cones raise
-    InvalidCone.
+    label kind, or a label `fan_to_json` could not write back: on a ray
+    no cone holds, or a second one on a ray ("0" and "00" name one ray,
+    as does a ray listed twice).  Invalid cones raise InvalidCone.
     """
     if not isinstance(data, dict):
         raise FanSchemaError("fan JSON must be an object")
@@ -538,7 +533,7 @@ def fan_from_json(data):
                              _json_ints(c, "cone", bound=len(rays))))
                   for c in _json_field(data, "cones", list))
     held = {r for c in cones for r in c.rays}
-    labels = []
+    labels = {}
     for i, d in _json_field(data, "labels", dict, {}).items():
         try:
             index = int(i) if isinstance(i, str) and i.isdecimal() else -1
@@ -553,8 +548,11 @@ def fan_from_json(data):
             raise FanSchemaError(f"fan JSON label {quote(i)} is on the ray "
                                  f"{list(rays[index])}, which no cone "
                                  f"holds")
-        labels.append((rays[index], DivisorLabel(d.get("kind"), d["arg"])))
-    return Fan(rank, cones, tuple(labels))
+        if rays[index] in labels:
+            raise FanSchemaError(f"fan JSON label {quote(i)} is a second "
+                                 f"label on the ray {list(rays[index])}")
+        labels[rays[index]] = DivisorLabel(d.get("kind"), d["arg"])
+    return Fan(rank, cones, tuple(labels.items()))
 
 
 def fan_dumps(fan):

@@ -4,7 +4,9 @@ A kernel is a formal nonnegative-integer combination of atoms:
 
 * ``diag(L, s)``      — diagonal pushforward of O(L)[s] on a pair X;
 * ``graph(deg=d, L, s)`` — graph pushforward along a degree-d map
-  f: (P^1, pt) -> (P^m, H), twisted and shifted;
+  f: (P^1, pt) -> (P^m, H), (P^1, pt) or (C_0, pt), twisted and shifted
+  (the rewrites read only the far end's dimension m, so a graph into
+  another pair raises ValueError when the kernel is built);
 * ``t(graph(...))``   — the transposed (flipped) graph, going the other way.
 
 Equality is normal-form equality (`cohomology.normal_form`, as for bundles).
@@ -94,18 +96,19 @@ class KernelExpr(FrozenValue):
         if atom.kind == DIAG:
             if self.source != self.target:
                 raise ValueError("diagonal atoms need source == target")
-        elif atom.kind == GRAPH:
-            if self.source.kind != "P1:pt":
-                raise ValueError("graph atoms start at P1:pt")
-            if atom.degree < 1:
-                raise ValueError("graph atoms need degree >= 1")
-        elif atom.kind == TGRAPH:
-            if self.target.kind != "P1:pt":
-                raise ValueError("transposed graph atoms end at P1:pt")
-            if atom.degree < 1:
-                raise ValueError("graph atoms need degree >= 1")
-        else:
+            return
+        if atom.kind not in (GRAPH, TGRAPH):
             raise ValueError(f"unknown atom kind {atom.kind!r}")
+        curve, far = ((self.source, self.target) if atom.kind == GRAPH
+                      else (self.target, self.source))
+        if curve.kind != "P1:pt":
+            raise ValueError("graph atoms start at P1:pt" if atom.kind == GRAPH
+                             else "transposed graph atoms end at P1:pt")
+        if atom.degree < 1:
+            raise ValueError("graph atoms need degree >= 1")
+        if far.kind == "A1:0" or far.kind == "Cg:pt" and far.param:
+            raise ValueError(f"graph atoms map P1:pt into P<m>:H, P1:pt or "
+                             f"C0:pt, not {format_pair(far)}")
 
     def __add__(self, other):
         if (self.source, self.target) != (other.source, other.target):

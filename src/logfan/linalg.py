@@ -7,12 +7,10 @@ elimination step is one `_pivot`, the fraction-free update of Bareiss
 a nonzero maximal minor or a Hermite reduction modulo one, a normal an
 integer back-substitution.  Cone membership, and any nonnegative
 combination, is phase 1 of the simplex method on a tableau pivoted by
-the same `_pivot`.  No floats enter the core geometry, and
-fractions.Fraction appears only in the coefficients `solve_nonnegative`
-returns.
+the same `_pivot`, whose integer tableau gives the solution with its
+common denominator.  No floats or fractions enter the core geometry.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -134,8 +132,10 @@ def normal_vector(rows, n):
 
 
 def solve_nonnegative(columns, point):
-    """A solution x >= 0 over Q of sum_i x_i * columns[i] = point, as a
-    tuple of Fractions, or None when there is none; any columns will do.
+    """A solution x >= 0 over Q of sum_i x_i * columns[i] = point, or
+    None when there is none; any columns will do.  The solution is (xs, d):
+    nonnegative ints xs and a denominator d >= 1, x_i = xs[i] / d, so
+    sum_i xs[i] * columns[i] = d * point.
 
     Phase 1 of the simplex method with Bland's rule (Bland 1977), so no
     basis repeats, on a fraction-free tableau.  Rows with a negative entry
@@ -147,7 +147,8 @@ def solve_nonnegative(columns, point):
     each pivot is one `_pivot` over the rows and the objective, so entries
     are minors of the input and divisions exact (Edmonds 1967).  The point
     is reached exactly when the objective, the sum of the artificials,
-    ends at 0: basic columns take rhs / d, the others 0.
+    ends at 0: over the denominator d, basic columns take their row's rhs
+    and the others 0.
     """
     k = len(columns)
     rows = [[s * c[i] for c in columns] + [s * p]
@@ -167,11 +168,8 @@ def solve_nonnegative(columns, point):
         basis[r] = col
     if objective[k]:
         return None
-    x = [Fraction(0)] * k
-    for i, b in enumerate(basis):
-        if b < k:
-            x[b] = Fraction(rows[i][k], d)
-    return tuple(x)
+    rhs = {b: row[k] for b, row in zip(basis, rows)}
+    return tuple(rhs.get(j, 0) for j in range(k)), d
 
 
 def mat_mul_vec(matrix, vec):

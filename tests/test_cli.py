@@ -74,10 +74,10 @@ class TestPlumbing:
 
 
 # What `main(argv)` leaves in `sys.modules` of a fresh interpreter: the
-# `logfan` modules, `fractions`, which only `linalg` imports, `json`, and
-# `dataclasses` and `inspect`, which no case may load: the value classes
-# share `logfan.values` instead.  `-S` keeps site hooks from importing
-# anything first.
+# `logfan` modules, `json`, and `dataclasses`, `fractions` and `inspect`,
+# which no case may load: the value classes share `logfan.values`, and
+# `linalg.solve_nonnegative` returns integers over a denominator.  `-S`
+# keeps site hooks from importing anything first.
 IMPORT_PROBE = """
 import sys
 from logfan.cli import main
@@ -96,7 +96,7 @@ BASE = {"logfan", "logfan.cli", "logfan.errors"}
 VALUES = BASE | {"logfan.values"}
 PAIRS = VALUES | {"logfan.cohomology", "logfan.hkr", "logfan.logproduct"}
 KERNELS = PAIRS | {"logfan.kernels"}
-FAN_LAYER = VALUES | {"logfan.fans", "logfan.linalg", "fractions", "json"}
+FAN_LAYER = VALUES | {"logfan.fans", "logfan.linalg", "json"}
 EVERY = KERNELS | FAN_LAYER | {"logfan.verify"}
 
 
@@ -405,7 +405,12 @@ class TestChernEuler:
         (("chern", "--pair", "P1:pt", "--target", "P3:H", "--kernel",
           "graph(deg=1)+2*graph(deg=2,O(1),1)"),
          ["additivity: 1 + 2*(-1) -> -1", "-1"]),
-    ], ids=["hh-action", "two-excess-routes", "expansion"])
+        # into P1:pt the excess bundle (m - 1)*O(1) is zero
+        (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",
+          "graph(deg=1)", "--against", "graph(deg=1)"),
+         ["adjoint: R(graph(deg=1,O,0)) = t(graph(deg=1,O,0))",
+          "excess: 0", "sym: O", "additivity: 1 -> 1", "1"]),
+    ], ids=["hh-action", "two-excess-routes", "expansion", "zero-excess"])
     def test_trace_lines(self, capsys, argv, lines):
         code, out, err = run(capsys, *argv, "--trace")
         assert (code, out.splitlines(), err) == (0, lines, "")
@@ -421,10 +426,11 @@ class TestChernEuler:
             "adjoint: R(diag(O,0)) = diag(O,0)", "additivity: 0 -> 0", "0"]
 
     def test_bad_kernel_grammar_exits_two(self, capsys):
-        code, _, err = run(capsys, "chern", "--pair", "P1:pt", "--kernel",
-                           "diag(O)")
-        assert code == 2 and "usage error" in err
-        assert KERNEL_GRAMMAR in err
+        for kernel in ("diag(O)", ""):
+            code, _, err = run(capsys, "chern", "--pair", "P1:pt",
+                               "--kernel", kernel)
+            assert code == 2 and "usage error" in err
+            assert KERNEL_GRAMMAR in err
 
     @pytest.mark.parametrize("argv", [
         ("cohomology", "--base", "Q3", "--bundle", "O"),
@@ -432,6 +438,13 @@ class TestChernEuler:
         ("hkr", "--pair", "P1:nope"),
         ("euler", "--source", "P1:H", "--target", "P2:H", "--kernel",
          "graph(deg=1)", "--against", "graph(deg=1)"),
+        # kernels the grammar reads but the pairs refuse
+        ("chern", "--pair", "P1:pt", "--target", "P2:H", "--kernel",
+         "graph(deg=0)"),
+        ("euler", "--source", "P1:pt", "--target", "P2:H", "--kernel",
+         "t(graph(deg=1))", "--against", "0"),
+        ("chern", "--pair", "P1:pt", "--target", "C2:pt", "--kernel",
+         "graph(deg=1)"),
     ])
     def test_other_usage_errors_omit_kernel_grammar(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -447,11 +460,19 @@ class TestChernEuler:
                        "homology beyond degree 0\n")
 
     def test_chern_outside_scalar_regime_exits_one(self, capsys):
+        # the kernel 0: a graph into C1:pt is refused when it is built
         code, out, err = run(capsys, "chern", "--pair", "P1:pt", "--target",
-                             "C1:pt", "--kernel", "graph(deg=1)")
+                             "C1:pt", "--kernel", "0")
         assert code == 1 and out == ""
         assert err == ("error: UnsupportedHHShape: C1:pt has log Hochschild "
                        "homology beyond degree 0\n")
+
+    def test_chern_of_a_transposed_graph_exits_one(self, capsys):
+        code, out, err = run(capsys, "chern", "--pair", "P1:pt", "--target",
+                             "P1:pt", "--kernel", "t(graph(deg=1))")
+        assert code == 1 and out == ""
+        assert err == ("error: UnsupportedHHShape: transposed graphs have "
+                       "no supported expansion chain\n")
 
     def test_unsupported_composition_exits_one(self, capsys):
         code, _, err = run(capsys, "euler", "--source", "P1:pt",

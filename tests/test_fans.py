@@ -61,10 +61,6 @@ class TestIsSmooth:
     def test_mixed_ray_lengths_rejected(self, rays):
         with pytest.raises(InvalidCone, match="different lengths"):
             Cone(rays)
-        with pytest.raises(InvalidCone, match="different lengths"):
-            is_smooth(rays, 3)
-        with pytest.raises(InvalidCone, match="different lengths"):
-            star_subdivide(octant(3), rays)
 
     @pytest.mark.parametrize("rays,rank", [
         (((1, 0), (0, 1)), 3), (((1, 0, 0),), 2),
@@ -252,6 +248,8 @@ class TestStarSubdivide:
     def test_center_not_in_fan(self):
         with pytest.raises(CenterNotInFan):
             star_subdivide(octant(2), Cone(((1, 0), (1, 1))))
+        with pytest.raises(CenterNotInFan, match="at least two rays"):
+            star_subdivide(octant(2), Cone(((1, 0),)))
 
     def test_exceptional_label_assigned(self):
         fan = star_subdivide(octant(2), Cone(((1, 0), (0, 1))))
@@ -910,6 +908,18 @@ class TestJson:
                      marks=pytest.mark.skipif(
                          not hasattr(sys, "get_int_max_str_digits"),
                          reason="no int-to-str digit limit")),
+        # two keys that name one ray: `fan_to_json` writes one label back
+        pytest.param('{"rank": 1, "rays": [[1], [-1]], "cones": [[0], [1]], '
+                     '"labels": {"0": {"kind": "boundary", "arg": 0}, '
+                     '"00": {"kind": "exceptional", "arg": 5}}}',
+                     r"label '00' is a second label on the ray \[1\]",
+                     id="two labels on one ray"),
+        pytest.param('{"rank": 1, "rays": [[1], [1], [-1]], '
+                     '"cones": [[0], [2]], '
+                     '"labels": {"0": {"kind": "boundary", "arg": 0}, '
+                     '"1": {"kind": "exceptional", "arg": 5}}}',
+                     r"label '1' is a second label on the ray \[1\]",
+                     id="two labels on a ray listed twice"),
         pytest.param("[" * 100_000, "nested too deeply",
                      id="deeply nested list"),
         pytest.param('{"a":' * 100_000, "nested too deeply",

@@ -47,6 +47,29 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             KernelExpr(P2, P2, ((Atom(GRAPH, 1, 0, 0), 1),))
 
+    @pytest.mark.parametrize("text", ["P1:pt", "P2:H", "P5:H", "C0:pt"])
+    def test_graph_far_ends_accepted(self, text):
+        g = graph_kernel(P1, parse_pair(text), 1)
+        assert transpose(g).target == P1
+
+    @pytest.mark.parametrize("text", ["C1:pt", "C3:pt", "A1:0"])
+    def test_graph_into_an_unmodelled_pair_refused(self, text):
+        # `_right_atom` reads only the target's dimension, so a graph into
+        # these pairs would get the P1:pt adjoint
+        pair = parse_pair(text)
+        match = f"P1:pt into P<m>:H, P1:pt or C0:pt, not {text}$"
+        for kind, source, target in ((GRAPH, P1, pair), (TGRAPH, pair, P1)):
+            with pytest.raises(ValueError, match=match):
+                KernelExpr(source, target, ((Atom(kind, 1, -3, 1), 1),))
+
+    def test_unknown_atom_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown atom kind 'nope'"):
+            KernelExpr(P1, P1, ((Atom("nope", 0, 0, 0), 1),))
+
+    def test_sum_needs_matching_pairs(self):
+        with pytest.raises(ValueError, match="matching pairs"):
+            diag_kernel(P1) + diag_kernel(P2)
+
 
 class TestAdjoints:
     def test_right_adjoint_of_transversal_graph(self):
@@ -295,9 +318,9 @@ class TestEulerPairing:
         with pytest.raises(error):
             euler_pairing(diag_kernel(pair), diag_kernel(pair), trace)
         assert trace == []
-        with pytest.raises(error):
-            euler_pairing(graph_kernel(P1, pair, 1),
-                          graph_kernel(P1, pair, 1))
+        # no graph atom maps into either pair
+        with pytest.raises(ValueError, match=f"not {text}$"):
+            graph_kernel(P1, pair, 1)
 
     def test_raising_chain_leaves_the_trace(self):
         # the adjoint step succeeds, the excess route then raises

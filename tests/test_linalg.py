@@ -12,12 +12,14 @@ from itertools import combinations, permutations
 from math import gcd, prod
 import time
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logfan.errors import InvalidCone
 from logfan.fans import Cone, is_smooth
-from logfan.linalg import lattice_index, normal_vector, solve_nonnegative
+from logfan.linalg import (lattice_index, normal_vector, primitive,
+                           solve_nonnegative)
 
 
 def leibniz(matrix):
@@ -122,7 +124,6 @@ def test_lattice_index_matches_minors_gcd(m):
     else:
         assert cone.det == g
         assert is_smooth(cone, len(m[0])) == (g == 1)
-        assert is_smooth(rays, len(m[0])) == (g == 1)
 
 
 def test_lattice_index_of_a_wide_cone_is_fast():
@@ -138,9 +139,20 @@ def test_lattice_index_of_a_wide_cone_is_fast():
     assert time.perf_counter() - start < 5
 
 
-def substitutes(columns, xs, point):
-    return all(sum(x * col[i] for x, col in zip(xs, columns)) == p
+def solve(columns, point):
+    """`solve_nonnegative`'s answer as Fractions, after checking its
+    integer form: None, or (xs, d) with nonnegative ints xs, one per
+    column, an int d >= 1 and sum_i xs[i] * columns[i] == d * point."""
+    got = solve_nonnegative(columns, point)
+    if got is None:
+        return None
+    xs, d = got
+    assert type(d) is int and d >= 1
+    assert len(xs) == len(columns)
+    assert all(type(x) is int and x >= 0 for x in xs)
+    assert all(sum(x * col[i] for x, col in zip(xs, columns)) == d * p
                for i, p in enumerate(point))
+    return tuple(Fraction(x, d) for x in xs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,7 +168,7 @@ def test_solve_square_matches_cramer(case):
         replaced = [point if j == i else col for j, col in enumerate(columns)]
         xs.append(Fraction(leibniz(replaced), d))
     expected = tuple(xs) if all(x >= 0 for x in xs) else None
-    assert solve_nonnegative(columns, point) == expected
+    assert solve(columns, point) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,34 +177,31 @@ def test_solve_square_matches_cramer(case):
     st.lists(st.integers(-2, 2), min_size=4, max_size=4))))
 def test_solve_non_square(case):
     """Columns of length 4: points in their span are solved exactly (or
-    refused for a negative coefficient); points off it give None."""
+    refused for a negative coefficient); points off it give None.  Any
+    answer has the integer form `solve` checks."""
     columns, coeffs, offset = case
     assume(oracle_rank(columns) == len(columns))
     point = [sum(c * col[i] for c, col in zip(coeffs, columns)) + offset[i]
              for i in range(4)]
-    got = solve_nonnegative(columns, point)
+    got = solve(columns, point)
     if oracle_rank(columns + [point]) > len(columns):
         assert got is None
     elif not any(offset):
         assert got == (tuple(coeffs) if min(coeffs) >= 0 else None)
-    elif got is not None:
-        assert min(got) >= 0 and substitutes(columns, got, point)
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 def test_solve_any_columns_is_sound(columns, coeffs):
-    """Dependent or zero columns included: any answer substitutes exactly
-    and is nonnegative, a point of nonnegative coefficients gets one, and
+    """Dependent or zero columns included: any answer is nonnegative
+    integers over a denominator d >= 1 that substitute exactly to d times
+    the point (`solve`), a point of nonnegative coefficients gets one, and
     independent columns give back the coefficients."""
     assume(columns and columns[0])
     n = len(columns[0])
     point = [sum(c * col[i] for c, col in zip(coeffs, columns))
              for i in range(n)]
-    got = solve_nonnegative(columns, point)
-    if got is not None:
-        assert len(got) == len(columns)
-        assert min(got) >= 0 and substitutes(columns, got, point)
+    got = solve(columns, point)
     if all(c >= 0 for c in coeffs[:len(columns)]):
         assert got is not None
         if oracle_rank(columns) == len(columns):
@@ -201,11 +210,11 @@ def test_solve_any_columns_is_sound(columns, coeffs):
 
 def test_solve_dependent_columns():
     a = (1, 2, 0)
-    assert solve_nonnegative([a, (2, 4, 0)], (3, 6, 0)) == (3, 0)
-    assert solve_nonnegative([a, (2, 4, 0)], (-1, -2, 0)) is None
-    assert solve_nonnegative([a, (2, 4, 0)], (1, 0, 0)) is None
-    assert solve_nonnegative([a, (0, 0, 0)], (2, 4, 0)) == (2, 0)
-    assert solve_nonnegative([(1, 0), (-1, 0)], (-1, 0)) == (0, 1)
+    assert solve([a, (2, 4, 0)], (3, 6, 0)) == (3, 0)
+    assert solve([a, (2, 4, 0)], (-1, -2, 0)) is None
+    assert solve([a, (2, 4, 0)], (1, 0, 0)) is None
+    assert solve([a, (0, 0, 0)], (2, 4, 0)) == (2, 0)
+    assert solve([(1, 0), (-1, 0)], (-1, 0)) == (0, 1)
 
 
 def cofactors(rows, n):
@@ -239,5 +248,7 @@ def test_normal_vector_examples():
 def test_empty_shapes():
     assert lattice_index([]) == 1
     assert lattice_index([[], []]) == 0
-    assert solve_nonnegative([], (0, 0)) == ()
+    assert solve_nonnegative([], (0, 0)) == ((), 1)
     assert solve_nonnegative([], (0, 1)) is None
+    with pytest.raises(ValueError, match="zero vector"):
+        primitive((0, 0))

@@ -226,6 +226,10 @@ class TestPairParsing:
             parse_pair("P0:H")
         with pytest.raises(ValueError):
             parse_pair("X1:D")
+        with pytest.raises(ValueError, match="unknown pair kind 'X'"):
+            LogPair("X")
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            LogPair("Cg:pt", -1)
 
 
 @settings(max_examples=25, deadline=None)

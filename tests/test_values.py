@@ -19,7 +19,7 @@ from logfan.verify import VerifyCase, VerifyReport
 P1 = LogPair("P1:pt")
 SQUARE = ((0, 1), (1, 0))  # sorted, as a Cone keeps its rays
 CASE = VerifyCase("c1", "a claim", 1, 1)
-ONE = Fan(1, [((1,),)])
+ONE = Fan(1, [Cone(((1,),))])
 
 # (class, field names, field values, repr)
 VALUES = [
