@@ -13,16 +13,19 @@ nonnegative solve, and a wall's hyperplane is the primitive normal from
 one elimination.  A cone has two routes in: `Cone(rays)` validates, with
 one index computation, and serves user input and every builder here; the
 private `Cone._known_valid` takes rays and index from
-`logproduct.log_product`, whose closed form proves them valid.
+`logproduct.log_product`, whose closed form proves them valid.  A fan
+has the same two routes: `Fan(...)` refuses what `fan_to_json` could not
+write back, and `Fan._known_valid` serves `log_product` alone.
 
 Both fan checks read one index of the walls by hyperplane (`_hyperplanes`):
 `check_face_closure` decides whether cones meet in common faces by
 matching walls, scanning each boundary hyperplane once and counting the
-cones over one point, and `check_support_preserved` compares two supports
-by the jumps of their cones' indicator functions across each wall
-hyperplane, one dimension down.  A lattice map induces a fan map when the
-images of each source cone's rays lie in one target cone
-(`fan_map_witness`), decided once per distinct image and target cone.
+cones over one point by the signs of their walls, and
+`check_support_preserved` compares two supports by the jumps of their
+cones' indicator functions across each wall hyperplane, one dimension
+down.  A lattice map induces a fan map when the images of each source
+cone's rays lie in one target cone (`fan_map_witness`), decided once per
+distinct image and target cone.
 
 Cones, fans and labels are immutable values on `values.FrozenValue`:
 slotted, compared and hashed by their fields, with `Cone.det` left out.
@@ -74,7 +77,9 @@ class Cone(FrozenValue):
     and each is primitive, as the gcd of a ray's entries divides every
     maximal minor.  Every other cone is checked in this order: distinct
     rays, nonzero and primitive rays, one length, and independent rays,
-    which is a nonzero index.  `Cone._known_valid(rays, det)` only sorts:
+    which is a nonzero index; the InvalidCone message quotes the rays by
+    `errors.quote`, so a long ray list is cut to its first QUOTE_LIMIT
+    characters and its length.  `Cone._known_valid(rays, det)` only sorts:
     it serves `logproduct.log_product`, whose closed form proves its cones
     valid and gives their indices.
     """
@@ -89,16 +94,16 @@ class Cone(FrozenValue):
         if d == 1:
             return
         if len(set(rays)) != len(rays):
-            raise InvalidCone(f"duplicate rays in {rays}")
+            raise InvalidCone(f"duplicate rays in {quote(rays)}")
         for r in rays:
             if not any(r):
-                raise InvalidCone(f"zero ray {r} in {rays}")
+                raise InvalidCone(f"zero ray {quote(r)} in {quote(rays)}")
             if primitive(r) != r:
-                raise InvalidCone(f"ray {r} is not primitive")
+                raise InvalidCone(f"ray {quote(r)} is not primitive")
         if d is None:
-            raise InvalidCone(f"rays {rays} have different lengths")
+            raise InvalidCone(f"rays {quote(rays)} have different lengths")
         if d == 0:
-            raise InvalidCone(f"rays {rays} are linearly dependent")
+            raise InvalidCone(f"rays {quote(rays)} are linearly dependent")
 
     @classmethod
     def _known_valid(cls, rays, det):
@@ -122,13 +127,19 @@ class Fan(FrozenValue):
     """Set of maximal simplicial cones, with optional ray labels.
 
     The `Cone`s are stored canonically sorted so identical fans compare
-    equal bit-for-bit; a cone listed twice, or one with a ray whose length
-    is not `rank`, raises FanSchemaError.  Labels are a sorted tuple.
+    equal bit-for-bit, and labels as a sorted tuple of (ray, label).
+    `Fan(...)` refuses, with FanSchemaError, what `fan_to_json` could not
+    write back: a cone listed twice, a cone with a ray whose length is not
+    `rank`, a second label on one ray and a label on a ray no cone holds.
+    `Fan._known_valid(rank, cones, labels)` only sorts: it serves
+    `logproduct.log_product`, whose closed form labels each ray once, and
+    only rays its cones hold.
     """
     __slots__ = ("rank", "cones", "labels")
 
     def __init__(self, rank, cones, labels=()):
-        cones = tuple(sorted(cones, key=lambda c: c.rays))
+        self._store(rank, cones, [(tuple(ray), lab) for ray, lab in labels])
+        cones, labels = self.cones, self.labels
         for a, b in zip(cones, cones[1:]):
             if a.rays == b.rays:
                 raise FanSchemaError(f"cone {a.rays} listed twice")
@@ -137,12 +148,33 @@ class Fan(FrozenValue):
         if bad is not None:
             raise FanSchemaError(f"cone {bad.rays} has a ray whose length "
                                  f"is not the rank {rank}")
-        labels = tuple(sorted(((tuple(ray), lab) for ray, lab in labels),
-                              key=lambda item: (item[0], item[1].kind,
-                                                item[1].arg)))
+        for (other, _), (ray, lab) in zip(labels, labels[1:]):
+            if ray == other:
+                raise FanSchemaError(f"the label {quote(lab)} is a second "
+                                     f"label on the ray {quote(ray)}")
+        if labels:
+            held = {r for c in cones for r in c.rays}
+            for ray, lab in labels:
+                if ray not in held:
+                    raise FanSchemaError(
+                        f"the label {quote(lab)} is on the ray {quote(ray)}, "
+                        f"which no cone holds")
+
+    @classmethod
+    def _known_valid(cls, rank, cones, labels):
+        """The fan of `cones` and `labels`, (ray tuple, label) pairs, which
+        the caller knows to pass every check of `Fan(...)`: no check is
+        run."""
+        fan = object.__new__(cls)
+        fan._store(rank, cones, labels)
+        return fan
+
+    def _store(self, rank, cones, labels):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cones", cones)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cones",
+                           tuple(sorted(cones, key=lambda c: c.rays)))
+        object.__setattr__(self, "labels", tuple(sorted(
+            labels, key=lambda item: (item[0], item[1].kind, item[1].arg))))
 
     def rays(self):
         out = set()
@@ -295,23 +327,31 @@ def _hyperplanes(terms, dim):
     """The walls of `terms`, pairs (c, rays) of an integer and `dim`
     linearly independent rays, grouped by their hyperplane.
 
-    A wall is a cone's ray tuple minus one ray.  Returns {normal: [(c *
-    side, wall), ...]}, one entry per cone and wall, where the normal is
-    the wall's primitive normal from one elimination (`normal_vector`,
-    first nonzero entry positive, so it names the hyperplane) and side is
-    +1 when the cone lies where it is positive, the side of the dropped
-    ray.  Each distinct wall's normal is computed once.
+    A wall is a cone's ray tuple minus one ray.  Returns (planes,
+    facets).  planes is {normal: [(c * side, wall), ...]}, one entry per
+    cone and wall, where the normal is the wall's primitive normal from
+    one elimination (`normal_vector`, first nonzero entry positive, so it
+    names the hyperplane) and side is +1 when the cone lies where it is
+    positive, the side of the dropped ray.  facets lists, term by term,
+    the (normal, side) of each of the cone's walls: the cone is the set
+    where side * (normal . x) >= 0 for all of them.  Each distinct wall's
+    normal is computed once.
     """
     normals = {}
     planes = {}
+    facets = []
     for c, rays in terms:
+        sides = []
         for i, dropped in enumerate(rays):
             wall = rays[:i] + rays[i + 1:]
-            if wall not in normals:
-                normals[wall] = normal_vector(wall, dim)
-            side = 1 if _dot(normals[wall], dropped) > 0 else -1
-            planes.setdefault(normals[wall], []).append((c * side, wall))
-    return planes
+            u = normals.get(wall)
+            if u is None:
+                u = normals[wall] = normal_vector(wall, dim)
+            side = 1 if _dot(u, dropped) > 0 else -1
+            planes.setdefault(u, []).append((c * side, wall))
+            sides.append((u, side))
+        facets.append(sides)
+    return planes, facets
 
 
 def _generic_point(normals, rays):
@@ -324,6 +364,17 @@ def _generic_point(normals, rays):
     t = 1 + max((abs(_dot(u, r)) for u in normals for r in rays), default=0)
     return tuple(map(sum, zip(*[[t ** i * x for x in r]
                                 for i, r in enumerate(rays)])))
+
+
+def _cones_over(planes, facets, point):
+    """The number of full-dimensional simplicial cones, each given by its
+    `_hyperplanes` facets, that hold `point`, a point on none of the
+    hyperplanes in `planes`: a cone holds it exactly when it lies on the
+    cone's side of each of its walls, and the sign of u . p is read once
+    per hyperplane."""
+    positive = {u: _dot(u, point) > 0 for u in planes}
+    return sum(all(positive[u] == (side > 0) for u, side in sides)
+               for sides in facets)
 
 
 def _meet_in_face(a, b, rank):
@@ -373,7 +424,12 @@ def check_face_closure(fan):
        face are exactly those a hyperplane separates along it
        (Cox-Little-Schenck, Toric Varieties, Lemma 1.2.13).  The point is
        `_generic_point` of the walls' normals and the first cone's rays,
-       which span Q^rank, so no normal is orthogonal to all of them.
+       which span Q^rank, so no normal is orthogonal to all of them and p
+       lies on no wall's hyperplane.  A cone is the intersection of the
+       half-spaces of its walls, so it holds p exactly when side * (u . p)
+       > 0 for each of its walls: `_cones_over` reads the sign of u . p
+       once per hyperplane against the sides `_hyperplanes` lists, with no
+       solve.
     3. Every other input, a fan that is not pure or a single-cone wall
        that cuts the support (a non-convex support, or overlapping
        pieces), is checked pair by pair with `_meet_in_face`, one exact
@@ -382,7 +438,8 @@ def check_face_closure(fan):
     """
     cones = fan.cones
     if cones and all(len(c) == fan.rank for c in cones):
-        planes = _hyperplanes([(1, c.rays) for c in cones], fan.rank)
+        planes, facets = _hyperplanes([(1, c.rays) for c in cones],
+                                      fan.rank)
         walls = {(normal, side, wall) for normal, entries in planes.items()
                  for side, wall in entries}
         if len(walls) < len(cones) * fan.rank:
@@ -393,7 +450,7 @@ def check_face_closure(fan):
         if all(side * _dot(normal, x) >= 0
                for normal, side in boundary for x in rays):
             point = _generic_point(planes, cones[0].rays)
-            return sum(1 for c in cones if c.contains_point(point)) == 1
+            return _cones_over(planes, facets, point) == 1
     pairs = comb(len(cones), 2)
     if pairs > MAX_PAIRWISE_SOLVES:
         raise TooManySolves(
@@ -462,7 +519,8 @@ def _vanishes(terms, dim):
         return True
     if dim == 0:
         return False
-    jumps = _hyperplanes([(c, rays) for rays, c in merged.items()], dim)
+    jumps, _ = _hyperplanes([(c, rays) for rays, c in merged.items()],
+                            dim)
     for normal, walls in jumps.items():
         j = next(k for k, x in enumerate(normal) if x)
         if not _vanishes([(c, tuple(primitive(r[:j] + r[j + 1:])
@@ -532,7 +590,9 @@ def fan_from_json(data):
     cones = tuple(Cone(tuple(rays[i] for i in
                              _json_ints(c, "cone", bound=len(rays))))
                   for c in _json_field(data, "cones", list))
-    held = {r for c in cones for r in c.rays}
+    # the ray indices the cones hold; a ray listed twice is held under
+    # either index
+    held = {i for c in data["cones"] for i in c}
     labels = {}
     for i, d in _json_field(data, "labels", dict, {}).items():
         try:
@@ -544,7 +604,8 @@ def fan_from_json(data):
             raise FanSchemaError(f"fan JSON label {quote(i)}: {quote(d)} "
                                  f"needs a ray index in 0..{len(rays) - 1} "
                                  f"and an int arg")
-        if rays[index] not in held:
+        if (index not in held
+                and rays[index] not in {rays[j] for j in held}):
             raise FanSchemaError(f"fan JSON label {quote(i)} is on the ray "
                                  f"{list(rays[index])}, which no cone "
                                  f"holds")

@@ -2,10 +2,15 @@
 
 Everything runs on plain Python ints (arbitrary precision), and every
 elimination step is one `_pivot`, the fraction-free update of Bareiss
-(1968).  One forward elimination gives the rank, read inside
-`lattice_index` and `normal_vector` and not exported: a lattice index is
-a nonzero maximal minor or a Hermite reduction modulo one, a normal an
-integer back-substitution.  Cone membership, and any nonnegative
+(1968).  Its `start` column bounds the columns a step writes: the forward
+elimination `_echelon` updates only the rows below the pivot row and only
+from the pivot column on, where everything to the left is already 0,
+while the simplex tableau is pivoted over its full width (start 0).
+
+One forward elimination gives the rank, read inside `lattice_index` and
+`normal_vector` and not exported: a lattice index is a nonzero maximal
+minor or a Hermite reduction modulo one, a normal an integer
+back-substitution.  Cone membership, and any nonnegative
 combination, is phase 1 of the simplex method on a tableau pivoted by
 the same `_pivot`, whose integer tableau gives the solution with its
 common denominator.  No floats or fractions enter the core geometry.
@@ -19,34 +24,36 @@ def primitive(vec):
 
     The zero vector is rejected: it never occurs as a ray.
     """
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in vec)
 
 
-def _pivot(rows, top, col, d):
+def _pivot(rows, top, col, d, start=0):
     """The one fraction-free step (Bareiss 1968) on the pivot top[col]:
     every row of `rows` but `top` becomes (row * p - row[col] * top) / d,
     p = top[col] and d the previous pivot, which zeroes its entry in
-    column `col`.  A row with row[col] == 0 is left alone when p == d,
-    where the step is the identity.  Returns p, the next d.
+    column `col`.  Only the columns from `start` on are written: a caller
+    passes start > 0 where every row, `top` included, is 0 left of it, so
+    the step leaves those entries 0.  A row with row[col] == 0 is left
+    alone when p == d, where the step is the identity.  Returns p, the
+    next d.
     """
     p = top[col]
     for row in rows:
         f = row[col]
         if row is not top and (f or p != d):
-            for j, t in enumerate(top):
-                row[j] = (row[j] * p - f * t) // d
+            for j in range(start, len(top)):
+                row[j] = (row[j] * p - f * top[j]) // d
     return p
 
 
 def _echelon(rows):
     """Fraction-free row echelon form of an integer matrix: forward
-    elimination, each step one `_pivot` on the rows from the pivot row
-    down.
+    elimination, each step one `_pivot` on the rows below the pivot row,
+    from the pivot column on, as every row from the pivot row down is 0
+    left of it.
 
     Returns (m, pivots, d): the reduced rows, the pivot column of each of
     the first len(pivots) rows and the last pivot (1 when there is none).
@@ -61,11 +68,13 @@ def _echelon(rows):
         r = len(pivots)
         if r == len(m):
             break
-        p = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if p is None:
+        for i in range(r, len(m)):
+            if m[i][col]:
+                break
+        else:
             continue
-        m[r], m[p] = m[p], m[r]
-        d = _pivot(m[r:], m[r], col, d)
+        m[r], m[i] = m[i], m[r]
+        d = _pivot(m[r + 1:], m[r], col, d, col)
         pivots.append(col)
     return m, pivots, d
 
@@ -119,16 +128,24 @@ def normal_vector(rows, n):
     The elimination leaves one free column; it is set to the last pivot d
     and the pivot columns are back-substituted, last row first, so that
     each row is orthogonal to the result.  Each row is zero left of its
-    pivot and the entries right of it are filled before it, so by Cramer's
-    rule every division is exact: this is the rows' cofactor vector up to
-    sign before it is made primitive.
+    pivot, so only the entries right of it enter, and those are filled
+    before it; by Cramer's rule every division is exact: this is the rows'
+    cofactor vector up to sign before it is made primitive, and the sign
+    of its first nonzero entry is set last.
     """
     m, pivots, d = _echelon(rows)
-    ys = [0 if j in pivots else d for j in range(n)]
+    ys = [d] * n
+    for col in pivots:
+        ys[col] = 0
     for row, col in reversed(list(zip(m, pivots))):
-        ys[col] = -sum(a * y for a, y in zip(row, ys)) // row[col]
+        s = 0
+        for j in range(col + 1, n):
+            s += row[j] * ys[j]
+        ys[col] = -s // row[col]
     u = primitive(ys)
-    return u if next(x for x in u if x) > 0 else tuple(-x for x in u)
+    for x in u:
+        if x:
+            return u if x > 0 else tuple(-x for x in u)
 
 
 def solve_nonnegative(columns, point):

@@ -275,8 +275,10 @@ def log_product(pairs, order=None):
               for i, ray in boundary.items()]
     labels += [(stratum_ray[s], DivisorLabel(EXCEPTIONAL, step))
                for step, s in enumerate(order)]
+    # every stratum ray and boundary ray lies in a chain, and each is
+    # labelled once, so the labels pass the checks of `Fan(...)` too
     return LogProductSpace(
-        tuple(pairs), Fan(fan.rank, tuple(cones), tuple(labels)),
+        tuple(pairs), Fan._known_valid(fan.rank, cones, labels),
         tuple(sorted(stratum_ray.items(), key=lambda kv: sorted(kv[0]))),
         tuple(sorted(boundary.items())))
 

@@ -182,6 +182,22 @@ class TestFan:
         assert err == "error: InvalidCone: zero ray (0, 0) in " \
             "((0, 0), (1, 0))\n"
 
+    def test_check_zero_ray_of_rank_3000_is_one_short_line(self, capsys,
+                                                           tmp_path):
+        # the ray text, 9,000 and 18,004 characters, is quoted by its first
+        # QUOTE_LIMIT characters and its length
+        n = 3000
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"rank": n, "rays": [[0] * n,
+                                                        [1] + [0] * (n - 1)],
+                                    "cones": [[0, 1]]}))
+        code, out, err = run(capsys, "fan", "check", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: InvalidCone: zero ray (0, 0, ")
+        assert "... (9000 characters) in ((0, 0, " in err
+        assert err.endswith("... (18004 characters)\n")
+        assert len(err) < 300
+
     def test_dump_refuses_an_order_for_one_pair(self, capsys):
         code, out, err = run(capsys, "fan", "dump", "--pairs", "P1:pt",
                              "--order", "1,2")

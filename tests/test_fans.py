@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from logfan import fans, linalg
 from logfan.cli import main
-from logfan.errors import (CenterNotInFan, FanSchemaError, InvalidCone,
-                           LogfanError, RankMismatch, TooManySolves)
-from logfan.fans import (BOUNDARY, Cone, DivisorLabel, Fan,
+from logfan.errors import (QUOTE_LIMIT, CenterNotInFan, FanSchemaError,
+                           InvalidCone, LogfanError, RankMismatch,
+                           TooManySolves, quote)
+from logfan.fans import (BOUNDARY, EXCEPTIONAL, Cone, DivisorLabel, Fan,
                          check_face_closure, check_support_preserved,
                          fan_dumps, fan_from_json, fan_loads, fan_map_witness,
                          induces_fan_map, is_smooth, product_fan,
@@ -73,19 +74,19 @@ class TestIsSmooth:
 def reference_cone_check(rays):
     """The checks of a cone's rays, in order, without `linalg`:
     distinct rays, nonzero and primitive rays, one length, independent
-    rays (a nonzero maximal minor)."""
+    rays (a nonzero maximal minor).  Messages quote rays by `quote`."""
     rays = tuple(sorted(rays))
     if len(set(rays)) != len(rays):
-        raise InvalidCone(f"duplicate rays in {rays}")
+        raise InvalidCone(f"duplicate rays in {quote(rays)}")
     for r in rays:
         if not any(r):
-            raise InvalidCone(f"zero ray {r} in {rays}")
+            raise InvalidCone(f"zero ray {quote(r)} in {quote(rays)}")
         if primitive(r) != r:
-            raise InvalidCone(f"ray {r} is not primitive")
+            raise InvalidCone(f"ray {quote(r)} is not primitive")
     if len({len(r) for r in rays}) > 1:
-        raise InvalidCone(f"rays {rays} have different lengths")
+        raise InvalidCone(f"rays {quote(rays)} have different lengths")
     if rays and minors_gcd(rays) == 0:
-        raise InvalidCone(f"rays {rays} are linearly dependent")
+        raise InvalidCone(f"rays {quote(rays)} are linearly dependent")
 
 
 def minors_gcd(rays):
@@ -645,6 +646,98 @@ def test_log_products_match_lp_in_new_coordinates(pairs):
     assert lp_face_closure(fan) is True
 
 
+def unimodular(rng, n):
+    """A random matrix of determinant +-1: a signed permutation matrix
+    with random shears."""
+    rows = [[int(i == j) * rng.choice((1, -1)) for j in range(n)]
+            for i in rng.sample(range(n), n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-2, 2)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def moved_by(fan, matrix):
+    return Fan(fan.rank, tuple(Cone(tuple(mat_mul_vec(matrix, r)
+                                          for r in c.rays))
+                               for c in fan.cones))
+
+
+def generic_count(fan):
+    """Step 2's wall-sign count at its generic point, and the number of
+    cones that one exact solve each puts over that point."""
+    planes, facets = fans._hyperplanes([(1, c.rays) for c in fan.cones],
+                                       fan.rank)
+    point = fans._generic_point(planes, fan.cones[0].rays)
+    return (fans._cones_over(planes, facets, point),
+            sum(c.contains_point(point) for c in fan.cones))
+
+
+def fixture_overlap():
+    """The P1 x P1 log product plus the cone {e1, e2}, which overlaps the
+    two cones on either side of the exceptional ray e1 + e2."""
+    full = log_product([parse_pair("P1:pt")] * 2).fan
+    return Fan(2, full.cones + (Cone((E1, E2)),))
+
+
+FIXTURE_DET2 = Fan(2, tuple(Cone(c) for c in (
+    ((1, 0), (1, 2)), ((1, 2), (-1, 0)), ((-1, 0), (0, -1)),
+    ((0, -1), (1, 0)))))
+
+
+class TestWallSignCount:
+    """Step 2 of `check_face_closure` counts the cones over its generic
+    point by the signs of their walls; the count is the one the exact
+    membership solve gives."""
+
+    @pytest.mark.parametrize("pairs", FANCHECK_PAIRS)
+    def test_log_products_under_unimodular_moves(self, pairs):
+        fan = log_product([parse_pair(p) for p in pairs]).fan
+        rng = random.Random(len(fan.cones))
+        for matrix in [None] + [unimodular(rng, fan.rank) for _ in range(3)]:
+            moved_fan = fan if matrix is None else moved_by(fan, matrix)
+            assert generic_count(moved_fan) == (1, 1)
+
+    @pytest.mark.parametrize("fan,expected", [
+        (fixture_overlap(), False), (FIXTURE_DET2, True)],
+        ids=["overlap", "det2"])
+    def test_fixtures_under_unimodular_moves(self, fan, expected):
+        rng = random.Random(7)
+        for matrix in [None] + [unimodular(rng, 2) for _ in range(5)]:
+            moved_fan = fan if matrix is None else moved_by(fan, matrix)
+            count, solved = generic_count(moved_fan)
+            assert count == solved
+            assert check_face_closure(moved_fan) is expected
+
+    def test_overlap_fixture_counts_two_cones_somewhere(self):
+        # the generic point of the first cone in some coordinates lies in
+        # the extra cone too, so the count itself sees the overlap
+        fan = fixture_overlap()
+        counts = {generic_count(moved_by(fan, m))
+                  for m in [[[1, 0], [0, 1]]]
+                  + [unimodular(random.Random(k), 2) for k in range(20)]}
+        assert all(a == b for a, b in counts)
+        assert max(a for a, _ in counts) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(cone_sets())
+    def test_pure_cone_sets(self, fan):
+        assume(all(len(c) == fan.rank for c in fan.cones))
+        count, solved = generic_count(fan)
+        assert count == solved
+
+    @pytest.mark.parametrize("pairs", [("A1:0",) * 4, ("P1:pt",) * 3,
+                                       ("P2:H",) * 2])
+    def test_no_solve_on_a_pure_convex_fan(self, pairs):
+        fan = log_product([parse_pair(p) for p in pairs]).fan
+        with mock.patch.object(fans, "solve_nonnegative",
+                               wraps=linalg.solve_nonnegative) as solve:
+            assert check_face_closure(fan)
+        assert solve.call_count == 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(cone_sets())
 def test_face_closure_matches_lp(fan):
@@ -818,6 +911,66 @@ class TestFan:
         data = {"rank": 2, "rays": [[1, 0, 0], [0, 1, 0]], "cones": [[0, 1]]}
         with pytest.raises(ValueError, match="is not a list of 2 integers"):
             fan_from_json(data)
+
+    def test_second_label_on_a_ray_refused(self):
+        labels = (((1,), DivisorLabel(BOUNDARY, 0)),
+                  ((1,), DivisorLabel(EXCEPTIONAL, 5)))
+        with pytest.raises(FanSchemaError, match=(
+                r"^the label DivisorLabel\(kind='exceptional', arg=5\) is a "
+                r"second label on the ray \(1,\)$")):
+            Fan(1, (Cone(((1,),)), Cone(((-1,),))), labels)
+
+    @pytest.mark.parametrize("cones", [(Cone(((1,),)),), ()],
+                             ids=["other ray", "no cone"])
+    def test_label_on_a_ray_no_cone_holds_refused(self, cones):
+        with pytest.raises(FanSchemaError, match=(
+                r"^the label DivisorLabel\(kind='boundary', arg=0\) is on "
+                r"the ray \(-1,\), which no cone holds$")):
+            Fan(1, cones, (((-1,), DivisorLabel(BOUNDARY, 0)),))
+
+    def test_label_refusals_quote_a_long_ray(self):
+        ray = (1,) + (0,) * 2999
+        for cones, labels in (
+                ((), ((ray, DivisorLabel(BOUNDARY, 0)),)),
+                ((Cone((ray,)),), ((ray, DivisorLabel(BOUNDARY, 0)),
+                                   (ray, DivisorLabel(BOUNDARY, 1))))):
+            with pytest.raises(FanSchemaError) as exc:
+                Fan(3000, cones, labels)
+            assert "... (9000 characters)" in str(exc.value)
+            assert len(str(exc.value)) < 4 * QUOTE_LIMIT
+
+    @pytest.mark.parametrize("data,match", [
+        ({"rank": 1, "rays": [[1], [-1]], "cones": [[0]],
+          "labels": {"1": {"kind": "boundary", "arg": 0}}},
+         r"^fan JSON label '1' is on the ray \[-1\], which no cone holds$"),
+        ({"rank": 1, "rays": [[1], [1]], "cones": [[0]],
+          "labels": {"0": {"kind": "boundary", "arg": 0},
+                     "1": {"kind": "boundary", "arg": 1}}},
+         r"^fan JSON label '1' is a second label on the ray \[1\]$"),
+    ], ids=["unheld", "second"])
+    def test_fan_json_refuses_first_with_its_own_message(self, data, match):
+        with pytest.raises(FanSchemaError, match=match):
+            fan_from_json(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cone_sets(), st.data())
+    def test_every_fan_that_builds_round_trips(self, fan, data):
+        """Labels drawn on the fan's rays and on a ray it may not hold,
+        some twice: `Fan` refuses, or `fan_to_json` writes them back."""
+        pool = fan.rays() + ((-1,) * fan.rank, (1,) * fan.rank)
+        picks = data.draw(st.lists(st.tuples(
+            st.sampled_from(pool), st.sampled_from((BOUNDARY, EXCEPTIONAL)),
+            st.integers(0, 3)), max_size=4))
+        labels = [(ray, DivisorLabel(kind, arg)) for ray, kind, arg in picks]
+        held = set(fan.rays())
+        rays = [ray for ray, _ in labels]
+        try:
+            labelled = Fan(fan.rank, fan.cones, labels)
+        except FanSchemaError:
+            assert len(set(rays)) < len(rays) or not set(rays) <= held
+            return
+        assert len(set(rays)) == len(rays) and set(rays) <= held
+        assert fan_loads(fan_dumps(labelled)) == labelled
 
 
 class TestJson:

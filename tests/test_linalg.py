@@ -4,7 +4,10 @@ The oracles share no code with logfan.linalg: determinants by the Leibniz
 expansion, lattice indices as the gcd of every maximal minor so expanded,
 rank as the size of the largest nonzero minor, nonnegative solutions by
 Cramer's rule and exact substitution, and hyperplane normals as Leibniz
-cofactor vectors.
+cofactor vectors.  One differential oracle does share its method: the
+full-width elimination and back-substitution, kept here as they were
+before each step wrote only the columns from its pivot on, pins
+`_echelon` and `normal_vector` to their results entry for entry.
 """
 
 from fractions import Fraction
@@ -18,8 +21,8 @@ from hypothesis import strategies as st
 
 from logfan.errors import InvalidCone
 from logfan.fans import Cone, is_smooth
-from logfan.linalg import (lattice_index, normal_vector, primitive,
-                           solve_nonnegative)
+from logfan.linalg import (_echelon, lattice_index, normal_vector,
+                           primitive, solve_nonnegative)
 
 
 def leibniz(matrix):
@@ -236,6 +239,68 @@ def test_normal_vector_matches_cofactors(rows):
     assert gcd(*got) == 1
     assert next(x for x in got if x) > 0
     assert list(got) in ([x // g for x in u], [-x // g for x in u])
+
+
+# The elimination before `_pivot` took a start column: each step updated
+# every row from the pivot row down over the full width, the pivot search
+# was a generator, and the normal back-substituted over whole rows.
+def pivot_full_width(rows, top, col, d):
+    p = top[col]
+    for row in rows:
+        f = row[col]
+        if row is not top and (f or p != d):
+            for j, t in enumerate(top):
+                row[j] = (row[j] * p - f * t) // d
+    return p
+
+
+def echelon_full_width(rows):
+    m = [list(row) for row in rows]
+    pivots = []
+    d = 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        d = pivot_full_width(m[r:], m[r], col, d)
+        pivots.append(col)
+    return m, pivots, d
+
+
+def normal_vector_full_width(rows, n):
+    m, pivots, d = echelon_full_width(rows)
+    ys = [0 if j in pivots else d for j in range(n)]
+    for row, col in reversed(list(zip(m, pivots))):
+        ys[col] = -sum(a * y for a, y in zip(row, ys)) // row[col]
+    g = 0
+    for x in ys:
+        g = gcd(g, x)
+    u = tuple(x // g for x in ys)
+    return u if next(x for x in u if x) > 0 else tuple(-x for x in u)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+@example([[0, 0, 0], [0, 0, 0]])  # no pivot at all
+@example([[0, 2, 1], [0, 4, 2], [0, 0, 0]])  # zero column, dependent rows
+@example([[1, 2], [3, 4], [5, 6], [7, 8]])  # more rows than columns
+@example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])  # p != d on rows with f == 0
+def test_echelon_matches_the_full_width_elimination(m):
+    assert _echelon(m) == echelon_full_width(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: matrices(n - 1, n)))
+@example(((2, 0, 1), (0, 3, 1)))
+@example(((0, 1, 0), (0, 2, 0)))  # dependent rows: two free columns
+@example(((0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)))  # zero rows
+def test_normal_vector_matches_the_full_width_back_substitution(rows):
+    n = len(rows[0]) if rows else 1
+    assert normal_vector(rows, n) == normal_vector_full_width(rows, n)
 
 
 def test_normal_vector_examples():

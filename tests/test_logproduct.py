@@ -445,7 +445,10 @@ def _vector_sum(a, b):
 
 def assert_matches_public_path(space):
     """Every cone equals the validating `Cone` on its rays, determinant
-    included, and each stratum ray is the sum of its boundary rays."""
+    included, the validating `Fan` accepts the cones and labels, and each
+    stratum ray is the sum of its boundary rays."""
+    fan = space.fan
+    assert Fan(fan.rank, fan.cones, fan.labels) == fan
     for cone in space.fan.cones:
         public = Cone(cone.rays)
         assert (cone.rays, cone.det) == (public.rays, public.det)
@@ -456,8 +459,9 @@ def assert_matches_public_path(space):
 
 
 class TestKnownValidCones:
-    """`log_product` builds its cones through `Cone._known_valid`, which
-    runs no check; these tests hold it to the validating `Cone`."""
+    """`log_product` builds its cones through `Cone._known_valid` and its
+    fan through `Fan._known_valid`, which run no check; these tests hold
+    them to the validating `Cone` and `Fan`."""
 
     @pytest.mark.parametrize("text,order", PINNED_PRODUCTS)
     def test_pinned_products(self, text, order):
@@ -487,8 +491,9 @@ class TestKnownValidCones:
                                   "cones": [[0, 1]]}))
 
     def test_only_log_product_calls_it(self):
-        """Every use of `_known_valid` in the package sits in
-        `logproduct.log_product`; every other builder validates."""
+        """The two uses of `_known_valid` in the package, `Cone`'s and
+        `Fan`'s, sit in `logproduct.log_product`; every other builder
+        validates."""
         uses = []
         src = Path(logproduct.__file__).parent
         for path in sorted(src.glob("*.py")):
@@ -505,7 +510,7 @@ class TestKnownValidCones:
                     uses.append((path.name, function))
                 stack.extend((child, function)
                              for child in ast.iter_child_nodes(node))
-        assert uses == [("logproduct.py", "log_product")]
+        assert uses == [("logproduct.py", "log_product")] * 2
 
 
 class TestLabelsOnHeldRays:
@@ -522,6 +527,10 @@ class TestLabelsOnHeldRays:
         for fan in fans_built:
             held = {r for c in fan.cones for r in c.rays}
             assert {ray for ray, _ in fan.labels} <= held
+            assert len({ray for ray, _ in fan.labels}) == len(fan.labels)
+            # `log_product` skips the checks of `Fan(...)`; they pass
+            assert Fan(fan.rank, fan.cones, fan.labels) == fan
+            assert fan_loads(fan_dumps(fan)) == fan
 
     @pytest.mark.parametrize("text,order", PINNED_PRODUCTS)
     def test_pinned_products_round_trip(self, text, order):
