@@ -13,9 +13,12 @@ standard closed forms:
 
 A split bundle is stored in the multiset normal form kernels share
 (`normal_form`), so O(k)^m is one term and costs one lookup whatever m is.
-Bare summands given to the constructor are counted in C
-(`collections.Counter`) before that merge, so a summand written out 10^6
-times costs one hash per copy, not one Python step.
+The raw terms given to the constructor are counted in C before that
+merge: terms that all equal the first one, as in a line bundle or a
+summand written out 10^6 times, by one `tuple.count`, one comparison per
+copy (an identity check for repeats of one object); any other input by
+`collections.Counter`, one hash per copy.  Neither takes one Python step
+per copy.
 
 `exterior_algebra` is the one construction of wedge powers, (+)_q
 wedge^q(E)[q] of an unshifted split bundle E, as a split bundle; `hkr`
@@ -68,14 +71,25 @@ class SplitBundle(FrozenValue):
 
     The raw terms are counted in C first: a bare Summand seen c times
     becomes (summand, c) and a (summand, m) pair seen c times becomes
-    (summand, m * c).  A bare Summand never equals a pair, so the two
-    kinds only merge in `normal_form`, which validates the result."""
+    (summand, m * c).  Terms that all equal the first one, as in every
+    line bundle and in one summand written out many times, are counted by
+    one `tuple.count`; any other input by `Counter`.  A bare Summand never
+    equals a pair, so the two kinds only merge in `normal_form`, which
+    validates the result."""
     __slots__ = ("terms",)
 
     def __init__(self, terms):
+        terms = tuple(terms)
+        if not terms or (terms[-1] == terms[0]
+                         and terms.count(terms[0]) == len(terms)):
+            # hashes the one key, so an unhashable term raises TypeError
+            # as under Counter
+            counted = dict.fromkeys(terms[:1], len(terms))
+        else:
+            counted = Counter(terms)
         object.__setattr__(self, "terms", normal_form(
             (t, c) if isinstance(t, Summand) else (t[0], t[1] * c)
-            for t, c in Counter(terms).items()))
+            for t, c in counted.items()))
 
     @staticmethod
     def line(twist, shift=0, mult=1):

@@ -142,12 +142,12 @@ class Fan(FrozenValue):
         cones, labels = self.cones, self.labels
         for a, b in zip(cones, cones[1:]):
             if a.rays == b.rays:
-                raise FanSchemaError(f"cone {a.rays} listed twice")
+                raise FanSchemaError(f"cone {quote(a.rays)} listed twice")
         bad = next((c for c in cones
                     if c.rays and len(c.rays[0]) != rank), None)
         if bad is not None:
-            raise FanSchemaError(f"cone {bad.rays} has a ray whose length "
-                                 f"is not the rank {rank}")
+            raise FanSchemaError(f"cone {quote(bad.rays)} has a ray whose "
+                                 f"length is not the rank {rank}")
         for (other, _), (ray, lab) in zip(labels, labels[1:]):
             if ray == other:
                 raise FanSchemaError(f"the label {quote(lab)} is a second "
@@ -206,7 +206,7 @@ def is_smooth(cone, ambient_rank):
     Varieties, 1.2).
     """
     if cone.rays and len(cone.rays[0]) != ambient_rank:
-        raise RankMismatch(f"cone {cone.rays} does not lie in "
+        raise RankMismatch(f"cone {quote(cone.rays)} does not lie in "
                            f"Z^{ambient_rank}")
     return cone.det == 1
 
@@ -233,7 +233,7 @@ def star_subdivide(fan, center):
         else:
             new_cones.append(cone)
     if len(new_cones) == len(fan.cones):  # no cone held the center
-        raise CenterNotInFan(f"{center.rays} is not a cone of the fan")
+        raise CenterNotInFan(f"{quote(center.rays)} is not a cone of the fan")
     step = fan.exceptional_count()
     labels = fan.labels + ((new_ray, DivisorLabel(EXCEPTIONAL, step)),)
     return Fan(fan.rank, tuple(new_cones), labels)
@@ -482,7 +482,7 @@ def check_support_preserved(before, after):
     for cone in before.cones + after.cones:
         if len(cone) != rank:
             raise ValueError(f"the support check needs {rank} rays per "
-                             f"cone, and {cone.rays} has {len(cone)}")
+                             f"cone, and {quote(cone.rays)} has {len(cone)}")
     return _vanishes([(1, c.rays) for c in before.cones]
                      + [(-1, c.rays) for c in after.cones], rank)
 
@@ -607,11 +607,12 @@ def fan_from_json(data):
         if (index not in held
                 and rays[index] not in {rays[j] for j in held}):
             raise FanSchemaError(f"fan JSON label {quote(i)} is on the ray "
-                                 f"{list(rays[index])}, which no cone "
+                                 f"{quote(list(rays[index]))}, which no cone "
                                  f"holds")
         if rays[index] in labels:
             raise FanSchemaError(f"fan JSON label {quote(i)} is a second "
-                                 f"label on the ray {list(rays[index])}")
+                                 f"label on the ray "
+                                 f"{quote(list(rays[index]))}")
         labels[rays[index]] = DivisorLabel(d.get("kind"), d["arg"])
     return Fan(rank, cones, tuple(labels.items()))
 

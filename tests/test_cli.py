@@ -198,6 +198,33 @@ class TestFan:
         assert err.endswith("... (18004 characters)\n")
         assert len(err) < 300
 
+    @pytest.mark.parametrize("signs,cones,labels,message", [
+        ((1,), [[0], [0]], {}, "usage error: cone ((1, 0, "),
+        ((1, -1), [[0]], {"1": 0}, "usage error: fan JSON label '1' is on "
+                                   "the ray [-1, 0, "),
+        ((1, 1), [[0]], {"0": 0, "1": 1}, "usage error: fan JSON label '1' "
+                                          "is a second label on the ray "
+                                          "[1, 0, "),
+    ], ids=["cone listed twice", "label on an unheld ray",
+            "second label on a ray"])
+    def test_check_schema_error_of_rank_3000_is_one_short_line(
+            self, capsys, tmp_path, signs, cones, labels, message):
+        # ray i is signs[i] times e1 in Z^3000; the ray text, 9,000
+        # characters or more, is quoted by its first QUOTE_LIMIT characters
+        # and its length
+        n = 3000
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({
+            "rank": n, "rays": [[s] + [0] * (n - 1) for s in signs],
+            "cones": cones,
+            "labels": {k: {"kind": "boundary", "arg": a}
+                       for k, a in labels.items()}}))
+        code, out, err = run(capsys, "fan", "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(message)
+        assert " characters)" in err and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
     def test_dump_refuses_an_order_for_one_pair(self, capsys):
         code, out, err = run(capsys, "fan", "dump", "--pairs", "P1:pt",
                              "--order", "1,2")

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb, factorial
 from operator import itemgetter
 import sys
@@ -218,6 +219,20 @@ def former_terms(raw):
     return tuple(sorted(merged.items(), key=itemgetter(0)))
 
 
+def _matches_former_terms(raw, given=tuple):
+    """SplitBundle(given(raw)) keeps the terms of `former_terms(raw)`, or
+    raises its ValueError."""
+    try:
+        expected = former_terms(raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            SplitBundle(given(raw))
+        assert str(caught.value) == str(exc)
+        return
+    # repr tells the kept key object apart: Summand(True, 0) == (1, 0)
+    assert repr(SplitBundle(given(raw)).terms) == repr(expected)
+
+
 # few keys, so terms collide often; a twist of True equals, and hashes
 # like, the distinct object 1
 SUMMANDS = st.builds(Summand, st.sampled_from((-1, 0, 1, True)),
@@ -237,21 +252,74 @@ def raw_terms(draw):
 @settings(max_examples=300, deadline=None)
 @given(raw_terms())
 def test_constructor_matches_former_merge(raw):
-    try:
-        expected = former_terms(raw)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as caught:
-            SplitBundle(raw)
-        assert str(caught.value) == str(exc)
-        return
-    # repr tells the kept key object apart: Summand(True, 0) == (1, 0)
-    assert repr(SplitBundle(raw).terms) == repr(expected)
+    _matches_former_terms(raw)
 
 
 def test_million_bare_summands_are_one_term():
     bundle = SplitBundle((Summand(3, 1),) * 10 ** 6)
     assert bundle == SplitBundle.line(3, 1, 10 ** 6)
     assert bundle.terms == ((Summand(3, 1), 10 ** 6),)
+
+
+@st.composite
+def homogeneous_terms(draw):
+    """1-1000 copies of one term, a bare Summand or a pair with
+    multiplicity -1..4: the inputs counted by `tuple.count`.  A term of
+    twist 1 may have one copy of twist True, an equal but distinct key,
+    so the kept key object is the first copy's."""
+    summand = draw(SUMMANDS)
+    mult = draw(st.none() | st.integers(-1, 4))
+    copies = draw(st.integers(1, 1000))
+    keys = [summand] * copies
+    if summand.twist == 1 and draw(st.booleans()):
+        twin = Summand(1 if summand.twist is True else True, summand.shift)
+        keys[draw(st.integers(0, copies - 1))] = twin
+    return tuple(k if mult is None else (k, mult) for k in keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_terms())
+def test_homogeneous_input_matches_former_merge(raw):
+    _matches_former_terms(raw)
+
+
+def test_one_distinct_term_is_not_counted_by_counter(monkeypatch):
+    def no_counter(*_):
+        raise AssertionError("Counter was called")
+
+    monkeypatch.setattr(cohomology, "Counter", no_counter)
+    assert SplitBundle.line(1, 0, 5).terms == ((Summand(1), 5),)
+    assert SplitBundle((Summand(3, 1),) * 10 ** 6).terms == \
+        ((Summand(3, 1), 10 ** 6),)
+    assert SplitBundle(((Summand(2), 2),) * 3).terms == ((Summand(2), 6),)
+    assert SplitBundle(()).terms == ()
+
+
+@pytest.mark.parametrize("raw", [
+    (Summand(0), Summand(1)),
+    (Summand(1), Summand(0), Summand(1)),
+    ((Summand(2), 1), (Summand(2), -1)),
+    (Summand(True), (Summand(1), 2), Summand(1)),
+    (Summand(2, 1),) * 5,
+], ids=["two distinct", "first equals last", "negative last",
+        "bare and pair", "one term five times"])
+def test_tuple_list_and_generator_inputs_match_former_merge(raw):
+    for given in (tuple, list, lambda r: (t for t in r)):
+        _matches_former_terms(raw, given)
+
+
+@pytest.mark.parametrize("raw", [
+    ([Summand(1), 2],),
+    ([Summand(1), 2],) * 3,
+    ((Summand(1), [2]),),
+    ([Summand(1), 2], (Summand(1), 2)),
+], ids=["one list", "one list thrice", "list multiplicity", "two terms"])
+def test_unhashable_term_raises_type_error_as_counter_did(raw):
+    with pytest.raises(TypeError) as counted:
+        Counter(raw)
+    with pytest.raises(TypeError) as built:
+        SplitBundle(raw)
+    assert str(built.value) == str(counted.value)
 
 
 class TestCaps:

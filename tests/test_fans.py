@@ -939,6 +939,26 @@ class TestFan:
             assert "... (9000 characters)" in str(exc.value)
             assert len(str(exc.value)) < 4 * QUOTE_LIMIT
 
+    @pytest.mark.parametrize("error,call", [
+        (FanSchemaError, lambda c, d: Fan(3000, (c, c))),
+        (FanSchemaError, lambda c, d: Fan(2, (c,))),
+        (RankMismatch, lambda c, d: is_smooth(c, 2)),
+        (CenterNotInFan, lambda c, d: star_subdivide(Fan(3000, (c,)), d)),
+        (ValueError, lambda c, d: check_support_preserved(
+            Fan(3000, (c,)), Fan(3000, ()))),
+    ], ids=["listed twice", "not the rank", "is_smooth", "star_subdivide",
+            "support check"])
+    def test_fan_errors_quote_long_rays(self, error, call):
+        # c holds one ray of rank 3000, d two; the message quotes the
+        # rays of the one it names by QUOTE_LIMIT characters and a length
+        e = [tuple(int(i == j) for i in range(3000)) for j in range(2)]
+        c, d = Cone(e[:1]), Cone(e)
+        with pytest.raises(error) as exc:
+            call(c, d)
+        named = d if error is CenterNotInFan else c
+        assert f"... ({len(repr(named.rays))} characters)" in str(exc.value)
+        assert len(str(exc.value)) < 3 * QUOTE_LIMIT
+
     @pytest.mark.parametrize("data,match", [
         ({"rank": 1, "rays": [[1], [-1]], "cones": [[0]],
           "labels": {"1": {"kind": "boundary", "arg": 0}}},
