@@ -103,7 +103,8 @@ class FanSchemaError(ValueError):
     """Fan data off the JSON schema: JSON text nested too deeply to read or
     holding an integer past Python's digit limit, a missing key, an entry
     of the wrong type or length, a ray index outside the ray list, a cone
-    listed twice, an unknown label kind or a label on a ray no cone holds.
+    listed twice, an unknown label kind, a label on a ray no cone holds or
+    a second label on one ray.
     It is a ValueError and not a LogfanError, so the CLI reports it as a
     usage error (exit 2)."""
 

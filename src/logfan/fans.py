@@ -23,9 +23,10 @@ matching walls, scanning each boundary hyperplane once and counting the
 cones over one point by the signs of their walls, and
 `check_support_preserved` compares two supports by the jumps of their
 cones' indicator functions across each wall hyperplane, one dimension
-down.  A lattice map induces a fan map when the images of each source
-cone's rays lie in one target cone (`fan_map_witness`), decided once per
-distinct image and target cone.
+down; the `logproduct-support` case of `verify` runs it on a log product
+and its product fan.  A lattice map induces a fan map when the images of
+each source cone's rays lie in one target cone (`fan_map_witness`),
+decided once per distinct image and target cone.
 
 Cones, fans and labels are immutable values on `values.FrozenValue`:
 slotted, compared and hashed by their fields, with `Cone.det` left out.
@@ -181,9 +182,6 @@ class Fan(FrozenValue):
         for c in self.cones:
             out.update(c.rays)
         return tuple(sorted(out))
-
-    def label_map(self):
-        return dict(self.labels)
 
     def exceptional_count(self):
         return sum(1 for _, lab in self.labels if lab.kind == EXCEPTIONAL)
@@ -464,6 +462,10 @@ def check_face_closure(fan):
 def check_support_preserved(before, after):
     """True when the fans `before` and `after` have the same support.
 
+    A log modification, such as a log product over the product of its
+    factors' fans, keeps the support; `verify`'s `logproduct-support`
+    case checks that, and that dropping a cone loses it.
+
     Exact over the integers, like `check_face_closure`.  Both fans must
     have the same rank (else RankMismatch) and every cone `rank` rays
     (else ValueError): the check compares full-dimensional supports.
@@ -539,13 +541,12 @@ def fan_to_json(fan):
      "labels": {ray-index: {"kind": str, "arg": int}}}."""
     rays = fan.rays()
     index = {r: i for i, r in enumerate(rays)}
-    label_map = fan.label_map()
     return {
         "rank": fan.rank,
         "rays": [list(r) for r in rays],
         "cones": sorted(sorted(index[r] for r in c.rays) for c in fan.cones),
         "labels": {str(index[ray]): {"kind": lab.kind, "arg": lab.arg}
-                   for ray, lab in sorted(label_map.items()) if ray in index},
+                   for ray, lab in fan.labels},
     }
 
 

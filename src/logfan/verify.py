@@ -11,7 +11,8 @@ import random
 from . import kernels
 from .cohomology import Space, SplitBundle, exterior_algebra, \
     graded_cohomology
-from .fans import induces_fan_map, is_smooth
+from .fans import (Fan, check_support_preserved, induces_fan_map, is_smooth,
+                   product_fan)
 from .hkr import hkr_homology, log_serre, residue_euler_check
 from .kernels import (Atom, DIAG, KernelExpr, adjoint_exchange_check,
                       bicategory_law_check, chern_log, compose, diag_kernel,
@@ -100,6 +101,14 @@ def verify_suite(sign_flip=False):
         "all two-factor log products of P^1, P^2, P^3 are smooth",
         True, smooth_all)
     triple = log_product([P1] * 3)
+    product = product_fan(product_fan(P1.toric_fan(0), P1.toric_fan(1)),
+                          P1.toric_fan(2))
+    add("logproduct-support",
+        "the triple (P^1,pt) log product keeps the support of the product "
+        "fan of (P^1)^3; without one of its cones it does not",
+        (True, False),
+        (check_support_preserved(product, triple.fan),
+         check_support_preserved(product, Fan(3, triple.fan.cones[1:]))))
     small, mat = projection(triple, [0, 1])
     add("projection-fan-map",
         "projection of a triple log product onto two factors is a fan map",

@@ -577,12 +577,22 @@ class TestVerify:
         assert code == 1
         assert "[FAIL] hh-shift-sign" in out
 
+    def test_sign_flip_fails_only_the_shifted_cases(self, capsys):
+        code, out, _ = run(capsys, "verify", "--sign-flip", "--json")
+        data = json.loads(out)
+        assert code == 1 and data["passed"] is False
+        assert ({c["case_id"] for c in data["cases"] if not c["pass"]}
+                == {"hh-shift-sign", "chern-additive"})
+
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--json")
         data = json.loads(out)
         assert data["passed"] is True
         assert all(set(c) == {"case_id", "claim", "expected", "actual",
                               "pass"} for c in data["cases"])
+        support, = (c for c in data["cases"]
+                    if c["case_id"] == "logproduct-support")
+        assert support["pass"] is True
 
 
 class TestDeterminism:
@@ -626,7 +636,7 @@ PINNED_STDOUT = [
     (("fan", "check", "-"), p1_square_overlap(), 1,
      "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b"),
     (("verify", "--json"), None, 0,
-     "f0f41172dc4efcf6b42776c17a1e3d8a3bb72b9c12d000fa637d850d43cc641b"),
+     "d4ca4387769ff77c3da5b8a0a93a59dc8a2bfdbc86c40348b174c77d100356b4"),
     # the kernel rewrites: diag.diag, diag.t(graph), graph.diag and the
     # excess route; then t(graph).diag; then two chern chains
     (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",

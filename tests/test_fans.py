@@ -254,7 +254,7 @@ class TestStarSubdivide:
 
     def test_exceptional_label_assigned(self):
         fan = star_subdivide(octant(2), Cone(((1, 0), (0, 1))))
-        labels = fan.label_map()
+        labels = dict(fan.labels)
         assert labels[(1, 1)].kind == "exceptional"
         assert labels[(1, 1)].arg == 0
 
@@ -1013,7 +1013,7 @@ class TestJson:
         # "٠" is ARABIC-INDIC DIGIT ZERO, a decimal digit int() reads
         fan = fan_from_json({"rank": 1, "rays": [[1]], "cones": [[0]],
                              "labels": {key: {"kind": BOUNDARY, "arg": 0}}})
-        assert fan.label_map() == {(1,): DivisorLabel(BOUNDARY, 0)}
+        assert dict(fan.labels) == {(1,): DivisorLabel(BOUNDARY, 0)}
 
     def test_label_on_a_ray_no_cone_holds_refused(self, capsys, tmp_path):
         # `fan_to_json` writes no label for such a ray, so the fan could

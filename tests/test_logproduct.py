@@ -285,7 +285,7 @@ class TestClosedFormAgainstBlowUp:
         for order in (building_set(n), walk_order(rng, n),
                       walk_order(rng, n)):
             space = log_product(pairs, order)
-            labels = space.fan.label_map()
+            labels = dict(space.fan.labels)
             strata = dict(space.stratum_ray)
             boundary = dict(space.strict_transforms)
             assert len(strata) == len(order)
