@@ -8,25 +8,25 @@ subdivision at the corresponding cone.
 Every check is exact integer arithmetic on the `linalg` core, with no floats
 and no sampling: a cone's validity and smoothness come from the index of
 its rays' lattice in its saturation (`lattice_index`, the absolute
-determinant for a full-dimensional cone), cone membership from a
-nonnegative solve, and a wall's hyperplane is the primitive normal from
-one elimination.  A cone has two routes in: `Cone(rays)` validates, with
-one index computation, and serves user input and every builder here; the
-private `Cone._known_valid` takes rays and index from
-`logproduct.log_product`, whose closed form proves them valid.  A fan
-has the same two routes: `Fan(...)` refuses what `fan_to_json` could not
-write back, and `Fan._known_valid` serves `log_product` alone.
+determinant for a full-dimensional cone), and a wall's hyperplane is the
+primitive normal from one elimination.  A cone has two routes in:
+`Cone(rays)` validates, with one index computation, and serves user input
+and every builder here; the private `Cone._known_valid` takes rays and
+index from `logproduct.log_product`, whose closed form proves them valid.
+A fan has the same two routes: `Fan(...)` refuses what `fan_to_json`
+could not write back, and `Fan._known_valid` serves `log_product` alone.
 
-Both fan checks read one index of the walls by hyperplane (`_hyperplanes`):
-`check_face_closure` decides whether cones meet in common faces by
-matching walls, scanning each boundary hyperplane once and counting the
-cones over one point by the signs of their walls, and
-`check_support_preserved` compares two supports by the jumps of their
-cones' indicator functions across each wall hyperplane, one dimension
-down; the `logproduct-support` case of `verify` runs it on a log product
-and its product fan.  A lattice map induces a fan map when the images of
-each source cone's rays lie in one target cone (`fan_map_witness`),
-decided once per distinct image and target cone.
+Both fan checks read one index of the walls by hyperplane (`_hyperplanes`)
+and count the cones over one generic point by the signs of their walls
+(`_cones_over`): `check_face_closure` decides whether cones meet in
+common faces by matching walls and scanning each boundary hyperplane
+once, and `check_support_preserved` compares two supports by the jumps
+of their cones' indicator functions across each wall hyperplane, one
+dimension down; the `logproduct-support` case of `verify` runs it on a
+log product and its product fan.  A lattice map induces a fan map when
+the images of each source cone's rays lie in one target cone
+(`fan_map_witness`), decided by one exact solve per distinct image and
+target cone.
 
 Cones, fans and labels are immutable values on `values.FrozenValue`:
 slotted, compared and hashed by their fields, with `Cone.det` left out.
@@ -118,10 +118,6 @@ class Cone(FrozenValue):
 
     def __len__(self):
         return len(self.rays)
-
-    def contains_point(self, point):
-        """Exact membership test for a rational point."""
-        return solve_nonnegative(self.rays, point) is not None
 
 
 class Fan(FrozenValue):
@@ -274,13 +270,14 @@ def fan_map_witness(source, target, lattice_map):
 
     A linear map sends cone(rays) into a cone exactly when it sends each
     ray there, so the work is done once per distinct input: each distinct
-    source ray is mapped once, and whether a target cone holds an image is
-    one `Cone.contains_point` solve, made the first time the pair is met
-    and remembered.  A cone whose set of images was already decided reuses
-    the verdict.  Target cones and a cone's images are tried in the order
-    a plain cone-by-cone scan tries them, stopping where it stops, so no
-    input needs more solves than that scan.  A matrix whose shape is not
-    target.rank x source.rank raises RankMismatch.
+    source ray is mapped once, and whether a target cone holds an image,
+    which may lie on a wall, is one `solve_nonnegative` on the cone's rays,
+    made the first time the pair is met and remembered.  A cone whose set
+    of images was already decided reuses the verdict.  Target cones and a
+    cone's images are tried in the order a plain cone-by-cone scan tries
+    them, stopping where it stops, so no input needs more solves than that
+    scan.  A matrix whose shape is not target.rank x source.rank raises
+    RankMismatch.
     """
     rows = tuple(tuple(r) for r in lattice_map)
     if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
@@ -293,8 +290,8 @@ def fan_map_witness(source, target, lattice_map):
 
     def holds(i, point):
         if (i, point) not in held:
-            held[i, point] = target.cones[i].contains_point(point)
-        return held[i, point]
+            held[i, point] = solve_nonnegative(target.cones[i].rays, point)
+        return held[i, point] is not None
 
     for cone in source.cones:
         images = tuple(image[r] for r in cone.rays)
@@ -331,9 +328,9 @@ def _hyperplanes(terms, dim):
     one elimination (`normal_vector`, first nonzero entry positive, so it
     names the hyperplane) and side is +1 when the cone lies where it is
     positive, the side of the dropped ray.  facets lists, term by term,
-    the (normal, side) of each of the cone's walls: the cone is the set
-    where side * (normal . x) >= 0 for all of them.  Each distinct wall's
-    normal is computed once.
+    (c, sides), with sides the (normal, side) of each of the cone's walls:
+    the cone is the set where side * (normal . x) >= 0 for all of them.
+    Each distinct wall's normal is computed once.
     """
     normals = {}
     planes = {}
@@ -348,7 +345,7 @@ def _hyperplanes(terms, dim):
             side = 1 if _dot(u, dropped) > 0 else -1
             planes.setdefault(u, []).append((c * side, wall))
             sides.append((u, side))
-        facets.append(sides)
+        facets.append((c, sides))
     return planes, facets
 
 
@@ -365,14 +362,14 @@ def _generic_point(normals, rays):
 
 
 def _cones_over(planes, facets, point):
-    """The number of full-dimensional simplicial cones, each given by its
-    `_hyperplanes` facets, that hold `point`, a point on none of the
-    hyperplanes in `planes`: a cone holds it exactly when it lies on the
-    cone's side of each of its walls, and the sign of u . p is read once
-    per hyperplane."""
+    """The sum of the coefficients c of the full-dimensional simplicial
+    cones, given by `_hyperplanes` facets (c, sides), that hold `point`, a
+    point on none of the hyperplanes in `planes`: a cone holds it exactly
+    when it lies on the cone's side of each of its walls, and the sign of
+    u . p is read once per hyperplane."""
     positive = {u: _dot(u, point) > 0 for u in planes}
-    return sum(all(positive[u] == (side > 0) for u, side in sides)
-               for sides in facets)
+    return sum(c for c, sides in facets
+               if all(positive[u] == (side > 0) for u, side in sides))
 
 
 def _meet_in_face(a, b, rank):
@@ -510,8 +507,8 @@ def _vanishes(terms, dim):
     question one dimension down.  The terms (c * side, W) of each g_H are
     the entries `_hyperplanes` lists under H's primitive normal, from one
     elimination per distinct wall.  The constant is f at one point off
-    every hyperplane, `_generic_point` of the normals and the standard
-    basis.
+    every hyperplane, `_generic_point` of the normals and the first term's
+    rays, which span Q^dim: `_cones_over` of that point, with no solve.
     """
     merged = {}
     for c, rays in terms:
@@ -521,18 +518,16 @@ def _vanishes(terms, dim):
         return True
     if dim == 0:
         return False
-    jumps, _ = _hyperplanes([(c, rays) for rays, c in merged.items()],
-                            dim)
+    jumps, facets = _hyperplanes([(c, rays) for rays, c in merged.items()],
+                                 dim)
     for normal, walls in jumps.items():
         j = next(k for k, x in enumerate(normal) if x)
         if not _vanishes([(c, tuple(primitive(r[:j] + r[j + 1:])
                                     for r in wall))
                           for c, wall in walls], dim - 1):
             return False
-    basis = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
-    point = _generic_point(jumps.keys(), basis)
-    return sum(c for rays, c in merged.items()
-               if solve_nonnegative(rays, point) is not None) == 0
+    point = _generic_point(jumps, next(iter(merged)))
+    return _cones_over(jumps, facets, point) == 0
 
 
 def fan_to_json(fan):

@@ -124,9 +124,9 @@ def diag_kernel(pair, twist=0, shift=0, mult=1):
     return KernelExpr(pair, pair, ((Atom(DIAG, 0, twist, shift), mult),))
 
 
-def graph_kernel(source, target, degree, twist=0, shift=0, mult=1):
+def graph_kernel(source, target, degree, twist=0, shift=0):
     return KernelExpr(source, target,
-                      ((Atom(GRAPH, degree, twist, shift), mult),))
+                      ((Atom(GRAPH, degree, twist, shift), 1),))
 
 
 def transpose(expr):

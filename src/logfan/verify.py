@@ -276,10 +276,9 @@ def verify_suite(sign_flip=False):
 _PAIRS = (P1, LogPair("Pn:H", 2), LogPair("Pn:H", 3))
 
 
-def random_diag(rng, pair=None):
-    """A diagonal kernel on `pair` (else a random one) of one to three
-    terms, each with a multiplicity from 1 to 3."""
-    pair = pair or rng.choice(_PAIRS)
+def random_diag(rng, pair):
+    """A diagonal kernel on `pair` of one to three terms, each with a
+    multiplicity from 1 to 3."""
     terms = tuple((Atom(DIAG, 0, rng.randint(-6, 6), rng.randint(-6, 6)),
                    rng.randint(1, 3))
                   for _ in range(rng.randint(1, 3)))
