@@ -17,13 +17,14 @@ A fan has the same two routes: `Fan(...)` refuses what `fan_to_json`
 could not write back, and `Fan._known_valid` serves `log_product` alone.
 
 Both fan checks read one index of the walls by hyperplane (`_hyperplanes`)
-and count the cones over one generic point by the signs of their walls
-(`_cones_over`): `check_face_closure` decides whether cones meet in
-common faces by matching walls and scanning each boundary hyperplane
-once, and `check_support_preserved` compares two supports by the jumps
-of their cones' indicator functions across each wall hyperplane, one
-dimension down; the `logproduct-support` case of `verify` runs it on a
-log product and its product fan.  A lattice map induces a fan map when
+and count the cones over a point by the signs of their walls, a point on a
+wall read as just off it on one fixed side (`_cones_over`):
+`check_face_closure` decides whether cones meet in common faces by
+matching walls and scanning each boundary hyperplane once, and
+`check_support_preserved` compares two supports by the jumps of their
+cones' indicator functions across each wall hyperplane, one dimension
+down; the `logproduct-support` case of `verify` runs it on a log product
+and its product fan.  A lattice map induces a fan map when
 the images of each source cone's rays lie in one target cone
 (`fan_map_witness`), decided by one exact solve per distinct image and
 target cone.
@@ -349,24 +350,22 @@ def _hyperplanes(terms, dim):
     return planes, facets
 
 
-def _generic_point(normals, rays):
-    """p = sum t^i r_i over `rays`, with M the largest |u.r_i| over the
-    `normals` u and t = M + 1: u.p != 0 for every u with some u.r_i != 0.
-
-    u.p = sum a_i t^i with integer a_i = u.r_i; if a_d is the last nonzero
-    one, |sum_{i<d} a_i t^i| <= M (t^d - 1) / (t - 1) < t^d <= |a_d t^d|.
-    """
-    t = 1 + max((abs(_dot(u, r)) for u in normals for r in rays), default=0)
-    return tuple(map(sum, zip(*[[t ** i * x for x in r]
-                                for i, r in enumerate(rays)])))
-
-
 def _cones_over(planes, facets, point):
     """The sum of the coefficients c of the full-dimensional simplicial
-    cones, given by `_hyperplanes` facets (c, sides), that hold `point`, a
-    point on none of the hyperplanes in `planes`: a cone holds it exactly
-    when it lies on the cone's side of each of its walls, and the sign of
-    u . p is read once per hyperplane."""
+    cones, given by `_hyperplanes` facets (c, sides), that hold a point
+    just off `point` and on none of the hyperplanes in `planes`.  The sign
+    of u . p is read once per hyperplane, u . p = 0 read as negative, and
+    a cone holds the point exactly when it is on the cone's side of each
+    of its walls.
+
+    The count is exact at p - d w, w = (1, e, ..., e^(n-1)), for small
+    e > 0 and a still smaller d > 0 (Edelsbrunner and Mucke, Simulation of
+    Simplicity, ACM TOG 9, 1990).  Every normal's first nonzero entry is
+    positive (`normal_vector`), so for small e every normal u has
+    u . w > 0.  For small d, u . (p - d w) then has the sign of u . p where
+    that is nonzero and is negative where it is 0, so p - d w has the wall
+    signs read and lies on no hyperplane.
+    """
     positive = {u: _dot(u, point) > 0 for u in planes}
     return sum(c for c, sides in facets
                if all(positive[u] == (side > 0) for u, side in sides))
@@ -406,7 +405,7 @@ def check_face_closure(fan):
     2. Each boundary hyperplane, a (normal, side) pair of a wall that only
        one cone has, is scanned once against the rays of the fan.  If
        every ray lies on that closed side of each, the answer is whether
-       exactly one cone contains a point p inside the first cone and on no
+       exactly one cone contains a point inside the first cone and on no
        wall's hyperplane.  Proof sketch: the support then has no boundary
        but those walls, so it is the intersection of their half-spaces,
        convex, and its interior meets no single-cone wall.  Along a path in
@@ -418,13 +417,10 @@ def check_face_closure(fan):
        wall matched they meet in common faces, as cones meeting in a common
        face are exactly those a hyperplane separates along it
        (Cox-Little-Schenck, Toric Varieties, Lemma 1.2.13).  The point is
-       `_generic_point` of the walls' normals and the first cone's rays,
-       which span Q^rank, so no normal is orthogonal to all of them and p
-       lies on no wall's hyperplane.  A cone is the intersection of the
-       half-spaces of its walls, so it holds p exactly when side * (u . p)
-       > 0 for each of its walls: `_cones_over` reads the sign of u . p
-       once per hyperplane against the sides `_hyperplanes` lists, with no
-       solve.
+       the one `_cones_over` reads just off p, the sum of the first cone's
+       rays: p is inside that cone, so the point is too, and it lies on no
+       wall's hyperplane.  `_cones_over` reads the sign of u . p once per
+       hyperplane against the sides `_hyperplanes` lists, with no solve.
     3. Every other input, a fan that is not pure or a single-cone wall
        that cuts the support (a non-convex support, or overlapping
        pieces), is checked pair by pair with `_meet_in_face`, one exact
@@ -444,7 +440,7 @@ def check_face_closure(fan):
         rays = fan.rays()
         if all(side * _dot(normal, x) >= 0
                for normal, side in boundary for x in rays):
-            point = _generic_point(planes, cones[0].rays)
+            point = tuple(map(sum, zip(*cones[0].rays)))
             return _cones_over(planes, facets, point) == 1
     pairs = comb(len(cones), 2)
     if pairs > MAX_PAIRWISE_SOLVES:
@@ -506,9 +502,9 @@ def _vanishes(terms, dim):
     Q^(dim - 1), walls onto full-dimensional cones, so that is the same
     question one dimension down.  The terms (c * side, W) of each g_H are
     the entries `_hyperplanes` lists under H's primitive normal, from one
-    elimination per distinct wall.  The constant is f at one point off
-    every hyperplane, `_generic_point` of the normals and the first term's
-    rays, which span Q^dim: `_cones_over` of that point, with no solve.
+    elimination per distinct wall.  The constant is f at any point off
+    every hyperplane: `_cones_over` at the one it reads just off the
+    origin, with no solve.
     """
     merged = {}
     for c, rays in terms:
@@ -526,8 +522,7 @@ def _vanishes(terms, dim):
                                     for r in wall))
                           for c, wall in walls], dim - 1):
             return False
-    point = _generic_point(jumps, next(iter(merged)))
-    return _cones_over(jumps, facets, point) == 0
+    return _cones_over(jumps, facets, (0,) * dim) == 0
 
 
 def fan_to_json(fan):

@@ -310,7 +310,10 @@ def order_independence_check(pairs, order_a, order_b):
 def strict_transform_rays(space, i):
     """Decomposition of the total transform of the factor-i boundary:
     (strict transform ray, list of exceptional rays over strata containing
-    the factor)."""
+    the factor).  An index outside 0..n-1, n factors, raises ValueError."""
+    n = len(space.factors)
+    if not 0 <= i < n:
+        raise ValueError(f"factor index {i} is not in 0..{n - 1}")
     strict = dict(space.strict_transforms)[i]
     exceptional = [ray for stratum, ray in space.stratum_ray
                    if i in stratum]
@@ -319,11 +322,15 @@ def strict_transform_rays(space, i):
 
 def projection_matrix(pairs, keep):
     """Lattice map for the projection of the log product onto the factors
-    in `keep` (any nonempty subset of factor indices, taken in sorted
-    order)."""
+    in `keep` (any nonempty subset of the factor indices 0..n-1, taken in
+    sorted order); an index outside that range raises ValueError."""
     keep = sorted(set(keep))
     if not keep:
         raise EmptyProjection("projection must keep at least one factor")
+    for i in keep:
+        if not 0 <= i < len(pairs):
+            raise ValueError(f"factor index {i} is not in "
+                             f"0..{len(pairs) - 1}")
     dims = [p.dim for p in pairs]
     starts = [sum(dims[:i]) for i in range(len(pairs))]
     total = sum(dims)

@@ -665,14 +665,32 @@ def moved_by(fan, matrix):
                                for c in fan.cones))
 
 
+def ray_sum(cone):
+    return tuple(map(sum, zip(*cone.rays)))
+
+
 def generic_count(fan):
-    """Step 2's wall-sign count at its generic point, and the number of
-    cones that one exact solve each puts over that point."""
+    """Step 2's wall-sign count at p, the sum of the first cone's rays,
+    and the number of cones that one exact solve each puts over the
+    integer point q = K p - w, on no wall hyperplane.
+
+    w_i = e^(n-1-i) with e = 1 + max |u_i| over the normals u: the first
+    nonzero entry of u is positive, so u . w > 0.  With K = 1 + max |u . w|,
+    u . q has the sign of u . p where that is nonzero and is negative where
+    it is 0, which is how `_cones_over` reads p; that is asserted for
+    every normal."""
     planes, facets = fans._hyperplanes([(1, c.rays) for c in fan.cones],
                                        fan.rank)
-    point = fans._generic_point(planes, fan.cones[0].rays)
-    return (fans._cones_over(planes, facets, point),
-            sum(linalg.solve_nonnegative(c.rays, point) is not None
+    p = ray_sum(fan.cones[0])
+    e = 1 + max(abs(x) for u in planes for x in u)
+    w = [e ** (fan.rank - 1 - i) for i in range(fan.rank)]
+    k = 1 + max(abs(fans._dot(u, w)) for u in planes)
+    q = tuple(k * a - b for a, b in zip(p, w))
+    for u in planes:
+        assert fans._dot(u, q) != 0
+        assert (fans._dot(u, q) > 0) == (fans._dot(u, p) > 0)
+    return (fans._cones_over(planes, facets, p),
+            sum(linalg.solve_nonnegative(c.rays, q) is not None
                 for c in fan.cones))
 
 
@@ -689,9 +707,10 @@ FIXTURE_DET2 = Fan(2, tuple(Cone(c) for c in (
 
 
 class TestWallSignCount:
-    """Step 2 of `check_face_closure` counts the cones over its generic
-    point by the signs of their walls; the count is the one the exact
-    membership solve gives."""
+    """Step 2 of `check_face_closure` counts the cones over the sum of the
+    first cone's rays by the signs of their walls, a point on a wall read
+    as just off it; the count is the one the exact membership solve gives
+    at an integer point just off it."""
 
     @pytest.mark.parametrize("pairs", FANCHECK_PAIRS)
     def test_log_products_under_unimodular_moves(self, pairs):
@@ -712,8 +731,20 @@ class TestWallSignCount:
             assert count == solved
             assert check_face_closure(moved_fan) is expected
 
+    @pytest.mark.parametrize("pairs,through", [
+        (("P1:pt",) * 3, 3), (("P2:H",) * 2, 6)])
+    def test_ray_sum_lies_on_walls(self, pairs, through):
+        # the point step 2 reads lies on walls of these log products, so
+        # the tie rule of `_cones_over` decides their counts
+        fan = log_product([parse_pair(p) for p in pairs]).fan
+        planes, _ = fans._hyperplanes([(1, c.rays) for c in fan.cones],
+                                      fan.rank)
+        p = ray_sum(fan.cones[0])
+        assert sum(fans._dot(u, p) == 0 for u in planes) == through
+        assert generic_count(fan) == (1, 1)
+
     def test_overlap_fixture_counts_two_cones_somewhere(self):
-        # the generic point of the first cone in some coordinates lies in
+        # the point just inside the first cone in some coordinates lies in
         # the extra cone too, so the count itself sees the overlap
         fan = fixture_overlap()
         counts = {generic_count(moved_by(fan, m))

@@ -29,13 +29,24 @@ def alternating_sum(table):
 
 
 def open_cones(fan):
-    """Maximal cones holding no labelled ray."""
+    """The ray tuples of the maximal cones holding no labelled ray."""
     labelled = {ray for ray, _ in fan.labels}
-    return sum(1 for c in fan.cones if not labelled & set(c.rays))
+    return {c.rays for c in fan.cones if not labelled & set(c.rays)}
 
 
 def pair_count(text):
-    return open_cones(parse_pair(text).toric_fan())
+    return len(open_cones(parse_pair(text).toric_fan()))
+
+
+def direct_sums(cone_sets, ranks):
+    """The direct sums of one cone from each factor's set, each factor's
+    rays padded by zeros into its own block of coordinates."""
+    starts = [sum(ranks[:i]) for i in range(len(ranks))]
+    total = sum(ranks)
+    return {tuple(sorted((0,) * start + ray + (0,) * (total - start - rank)
+                         for start, rank, cone in zip(starts, ranks, cones)
+                         for ray in cone))
+            for cones in product(*cone_sets)}
 
 
 @pytest.mark.parametrize("text", PAIRS)
@@ -62,6 +73,12 @@ def test_single_pair(text):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_log_product_multiplies(n):
     counts = {text: pair_count(text) for text in FACTORS}
+    factors = {text: parse_pair(text).toric_fan() for text in FACTORS}
     for texts in product(FACTORS, repeat=n):
         fan = log_product([parse_pair(t) for t in texts]).fan
-        assert open_cones(fan) == prod(counts[t] for t in texts), texts
+        opened = open_cones(fan)
+        assert len(opened) == prod(counts[t] for t in texts), texts
+        # cone for cone: the open cones are the direct sums of the
+        # factors' open cones
+        assert opened == direct_sums([open_cones(factors[t]) for t in texts],
+                                     [factors[t].rank for t in texts]), texts

@@ -3,7 +3,8 @@ from functools import reduce
 import json
 from pathlib import Path
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations)
 from math import factorial
 import time
 
@@ -172,6 +173,27 @@ class TestProjection:
             projection_matrix([P1, P1], [])
         with pytest.raises(EmptyProjection):
             projection(log_product([P1, P1]), [])
+
+    def test_factor_index_out_of_range(self):
+        space = log_product([parse_pair("P1:pt"), parse_pair("P2:H")])
+        for keep in ([-1, 1], [2]):
+            with pytest.raises(ValueError, match=r"not in 0\.\.1$"):
+                projection(space, keep)
+        with pytest.raises(ValueError, match=r"^factor index 5 is not in"):
+            strict_transform_rays(space, 5)
+
+    @pytest.mark.parametrize("pairs", [
+        ("P1:pt",) * 3, ("A1:0",) * 3, ("P2:H",) * 3,
+        ("P1:pt", "P2:H", "C0:pt"), ("A1:0",) * 4], ids=",".join)
+    def test_every_projection_is_a_fan_map(self, pairs):
+        big = log_product([parse_pair(p) for p in pairs])
+        n = len(pairs)
+        keeps = [keep for size in range(2, n)
+                 for keep in combinations(range(n), size)]
+        assert len(keeps) == {3: 3, 4: 10}[n]
+        for keep in keeps:
+            small, mat = projection(big, keep)
+            assert induces_fan_map(big.fan, small.fan, mat), keep
 
 
 class TestStrictTransforms:
