@@ -17,8 +17,9 @@ The raw terms given to the constructor are counted in C before that
 merge: terms that all equal the first one, as in a line bundle or a
 summand written out 10^6 times, by one `tuple.count`, one comparison per
 copy (an identity check for repeats of one object); any other input by
-`collections.Counter`, one hash per copy.  Neither takes one Python step
-per copy.
+`collections.Counter`, one hash per copy.  Counted bare Summands are
+merged, positive and distinct, so one sort in C is their normal form;
+only input with a (Summand, mult) pair runs `normal_form`'s loop.
 
 `exterior_algebra` is the one construction of wedge powers, (+)_q
 wedge^q(E)[q] of an unshifted split bundle E, as a split bundle; `hkr`
@@ -28,9 +29,10 @@ and the excess route of `kernels` read it.  It refuses a rank above
 The tables on P^n are refused, before any is built, for n above
 `MAX_PN_DIM` = 1000 (DimensionTooLarge) and for a twist k with |k| above
 `MAX_TWIST` = 10^6 (TwistTooLarge): C(n + k, n) then has at most 3433
-digits and takes milliseconds.  The Euler characteristic on P^n is the
-alternating sum of that table, under the same caps.  Curve tables are
-O(1) arithmetic and have no cap.
+digits and takes milliseconds.  The Euler characteristic builds no
+table: chi(O(k)) is read once per distinct twist, on P^n the line's
+alternating sum under the same caps, on a curve k - g + 1 by
+Riemann-Roch.  Curve tables are O(1) arithmetic and have no cap.
 """
 
 from collections import Counter
@@ -39,7 +41,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (AmbiguousDegree, DimensionTooLarge, TwistTooLarge,
-                     printable)
+                     printable, quote)
 from .values import FrozenValue
 
 # Caps on n and on |twist| for the tables of P^n (shared with `hkr`)
@@ -73,9 +75,10 @@ class SplitBundle(FrozenValue):
     becomes (summand, c) and a (summand, m) pair seen c times becomes
     (summand, m * c).  Terms that all equal the first one, as in every
     line bundle and in one summand written out many times, are counted by
-    one `tuple.count`; any other input by `Counter`.  A bare Summand never
-    equals a pair, so the two kinds only merge in `normal_form`, which
-    validates the result."""
+    one `tuple.count`; any other input by `Counter`.  Counted keys that
+    are all bare Summands are sorted as they stand; a bare Summand never
+    equals a pair, so input with a pair merges the two in `normal_form`,
+    which validates the result."""
     __slots__ = ("terms",)
 
     def __init__(self, terms):
@@ -87,9 +90,16 @@ class SplitBundle(FrozenValue):
             counted = dict.fromkeys(terms[:1], len(terms))
         else:
             counted = Counter(terms)
-        object.__setattr__(self, "terms", normal_form(
-            (t, c) if isinstance(t, Summand) else (t[0], t[1] * c)
-            for t, c in counted.items()))
+        # the first term turns most pair input away before the set is built
+        if terms and type(terms[0]) is Summand and \
+                set(map(type, counted)) == {Summand}:
+            # merged, positive and distinct already
+            terms = tuple(sorted(counted.items(), key=itemgetter(0)))
+        else:
+            terms = normal_form(
+                (t, c) if isinstance(t, Summand) else (t[0], t[1] * c)
+                for t, c in counted.items())
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def line(twist, shift=0, mult=1):
@@ -164,10 +174,17 @@ def cohomology_line_curve(g, d):
 
 
 class Space(FrozenValue):
-    """P^n or a smooth projective curve of genus g, as a cohomology host."""
+    """P^n or a smooth projective curve of genus g, as a cohomology host;
+    an unknown kind, n < 0 and g < 0 raise ValueError."""
     __slots__ = ("kind", "param")  # kind is "Pn" or "curve"
 
     def __init__(self, kind, param):
+        if kind not in ("Pn", "curve"):
+            raise ValueError(f"unknown space kind {quote(kind)}")
+        if param < 0:
+            what = "P^n needs n" if kind == "Pn" else "a curve needs genus"
+            raise ValueError(printable(lambda: f"{what} >= 0, not {param}",
+                                       f"{what} >= 0"))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "param", param)
 
@@ -176,12 +193,17 @@ class Space(FrozenValue):
             return cohomology_line_pn(self.param, twist)
         return cohomology_line_curve(self.param, twist)
 
+    def line_euler(self, twist):
+        """chi(O(twist)): on P^n the alternating sum of its table, on a
+        genus-g curve Riemann-Roch, twist - g + 1."""
+        if self.kind == "Pn":
+            return sum(-dim if p % 2 else dim for p, dim
+                       in cohomology_line_pn(self.param, twist).items())
+        return twist - self.param + 1
 
-def graded_cohomology(space, bundle):
-    """Total cohomology table {degree: dim} of a split bundle, with each
-    term O(k)[s]^m contributing m * h^p(O(k)) in total degree p - s.
-    On P^n, n > MAX_PN_DIM or a twist with |k| > MAX_TWIST is refused
-    before the table is built."""
+
+def _check_caps(space, bundle):
+    """The caps on P^n of `graded_cohomology` and `euler_characteristic`."""
     if space.kind == "Pn":
         if space.param > MAX_PN_DIM:
             raise DimensionTooLarge(
@@ -192,6 +214,14 @@ def graded_cohomology(space, bundle):
             raise TwistTooLarge(
                 f"a twist is outside the cap |k| <= {MAX_TWIST} for "
                 f"cohomology tables on P^n")
+
+
+def graded_cohomology(space, bundle):
+    """Total cohomology table {degree: dim} of a split bundle, with each
+    term O(k)[s]^m contributing m * h^p(O(k)) in total degree p - s.
+    On P^n, n > MAX_PN_DIM or a twist with |k| > MAX_TWIST is refused
+    before the table is built."""
+    _check_caps(space, bundle)
     table = {}
     twist = None
     for s, mult in bundle.terms:
@@ -205,12 +235,15 @@ def graded_cohomology(space, bundle):
 
 
 def euler_characteristic(space, bundle):
-    """Alternating sum of cohomology dimensions: on P^n that of the
-    `graded_cohomology` table, under its caps; on a genus-g curve
-    Riemann-Roch, d - g + 1 per line, so the degrees whose cohomology is
-    ambiguous are still fine."""
-    if space.kind == "Pn":
-        return sum(-dim if deg % 2 else dim
-                   for deg, dim in graded_cohomology(space, bundle).items())
-    return sum((-mult if s.shift % 2 else mult) * (s.twist - space.param + 1)
-               for s, mult in bundle.terms)
+    """Sum of (-1)^s * m * chi(O(k)) over the terms O(k)[s]^m, one
+    `Space.line_euler` per distinct twist, under the caps on P^n; the
+    ambiguous degrees of a curve are still fine."""
+    _check_caps(space, bundle)
+    total = 0
+    last = None
+    for (twist, shift), mult in bundle.terms:
+        if twist != last:  # terms are sorted: one chi per twist
+            last = twist
+            chi = space.line_euler(twist)
+        total += -mult * chi if shift % 2 else mult * chi
+    return total

@@ -1,6 +1,7 @@
 from collections import Counter
 from math import comb, factorial
 from operator import itemgetter
+import random
 import sys
 
 import pytest
@@ -132,6 +133,41 @@ class TestEuler:
             with pytest.raises(TwistTooLarge):
                 euler_characteristic(P2, SplitBundle.line(twist))
 
+    def test_no_graded_table_on_pn(self, monkeypatch):
+        def no_graded(*_):
+            raise AssertionError("graded_cohomology was called")
+
+        monkeypatch.setattr(cohomology, "graded_cohomology", no_graded)
+        # chi(P^2, O(k)) = (k + 1)(k + 2) / 2: 6 + 0 + 1 + 10 - 2 * 10
+        bundle = SplitBundle.sum_of([-5, -1, 0, 3]) + SplitBundle.line(3, 1, 2)
+        assert euler_characteristic(P2, bundle) == -3
+
+    @pytest.mark.parametrize("space", [P2, Space("curve", 2)],
+                             ids=["P2", "C2"])
+    def test_one_line_lookup_per_distinct_twist(self, monkeypatch, space):
+        chis, tables = [], []
+        line_euler, line_pn = Space.line_euler, cohomology.cohomology_line_pn
+
+        def counted_chi(self, twist):
+            chis.append(twist)
+            return line_euler(self, twist)
+
+        def counted_table(n, k):
+            tables.append(k)
+            return line_pn(n, k)
+
+        monkeypatch.setattr(Space, "line_euler", counted_chi)
+        monkeypatch.setattr(cohomology, "cohomology_line_pn", counted_table)
+        bundle = SplitBundle((Summand(-3), Summand(-3, 1), (Summand(5, 2), 4),
+                              Summand(5, -1), Summand(0), Summand(5)))
+        # -3 and 5 lie outside the ambiguous degrees 1..2 of a genus-2 curve
+        expected = sum((-1) ** d * v
+                       for d, v in graded_cohomology(space, bundle).items())
+        del chis[:], tables[:]
+        assert euler_characteristic(space, bundle) == expected
+        assert chis == [-3, 0, 5]
+        assert tables == ([-3, 0, 5] if space.kind == "Pn" else [])
+
 
 def no_table(*_):
     raise AssertionError("a cohomology table was started")
@@ -158,6 +194,19 @@ def test_chi_matches_former_product_formula(n, terms):
     bundle = SplitBundle(tuple((Summand(k, s), m) for k, s, m in terms))
     assert euler_characteristic(Space("Pn", n), bundle) == \
         former_chi_pn(n, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5),
+       st.lists(st.tuples(st.integers(-12, 12), st.integers(-3, 3),
+                          st.integers(0, 5)), max_size=6))
+def test_curve_chi_matches_graded_table(g, terms):
+    # the table is defined away from the ambiguous degrees 1..2g-2
+    terms = [(k, s, m) for k, s, m in terms if not 1 <= k <= 2 * g - 2]
+    curve = Space("curve", g)
+    bundle = SplitBundle(tuple((Summand(k, s), m) for k, s, m in terms))
+    assert euler_characteristic(curve, bundle) == sum(
+        (-1) ** d * v for d, v in graded_cohomology(curve, bundle).items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,6 +344,44 @@ def test_one_distinct_term_is_not_counted_by_counter(monkeypatch):
     assert SplitBundle(()).terms == ()
 
 
+def test_distinct_bare_summands_match_former_merge():
+    rng = random.Random(29)
+    cells = [Summand(t, s) for t in range(-40, 40) for s in range(-25, 25)]
+    raw = cells + rng.choices(cells, k=1000)
+    rng.shuffle(raw)
+    # an equal but distinct key object: the first copy seen is kept
+    raw.insert(rng.randrange(len(raw)), Summand(True, 3))
+    assert len(set(raw)) == 4000
+    _matches_former_terms(tuple(raw))
+
+
+def test_bare_summands_are_not_put_through_normal_form(monkeypatch):
+    def no_normal_form(*_):
+        raise AssertionError("normal_form was called")
+
+    monkeypatch.setattr(cohomology, "normal_form", no_normal_form)
+    raw = (Summand(2, 1), Summand(-1), Summand(2, 1), Summand(0, 3))
+    assert SplitBundle(raw).terms == (
+        (Summand(-1), 1), (Summand(0, 3), 1), (Summand(2, 1), 2))
+    assert SplitBundle.sum_of(range(5, -5, -1)).terms == tuple(
+        (Summand(t), 1) for t in range(-4, 6))
+
+
+def test_bare_and_pair_input_goes_through_normal_form(monkeypatch):
+    calls = []
+
+    def counted(pairs):
+        calls.append(1)
+        return normal_form(pairs)
+
+    monkeypatch.setattr(cohomology, "normal_form", counted)
+    assert SplitBundle((Summand(1), (Summand(0), 2), Summand(1))).terms == (
+        (Summand(0), 2), (Summand(1), 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        SplitBundle(((Summand(0), -1), Summand(1)))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("raw", [
     (Summand(0), Summand(1)),
     (Summand(1), Summand(0), Summand(1)),
@@ -320,6 +407,31 @@ def test_unhashable_term_raises_type_error_as_counter_did(raw):
     with pytest.raises(TypeError) as built:
         SplitBundle(raw)
     assert str(built.value) == str(counted.value)
+
+
+class TestSpace:
+    @pytest.mark.parametrize("kind, param, message", [
+        ("Qn", 3, "unknown space kind 'Qn'"),
+        ("curve", -2, "a curve needs genus >= 0, not -2"),
+        ("Pn", -3, "P^n needs n >= 0, not -3"),
+    ])
+    def test_refused(self, kind, param, message):
+        with pytest.raises(ValueError) as exc:
+            Space(kind, param)
+        assert str(exc.value) == message
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_unprintable_genus_names_only_the_bound(self):
+        with pytest.raises(ValueError) as exc:
+            Space("curve", -10 ** 5000)
+        assert str(exc.value) == "a curve needs genus >= 0"
+
+    def test_p0_is_a_point(self):
+        point = Space("Pn", 0)
+        assert graded_cohomology(point, SplitBundle.line(5)) == {0: 1}
+        assert graded_cohomology(point, SplitBundle.line(-1)) == {0: 1}
+        assert euler_characteristic(point, SplitBundle.line(-7, 1, 3)) == -3
 
 
 class TestCaps:
