@@ -10,11 +10,17 @@ and no sampling: a cone's validity and smoothness come from the index of
 its rays' lattice in its saturation (`lattice_index`, the absolute
 determinant for a full-dimensional cone), and a wall's hyperplane is the
 primitive normal from one elimination.  A cone has two routes in:
-`Cone(rays)` validates, with one index computation, and serves user input
-and every builder here; the private `Cone._known_valid` takes rays and
-index from `logproduct.log_product`, whose closed form proves them valid.
-A fan has the same two routes: `Fan(...)` refuses what `fan_to_json`
-could not write back, and `Fan._known_valid` serves `log_product` alone.
+`Cone(rays)` validates, with one index computation, and serves user
+input (`fan_from_json` reads through `Cone._of_tuples`, the same check on
+rays it already holds as tuples); the private `Cone._known_valid` takes
+rays and index from a builder that makes cones from cones it already
+holds, whose closed form proves them valid and gives their indices:
+`product_fan`, `star_subdivide`, `logproduct.log_product` and
+`LogPair.toric_fan` (Cox-Little-Schenck, Toric Varieties, 3.3 and 11.1).
+So only user input pays an elimination.  A fan has the same two routes:
+`Fan(...)` refuses what `fan_to_json` could not write back, and
+`Fan._known_valid` serves `product_fan` and `log_product`, whose cones
+and labels pass those checks by construction.
 
 Both fan checks read one index of the walls by hyperplane (`_hyperplanes`)
 and count the cones over a point by the signs of their walls, a point on a
@@ -36,7 +42,7 @@ Every operation returns a fresh Fan.
 
 from itertools import combinations
 import json
-from math import comb
+from math import comb, gcd
 
 from .errors import (CenterNotInFan, FanSchemaError, InvalidCone,
                      RankMismatch, TooManySolves, digit_limit, quote)
@@ -81,16 +87,34 @@ class Cone(FrozenValue):
     rays, nonzero and primitive rays, one length, and independent rays,
     which is a nonzero index; the InvalidCone message quotes the rays by
     `errors.quote`, so a long ray list is cut to its first QUOTE_LIMIT
-    characters and its length.  `Cone._known_valid(rays, det)` only sorts:
-    it serves `logproduct.log_product`, whose closed form proves its cones
-    valid and gives their indices.
+    characters and its length.  `Cone._of_tuples(rays)` is the same check
+    for rays that are already int tuples of one length, as `fan_from_json`
+    holds them.  `Cone._known_valid(rays, det)` only sorts: it serves the
+    builders `product_fan`, `star_subdivide`, `logproduct.log_product` and
+    `LogPair.toric_fan`, whose closed forms prove their cones valid and
+    give their indices.
     """
     __slots__ = ("rays", "det")
     _fields = ("rays",)
 
     def __init__(self, rays):
         rays = tuple(sorted(tuple(r) for r in rays))
-        d = lattice_index(rays) if len({len(r) for r in rays}) < 2 else None
+        self._check(rays, lattice_index(rays)
+                    if len({len(r) for r in rays}) < 2 else None)
+
+    @classmethod
+    def _of_tuples(cls, rays):
+        """`Cone(rays)` for `rays`, int tuples all of one length: the same
+        one index computation and the same refusals in the same order."""
+        cone = object.__new__(cls)
+        rays = tuple(sorted(rays))
+        cone._check(rays, lattice_index(rays))
+        return cone
+
+    def _check(self, rays, d):
+        """Sets the slots to the sorted `rays` and their index `d` (None
+        when the rays have different lengths), then refuses an invalid
+        cone."""
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "det", d)
         if d == 1:
@@ -130,6 +154,8 @@ class Fan(FrozenValue):
     write back: a cone listed twice, a cone with a ray whose length is not
     `rank`, a second label on one ray and a label on a ray no cone holds.
     `Fan._known_valid(rank, cones, labels)` only sorts: it serves
+    `product_fan`, whose cones are distinct pairs of distinct factor cones
+    and whose labels sit on the factors' labelled rays, padded apart, and
     `logproduct.log_product`, whose closed form labels each ray once, and
     only rays its cones hold.
     """
@@ -214,17 +240,27 @@ def star_subdivide(fan, center):
     the center is replaced by its standard stellar decomposition.  The
     support is unchanged and the new ray is labeled Exceptional with the
     next blow-up step index.
+
+    No new cone is eliminated: with s the sum of the center's rays and g
+    the gcd of its entries, replacing a center ray r by s is a
+    unitriangular change of the cone's rays (s = r + the other center
+    rays), which keeps the lattice, and then s by the primitive s / g adds
+    s / g to a basis vector of it, a lattice g times larger with the same
+    saturation.  So each new cone is valid with index `cone.det // g`.
     """
     if len(center) < 2:
         raise CenterNotInFan("subdivision center needs at least two rays")
-    new_ray = primitive(tuple(sum(xs) for xs in zip(*center.rays)))
+    total = tuple(sum(xs) for xs in zip(*center.rays))
+    g = gcd(*total)
+    new_ray = tuple(x // g for x in total)
     center_set = set(center.rays)
     new_cones = []
     for cone in fan.cones:
         if center_set <= set(cone.rays):
+            det = cone.det // g
             for dropped in center.rays:
                 kept = tuple(r for r in cone.rays if r != dropped)
-                new_cones.append(Cone(kept + (new_ray,)))
+                new_cones.append(Cone._known_valid(kept + (new_ray,), det))
         else:
             new_cones.append(cone)
     if len(new_cones) == len(fan.cones):  # no cone held the center
@@ -242,6 +278,10 @@ def product_fan(f, g, offset=0):
     caller is the fancheck workload's set-up, bench/workloads.py:220.  The
     point fan Fan(0, (Cone(()),)) is a unit; a fan with no cones gives no
     cones and no labels.
+
+    No cone is eliminated: a product cone's lattice is the direct sum of
+    its factor cones' lattices, and so is its saturation, so its index is
+    `a.det * b.det`, and it is valid as both factors are.
     """
     def left(ray):
         return tuple(ray) + (0,) * g.rank
@@ -252,8 +292,9 @@ def product_fan(f, g, offset=0):
     cones = []
     for a in f.cones:
         for b in g.cones:
-            cones.append(Cone(tuple(left(r) for r in a.rays)
-                              + tuple(right(r) for r in b.rays)))
+            cones.append(Cone._known_valid(
+                tuple(left(r) for r in a.rays)
+                + tuple(right(r) for r in b.rays), a.det * b.det))
     if not cones:
         return Fan(f.rank + g.rank, ())
     labels = [(left(ray), lab) for ray, lab in f.labels]
@@ -261,7 +302,10 @@ def product_fan(f, g, offset=0):
         if lab.kind in (BOUNDARY, STRICT_TRANSFORM):
             lab = DivisorLabel(lab.kind, lab.arg + offset)
         labels.append((right(ray), lab))
-    return Fan(f.rank + g.rank, tuple(cones), tuple(labels))
+    # distinct pairs of distinct factor cones give distinct cones, with
+    # rays of length f.rank + g.rank, and each factor labels only rays its
+    # cones hold, once each, so the checks of `Fan(...)` pass
+    return Fan._known_valid(f.rank + g.rank, cones, labels)
 
 
 def fan_map_witness(source, target, lattice_map):
@@ -528,13 +572,18 @@ def _vanishes(terms, dim):
 def fan_to_json(fan):
     """Serialize to the documented schema:
     {"rank": int, "rays": [[int]], "cones": [[ray-index]],
-     "labels": {ray-index: {"kind": str, "arg": int}}}."""
+     "labels": {ray-index: {"kind": str, "arg": int}}}.
+
+    The rays are sorted, so a ray's index grows with it; a cone's rays are
+    sorted and the fan's cones are sorted by their rays, so each cone's
+    index list, and the list of them, come out sorted.
+    """
     rays = fan.rays()
     index = {r: i for i, r in enumerate(rays)}
     return {
         "rank": fan.rank,
         "rays": [list(r) for r in rays],
-        "cones": sorted(sorted(index[r] for r in c.rays) for c in fan.cones),
+        "cones": [[index[r] for r in c.rays] for c in fan.cones],
         "labels": {str(index[ray]): {"kind": lab.kind, "arg": lab.arg}
                    for ray, lab in fan.labels},
     }
@@ -569,7 +618,9 @@ def fan_from_json(data):
     twice, a label key that is not a decimal ray index, an unknown
     label kind, or a label `fan_to_json` could not write back: on a ray
     no cone holds, or a second one on a ray ("0" and "00" name one ray,
-    as does a ray listed twice).  Invalid cones raise InvalidCone.
+    as does a ray listed twice).  Invalid cones raise InvalidCone.  This is
+    the one builder that runs an elimination per cone: its cones come
+    from user input.
     """
     if not isinstance(data, dict):
         raise FanSchemaError("fan JSON must be an object")
@@ -578,8 +629,10 @@ def fan_from_json(data):
         raise FanSchemaError("fan JSON rank must be nonnegative")
     rays = [_json_ints(r, "ray", length=rank)
             for r in _json_field(data, "rays", list)]
-    cones = tuple(Cone(tuple(rays[i] for i in
-                             _json_ints(c, "cone", bound=len(rays))))
+    # every ray is an int tuple of length `rank`, so each cone pays its
+    # one index computation and nothing more
+    cones = tuple(Cone._of_tuples([rays[i] for i in
+                                   _json_ints(c, "cone", bound=len(rays))])
                   for c in _json_field(data, "cones", list))
     # the ray indices the cones hold; a ray listed twice is held under
     # either index

@@ -8,7 +8,8 @@ term O(d)^c:
   2g - 1.
 
 `_space_of` is the only function that reads the pair's kind; it returns
-the host, P^n or the curve, and `log_cotangent` reads the model off it.
+the host, P^n or the curve, and `_cotangent` reads the model off it.
+Each public function builds the host once and passes it on.
 A single wedge power is read off that one term in closed form,
 wedge^q = O(qd)^C(c, q), and so is the log Serre kernel's line, the top
 power O(cd) shifted by c = dim.  The tables need every power and make
@@ -43,19 +44,26 @@ def _space_of(pair):
     return Space("Pn", pair.dim)
 
 
-def log_cotangent(pair):
-    """Split model of Omega^1 with log poles along the boundary, one term
-    O(d)^c: O(-1)^n on P^n, O(2g - 1) on a genus-g curve."""
-    space = _space_of(pair)
+def _cotangent(space):
+    """The log cotangent model on the host `space` of `_space_of`."""
     if space.kind == "Pn":
         return SplitBundle.line(-1, 0, space.param)
     return SplitBundle.line(2 * space.param - 1)
 
 
-def log_wedge(pair, q):
+def log_cotangent(pair):
+    """Split model of Omega^1 with log poles along the boundary, one term
+    O(d)^c: O(-1)^n on P^n, O(2g - 1) on a genus-g curve."""
+    return _cotangent(_space_of(pair))
+
+
+def log_wedge(pair, q, space=None):
     """q-th wedge power of the log cotangent bundle O(d)^c: O(qd)^C(c, q),
-    refused past the rank cap of `exterior_algebra`."""
-    ((line, c),) = log_cotangent(pair).terms
+    refused past the rank cap of `exterior_algebra`.  A caller that holds
+    the pair's host `_space_of(pair)` passes it as `space`."""
+    if space is None:
+        space = _space_of(pair)
+    ((line, c),) = _cotangent(space).terms
     if q < 0 or q > c:
         raise WedgeOutOfRange(f"wedge degree {q} outside 0..{c}")
     check_wedge_rank(c)
@@ -76,7 +84,7 @@ def hkr_homology(pair):
     """{degree: dim} of log Hochschild homology: wedge power q contributes
     H^p in degree q - p, the table of (+)_q wedge^q[q] negated."""
     space = _table_space(pair)
-    table = graded_cohomology(space, exterior_algebra(log_cotangent(pair)))
+    table = graded_cohomology(space, exterior_algebra(_cotangent(space)))
     return {-deg: table[deg] for deg in reversed(table)}
 
 
@@ -86,7 +94,7 @@ def hkr_cohomology(pair):
     p + q, the table of the dual of (+)_q wedge^q[q]."""
     space = _table_space(pair)
     return graded_cohomology(
-        space, exterior_algebra(log_cotangent(pair)).dual())
+        space, exterior_algebra(_cotangent(space)).dual())
 
 
 def log_serre(pair):
@@ -108,7 +116,7 @@ def residue_euler_check(n, q):
         raise WedgeOutOfRange(f"residue check needs 1 <= q <= n, got {q}")
     pair = LogPair("Pn:H", n)
     space = _space_of(pair)
-    lhs = euler_characteristic(space, log_wedge(pair, q))
+    lhs = euler_characteristic(space, log_wedge(pair, q, space))
     rhs_sub = (-1) ** q          # chi(Omega^q on P^n)
     rhs_res = (-1) ** (q - 1)    # chi(Omega^{q-1} on the hyperplane P^{n-1})
     return lhs, rhs_sub, rhs_res, lhs == rhs_sub + rhs_res

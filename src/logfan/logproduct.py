@@ -82,6 +82,10 @@ class LogPair(FrozenValue):
         all n-subsets.  (A^1, 0) is the single octant ray.  Pointed curves
         of genus > 0 have no fan.  A rank above MAX_RANK raises
         DimensionTooLarge before any cone is built.
+
+        Every cone has index 1, with no elimination: the octant ray is
+        e_1, and n of the rays of P^n are e_1..e_n or, with one e_j
+        replaced by -(e_1+..+e_n), a change of basis of determinant -1.
         """
         from .fans import BOUNDARY, Cone, DivisorLabel, Fan
         if self.kind == "Cg:pt" and self.param > 0:
@@ -91,13 +95,13 @@ class LogPair(FrozenValue):
         _check_rank(n)
         boundary = tuple(1 if i == 0 else 0 for i in range(n))
         if self.kind == "A1:0":
-            cones = (Cone((boundary,)),)
+            ray_sets = [(boundary,)]
         else:
             rays = [tuple(1 if i == j else 0 for i in range(n))
                     for j in range(n)]
             rays.append(tuple(-1 for _ in range(n)))
-            cones = tuple(Cone(tuple(sub))
-                          for sub in combinations(rays, n))
+            ray_sets = combinations(rays, n)
+        cones = tuple(Cone._known_valid(sub, 1) for sub in ray_sets)
         labels = ((boundary, DivisorLabel(BOUNDARY, factor)),)
         return Fan(n, cones, labels)
 
@@ -205,7 +209,7 @@ def _product(pairs, order):
     """The product fan, its boundary ray per factor and the checked order
     (`building_set(n)` when None); the rank cap is checked first, then the
     cone cap."""
-    from .fans import Cone, Fan, product_fan
+    from .fans import product_fan
     n = len(pairs)
     if n < 2:
         raise TooFewFactors("log product needs at least two factors")
@@ -219,7 +223,7 @@ def _product(pairs, order):
         raise NotABuildingSetOrder(
             "sequence is not a valid building-set order")
     order = [frozenset(s) for s in order or building_set(n)]
-    fan = reduce(product_fan, factor_fans, Fan(0, (Cone(()),)))
+    fan = reduce(product_fan, factor_fans)
     boundary = {lab.arg: ray for ray, lab in fan.labels}
     return fan, boundary, order
 

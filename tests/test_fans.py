@@ -19,8 +19,8 @@ from logfan.errors import (QUOTE_LIMIT, CenterNotInFan, FanSchemaError,
 from logfan.fans import (BOUNDARY, EXCEPTIONAL, Cone, DivisorLabel, Fan,
                          check_face_closure, check_support_preserved,
                          fan_dumps, fan_from_json, fan_loads, fan_map_witness,
-                         induces_fan_map, is_smooth, product_fan,
-                         star_subdivide)
+                         fan_to_json, induces_fan_map, is_smooth,
+                         product_fan, star_subdivide)
 from logfan.linalg import mat_mul_vec, primitive
 from logfan.logproduct import log_product, parse_pair, projection
 
@@ -164,6 +164,29 @@ class TestConeChecks:
             assert is_smooth(cone, len(cone.rays[0])) == \
                 (minors_gcd(cone.rays) == 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(ray_tuples())
+    @example(((2, 0), (1, 0)))
+    @example(((1, 0), (-1, 0)))
+    @example(((0, 0), (1, 0)))
+    @example(((1, 0), (1, 0)))
+    def test_json_reader_same_verdict_as_cone(self, rays):
+        """`fan_from_json` builds a cone as `Cone(rays)` does, or raises
+        its error, type and message."""
+        assume(rays and len({len(r) for r in rays}) == 1)
+        data = {"rank": len(rays[0]), "rays": [list(r) for r in rays],
+                "cones": [list(range(len(rays)))]}
+        try:
+            cone = Cone(rays)
+        except InvalidCone as exc:
+            with pytest.raises(InvalidCone) as ours:
+                fan_from_json(data)
+            assert type(ours.value) is type(exc)
+            assert str(ours.value) == str(exc)
+            return
+        [read] = fan_from_json(data).cones
+        assert (read.rays, read.det) == (cone.rays, cone.det)
+
     def test_non_primitive_ray_in_dependent_square_cone(self):
         with pytest.raises(InvalidCone, match="not primitive"):
             Cone(((2, 0), (1, 0)))
@@ -228,6 +251,14 @@ class TestWorkCount:
         Cone(((1, 2, 0), (0, 1, 0), (3, 1, 1)))
         assert calls == {"_echelon": 1}
 
+    def test_fan_json_makes_one_elimination_per_cone(self, monkeypatch):
+        text = fan_dumps(FIXTURE_DET2)
+        calls = counting(monkeypatch)
+        assert fan_loads(text) == FIXTURE_DET2
+        # the two index-2 cones go on to the ray checks, with no second
+        # elimination
+        assert calls == {"_echelon": 4, "primitive": 4}
+
 
 class TestStarSubdivide:
     def test_rank2_octant_full_cone(self):
@@ -289,6 +320,96 @@ class TestProductFan:
     def test_octant_times_octant(self):
         fan = product_fan(octant(1), octant(1))
         assert fan.cones == octant(2).cones
+
+
+def assert_closed_forms(fan):
+    """Each cone of `fan` is the validating `Cone` on its rays, with the
+    index one elimination gives, and the validating `Fan` accepts it."""
+    for cone in fan.cones:
+        checked = Cone(cone.rays)
+        assert (cone.rays, cone.det) == (checked.rays, checked.det)
+        assert cone.det == linalg.lattice_index(cone.rays)
+    assert Fan(fan.rank, fan.cones, fan.labels) == fan
+
+
+# a rank-3 fan of one non-square cone of index 2, with a label
+FIXTURE_WIDE = Fan(3, (Cone(((1, 1, 0), (1, -1, 0))),),
+                   (((1, 1, 0), DivisorLabel(BOUNDARY, 0)),))
+
+
+@st.composite
+def faces_of_non_smooth_cones(draw):
+    """(cone, face): a cone of index > 1 with 2 to 4 rays of length 2 to 4
+    and entries in -3..3, and a face of it of at least two rays."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(2, n))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                         min_size=k, max_size=k, unique=True))
+    try:
+        cone = Cone(rays)
+    except InvalidCone:
+        assume(False)
+    assume(cone.det > 1)
+    face = draw(st.lists(st.sampled_from(cone.rays), min_size=2,
+                         max_size=k, unique=True))
+    return cone, Cone(face)
+
+
+class TestClosedFormIndices:
+    """`product_fan`, `star_subdivide` and `toric_fan` give their cones
+    indices by closed forms, with no elimination; each agrees with the
+    validating `Cone`."""
+
+    def test_product_of_non_smooth_fans(self):
+        square = product_fan(FIXTURE_DET2, FIXTURE_DET2)
+        assert_closed_forms(square)
+        assert max(c.det for c in square.cones) == 4
+        wide = product_fan(FIXTURE_WIDE, FIXTURE_WIDE, 1)
+        assert_closed_forms(wide)
+        assert [c.det for c in wide.cones] == [4]
+        assert_closed_forms(product_fan(p1_fan(), FIXTURE_WIDE))
+
+    def test_center_with_non_primitive_sum(self):
+        # (1, 0) + (1, 2) = 2 (1, 1): g = 2 halves the index
+        sub = star_subdivide(FIXTURE_DET2, Cone(((1, 0), (1, 2))))
+        assert_closed_forms(sub)
+        assert (1, 1) in sub.rays()
+        assert sorted(c.det for c in sub.cones) == [1, 1, 1, 1, 2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(faces_of_non_smooth_cones())
+    def test_faces_of_non_smooth_cones(self, cone_and_face):
+        cone, face = cone_and_face
+        fan = Fan(len(cone.rays[0]), (cone,))
+        assert_closed_forms(star_subdivide(fan, face))
+        # every cone of the product holds the face
+        assert_closed_forms(star_subdivide(
+            product_fan(fan, FIXTURE_DET2), Cone(
+                r + (0, 0) for r in face.rays)))
+
+    @pytest.mark.parametrize("text", ["P1:H", "P2:H", "P3:H", "P4:H",
+                                      "P1:pt", "A1:0"])
+    def test_toric_fans(self, text):
+        fan = parse_pair(text).toric_fan()
+        assert_closed_forms(fan)
+        assert all(c.det == 1 for c in fan.cones)
+
+    def test_builders_make_no_elimination(self, monkeypatch):
+        center = Cone(((1, 0), (1, 2)))
+        factors = [parse_pair(t).toric_fan(i)
+                   for i, t in enumerate(["P1:pt", "A1:0", "P2:H"])]
+
+        def no_elimination(rows):
+            raise AssertionError(f"an elimination on {rows}")
+        monkeypatch.setattr(fans, "lattice_index", no_elimination)
+        product_fan(FIXTURE_DET2, FIXTURE_DET2)
+        product_fan(factors[0], factors[2], 1)
+        star_subdivide(FIXTURE_DET2, center)
+        for text in ("P1:pt", "A1:0", "P4:H"):
+            parse_pair(text).toric_fan()
+        log_product([parse_pair(t) for t in ("A1:0", "P1:pt", "P2:H")])
+        with pytest.raises(AssertionError, match="an elimination"):
+            Cone(center.rays)
 
 
 class TestInducesFanMap:
@@ -1039,6 +1160,19 @@ class TestFan:
 
 
 class TestJson:
+    def test_cones_come_out_sorted(self):
+        """`fan_to_json` sorts nothing: the ray index grows with the ray,
+        so each cone's indices and the list of cones are already sorted."""
+        product = log_product([parse_pair(t) for t in ("A1:0", "P1:pt",
+                                                       "P2:H")]).fan
+        shuffled = fan_to_json(product)
+        random.Random(3).shuffle(shuffled["cones"])
+        for fan in (product, FIXTURE_DET2, fan_from_json(shuffled),
+                    star_subdivide(product, product.cones[-1]),
+                    product_fan(FIXTURE_DET2, p1_fan())):
+            cones = fan_to_json(fan)["cones"]
+            assert cones == sorted(sorted(c) for c in cones)
+
     def test_round_trip(self):
         fan = star_subdivide(octant(3),
                              Cone(((1, 0, 0), (0, 1, 0), (0, 0, 1))))

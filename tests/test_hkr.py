@@ -174,6 +174,28 @@ def test_single_powers_build_no_exterior_algebra(monkeypatch):
     assert residue_euler_check(12, 5)[3]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: hkr_homology(LogPair("Pn:H", 8)),
+    lambda: hkr_cohomology(LogPair("Pn:H", 8)),
+    lambda: hkr_homology(LogPair("Cg:pt", 3)),
+    lambda: log_wedge(P2, 1),
+    lambda: log_serre(P2),
+    lambda: residue_euler_check(8, 3)],
+    ids=["homology", "cohomology", "curve", "wedge", "serre", "residue"])
+def test_one_space_per_call(call, monkeypatch):
+    """Every public function builds the pair's host once and passes it
+    on, whatever else it calls."""
+    built = []
+    init = Space.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(Space, "__init__", counted)
+    call()
+    assert len(built) == 1
+
+
 class TestDimensionCap:
     def test_cap_value(self):
         assert MAX_PN_DIM == 1000

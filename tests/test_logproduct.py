@@ -483,7 +483,8 @@ def assert_matches_public_path(space):
 class TestKnownValidCones:
     """`log_product` builds its cones through `Cone._known_valid` and its
     fan through `Fan._known_valid`, which run no check; these tests hold
-    them to the validating `Cone` and `Fan`."""
+    them to the validating `Cone` and `Fan`.  The other builders that use
+    them are held to those in tests/test_fans.py::TestClosedFormIndices."""
 
     @pytest.mark.parametrize("text,order", PINNED_PRODUCTS)
     def test_pinned_products(self, text, order):
@@ -512,10 +513,12 @@ class TestKnownValidCones:
             fan_loads(json.dumps({"rank": 2, "rays": [[1, 0], [-1, 0]],
                                   "cones": [[0, 1]]}))
 
-    def test_only_log_product_calls_it(self):
-        """The two uses of `_known_valid` in the package, `Cone`'s and
-        `Fan`'s, sit in `logproduct.log_product`; every other builder
-        validates."""
+    def test_only_closed_form_builders_call_it(self):
+        """The uses of `_known_valid` in the package sit in the builders
+        that make cones from cones they hold, by closed forms: `Cone`'s
+        and `Fan`'s in `log_product` and `product_fan`, `Cone`'s in
+        `toric_fan` and `star_subdivide`.  `fan_from_json`, which reads
+        user input, validates."""
         uses = []
         src = Path(logproduct.__file__).parent
         for path in sorted(src.glob("*.py")):
@@ -532,7 +535,10 @@ class TestKnownValidCones:
                     uses.append((path.name, function))
                 stack.extend((child, function)
                              for child in ast.iter_child_nodes(node))
-        assert uses == [("logproduct.py", "log_product")] * 2
+        assert sorted(uses) == sorted(
+            [("fans.py", "product_fan")] * 2
+            + [("fans.py", "star_subdivide"), ("logproduct.py", "toric_fan")]
+            + [("logproduct.py", "log_product")] * 2)
 
 
 class TestLabelsOnHeldRays:
