@@ -11,15 +11,16 @@ its rays' lattice in its saturation (`lattice_index`, the absolute
 determinant for a full-dimensional cone), and a wall's hyperplane is the
 primitive normal from one elimination.  A cone has two routes in:
 `Cone(rays)` validates, with one index computation, and serves user
-input (`fan_from_json` reads through `Cone._of_tuples`, the same check on
-rays it already holds as tuples); the private `Cone._known_valid` takes
-rays and index from a builder that makes cones from cones it already
-holds, whose closed form proves them valid and gives their indices:
-`product_fan`, `star_subdivide`, `logproduct.log_product` and
+input (`fan_from_json`) and the blow-up centres of
+`logproduct.order_independence_check`; the private `Cone._known_valid`
+takes rays and index from a builder that makes cones from cones it
+already holds, whose closed form proves them valid and gives their
+indices: `product_fan`, `star_subdivide`, `logproduct.log_product` and
 `LogPair.toric_fan` (Cox-Little-Schenck, Toric Varieties, 3.3 and 11.1).
-So only user input pays an elimination.  A fan has the same two routes:
-`Fan(...)` refuses what `fan_to_json` could not write back, and
-`Fan._known_valid` serves `product_fan` and `log_product`, whose cones
+So no built fan's cone pays an elimination: only a fan read from JSON
+pays one per cone, and the order check one per centre.  A fan has the
+same two routes: `Fan(...)` refuses what `fan_to_json` could not write
+back, and `Fan._known_valid` serves `product_fan` and `log_product`, whose cones
 and labels pass those checks by construction.
 
 Both fan checks read one index of the walls by hyperplane (`_hyperplanes`)
@@ -87,34 +88,17 @@ class Cone(FrozenValue):
     rays, nonzero and primitive rays, one length, and independent rays,
     which is a nonzero index; the InvalidCone message quotes the rays by
     `errors.quote`, so a long ray list is cut to its first QUOTE_LIMIT
-    characters and its length.  `Cone._of_tuples(rays)` is the same check
-    for rays that are already int tuples of one length, as `fan_from_json`
-    holds them.  `Cone._known_valid(rays, det)` only sorts: it serves the
-    builders `product_fan`, `star_subdivide`, `logproduct.log_product` and
-    `LogPair.toric_fan`, whose closed forms prove their cones valid and
-    give their indices.
+    characters and its length.  `Cone._known_valid(rays, det)` only sorts:
+    it serves the builders `product_fan`, `star_subdivide`,
+    `logproduct.log_product` and `LogPair.toric_fan`, whose closed forms
+    prove their cones valid and give their indices.
     """
     __slots__ = ("rays", "det")
     _fields = ("rays",)
 
     def __init__(self, rays):
         rays = tuple(sorted(tuple(r) for r in rays))
-        self._check(rays, lattice_index(rays)
-                    if len({len(r) for r in rays}) < 2 else None)
-
-    @classmethod
-    def _of_tuples(cls, rays):
-        """`Cone(rays)` for `rays`, int tuples all of one length: the same
-        one index computation and the same refusals in the same order."""
-        cone = object.__new__(cls)
-        rays = tuple(sorted(rays))
-        cone._check(rays, lattice_index(rays))
-        return cone
-
-    def _check(self, rays, d):
-        """Sets the slots to the sorted `rays` and their index `d` (None
-        when the rays have different lengths), then refuses an invalid
-        cone."""
+        d = lattice_index(rays) if len({len(r) for r in rays}) < 2 else None
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "det", d)
         if d == 1:
@@ -619,7 +603,7 @@ def fan_from_json(data):
     label kind, or a label `fan_to_json` could not write back: on a ray
     no cone holds, or a second one on a ray ("0" and "00" name one ray,
     as does a ray listed twice).  Invalid cones raise InvalidCone.  This is
-    the one builder that runs an elimination per cone: its cones come
+    the one fan builder that runs an elimination per cone: its cones come
     from user input.
     """
     if not isinstance(data, dict):
@@ -629,10 +613,8 @@ def fan_from_json(data):
         raise FanSchemaError("fan JSON rank must be nonnegative")
     rays = [_json_ints(r, "ray", length=rank)
             for r in _json_field(data, "rays", list)]
-    # every ray is an int tuple of length `rank`, so each cone pays its
-    # one index computation and nothing more
-    cones = tuple(Cone._of_tuples([rays[i] for i in
-                                   _json_ints(c, "cone", bound=len(rays))])
+    cones = tuple(Cone(tuple(rays[i] for i in
+                             _json_ints(c, "cone", bound=len(rays))))
                   for c in _json_field(data, "cones", list))
     # the ray indices the cones hold; a ray listed twice is held under
     # either index

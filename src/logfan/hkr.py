@@ -9,7 +9,7 @@ term O(d)^c:
 
 `_space_of` is the only function that reads the pair's kind; it returns
 the host, P^n or the curve, and `_cotangent` reads the model off it.
-Each public function builds the host once and passes it on.
+The tables build the host once and pass it on.
 A single wedge power is read off that one term in closed form,
 wedge^q = O(qd)^C(c, q), and so is the log Serre kernel's line, the top
 power O(cd) shifted by c = dim.  The tables need every power and make
@@ -57,13 +57,10 @@ def log_cotangent(pair):
     return _cotangent(_space_of(pair))
 
 
-def log_wedge(pair, q, space=None):
+def log_wedge(pair, q):
     """q-th wedge power of the log cotangent bundle O(d)^c: O(qd)^C(c, q),
-    refused past the rank cap of `exterior_algebra`.  A caller that holds
-    the pair's host `_space_of(pair)` passes it as `space`."""
-    if space is None:
-        space = _space_of(pair)
-    ((line, c),) = _cotangent(space).terms
+    refused past the rank cap of `exterior_algebra`."""
+    ((line, c),) = log_cotangent(pair).terms
     if q < 0 or q > c:
         raise WedgeOutOfRange(f"wedge degree {q} outside 0..{c}")
     check_wedge_rank(c)
@@ -116,7 +113,7 @@ def residue_euler_check(n, q):
         raise WedgeOutOfRange(f"residue check needs 1 <= q <= n, got {q}")
     pair = LogPair("Pn:H", n)
     space = _space_of(pair)
-    lhs = euler_characteristic(space, log_wedge(pair, q, space))
+    lhs = euler_characteristic(space, log_wedge(pair, q))
     rhs_sub = (-1) ** q          # chi(Omega^q on P^n)
     rhs_res = (-1) ** (q - 1)    # chi(Omega^{q-1} on the hyperplane P^{n-1})
     return lhs, rhs_sub, rhs_res, lhs == rhs_sub + rhs_res

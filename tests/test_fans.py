@@ -164,29 +164,6 @@ class TestConeChecks:
             assert is_smooth(cone, len(cone.rays[0])) == \
                 (minors_gcd(cone.rays) == 1)
 
-    @settings(max_examples=300, deadline=None)
-    @given(ray_tuples())
-    @example(((2, 0), (1, 0)))
-    @example(((1, 0), (-1, 0)))
-    @example(((0, 0), (1, 0)))
-    @example(((1, 0), (1, 0)))
-    def test_json_reader_same_verdict_as_cone(self, rays):
-        """`fan_from_json` builds a cone as `Cone(rays)` does, or raises
-        its error, type and message."""
-        assume(rays and len({len(r) for r in rays}) == 1)
-        data = {"rank": len(rays[0]), "rays": [list(r) for r in rays],
-                "cones": [list(range(len(rays)))]}
-        try:
-            cone = Cone(rays)
-        except InvalidCone as exc:
-            with pytest.raises(InvalidCone) as ours:
-                fan_from_json(data)
-            assert type(ours.value) is type(exc)
-            assert str(ours.value) == str(exc)
-            return
-        [read] = fan_from_json(data).cones
-        assert (read.rays, read.det) == (cone.rays, cone.det)
-
     def test_non_primitive_ray_in_dependent_square_cone(self):
         with pytest.raises(InvalidCone, match="not primitive"):
             Cone(((2, 0), (1, 0)))
