@@ -85,7 +85,8 @@ def _parse_pairs(text):
 
 def _dumps(payload):
     """`payload` as JSON with sorted keys; json is imported only here and
-    by `fans`, whose `fan_loads` reads `fan check`'s input."""
+    in `fans.fan_dumps` and `fans.fan_loads`, which write `fan dump`'s
+    output and read `fan check`'s input."""
     import json
     return json.dumps(payload, sort_keys=True)
 

@@ -11,17 +11,16 @@ its rays' lattice in its saturation (`lattice_index`, the absolute
 determinant for a full-dimensional cone), and a wall's hyperplane is the
 primitive normal from one elimination.  A cone has two routes in:
 `Cone(rays)` validates, with one index computation, and serves user
-input (`fan_from_json`) and the blow-up centres of
-`logproduct.order_independence_check`; the private `Cone._known_valid`
-takes rays and index from a builder that makes cones from cones it
-already holds, whose closed form proves them valid and gives their
-indices: `product_fan`, `star_subdivide`, `logproduct.log_product` and
-`LogPair.toric_fan` (Cox-Little-Schenck, Toric Varieties, 3.3 and 11.1).
-So no built fan's cone pays an elimination: only a fan read from JSON
-pays one per cone, and the order check one per centre.  A fan has the
-same two routes: `Fan(...)` refuses what `fan_to_json` could not write
-back, and `Fan._known_valid` serves `product_fan` and `log_product`, whose cones
-and labels pass those checks by construction.
+input (`fan_from_json`); the private `Cone._known_valid` takes rays and
+index from a builder that makes cones from cones it already holds, whose
+closed form proves them valid and gives their indices: `product_fan`,
+`star_subdivide`, `logproduct.log_product`, `LogPair.toric_fan` and the
+blow-up centres of `logproduct.order_independence_check`
+(Cox-Little-Schenck, Toric Varieties, 3.3 and 11.1).  So no built fan's
+cone pays an elimination: only a fan read from JSON pays one per cone.
+A fan has the same two routes: `Fan(...)` refuses what `fan_to_json`
+could not write back, and `Fan._known_valid` serves `product_fan` and
+`log_product`, whose cones and labels pass those checks by construction.
 
 Both fan checks read one index of the walls by hyperplane (`_hyperplanes`)
 and count the cones over a point by the signs of their walls, a point on a
@@ -31,10 +30,12 @@ matching walls and scanning each boundary hyperplane once, and
 `check_support_preserved` compares two supports by the jumps of their
 cones' indicator functions across each wall hyperplane, one dimension
 down; the `logproduct-support` case of `verify` runs it on a log product
-and its product fan.  A lattice map induces a fan map when
-the images of each source cone's rays lie in one target cone
-(`fan_map_witness`), decided by one exact solve per distinct image and
-target cone.
+and its product fan.  A lattice map induces a fan map when the images of
+each source cone's rays lie in one target cone (`fan_map_witness`).  A
+target cone surely holds an image that is 0 or a multiple of one of its
+rays, which settles every cone of a log product's projections with no
+solve; any other image takes one exact solve per target cone it is tried
+against.
 
 Cones, fans and labels are immutable values on `values.FrozenValue`:
 slotted, compared and hashed by their fields, with `Cone.det` left out.
@@ -42,7 +43,6 @@ Every operation returns a fresh Fan.
 """
 
 from itertools import combinations
-import json
 from math import comb, gcd
 
 from .errors import (CenterNotInFan, FanSchemaError, InvalidCone,
@@ -90,8 +90,9 @@ class Cone(FrozenValue):
     `errors.quote`, so a long ray list is cut to its first QUOTE_LIMIT
     characters and its length.  `Cone._known_valid(rays, det)` only sorts:
     it serves the builders `product_fan`, `star_subdivide`,
-    `logproduct.log_product` and `LogPair.toric_fan`, whose closed forms
-    prove their cones valid and give their indices.
+    `logproduct.log_product`, `LogPair.toric_fan` and
+    `logproduct.order_independence_check`, whose closed forms prove their
+    cones valid and give their indices.
     """
     __slots__ = ("rays", "det")
     _fields = ("rays",)
@@ -299,14 +300,20 @@ def fan_map_witness(source, target, lattice_map):
 
     A linear map sends cone(rays) into a cone exactly when it sends each
     ray there, so the work is done once per distinct input: each distinct
-    source ray is mapped once, and whether a target cone holds an image,
-    which may lie on a wall, is one `solve_nonnegative` on the cone's rays,
-    made the first time the pair is met and remembered.  A cone whose set
-    of images was already decided reuses the verdict.  Target cones and a
-    cone's images are tried in the order a plain cone-by-cone scan tries
-    them, stopping where it stops, so no input needs more solves than that
-    scan.  A matrix whose shape is not target.rank x source.rank raises
-    RankMismatch.
+    source ray is mapped once.  Each distinct image p first gets the
+    bitmask of target cones that surely hold it, read off their ray sets:
+    every cone for p = 0, else the cones with `primitive(p)` as a ray, as
+    p is a positive multiple of it.  A source cone whose images' masks
+    share a bit maps into that cone and is passed with no solve.  Every
+    other cone is scanned: whether a target cone holds an image, which may
+    lie on a wall, is read from the mask or else is one `solve_nonnegative`
+    on the cone's rays, made the first time the pair is met and
+    remembered.  A cone whose set of images was already decided reuses the
+    verdict.  Target cones and a cone's images are tried in the order a
+    plain cone-by-cone scan tries them, stopping where it stops, so no
+    input needs more solves than that scan; the masks only prove "holds",
+    so the answer is exact for any target, fan or not.  A matrix whose
+    shape is not target.rank x source.rank raises RankMismatch.
     """
     rows = tuple(tuple(r) for r in lattice_map)
     if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
@@ -314,15 +321,29 @@ def fan_map_witness(source, target, lattice_map):
             f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}, "
             f"expected {target.rank}x{source.rank}")
     image = {r: mat_mul_vec(rows, r) for r in source.rays()}
+    every = (1 << len(target.cones)) - 1
+    on_ray = {}
+    for i, cone in enumerate(target.cones):
+        for r in cone.rays:
+            on_ray[r] = on_ray.get(r, 0) | 1 << i
+    sure = {p: on_ray.get(primitive(p), 0) if any(p) else every
+            for p in set(image.values())}
     held = {}
     verdicts = {}
 
     def holds(i, point):
+        if sure[point] >> i & 1:
+            return True
         if (i, point) not in held:
             held[i, point] = solve_nonnegative(target.cones[i].rays, point)
         return held[i, point] is not None
 
     for cone in source.cones:
+        mask = every
+        for r in cone.rays:
+            mask &= sure[image[r]]
+        if mask:
+            continue
         images = tuple(image[r] for r in cone.rays)
         key = frozenset(images)
         if key not in verdicts:
@@ -338,7 +359,9 @@ def induces_fan_map(source, target, lattice_map):
 
     The rule (Cox-Little-Schenck, Toric Varieties, 3.3): the images of
     each source cone's rays lie in one target cone.  `fan_map_witness`
-    decides each distinct image once per target cone.
+    reads that cone off the target's ray sets when each image is 0 or a
+    multiple of one of its rays, as for the projections of a log product,
+    and otherwise decides each distinct image once per target cone.
     """
     return fan_map_witness(source, target, lattice_map) is None
 
@@ -644,6 +667,7 @@ def fan_from_json(data):
 
 
 def fan_dumps(fan):
+    import json
     return json.dumps(fan_to_json(fan), sort_keys=True)
 
 
@@ -651,6 +675,7 @@ def fan_loads(text):
     """`fan_from_json` of JSON text; text nested too deeply for Python's
     JSON reader, or holding an integer of more digits than Python reads,
     raises FanSchemaError."""
+    import json
     try:
         data = json.loads(text)
     except RecursionError as exc:

@@ -294,6 +294,13 @@ def order_independence_check(pairs, order_a, order_b):
     Each order is simulated from the product fan: one `star_subdivide`
     per stratum, at the cone currently lying over it.  That cone starts as
     {b_i : i in S} and is rewritten whenever a blow-up centre lies in it.
+
+    No centre is eliminated: every cone of every fan met here has index 1,
+    as the factor fans' cones do, `product_fan` multiplies indices and
+    `star_subdivide` keeps `det // g`, with g = 1 as the rays of a
+    unimodular cone sum to a primitive vector.  A centre is a face of such
+    a cone, and a subset of a basis extends to a basis, so its index is 1
+    too.  The comparison with the closed form reads only the rays.
     """
     from .fans import Cone, star_subdivide
     expected = log_product(pairs).fan.cones
@@ -302,7 +309,7 @@ def order_independence_check(pairs, order_a, order_b):
         tracked = {s: frozenset(boundary[i] for i in s) for s in order}
         for stratum in order:
             center = tracked[stratum]
-            fan = star_subdivide(fan, Cone(tuple(center)))
+            fan = star_subdivide(fan, Cone._known_valid(tuple(center), 1))
             for s, rays in tracked.items():
                 if center <= rays:
                     tracked[s] = (rays - center) | {reduce(_add, center)}

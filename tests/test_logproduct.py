@@ -141,6 +141,20 @@ class TestOrderIndependence:
                                         building_set(2))
 
 
+# log products whose projections to two or more factors are checked
+PROJECTED = [("P1:pt",) * 3, ("A1:0",) * 3, ("P2:H",) * 3,
+             ("P1:pt", "P2:H", "C0:pt"), ("A1:0",) * 4]
+
+
+def proper_projections(texts):
+    """The log product of the pairs `texts` and its projections to each
+    proper subset of two or more factors, keyed by the kept factors."""
+    big = log_product([parse_pair(p) for p in texts])
+    n = len(texts)
+    return big, {keep: projection(big, keep) for size in range(2, n)
+                 for keep in combinations(range(n), size)}
+
+
 class TestProjection:
     def test_triple_to_pair_fan_map(self):
         big = log_product([P1] * 3)
@@ -182,17 +196,23 @@ class TestProjection:
         with pytest.raises(ValueError, match=r"^factor index 5 is not in"):
             strict_transform_rays(space, 5)
 
-    @pytest.mark.parametrize("pairs", [
-        ("P1:pt",) * 3, ("A1:0",) * 3, ("P2:H",) * 3,
-        ("P1:pt", "P2:H", "C0:pt"), ("A1:0",) * 4], ids=",".join)
+    @pytest.mark.parametrize("pairs", PROJECTED, ids=",".join)
     def test_every_projection_is_a_fan_map(self, pairs):
-        big = log_product([parse_pair(p) for p in pairs])
-        n = len(pairs)
-        keeps = [keep for size in range(2, n)
-                 for keep in combinations(range(n), size)]
-        assert len(keeps) == {3: 3, 4: 10}[n]
-        for keep in keeps:
-            small, mat = projection(big, keep)
+        big, maps = proper_projections(pairs)
+        assert len(maps) == {3: 3, 4: 10}[len(pairs)]
+        for keep, (small, mat) in maps.items():
+            assert induces_fan_map(big.fan, small.fan, mat), keep
+
+    @pytest.mark.parametrize("pairs", PROJECTED, ids=",".join)
+    def test_projections_make_no_solve(self, pairs, monkeypatch):
+        """A projection sends each ray of a log product to 0 or to a
+        ray of the smaller one, so the target's ray sets settle every
+        cone."""
+        def no_solve(columns, point):
+            raise AssertionError(f"a solve for {point}")
+        big, maps = proper_projections(pairs)
+        monkeypatch.setattr(fans, "solve_nonnegative", no_solve)
+        for keep, (small, mat) in maps.items():
             assert induces_fan_map(big.fan, small.fan, mat), keep
 
 
@@ -297,6 +317,28 @@ class TestClosedFormAgainstBlowUp:
             order_a, order_b = walk_order(rng, 5), walk_order(rng, 5)
             assert is_valid_order(order_a, 5) and is_valid_order(order_b, 5)
             assert order_independence_check(_pairs(text), order_a, order_b)
+
+    def test_centres_make_no_elimination(self, monkeypatch):
+        """The blow-up centres skip `Cone`'s index computation, and
+        each is the cone `Cone(rays)` would build, of index 1."""
+        centres = []
+
+        def no_elimination(rows):
+            raise AssertionError(f"an elimination on {rows}")
+
+        def subdivide(fan, center):
+            centres.append(center)
+            return star_subdivide(fan, center)
+        pairs = _pairs("A1:0,P1:pt,P2:H,P1:pt")
+        orders = walk_order(random.Random(4), 4), building_set(4)
+        with monkeypatch.context() as patch:
+            patch.setattr(fans, "lattice_index", no_elimination)
+            patch.setattr(fans, "star_subdivide", subdivide)
+            assert order_independence_check(pairs, *orders)
+        assert len(centres) == 2 * len(building_set(4))
+        for center in centres:
+            checked = Cone(center.rays)
+            assert checked == center and checked.det == center.det == 1
 
     @pytest.mark.parametrize("text", ["P1:pt,P1:pt,P1:pt",
                                       "A1:0,P1:pt,P2:H,P1:pt"])
@@ -517,8 +559,9 @@ class TestKnownValidCones:
         """The uses of `_known_valid` in the package sit in the builders
         that make cones from cones they hold, by closed forms: `Cone`'s
         and `Fan`'s in `log_product` and `product_fan`, `Cone`'s in
-        `toric_fan` and `star_subdivide`.  `fan_from_json`, which reads
-        user input, validates."""
+        `toric_fan`, `star_subdivide` and the blow-up centres of
+        `order_independence_check`.  `fan_from_json`, which reads user
+        input, validates."""
         uses = []
         src = Path(logproduct.__file__).parent
         for path in sorted(src.glob("*.py")):
@@ -538,7 +581,8 @@ class TestKnownValidCones:
         assert sorted(uses) == sorted(
             [("fans.py", "product_fan")] * 2
             + [("fans.py", "star_subdivide"), ("logproduct.py", "toric_fan")]
-            + [("logproduct.py", "log_product")] * 2)
+            + [("logproduct.py", "log_product")] * 2
+            + [("logproduct.py", "order_independence_check")])
 
 
 class TestLabelsOnHeldRays:
