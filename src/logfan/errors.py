@@ -99,6 +99,11 @@ class TooManySolves(LogfanError):
     documented cap."""
 
 
+class TooMuchWallWork(LogfanError):
+    """The face check of a pure fan would need more elimination work on
+    its walls than the documented cap."""
+
+
 class FanSchemaError(ValueError):
     """Fan data off the JSON schema: JSON text nested too deeply to read or
     holding an integer past Python's digit limit, a missing key, an entry

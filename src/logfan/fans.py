@@ -8,8 +8,10 @@ subdivision at the corresponding cone.
 Every check is exact integer arithmetic on the `linalg` core, with no floats
 and no sampling: a cone's validity and smoothness come from the index of
 its rays' lattice in its saturation (`lattice_index`, the absolute
-determinant for a full-dimensional cone), and a wall's hyperplane is the
-primitive normal from one elimination.  A cone has two routes in:
+determinant for a full-dimensional cone), and a wall's hyperplane is its
+primitive normal, found by one dot product among the normals already met
+through its ridges or else from one elimination (`_wall_normal`).  A cone
+has two routes in:
 `Cone(rays)` validates, with one index computation, and serves user
 input (`fan_from_json`); the private `Cone._known_valid` takes rays and
 index from a builder that makes cones from cones it already holds, whose
@@ -44,9 +46,11 @@ Every operation returns a fresh Fan.
 
 from itertools import combinations
 from math import comb, gcd
+from operator import mul
 
 from .errors import (CenterNotInFan, FanSchemaError, InvalidCone,
-                     RankMismatch, TooManySolves, digit_limit, quote)
+                     RankMismatch, TooManySolves, TooMuchWallWork,
+                     digit_limit, quote)
 from .linalg import (lattice_index, mat_mul_vec, normal_vector, primitive,
                      solve_nonnegative)
 from .values import FrozenValue
@@ -56,6 +60,13 @@ from .values import FrozenValue
 # one cone (258,121) is refused.  At the cap, 447 cones of A1^8 take about
 # 14 s on a 2-core x86_64 host.
 MAX_PAIRWISE_SOLVES = 100_000
+# Cap on the face check's work bound for a pure fan, cones x rank^4: one
+# elimination of about rank^3 steps per wall, rank walls a cone.  A1^8
+# (40,320 cones of rank 8, 165,150,720) is checked in about 5 s, one dense
+# unimodular cone of rank 118 in about 15 s, on a 2-core x86_64 host; one
+# cone of rank 119 or more and the rank-10 log products of about 50,000
+# cones are refused.
+MAX_WALL_WORK = 200_000_000
 
 BOUNDARY = "boundary"
 EXCEPTIONAL = "exceptional"
@@ -367,7 +378,37 @@ def induces_fan_map(source, target, lattice_map):
 
 
 def _dot(u, x):
-    return sum(a * b for a, b in zip(u, x))
+    return sum(map(mul, u, x))
+
+
+def _wall_normal(wall, dim, through):
+    """The primitive normal of the hyperplane spanned by `wall`, `dim` - 1
+    independent rays, first nonzero entry positive.  `through` maps each
+    ridge (a wall minus one ray) to the first `dim` - 1 distinct normals
+    found through it, and this wall's normal joins the lists of its
+    ridges.
+
+    A normal u found through the ridge wall - r is orthogonal to the
+    ridge, so u . r = 0 makes it orthogonal to the whole wall, whose rays
+    span one hyperplane: u is then the wall's normal exactly, as that
+    normal is unique.  With at most dim - 1 normals on each of its dim - 1
+    ridges, a wall tries at most (dim - 1)^2 dot products, about the work
+    of the one elimination (`normal_vector`) it pays where none fits.  At
+    rank <= 2 a wall's ridges are empty, shared by every wall, so none is
+    tried.
+    """
+    if dim <= 2:
+        return normal_vector(wall, dim)
+    ridges = [(wall[:k] + wall[k + 1:], r) for k, r in enumerate(wall)]
+    u = next((u for ridge, r in ridges for u in through.get(ridge, ())
+              if not _dot(u, r)), None)
+    if u is None:
+        u = normal_vector(wall, dim)
+    for ridge, _ in ridges:
+        found = through.setdefault(ridge, [])
+        if len(found) < dim - 1 and u not in found:
+            found.append(u)
+    return u
 
 
 def _hyperplanes(terms, dim):
@@ -376,15 +417,21 @@ def _hyperplanes(terms, dim):
 
     A wall is a cone's ray tuple minus one ray.  Returns (planes,
     facets).  planes is {normal: [(c * side, wall), ...]}, one entry per
-    cone and wall, where the normal is the wall's primitive normal from
-    one elimination (`normal_vector`, first nonzero entry positive, so it
-    names the hyperplane) and side is +1 when the cone lies where it is
-    positive, the side of the dropped ray.  facets lists, term by term,
-    (c, sides), with sides the (normal, side) of each of the cone's walls:
-    the cone is the set where side * (normal . x) >= 0 for all of them.
-    Each distinct wall's normal is computed once.
+    cone and wall, where the normal is the wall's primitive normal, first
+    nonzero entry positive, so it names the hyperplane, and side is +1
+    when the cone lies where it is positive, the side of the dropped ray.
+    facets lists, term by term, (c, sides), with sides the (normal, side)
+    of each of the cone's walls: the cone is the set where
+    side * (normal . x) >= 0 for all of them.  Each distinct wall's normal
+    is found once, by `_wall_normal`: among the normals already found
+    through its ridges where one fits, else by one elimination.  Walls on
+    one hyperplane that meet in ridges, as a log product's do, so pay one
+    elimination between them: A1^7's 20,160 walls pay 28, one per
+    hyperplane.  No wall pays more than one elimination and (dim - 1)^2
+    dot products.
     """
     normals = {}
+    through = {}
     planes = {}
     facets = []
     for c, rays in terms:
@@ -393,7 +440,7 @@ def _hyperplanes(terms, dim):
             wall = rays[:i] + rays[i + 1:]
             u = normals.get(wall)
             if u is None:
-                u = normals[wall] = normal_vector(wall, dim)
+                u = normals[wall] = _wall_normal(wall, dim, through)
             side = 1 if _dot(u, dropped) > 0 else -1
             planes.setdefault(u, []).append((c * side, wall))
             sides.append((u, side))
@@ -447,8 +494,12 @@ def check_face_closure(fan):
 
     A pure fan, where every cone has `rank` rays, is decided by its walls,
     which `_hyperplanes` lists once: a wall is a cone's ray set minus one
-    ray, its normal u is the primitive normal from one elimination, and
-    the cone lies on the side of u where its dropped ray is.
+    ray, its normal u is its primitive normal, read off a normal already
+    found through one of its ridges or else from one elimination, and the
+    cone lies on the side of u where its dropped ray is.  Before any
+    elimination, a pure fan whose work bound, cones x rank^4 (one
+    elimination of about rank^3 steps per wall), is above `MAX_WALL_WORK`
+    raises TooMuchWallWork.
 
     1. If a (side, wall) entry repeats, two cones lie on one side of a wall
        and overlap next to it: False.  Three cones on one wall force two
@@ -480,6 +531,12 @@ def check_face_closure(fan):
     """
     cones = fan.cones
     if cones and all(len(c) == fan.rank for c in cones):
+        work = len(cones) * fan.rank ** 4
+        if work > MAX_WALL_WORK:
+            raise TooMuchWallWork(
+                f"the face check of {len(cones)} cones of rank {fan.rank} "
+                f"bounds its wall work at {work:,} (cones x rank^4), more "
+                f"than {MAX_WALL_WORK:,}")
         planes, facets = _hyperplanes([(1, c.rays) for c in cones],
                                       fan.rank)
         walls = {(normal, side, wall) for normal, entries in planes.items()
@@ -552,8 +609,9 @@ def _vanishes(terms, dim):
     coordinate where u is nonzero maps H linearly and isomorphically onto
     Q^(dim - 1), walls onto full-dimensional cones, so that is the same
     question one dimension down.  The terms (c * side, W) of each g_H are
-    the entries `_hyperplanes` lists under H's primitive normal, from one
-    elimination per distinct wall.  The constant is f at any point off
+    the entries `_hyperplanes` lists under H's primitive normal, at most
+    one elimination per distinct wall and, where walls on H meet in
+    ridges, one for many.  The constant is f at any point off
     every hyperplane: `_cones_over` at the one it reads just off the
     origin, with no solve.
     """
@@ -622,7 +680,7 @@ def fan_from_json(data):
     Data off the schema raise FanSchemaError, a ValueError: a missing
     key, an entry of the wrong type, a ray of the wrong length, a ray
     index outside the ray list (negative indices included), a cone listed
-    twice, a label key that is not a decimal ray index, an unknown
+    twice, a label key that is not a ray index in ASCII digits, an unknown
     label kind, or a label `fan_to_json` could not write back: on a ray
     no cone holds, or a second one on a ray ("0" and "00" name one ray,
     as does a ray listed twice).  Invalid cones raise InvalidCone.  This is
@@ -645,7 +703,8 @@ def fan_from_json(data):
     labels = {}
     for i, d in _json_field(data, "labels", dict, {}).items():
         try:
-            index = int(i) if isinstance(i, str) and i.isdecimal() else -1
+            index = (int(i) if isinstance(i, str) and i.isascii()
+                     and i.isdecimal() else -1)
         except ValueError:  # more digits than Python reads as an int
             index = -1
         if not (0 <= index < len(rays) and isinstance(d, dict)
