@@ -19,7 +19,10 @@ closed form proves them valid and gives their indices: `product_fan`,
 `star_subdivide`, `logproduct.log_product`, `LogPair.toric_fan` and the
 blow-up centres of `logproduct.order_independence_check`
 (Cox-Little-Schenck, Toric Varieties, 3.3 and 11.1).  So no built fan's
-cone pays an elimination: only a fan read from JSON pays one per cone.
+cone pays an elimination: only a fan read from JSON pays them, one per
+cone, or one per class of cones whose ray matrices differ by a column
+permutation where two coordinates carry the same values, as a log
+product's do (`fan_from_json`).
 A fan has the same two routes: `Fan(...)` refuses what `fan_to_json`
 could not write back, and `Fan._known_valid` serves `product_fan` and
 `log_product`, whose cones and labels pass those checks by construction.
@@ -99,8 +102,11 @@ class Cone(FrozenValue):
     rays, nonzero and primitive rays, one length, and independent rays,
     which is a nonzero index; the InvalidCone message quotes the rays by
     `errors.quote`, so a long ray list is cut to its first QUOTE_LIMIT
-    characters and its length.  `Cone._known_valid(rays, det)` only sorts:
-    it serves the builders `product_fan`, `star_subdivide`,
+    characters and its length.  `Cone._indexed(rays, det)` runs the same
+    checks on an index the caller computed: `fan_from_json` computes one
+    per class of cones whose ray matrices differ by a column permutation
+    (`_index_key`), and passes it to each.  `Cone._known_valid(rays, det)`
+    only sorts: it serves the builders `product_fan`, `star_subdivide`,
     `logproduct.log_product`, `LogPair.toric_fan` and
     `logproduct.order_independence_check`, whose closed forms prove their
     cones valid and give their indices.
@@ -110,7 +116,21 @@ class Cone(FrozenValue):
 
     def __init__(self, rays):
         rays = tuple(sorted(tuple(r) for r in rays))
-        d = lattice_index(rays) if len({len(r) for r in rays}) < 2 else None
+        self._check(rays, lattice_index(rays)
+                    if len({len(r) for r in rays}) < 2 else None)
+
+    @classmethod
+    def _indexed(cls, rays, det):
+        """`Cone(rays)` for sorted ray tuples of one length whose lattice
+        index `det` the caller computed: the same checks, in the same
+        order and with the same messages, and no elimination."""
+        cone = object.__new__(cls)
+        cone._check(rays, det)
+        return cone
+
+    def _check(self, rays, d):
+        """Sets the fields to the sorted `rays` and their index `d` (None
+        for rays of different lengths) and checks the rays."""
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "det", d)
         if d == 1:
@@ -668,10 +688,19 @@ def _json_ints(value, what, length=None, bound=None):
             or not all(type(x) is int and (bound is None or 0 <= x < bound)
                        for x in value)):
         expect = (f"{length} integers" if bound is None
-                  else f"ray indices in 0..{bound - 1}")
+                  else f"ray indices in 0..{bound - 1}" if bound
+                  else "ray indices, and the JSON lists no rays")
         raise FanSchemaError(f"fan JSON {what} {quote(value)} is not a list "
                              f"of {expect}")
     return tuple(value)
+
+
+def _index_key(rays):
+    """The columns of the sorted `rays`, sorted.  Two ray tuples of one
+    count with one key are matrices that differ by a column permutation,
+    which permutes the maximal minors up to sign and so keeps
+    `lattice_index`, 0 for dependent rays included."""
+    return tuple(sorted(zip(*rays)))
 
 
 def fan_from_json(data):
@@ -684,8 +713,12 @@ def fan_from_json(data):
     label kind, or a label `fan_to_json` could not write back: on a ray
     no cone holds, or a second one on a ray ("0" and "00" name one ray,
     as does a ray listed twice).  Invalid cones raise InvalidCone.  This is
-    the one fan builder that runs an elimination per cone: its cones come
-    from user input.
+    the one fan builder that runs eliminations: its cones come from user
+    input.  Each cone runs every check of `Cone(rays)`, in order.  Where
+    two coordinates have the same sorted column of ray values, as a
+    coordinate permutation of the ray set needs, cones with one
+    `_index_key` share one elimination, so A1^6's 720 cones pay 1; else
+    each cone pays its own.  The shared indices live for one call.
     """
     if not isinstance(data, dict):
         raise FanSchemaError("fan JSON must be an object")
@@ -694,9 +727,22 @@ def fan_from_json(data):
         raise FanSchemaError("fan JSON rank must be nonnegative")
     rays = [_json_ints(r, "ray", length=rank)
             for r in _json_field(data, "rays", list)]
-    cones = tuple(Cone(tuple(rays[i] for i in
-                             _json_ints(c, "cone", bound=len(rays))))
-                  for c in _json_field(data, "cones", list))
+    # a coordinate permutation of the ray set needs two coordinates with
+    # one sorted column of values, and only then are indices shared; two
+    # columns make rank >= 2, so a key's columns give its ray count
+    columns = [tuple(sorted(c)) for c in zip(*rays)]
+    shared = {} if len(set(columns)) < len(columns) else None
+    cones = []
+    for c in _json_field(data, "cones", list):
+        cone_rays = tuple(sorted(rays[i] for i in
+                                 _json_ints(c, "cone", bound=len(rays))))
+        if shared is None:
+            cones.append(Cone(cone_rays))
+            continue
+        key = _index_key(cone_rays)
+        if key not in shared:
+            shared[key] = lattice_index(cone_rays)
+        cones.append(Cone._indexed(cone_rays, shared[key]))
     # the ray indices the cones hold; a ray listed twice is held under
     # either index
     held = {i for c in data["cones"] for i in c}
@@ -709,9 +755,11 @@ def fan_from_json(data):
             index = -1
         if not (0 <= index < len(rays) and isinstance(d, dict)
                 and type(d.get("arg")) is int):
+            need = (f"a ray index in 0..{len(rays) - 1} and an int arg"
+                    if rays else "a ray index and an int arg, and the JSON "
+                    "lists no rays")
             raise FanSchemaError(f"fan JSON label {quote(i)}: {quote(d)} "
-                                 f"needs a ray index in 0..{len(rays) - 1} "
-                                 f"and an int arg")
+                                 f"needs {need}")
         if (index not in held
                 and rays[index] not in {rays[j] for j in held}):
             raise FanSchemaError(f"fan JSON label {quote(i)} is on the ray "

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from itertools import combinations
 import itertools
 import json
@@ -237,6 +238,28 @@ class TestWorkCount:
         # the two index-2 cones go on to the ray checks, with no second
         # elimination
         assert calls == {"_echelon": 4, "primitive": 4}
+
+    @pytest.mark.parametrize("make_text,eliminations", [
+        # 720 cones, all one column permutation of each other (720 at the
+        # parent commit)
+        (lambda: fan_dumps(log_product([parse_pair("A1:0")] * 6).fan), 1),
+        # 326 cones in 6 classes (326 at the parent commit)
+        (lambda: fan_dumps(log_product([parse_pair("P1:pt")] * 5).fan), 6),
+        # no two coordinates carry the same values: one per cone
+        (lambda: fan_dumps(moved(log_product([parse_pair("A1:0")] * 4)
+                                 .fan)), 24),
+        # two index-2 cones with one key
+        (lambda: json.dumps({"rank": 2,
+                             "rays": [[1, 0], [1, 2], [0, 1], [2, 1]],
+                             "cones": [[0, 1], [2, 3]]}), 1),
+    ], ids=["A1:0^6", "P1:pt^5", "moved A1:0^4", "two index-2 cones"])
+    def test_fan_json_shares_eliminations_between_permuted_cones(
+            self, monkeypatch, make_text, eliminations):
+        text = make_text()
+        calls = counting(monkeypatch)
+        fan = fan_loads(text)
+        assert calls["_echelon"] == eliminations
+        assert all(c.det == linalg.lattice_index(c.rays) for c in fan.cones)
 
 
 class TestStarSubdivide:
@@ -1383,6 +1406,18 @@ class TestFan:
         assert fan_loads(fan_dumps(labelled)) == labelled
 
 
+# fan JSON that lists no rays, whose ray index range 0..-1 is empty
+NO_RAYS = [
+    pytest.param('{"rank": 1, "rays": [], "cones": [[0]]}',
+                 r"cone \[0\] is not a list of ray indices, and the JSON "
+                 r"lists no rays", id="cone on no rays"),
+    pytest.param('{"rank": 1, "rays": [], "cones": [], '
+                 '"labels": {"0": {"kind": "boundary", "arg": 0}}}',
+                 r"label '0'.* needs a ray index and an int arg, and the "
+                 r"JSON lists no rays", id="label on no rays"),
+]
+
+
 class TestJson:
     def test_cones_come_out_sorted(self):
         """`fan_to_json` sorts nothing: the ray index grows with the ray,
@@ -1509,6 +1544,7 @@ class TestJson:
                      '"cones": [[0, 1]], '
                      '"labels": {" 1": {"kind": "boundary", "arg": 0}}}',
                      "label ' 1'.*ray index", id="spaced label key"),
+        *NO_RAYS,
     ])
     def test_every_schema_failure_is_fan_schema_error(self, text, match):
         load = fan_loads if isinstance(text, str) else fan_from_json
@@ -1517,6 +1553,115 @@ class TestJson:
         # a ValueError, not a named computation error: `fan check` exits 2
         assert isinstance(exc.value, ValueError)
         assert not isinstance(exc.value, LogfanError)
+
+    @pytest.mark.parametrize("text,match", NO_RAYS)
+    def test_no_rays_message_names_no_index_range(self, text, match,
+                                                  capsys, tmp_path):
+        path = tmp_path / "fan.json"
+        path.write_text(text)
+        assert main(["fan", "check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "the JSON lists no rays" in err and "0..-1" not in err
+
+
+@cache
+def product_json(pairs):
+    return fan_to_json(log_product([parse_pair(p) for p in pairs]).fan)
+
+
+@st.composite
+def reader_inputs(draw):
+    """Fan JSON whose cones may share `fans._index_key`: a log product
+    with its coordinates permuted and signs flipped, or moved by a random
+    unimodular matrix; or a non-pure fan, the permuted log product with
+    some cones cut to a face, or cones on small random rays, each with
+    its image under a swap of two coordinates, so two columns agree."""
+    kind = draw(st.sampled_from(("permuted", "moved", "faces", "random")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        n = draw(st.integers(2, 4))
+        i, j = rng.sample(range(n), 2)
+
+        def swap(r):
+            r = list(r)
+            r[i], r[j] = r[j], r[i]
+            return tuple(r)
+
+        rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                             min_size=1, max_size=5, unique=True))
+        rays = list(dict.fromkeys(rays + [swap(r) for r in rays]))
+        at = {r: k for k, r in enumerate(rays)}
+        cones = set()
+        for _ in range(draw(st.integers(1, 4))):
+            cone = rng.sample(range(len(rays)),
+                              rng.randint(1, min(n, len(rays))))
+            cones |= {tuple(sorted(cone)),
+                      tuple(sorted(at[swap(rays[k])] for k in cone))}
+        return {"rank": n, "rays": [list(r) for r in rays],
+                "cones": [list(c) for c in sorted(cones)]}
+    pairs = draw(st.sampled_from(READER_PAIRS))
+    data = product_json(pairs)
+    n = data["rank"]
+    if kind == "moved":
+        matrix = unimodular(rng, n)
+        rays = [mat_mul_vec(matrix, r) for r in data["rays"]]
+    else:
+        perm = rng.sample(range(n), n)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        rays = [tuple(s * r[k] for s, k in zip(signs, perm))
+                for r in data["rays"]]
+    cones = data["cones"]
+    if kind == "faces":
+        cones = {tuple(c) if rng.random() < 0.5
+                 else tuple(sorted(rng.sample(c, rng.randint(1, len(c)))))
+                 for c in cones}
+        cones = [list(c) for c in sorted(cones)]
+    return {"rank": n, "rays": [list(r) for r in rays], "cones": cones}
+
+
+READER_PAIRS = [("A1:0",) * 2, ("A1:0",) * 3, ("A1:0",) * 4,
+                ("P1:pt",) * 2, ("P1:pt",) * 3, ("P1:pt", "P2:H"),
+                ("P2:H",) * 2, ("A1:0", "P1:pt", "A1:0")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(reader_inputs())
+# the two cones share a key, and each has index 2
+@example({"rank": 2, "rays": [[1, 0], [1, 2], [0, 1], [2, 1]],
+          "cones": [[0, 1], [2, 3]]})
+# two dependent cones share a key: the first one's message is raised
+@example({"rank": 2, "rays": [[1, 2], [-1, -2], [2, 1], [-2, -1]],
+          "cones": [[0, 1], [2, 3]]})
+# indices 5 and 1, whose columns agree one by one as sets of values and
+# so in their sums, as a key coarser than the sorted columns would read
+@example({"rank": 3, "rays": [[3, 1, 3], [1, 2, 1], [3, 2, 3], [1, 1, 1]],
+          "cones": [[0, 1], [2, 3]]})
+def test_reader_indices_match_lattice_index(data):
+    """Every cone `fan_loads` returns keeps the index `lattice_index`
+    gives its rays, and where some cone is invalid, the reader raises
+    what `Cone(rays)` raises for the first such cone."""
+    rays = [tuple(r) for r in data["rays"]]
+    text = json.dumps(data)
+    try:
+        expected = [Cone(tuple(rays[i] for i in c)) for c in data["cones"]]
+    except InvalidCone as exc:
+        with pytest.raises(InvalidCone) as ours:
+            fan_loads(text)
+        assert str(ours.value) == str(exc)
+        return
+    fan = fan_loads(text)
+    assert set(fan.cones) == set(expected)
+    for cone in fan.cones:
+        assert cone.det == linalg.lattice_index(cone.rays)
+
+
+def test_reader_test_fails_on_a_coarser_key(monkeypatch):
+    """The differential test catches a key that column sums alone make:
+    through `fan_loads`, the third example's second cone gets index 5."""
+    monkeypatch.setattr(fans, "_index_key",
+                        lambda rays: tuple(sorted(map(sum, zip(*rays)))))
+    with pytest.raises(AssertionError):
+        test_reader_indices_match_lattice_index()
 
 
 @settings(max_examples=50, deadline=None)
