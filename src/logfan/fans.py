@@ -11,20 +11,23 @@ its rays' lattice in its saturation (`lattice_index`, the absolute
 determinant for a full-dimensional cone), and a wall's hyperplane is its
 primitive normal, found by one dot product among the normals already met
 through its ridges or else from one elimination (`_wall_normal`).  A cone
-has two routes in:
-`Cone(rays)` validates, with one index computation, and serves user
-input (`fan_from_json`); the private `Cone._known_valid` takes rays and
-index from a builder that makes cones from cones it already holds, whose
-closed form proves them valid and gives their indices: `product_fan`,
-`star_subdivide`, `logproduct.log_product`, `LogPair.toric_fan` and the
-blow-up centres of `logproduct.order_independence_check`
-(Cox-Little-Schenck, Toric Varieties, 3.3 and 11.1).  So no built fan's
-cone pays an elimination: only a fan read from JSON pays them, one per
-cone, or one per class of cones whose ray matrices differ by a column
-permutation where two coordinates carry the same values, as a log
-product's do (`fan_from_json`).
-A fan has the same two routes: `Fan(...)` refuses what `fan_to_json`
-could not write back, and `Fan._known_valid` serves `product_fan` and
+has three routes in: `Cone(rays)` validates, with one index computation;
+`Cone._indexed` runs the same checks on an index its caller computed,
+and builds every cone of user input (`fan_from_json`); the private
+`Cone._known_valid` takes rays and index from a builder that makes cones
+from cones it already holds, whose closed form proves them valid and
+gives their indices: `product_fan`, `star_subdivide`,
+`logproduct.log_product`, `LogPair.toric_fan` and the blow-up centres of
+`logproduct.order_independence_check` (Cox-Little-Schenck, Toric
+Varieties, 3.3 and 11.1).  So no built fan's cone pays an elimination:
+only a fan read from JSON pays them, one per cone, or one per class of
+cones whose ray matrices differ by a column permutation where two
+coordinates carry the same values, as a log product's do
+(`fan_from_json`).  The reader checks the schema of every ray, then of
+every cone, each in one pass of builtins over all entries, before any
+cone's geometry.
+A fan has two routes in: `Fan(...)` refuses what `fan_to_json` could
+not write back, and `Fan._known_valid` serves `product_fan` and
 `log_product`, whose cones and labels pass those checks by construction.
 
 Both fan checks read one index of the walls by hyperplane (`_hyperplanes`)
@@ -47,9 +50,9 @@ slotted, compared and hashed by their fields, with `Cone.det` left out.
 Every operation returns a fresh Fan.
 """
 
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat
 from math import comb, gcd
-from operator import mul
+from operator import attrgetter, eq, itemgetter, mul
 
 from .errors import (CenterNotInFan, FanSchemaError, InvalidCone,
                      RankMismatch, TooManySolves, TooMuchWallWork,
@@ -95,7 +98,7 @@ class Cone(FrozenValue):
     `det` is the index of the rays' lattice in its saturation, the gcd of
     their maximal minors (`lattice_index`): the absolute determinant of a
     square cone, k rays of length k.  It is left out of ==, hash and repr.
-    There are two routes in.  `Cone(rays)` checks its input: the index is
+    There are three routes in.  `Cone(rays)` checks its input: the index is
     computed once, and index 1 settles validity: the rays are independent,
     and each is primitive, as the gcd of a ray's entries divides every
     maximal minor.  Every other cone is checked in this order: distinct
@@ -103,9 +106,10 @@ class Cone(FrozenValue):
     which is a nonzero index; the InvalidCone message quotes the rays by
     `errors.quote`, so a long ray list is cut to its first QUOTE_LIMIT
     characters and its length.  `Cone._indexed(rays, det)` runs the same
-    checks on an index the caller computed: `fan_from_json` computes one
-    per class of cones whose ray matrices differ by a column permutation
-    (`_index_key`), and passes it to each.  `Cone._known_valid(rays, det)`
+    checks on an index the caller computed, and is how `fan_from_json`
+    builds every cone: it computes one index per cone, or one per class of
+    cones whose ray matrices differ by a column permutation
+    (`_index_key`), and passes it in.  `Cone._known_valid(rays, det)`
     only sorts: it serves the builders `product_fan`, `star_subdivide`,
     `logproduct.log_product`, `LogPair.toric_fan` and
     `logproduct.order_independence_check`, whose closed forms prove their
@@ -167,8 +171,12 @@ class Fan(FrozenValue):
     The `Cone`s are stored canonically sorted so identical fans compare
     equal bit-for-bit, and labels as a sorted tuple of (ray, label).
     `Fan(...)` refuses, with FanSchemaError, what `fan_to_json` could not
-    write back: a cone listed twice, a cone with a ray whose length is not
-    `rank`, a second label on one ray and a label on a ray no cone holds.
+    write back, checked in this order: a cone listed twice, a cone with a
+    ray whose length is not `rank`, a second label on one ray and a label
+    on a ray no cone holds.  Each check is one pass of builtins over all
+    the sorted cones or labels (equal neighbours, the set of ray lengths,
+    the set of held rays); only where one fails is a plain scan run, to
+    name the first offender in sorted order.
     `Fan._known_valid(rank, cones, labels)` only sorts: it serves
     `product_fan`, whose cones are distinct pairs of distinct factor cones
     and whose labels sit on the factors' labelled rays, padded apart, and
@@ -180,25 +188,31 @@ class Fan(FrozenValue):
     def __init__(self, rank, cones, labels=()):
         self._store(rank, cones, [(tuple(ray), lab) for ray, lab in labels])
         cones, labels = self.cones, self.labels
-        for a, b in zip(cones, cones[1:]):
-            if a.rays == b.rays:
-                raise FanSchemaError(f"cone {quote(a.rays)} listed twice")
-        bad = next((c for c in cones
-                    if c.rays and len(c.rays[0]) != rank), None)
-        if bad is not None:
-            raise FanSchemaError(f"cone {quote(bad.rays)} has a ray whose "
+        rays = list(map(attrgetter("rays"), cones))
+        # sorted, so the first equal neighbours are the first cone listed
+        # twice, and likewise for labels
+        twice = next(compress(rays, map(eq, rays, rays[1:])), None)
+        if twice is not None:
+            raise FanSchemaError(f"cone {quote(twice)} listed twice")
+        if not {rank}.issuperset(map(len, map(itemgetter(0),
+                                               filter(None, rays)))):
+            bad = next(r for r in rays if r and len(r[0]) != rank)
+            raise FanSchemaError(f"cone {quote(bad)} has a ray whose "
                                  f"length is not the rank {rank}")
-        for (other, _), (ray, lab) in zip(labels, labels[1:]):
-            if ray == other:
-                raise FanSchemaError(f"the label {quote(lab)} is a second "
-                                     f"label on the ray {quote(ray)}")
+        on = list(map(itemgetter(0), labels))
+        second = next(compress(labels[1:], map(eq, on, on[1:])), None)
+        if second is not None:
+            ray, lab = second
+            raise FanSchemaError(f"the label {quote(lab)} is a second "
+                                 f"label on the ray {quote(ray)}")
         if labels:
-            held = {r for c in cones for r in c.rays}
-            for ray, lab in labels:
-                if ray not in held:
-                    raise FanSchemaError(
-                        f"the label {quote(lab)} is on the ray {quote(ray)}, "
-                        f"which no cone holds")
+            held = set(chain.from_iterable(rays))
+            if not held.issuperset(on):
+                ray, lab = next(item for item in labels
+                                if item[0] not in held)
+                raise FanSchemaError(
+                    f"the label {quote(lab)} is on the ray {quote(ray)}, "
+                    f"which no cone holds")
 
     @classmethod
     def _known_valid(cls, rank, cones, labels):
@@ -212,15 +226,13 @@ class Fan(FrozenValue):
     def _store(self, rank, cones, labels):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cones",
-                           tuple(sorted(cones, key=lambda c: c.rays)))
+                           tuple(sorted(cones, key=attrgetter("rays"))))
         object.__setattr__(self, "labels", tuple(sorted(
             labels, key=lambda item: (item[0], item[1].kind, item[1].arg))))
 
     def rays(self):
-        out = set()
-        for c in self.cones:
-            out.update(c.rays)
-        return tuple(sorted(out))
+        return tuple(sorted(set(chain.from_iterable(
+            map(attrgetter("rays"), self.cones)))))
 
     def exceptional_count(self):
         return sum(1 for _, lab in self.labels if lab.kind == EXCEPTIONAL)
@@ -668,7 +680,7 @@ def fan_to_json(fan):
     return {
         "rank": fan.rank,
         "rays": [list(r) for r in rays],
-        "cones": [[index[r] for r in c.rays] for c in fan.cones],
+        "cones": [list(map(index.__getitem__, c.rays)) for c in fan.cones],
         "labels": {str(index[ray]): {"kind": lab.kind, "arg": lab.arg}
                    for ray, lab in fan.labels},
     }
@@ -682,7 +694,8 @@ def _json_field(data, key, kind, default=None):
 
 
 def _json_ints(value, what, length=None, bound=None):
-    """`value` as a tuple of ints, checked against the schema."""
+    """Raises FanSchemaError unless `value` is a list of ints, `length` of
+    them or each in 0..`bound` - 1."""
     if (not isinstance(value, list)
             or (length is not None and len(value) != length)
             or not all(type(x) is int and (bound is None or 0 <= x < bound)
@@ -692,7 +705,23 @@ def _json_ints(value, what, length=None, bound=None):
                   else "ray indices, and the JSON lists no rays")
         raise FanSchemaError(f"fan JSON {what} {quote(value)} is not a list "
                              f"of {expect}")
-    return tuple(value)
+
+
+def _json_rows(rows, what, length=None, bound=None):
+    """Checks every entry of `rows` as `_json_ints` does, by builtins over
+    all of them at once: each is a list, of `length` items if given, and
+    every item is exactly an int, in 0..`bound` - 1 if given.  Returns the
+    set of the items.  Only where this pass fails are the rows walked, to
+    raise `_json_ints`'s message for the first bad one."""
+    if (all(map(isinstance, rows, repeat(list)))
+            and (length is None or {length}.issuperset(map(len, rows)))
+            and {int}.issuperset(map(type, chain.from_iterable(rows)))):
+        items = set(chain.from_iterable(rows))
+        if bound is None or (min(items, default=0) >= 0
+                             and max(items, default=-1) < bound):
+            return items
+    for value in rows:
+        _json_ints(value, what, length, bound)
 
 
 def _index_key(rays):
@@ -712,40 +741,53 @@ def fan_from_json(data):
     twice, a label key that is not a ray index in ASCII digits, an unknown
     label kind, or a label `fan_to_json` could not write back: on a ray
     no cone holds, or a second one on a ray ("0" and "00" name one ray,
-    as does a ray listed twice).  Invalid cones raise InvalidCone.  This is
-    the one fan builder that runs eliminations: its cones come from user
-    input.  Each cone runs every check of `Cone(rays)`, in order.  Where
-    two coordinates have the same sorted column of ray values, as a
-    coordinate permutation of the ray set needs, cones with one
-    `_index_key` share one elimination, so A1^6's 720 cones pay 1; else
-    each cone pays its own.  The shared indices live for one call.
+    as does a ray listed twice).  Invalid cones raise InvalidCone.
+
+    The checks run in this order: the object and its rank; the schema of
+    every ray, then of every cone, each in one pass of builtins over all
+    entries (`_json_rows`), so a malformed cone anywhere is refused before
+    any cone's geometry is read; each cone's checks as `Cone(rays)` runs
+    them, cone by cone; the labels; and the checks of `Fan(...)`.  This
+    is the one fan builder that runs eliminations: its cones come from
+    user input.  Every cone takes one route: its rays sorted, its index
+    from `lattice_index`, and `Cone._indexed`.  Where two coordinates
+    have the same sorted column of ray values, as a coordinate
+    permutation of the ray set needs, cones with one `_index_key` share
+    one elimination, so A1^6's 720 cones pay 1; else each cone pays its
+    own.  The shared indices live for one call.  Past its elimination, a
+    cone costs a sort of its rays, its key and one dict lookup where
+    indices are shared, and the object itself.
     """
     if not isinstance(data, dict):
         raise FanSchemaError("fan JSON must be an object")
     rank = _json_field(data, "rank", int)
     if rank < 0:
         raise FanSchemaError("fan JSON rank must be nonnegative")
-    rays = [_json_ints(r, "ray", length=rank)
-            for r in _json_field(data, "rays", list)]
+    rays = _json_field(data, "rays", list)
+    _json_rows(rays, "ray", length=rank)
+    rays = list(map(tuple, rays))
     # a coordinate permutation of the ray set needs two coordinates with
     # one sorted column of values, and only then are indices shared; two
     # columns make rank >= 2, so a key's columns give its ray count
     columns = [tuple(sorted(c)) for c in zip(*rays)]
-    shared = {} if len(set(columns)) < len(columns) else None
-    cones = []
-    for c in _json_field(data, "cones", list):
-        cone_rays = tuple(sorted(rays[i] for i in
-                                 _json_ints(c, "cone", bound=len(rays))))
-        if shared is None:
-            cones.append(Cone(cone_rays))
-            continue
-        key = _index_key(cone_rays)
-        if key not in shared:
-            shared[key] = lattice_index(cone_rays)
-        cones.append(Cone._indexed(cone_rays, shared[key]))
-    # the ray indices the cones hold; a ray listed twice is held under
-    # either index
-    held = {i for c in data["cones"] for i in c}
+    if len(set(columns)) < len(columns):
+        shared = {}
+
+        def det_of(cone_rays):
+            key = _index_key(cone_rays)
+            det = shared.get(key)
+            if det is None:
+                det = shared[key] = lattice_index(cone_rays)
+            return det
+    else:
+        det_of = lattice_index
+    listed = _json_field(data, "cones", list)
+    indices = _json_rows(listed, "cone", bound=len(rays))
+    cone_rays = [tuple(sorted(map(rays.__getitem__, c))) for c in listed]
+    cones = list(map(Cone._indexed, cone_rays, map(det_of, cone_rays)))
+    # the rays the cones hold; a ray listed twice is held under either
+    # index
+    held = set(map(rays.__getitem__, indices))
     labels = {}
     for i, d in _json_field(data, "labels", dict, {}).items():
         try:
@@ -760,8 +802,7 @@ def fan_from_json(data):
                     "lists no rays")
             raise FanSchemaError(f"fan JSON label {quote(i)}: {quote(d)} "
                                  f"needs {need}")
-        if (index not in held
-                and rays[index] not in {rays[j] for j in held}):
+        if rays[index] not in held:
             raise FanSchemaError(f"fan JSON label {quote(i)} is on the ray "
                                  f"{quote(list(rays[index]))}, which no cone "
                                  f"holds")

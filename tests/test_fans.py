@@ -1372,6 +1372,39 @@ class TestFan:
         assert f"... ({len(repr(named.rays))} characters)" in str(exc.value)
         assert len(str(exc.value)) < 3 * QUOTE_LIMIT
 
+    @pytest.mark.parametrize("cones,message", [
+        ((((1, 0),), ((1, 0),), ((0, 1),), ((0, 1),)),
+         r"^cone \(\(0, 1\),\) listed twice$"),
+        ((((1, 0, 0),), ((0, 0, 1),)),
+         r"^cone \(\(0, 0, 1\),\) has a ray whose length is not the "
+         r"rank 2$"),
+    ], ids=["listed twice", "not the rank"])
+    def test_fan_names_the_first_offender_in_sorted_order(self, cones,
+                                                          message):
+        """Two offenders, listed in either order: the one named is the
+        first of the sorted cones."""
+        for listed in (cones, cones[::-1]):
+            with pytest.raises(FanSchemaError, match=message):
+                Fan(2, tuple(map(Cone, listed)))
+
+    @pytest.mark.parametrize("cones,labels,message", [
+        ((((1,),), ((-1,),)),
+         [((1,), DivisorLabel(BOUNDARY, 0)), ((1,), DivisorLabel(BOUNDARY, 1)),
+          ((-1,), DivisorLabel(BOUNDARY, 2)),
+          ((-1,), DivisorLabel(BOUNDARY, 3))],
+         r"^the label DivisorLabel\(kind='boundary', arg=3\) is a second "
+         r"label on the ray \(-1,\)$"),
+        ((), [((1,), DivisorLabel(BOUNDARY, 0)),
+              ((-1,), DivisorLabel(BOUNDARY, 1))],
+         r"^the label DivisorLabel\(kind='boundary', arg=1\) is on the ray "
+         r"\(-1,\), which no cone holds$"),
+    ], ids=["second label", "unheld"])
+    def test_fan_names_the_first_label_offender_in_sorted_order(
+            self, cones, labels, message):
+        for listed in (labels, labels[::-1]):
+            with pytest.raises(FanSchemaError, match=message):
+                Fan(1, tuple(map(Cone, cones)), listed)
+
     @pytest.mark.parametrize("data,match", [
         ({"rank": 1, "rays": [[1], [-1]], "cones": [[0]],
           "labels": {"1": {"kind": "boundary", "arg": 0}}},
@@ -1415,6 +1448,41 @@ NO_RAYS = [
                  '"labels": {"0": {"kind": "boundary", "arg": 0}}}',
                  r"label '0'.* needs a ray index and an int arg, and the "
                  r"JSON lists no rays", id="label on no rays"),
+]
+
+# entries the bulk schema pass of the JSON reader refuses, and the message
+# that names the first bad one
+TWO_RAYS = '{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [%s]}'
+BAD_ITEMS = [("true", "True"), ("1.0", "1.0"), ('"0"', "'0'"),
+             ("[0]", "[0]")]
+SCHEMA_TRAPS = [
+    *[pytest.param(TWO_RAYS % f"[0, {item}]",
+                   f"fan JSON cone [0, {shown}] is not a list of ray "
+                   f"indices in 0..1", id=f"cone item {item}")
+      for item, shown in BAD_ITEMS],
+    *[pytest.param('{"rank": 2, "rays": [[1, %s], [0, 1]], '
+                   '"cones": [[0, 1]]}' % item,
+                   f"fan JSON ray [1, {shown}] is not a list of 2 integers",
+                   id=f"ray item {item}")
+      for item, shown in BAD_ITEMS],
+    pytest.param(TWO_RAYS % "[-1, 0]",
+                 "fan JSON cone [-1, 0] is not a list of ray indices in "
+                 "0..1", id="index -1"),
+    pytest.param(TWO_RAYS % "[0, 2]",
+                 "fan JSON cone [0, 2] is not a list of ray indices in "
+                 "0..1", id="index len(rays)"),
+    pytest.param(TWO_RAYS % "[0, 1], [1, true], [7]",
+                 "fan JSON cone [1, True] is not a list of ray indices in "
+                 "0..1", id="first of two bad cones"),
+    # entries JSON text cannot hold, from a library caller's dict
+    *[pytest.param({"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [cone]},
+                   f"fan JSON cone {cone!r} is not a list of ray indices "
+                   f"in 0..1", id=f"cone as {type(cone).__name__}")
+      for cone in ({"0": 1}, "01", (0, 1))],
+    *[pytest.param({"rank": 2, "rays": [[0, 1], ray], "cones": [[0, 1]]},
+                   f"fan JSON ray {ray!r} is not a list of 2 integers",
+                   id=f"ray as {type(ray).__name__}")
+      for ray in ({"1": 0}, "10", (1, 0))],
 ]
 
 
@@ -1562,6 +1630,66 @@ class TestJson:
         assert main(["fan", "check", str(path)]) == 2
         err = capsys.readouterr().err
         assert "the JSON lists no rays" in err and "0..-1" not in err
+
+    @pytest.mark.parametrize("data,message", SCHEMA_TRAPS)
+    def test_bulk_schema_pass_names_the_first_bad_entry(
+            self, data, message, capsys, tmp_path):
+        load = fan_loads if isinstance(data, str) else fan_from_json
+        with pytest.raises(FanSchemaError) as exc:
+            load(data)
+        assert str(exc.value) == message
+        if isinstance(data, str):
+            path = tmp_path / "fan.json"
+            path.write_text(data)
+            assert main(["fan", "check", str(path)]) == 2
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("rank,rays", [(0, []), (2, [[1, 0]])])
+    def test_empty_cone_reads(self, rank, rays):
+        fan = fan_loads(json.dumps({"rank": rank, "rays": rays,
+                                    "cones": [[]]}))
+        assert fan == Fan(rank, (Cone(()),))
+        assert fan.cones[0].det == Cone(()).det == 1
+
+    @pytest.mark.parametrize("cones,error,message", [
+        # an invalid cone before a malformed one: the schema of every cone
+        # is read before the geometry of any
+        ("[[0, 1], [0, true]]", FanSchemaError,
+         "fan JSON cone [0, True] is not a list of ray indices in 0..2"),
+        ("[[0, true], [0, 1]]", FanSchemaError,
+         "fan JSON cone [0, True] is not a list of ray indices in 0..2"),
+        ("[[0, 1], [0, 2]]", InvalidCone, "ray (2, 0) is not primitive"),
+    ], ids=["invalid then malformed", "malformed then invalid",
+            "invalid only"])
+    def test_every_cone_schema_comes_before_any_cone_geometry(
+            self, cones, error, message, capsys, tmp_path):
+        text = ('{"rank": 2, "rays": [[1, 0], [2, 0], [0, 1]], '
+                '"cones": %s}' % cones)
+        with pytest.raises(error) as exc:
+            fan_loads(text)
+        assert type(exc.value) is error and str(exc.value) == message
+        path = tmp_path / "fan.json"
+        path.write_text(text)
+        code, line = ((2, f"usage error: {message}")
+                      if error is FanSchemaError
+                      else (1, f"error: InvalidCone: {message}"))
+        assert main(["fan", "check", str(path)]) == code
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_labels_on_rays_listed_twice_take_linear_time(self):
+        """N rays each listed twice, the cones on the first copies and the
+        labels on the second: the held rays are gathered once, where
+        gathering them once per label took about 30 s at this N."""
+        n = 20_000
+        rays = [[1, k] for k in range(n)]
+        data = {"rank": 2, "rays": rays + rays,
+                "cones": [[k] for k in range(n)],
+                "labels": {str(n + k): {"kind": BOUNDARY, "arg": k}
+                           for k in range(n)}}
+        start = time.perf_counter()
+        fan = fan_from_json(data)
+        assert time.perf_counter() - start < 10
+        assert len(fan.cones) == len(fan.labels) == n
 
 
 @cache
