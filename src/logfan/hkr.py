@@ -1,22 +1,20 @@
 """Log Hochschild homology of a pair via the wedge-power decomposition.
 
 For the pairs handled here the sheaf of log differentials is one split
-term O(d)^c:
+term O(d)^c, the pair's `cotangent` slot (see `logproduct._MODEL`):
 
 * (P^n, H) and (P^1, pt): Omega^1(log H) = O(-1)^{+n};
-* (C, pt), genus g: Omega^1(log pt) is the single line bundle of degree
-  2g - 1.
+* (C, pt), genus g: Omega^1(log pt) = O(2g - 1), a single line bundle.
 
-`_space_of` is the only function that reads the pair's kind; it returns
-the host, P^n or the curve, and `_cotangent` reads the model off it.
-The tables build the host once and pass it on.
-A single wedge power is read off that one term in closed form,
-wedge^q = O(qd)^C(c, q), and so is the log Serre kernel's line, the top
-power O(cd) shifted by c = dim.  The tables need every power and make
-one call to `cohomology.exterior_algebra`, W = (+)_q wedge^q[q].
-Hochschild homology puts H^p(wedge^q) in degree q - p, so it is the table
-of W with its degrees negated; Hochschild cohomology puts
-H^p((wedge^q)^v) in degree p + q, the table of the dual of W.
+`_model` reads it and refuses (A^1, 0), which has no host; the tables
+build the host `Space` once.  A single wedge power is read off that one
+term in closed form, wedge^q = O(qd)^C(c, q), and so is the log Serre
+kernel's line, the top power O(cd) shifted by c = dim.  The tables need
+every power and make one call to `cohomology.exterior_algebra`,
+W = (+)_q wedge^q[q].  Hochschild homology puts H^p(wedge^q) in degree
+q - p, so it is the table of W with its degrees negated; Hochschild
+cohomology puts H^p((wedge^q)^v) in degree p + q, the table of the dual
+of W.
 
 The tables of (P^n, H) are refused, with DimensionTooLarge and before
 any is built, for n above `MAX_PN_DIM` = 1000, the cap of the cohomology
@@ -30,58 +28,49 @@ from .cohomology import MAX_PN_DIM, Space, SplitBundle, Summand, \
     check_wedge_rank, euler_characteristic, exterior_algebra, \
     graded_cohomology
 from .errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
-from .logproduct import LogPair, format_pair
+from .logproduct import format_pair, parse_pair
 
 
-def _space_of(pair):
-    """The host of the pair's model: P^n for (P^n, H) and (P^1, pt), the
-    genus-g curve for (C_g, pt); (A^1, 0) is not projective."""
-    if pair.kind == "Cg:pt":
-        return Space("curve", pair.param)
-    if pair.kind == "A1:0":
+def _model(pair):
+    """(d, c) of the pair's log cotangent model O(d)^c; refuses A1:0."""
+    if pair.host is None:
         raise NoToricModel(
             f"{format_pair(pair)} is not projective; no cohomology tables")
-    return Space("Pn", pair.dim)
-
-
-def _cotangent(space):
-    """The log cotangent model on the host `space` of `_space_of`."""
-    if space.kind == "Pn":
-        return SplitBundle.line(-1, 0, space.param)
-    return SplitBundle.line(2 * space.param - 1)
+    return pair.cotangent
 
 
 def log_cotangent(pair):
     """Split model of Omega^1 with log poles along the boundary, one term
     O(d)^c: O(-1)^n on P^n, O(2g - 1) on a genus-g curve."""
-    return _cotangent(_space_of(pair))
+    d, c = _model(pair)
+    return SplitBundle.line(d, 0, c)
 
 
 def log_wedge(pair, q):
     """q-th wedge power of the log cotangent bundle O(d)^c: O(qd)^C(c, q),
     refused past the rank cap of `exterior_algebra`."""
-    ((line, c),) = log_cotangent(pair).terms
+    d, c = _model(pair)
     if q < 0 or q > c:
         raise WedgeOutOfRange(f"wedge degree {q} outside 0..{c}")
     check_wedge_rank(c)
-    return SplitBundle.line(q * line.twist, 0, comb(c, q))
+    return SplitBundle.line(q * d, 0, comb(c, q))
 
 
-def _table_space(pair):
-    """`_space_of(pair)`, after refusing a (P^n, H) with n > MAX_PN_DIM."""
-    space = _space_of(pair)
-    if space.kind == "Pn" and space.param > MAX_PN_DIM:
+def _tables(pair):
+    """The host Space and (+)_q wedge^q[q] of the pair's log cotangent
+    model, after refusing a (P^n, H) with n > MAX_PN_DIM."""
+    bundle = log_cotangent(pair)
+    if pair.dim > MAX_PN_DIM:
         raise DimensionTooLarge(
             f"{format_pair(pair)} is above the cap of dimension "
             f"{MAX_PN_DIM} for Hochschild tables")
-    return space
+    return Space(*pair.host), exterior_algebra(bundle)
 
 
 def hkr_homology(pair):
     """{degree: dim} of log Hochschild homology: wedge power q contributes
     H^p in degree q - p, the table of (+)_q wedge^q[q] negated."""
-    space = _table_space(pair)
-    table = graded_cohomology(space, exterior_algebra(_cotangent(space)))
+    table = graded_cohomology(*_tables(pair))
     return {-deg: table[deg] for deg in reversed(table)}
 
 
@@ -89,16 +78,15 @@ def hkr_cohomology(pair):
     """{degree: dim} of log Hochschild cohomology: the dual wedge power
     (log polyvector fields) in wedge degree q contributes H^p in degree
     p + q, the table of the dual of (+)_q wedge^q[q]."""
-    space = _table_space(pair)
-    return graded_cohomology(
-        space, exterior_algebra(_cotangent(space)).dual())
+    space, algebra = _tables(pair)
+    return graded_cohomology(space, algebra.dual())
 
 
 def log_serre(pair):
     """The log Serre kernel's line bundle on the diagonal, as a Summand
     O(twist)[shift]: the top log wedge power shifted by the dimension."""
-    ((line, c),) = log_cotangent(pair).terms
-    return Summand(c * line.twist, c)
+    d, c = _model(pair)
+    return Summand(c * d, c)
 
 
 def residue_euler_check(n, q):
@@ -111,9 +99,8 @@ def residue_euler_check(n, q):
     """
     if not 1 <= q <= n:
         raise WedgeOutOfRange(f"residue check needs 1 <= q <= n, got {q}")
-    pair = LogPair("Pn:H", n)
-    space = _space_of(pair)
-    lhs = euler_characteristic(space, log_wedge(pair, q))
+    pair = parse_pair(f"P{n}:H")
+    lhs = euler_characteristic(Space(*pair.host), log_wedge(pair, q))
     rhs_sub = (-1) ** q          # chi(Omega^q on P^n)
     rhs_res = (-1) ** (q - 1)    # chi(Omega^{q-1} on the hyperplane P^{n-1})
     return lhs, rhs_sub, rhs_res, lhs == rhs_sub + rhs_res

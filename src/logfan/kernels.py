@@ -30,9 +30,9 @@ Transforms in Algebraic Geometry*, 2006, Prop. 5.9):
   atom formulas.
 
 The scalar regime (log Hochschild homology one-dimensional, in degree 0)
-has a closed form, which `_require_scalar` asks: (P^n, H) and (P^1, pt)
-are scalar, a pointed curve (C_g, pt) only when g = 0, and (A^1, 0) is
-refused as `hkr` refuses it.
+has a closed form, which `_require_scalar` asks: it reads the pair's
+`scalar` slot from its `logproduct._MODEL` entry, and refuses (A^1, 0) as
+`hkr` refuses it.  A graph atom's ends are read off their hosts.
 
 Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
 
@@ -56,7 +56,7 @@ from .cohomology import SplitBundle, Summand, exterior_algebra, normal_form
 from .errors import (KERNEL_GRAMMAR, FormalityUnavailable,
                      UnsupportedComposition, UnsupportedHHShape, printable,
                      quote, read_int)
-from .hkr import _space_of, log_serre
+from .hkr import _model, log_serre
 from .logproduct import format_pair
 from .values import FrozenValue
 
@@ -66,6 +66,7 @@ TGRAPH = "tgraph"
 _FLIP = {DIAG: DIAG, GRAPH: TGRAPH, TGRAPH: GRAPH}
 # the (first, second) kinds composed by flipping the mirrored rule
 _MIRRORED = {(DIAG, TGRAPH), (TGRAPH, DIAG)}
+_P1_HOST = ("Pn", 1)  # of (P^1, pt), the one modelled pair on P^1
 
 
 class Atom(NamedTuple):
@@ -101,12 +102,12 @@ class KernelExpr(FrozenValue):
             raise ValueError(f"unknown atom kind {atom.kind!r}")
         curve, far = ((self.source, self.target) if atom.kind == GRAPH
                       else (self.target, self.source))
-        if curve.kind != "P1:pt":
+        if curve.host != _P1_HOST:
             raise ValueError("graph atoms start at P1:pt" if atom.kind == GRAPH
                              else "transposed graph atoms end at P1:pt")
         if atom.degree < 1:
             raise ValueError("graph atoms need degree >= 1")
-        if far.kind == "A1:0" or far.kind == "Cg:pt" and far.param:
+        if not far.host or far.host[0] != "Pn":
             raise ValueError(f"graph atoms map P1:pt into P<m>:H, P1:pt or "
                              f"C0:pt, not {format_pair(far)}")
 
@@ -257,12 +258,11 @@ def _compose_atoms(a, b, m, same_map, routes):
 
 def _require_scalar(*pairs):
     """Raise UnsupportedHHShape for the first pair whose log Hochschild
-    homology is not one-dimensional in degree 0: the scalar regime is
-    (P^n, H), (P^1, pt) and (C_0, pt).  A pair without cohomology tables
-    is refused as `hkr` refuses it."""
+    homology is not one-dimensional in degree 0, as its `scalar` slot
+    says; a pair without cohomology tables is refused as in `hkr`."""
     for pair in pairs:
-        _space_of(pair)
-        if pair.kind == "Cg:pt" and pair.param != 0:
+        _model(pair)
+        if not pair.scalar:
             raise UnsupportedHHShape(
                 f"{format_pair(pair)} has log Hochschild homology beyond "
                 f"degree 0")
@@ -305,7 +305,7 @@ def chern_log_expansion(expr, trace=None):
     """Chern-type scalar of a graph-shaped kernel out of (P^1, pt), where
     the one-dimensional Hochschild homology of the source supplies the
     scalar: the signed atom count."""
-    if expr.source.kind != "P1:pt":
+    if expr.source.host != _P1_HOST:
         raise UnsupportedHHShape("expansion needs source (P^1, pt)")
     _require_scalar(expr.target)
     if any(a.kind == TGRAPH for a, _ in expr.terms):

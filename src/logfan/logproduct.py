@@ -23,9 +23,10 @@ boundary, the P^1 fan with a torus-fixed point, or the affine local model
 with more than MAX_CONES maximal cones, or a fan of rank above MAX_RANK,
 is refused before it is built.
 
-The four functions that build fans import `fans` when they run, so the
-pair grammar (`LogPair`, `parse_pair`, `format_pair`) that `hkr` and
-`kernels` read loads neither the fan layer nor `linalg`.
+The pair model is one table, `_MODEL`, one entry per kind, read once per
+`LogPair`; `hkr`, `kernels` and `toric_fan` read its slots, not its kind.
+`fans` is imported only when a fan is built, so the pair grammar
+(`LogPair`, `parse_pair`, `format_pair`) loads neither it nor `linalg`.
 """
 
 from functools import reduce
@@ -53,27 +54,41 @@ MAX_CONES = 50_000
 MAX_RANK = 10
 
 
+# The pair model: kind -> (param -> the slots of LogPair after its fields)
+_MODEL = {
+    "Pn:H": lambda n: (n, ("Pn", n), (-1, n), "Pn", True),
+    "P1:pt": lambda _: (1, ("Pn", 1), (-1, 1), "Pn", True),
+    "Cg:pt": lambda g: (1, ("curve", g), (2 * g - 1, 1), None, False),
+    "A1:0": lambda _: (1, None, None, "A1", False),
+}
+
+
 class LogPair(FrozenValue):
     """A pair (X, D): projective space with a coordinate hyperplane, a
-    torus-fixed point on P^1, a pointed genus-g curve, or the affine local
-    model (A^1, 0)."""
-    __slots__ = ("kind", "param")
+    torus-fixed point on P^1 (also spelled `P1:H` or `C0:pt`, the same
+    value), a pointed genus-g curve, or the affine local model (A^1, 0).
+    The fields are `kind` and `param`; the other slots, set once, are the
+    kind's `_MODEL` entry at `param`: `dim`; `host`, the cohomology host
+    as a (cohomology.Space kind, param) tuple, None when not projective;
+    `cotangent`, the log cotangent split model O(d)^c as (d, c); `shape`,
+    the toric fan's, "Pn", "A1" or None; and `scalar`, whether log
+    Hochschild homology is {0: 1}."""
+    __slots__ = ("kind", "param", "dim", "host", "cotangent", "shape",
+                 "scalar")
+    _fields = ("kind", "param")
 
     def __init__(self, kind, param=0):
-        if kind not in ("Pn:H", "P1:pt", "Cg:pt", "A1:0"):
+        if kind not in _MODEL:
             raise ValueError(f"unknown pair kind {kind!r}")
         if kind == "Pn:H" and param < 1:
             raise ValueError("projective space needs dimension >= 1")
         if kind == "Cg:pt" and param < 0:
             raise ValueError("genus must be nonnegative")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", param)
-
-    @property
-    def dim(self):
-        if self.kind == "Pn:H":
-            return self.param
-        return 1
+        if (kind, param) in (("Pn:H", 1), ("Cg:pt", 0)):
+            kind, param = "P1:pt", 0
+        for name, value in zip(self.__slots__,
+                               (kind, param, *_MODEL[kind](param))):
+            object.__setattr__(self, name, value)
 
     def toric_fan(self, factor=0):
         """Complete fan of the factor with the boundary ray labeled.
@@ -88,13 +103,13 @@ class LogPair(FrozenValue):
         replaced by -(e_1+..+e_n), a change of basis of determinant -1.
         """
         from .fans import BOUNDARY, Cone, DivisorLabel, Fan
-        if self.kind == "Cg:pt" and self.param > 0:
+        if self.shape is None:
             raise NoToricModel(
                 f"{format_pair(self)} has no toric local model")
         n = self.dim
         _check_rank(n)
         boundary = tuple(1 if i == 0 else 0 for i in range(n))
-        if self.kind == "A1:0":
+        if self.shape == "A1":
             ray_sets = [(boundary,)]
         else:
             rays = [tuple(1 if i == j else 0 for i in range(n))
@@ -121,13 +136,11 @@ def parse_pair(text):
     m = PAIR_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse pair {quote(text)}")
-    if text.strip() == "P1:pt":
-        return LogPair("P1:pt")
-    if text.strip() == "A1:0":
-        return LogPair("A1:0")
     if m.group(2) is not None:
         return LogPair("Pn:H", read_int(m.group(2)))
-    return LogPair("Cg:pt", read_int(m.group(3)))
+    if m.group(3) is not None:
+        return LogPair("Cg:pt", read_int(m.group(3)))
+    return LogPair(m.group(1))
 
 
 def format_pair(pair):

@@ -264,6 +264,11 @@ class TestLogProduct:
         assert "1 exceptional" in out
         assert "stratum {1,2}" in out
 
+    def test_factors_print_canonically(self, capsys):
+        # P1:H and C0:pt spell the pair P1:pt
+        code, out, _ = run(capsys, "logproduct", "--pairs", "P1:H,C0:pt")
+        assert code == 0 and "factors: P1:pt, P1:pt" in out.splitlines()
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "logproduct", "--pairs", "P1:pt,P1:pt",
                            "--json")
@@ -482,7 +487,7 @@ class TestChernEuler:
         ("cohomology", "--base", "Q3", "--bundle", "O"),
         ("logproduct", "--pairs", "P1:pt,X9:0"),
         ("hkr", "--pair", "P1:nope"),
-        ("euler", "--source", "P1:H", "--target", "P2:H", "--kernel",
+        ("euler", "--source", "P2:H", "--target", "P2:H", "--kernel",
          "graph(deg=1)", "--against", "graph(deg=1)"),
         # kernels the grammar reads but the pairs refuse
         ("chern", "--pair", "P1:pt", "--target", "P2:H", "--kernel",
@@ -496,6 +501,23 @@ class TestChernEuler:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("usage error: ")
         assert KERNEL_GRAMMAR not in err
+
+    @pytest.mark.parametrize("source", ["C0:pt", "P1:H"])
+    def test_every_spelling_of_p1_pt_is_a_graph_source(self, capsys,
+                                                      source):
+        code, out, err = run(capsys, "euler", "--source", source,
+                             "--target", "P2:H", "--kernel", "graph(deg=1)",
+                             "--against", "graph(deg=1)")
+        assert (code, out, err) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("kernel", ["graph(deg=1)", "diag(O,0)"])
+    def test_chern_reads_the_pair_not_its_spelling(self, capsys, kernel):
+        target = ["--target", "P2:H"] if kernel.startswith("graph") else []
+        outputs = [run(capsys, "chern", "--pair", pair, *target,
+                       "--kernel", kernel, "--trace")
+                   for pair in ("P1:pt", "P1:H", "C0:pt")]
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_euler_outside_scalar_regime_exits_one(self, capsys):
         code, out, err = run(capsys, "euler", "--source", "C1:pt",

@@ -20,6 +20,7 @@ from logfan.kernels import (Atom, DIAG, GRAPH, TGRAPH, KernelExpr,
                             format_kernel, graph_kernel, hh_action,
                             involution_check, left_adjoint, parse_kernel,
                             right_adjoint, transpose)
+from logfan import logproduct
 from logfan.logproduct import LogPair, parse_pair
 from logfan.verify import random_diag, random_supported_pair
 
@@ -51,6 +52,16 @@ class TestNormalForm:
     def test_graph_far_ends_accepted(self, text):
         g = graph_kernel(P1, parse_pair(text), 1)
         assert transpose(g).target == P1
+
+    @pytest.mark.parametrize("text", ["P1:H", "C0:pt"])
+    def test_compose_across_spellings(self, text):
+        # P1:H and C0:pt spell P1:pt: one middle pair, one graph source
+        pair = parse_pair(text)
+        g = graph_kernel(P1, P2, 1, 2, 1)
+        assert compose(diag_kernel(pair), g) == g
+        assert graph_kernel(pair, P2, 1, 2, 1) == g
+        assert compose(transpose(g), diag_kernel(pair, 1)) == \
+            compose(transpose(g), diag_kernel(P1, 1))
 
     @pytest.mark.parametrize("text", ["C1:pt", "C3:pt", "A1:0"])
     def test_graph_into_an_unmodelled_pair_refused(self, text):
@@ -584,19 +595,32 @@ def test_transpose_reverses_composition_p1(e, f):
                                                          LogfanError)
 
 
-@pytest.mark.parametrize("text", [f"P{n}:H" for n in range(1, 21)]
+@pytest.mark.parametrize("text", [f"P{n}:H" for n in range(1, 41)]
                          + ["P1:pt"] + [f"C{g}:pt" for g in range(7)])
 def test_scalar_regime_closed_form(text):
-    """`_require_scalar` raises exactly when the HKR table is not one
-    class in degree 0."""
+    """The pair's `scalar` slot says whether its HKR table is one class in
+    degree 0, and `_require_scalar` raises exactly when it is not."""
     pair = parse_pair(text)
-    if hkr_homology(pair) == {0: 1}:
+    scalar = hkr_homology(pair) == {0: 1}
+    if scalar:
         _require_scalar(P1, pair)
-        return
-    with pytest.raises(UnsupportedHHShape) as exc:
-        _require_scalar(P1, pair)
-    assert str(exc.value) == (f"{text} has log Hochschild homology beyond "
-                              f"degree 0")
+    else:
+        with pytest.raises(UnsupportedHHShape) as exc:
+            _require_scalar(P1, pair)
+        assert str(exc.value) == (f"{text} has log Hochschild homology "
+                                  f"beyond degree 0")
+    assert pair.scalar == scalar
+
+
+def test_scalar_regime_negative_control(monkeypatch):
+    """A table entry that claims {0: 1} for C1:pt fails the check above
+    through the library: `_require_scalar` stops raising."""
+    curve = logproduct._MODEL["Cg:pt"]
+    monkeypatch.setitem(logproduct._MODEL, "Cg:pt",
+                        lambda g: curve(g)[:4] + (g == 1,))
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_scalar_regime_closed_form("C1:pt")
+    test_scalar_regime_closed_form("C2:pt")
 
 
 def test_scalar_regime_refuses_like_hkr():

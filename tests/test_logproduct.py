@@ -273,6 +273,19 @@ class TestPairParsing:
         with pytest.raises(ValueError, match="genus must be nonnegative"):
             LogPair("Cg:pt", -1)
 
+    def test_three_spellings_are_one_pair(self):
+        spellings = [LogPair("P1:pt"), LogPair("Pn:H", 1), LogPair("Cg:pt"),
+                     parse_pair("P1:H"), parse_pair("C0:pt")]
+        assert all(p == P1 and hash(p) == hash(P1) for p in spellings)
+        assert {repr(p) for p in spellings} == {
+            "LogPair(kind='P1:pt', param=0)"}
+        assert {format_pair(p) for p in spellings} == {"P1:pt"}
+        # and so is every slot the pair model sets
+        slots = LogPair.__slots__
+        assert {tuple(getattr(p, n) for n in slots)
+                for p in spellings} == {
+            ("P1:pt", 0, 1, ("Pn", 1), (-1, 1), "Pn", True)}
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=4), st.randoms())
