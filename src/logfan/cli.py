@@ -187,17 +187,12 @@ def cmd_hkr(args):
 
 
 def cmd_chern(args):
-    from .kernels import chern_log, chern_log_expansion, parse_kernel
+    from .kernels import chern_log, parse_kernel
     from .logproduct import parse_pair
     pair = parse_pair(args.pair)
+    target = parse_pair(args.target) if args.target else pair
     trace = [] if args.trace else None
-    if args.target:
-        target = parse_pair(args.target)
-        expr = parse_kernel(args.kernel, pair, target)
-        value = chern_log_expansion(expr, trace)
-    else:
-        expr = parse_kernel(args.kernel, pair, pair)
-        value = chern_log(expr, trace)
+    value = chern_log(parse_kernel(args.kernel, pair, target), trace)
     _print_value(value, trace, args.json)
     return 0
 
@@ -273,7 +268,7 @@ def build_parser():
     ch.add_argument("--pair", required=True)
     ch.add_argument("--kernel", required=True, help=KERNEL_GRAMMAR)
     ch.add_argument("--target",
-                    help="expansion variant: kernel from --pair to --target")
+                    help="the kernel's target pair (default: --pair)")
     ch.add_argument("--trace", action="store_true")
     ch.add_argument("--json", action="store_true")
 

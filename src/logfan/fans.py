@@ -66,8 +66,10 @@ from .values import FrozenValue
 # one cone (258,121) is refused.  At the cap, 447 cones of A1^8 take about
 # 14 s on a 2-core x86_64 host.
 MAX_PAIRWISE_SOLVES = 100_000
-# Cap on the face check's work bound for a pure fan, cones x rank^4: one
-# elimination of about rank^3 steps per wall, rank walls a cone.  A1^8
+# Cap on the face check's work bound for a pure fan, cones x rank^4: at
+# worst one elimination of about rank^3 steps per wall, rank walls a cone,
+# where each wall spans its own hyperplane; walls that share a hyperplane
+# through ridges pay one between them (A1^7's 20,160 pay 28).  A1^8
 # (40,320 cones of rank 8, 165,150,720) is checked in about 5 s, one dense
 # unimodular cone of rank 118 in about 15 s, on a 2-core x86_64 host; one
 # cone of rank 119 or more and the rank-10 log products of about 50,000
@@ -529,9 +531,9 @@ def check_face_closure(fan):
     ray, its normal u is its primitive normal, read off a normal already
     found through one of its ridges or else from one elimination, and the
     cone lies on the side of u where its dropped ray is.  Before any
-    elimination, a pure fan whose work bound, cones x rank^4 (one
-    elimination of about rank^3 steps per wall), is above `MAX_WALL_WORK`
-    raises TooMuchWallWork.
+    elimination, a pure fan whose work bound, cones x rank^4 (at worst an
+    elimination per wall; walls sharing a hyperplane through ridges pay
+    one between them), is above `MAX_WALL_WORK` raises TooMuchWallWork.
 
     1. If a (side, wall) entry repeats, two cones lie on one side of a wall
        and overlap next to it: False.  Three cones on one wall force two

@@ -36,8 +36,8 @@ has a closed form, which `_require_scalar` asks: it reads the pair's
 
 Twist/shift bookkeeping uses the dual convention (L[s])^v = L^{-1}[-s].
 
-The chains that take a trace (`compose`, `hh_action` and so `chern_log`,
-`chern_log_expansion` and `euler_pairing`) compute their value first.
+The chains that take a trace (`compose`, `hh_action`, `chern_log` and
+`euler_pairing`) compute their value first.
 Only then, and only when the caller passed a trace list, a chain builds
 all of its lines in one `errors.printable` call and extends the trace
 once, so a chain that raises leaves the trace as it was and a call
@@ -285,6 +285,11 @@ def hh_action(expr, beta, trace=None):
     if not expr.is_diagonal():
         raise UnsupportedHHShape(
             "scalar action is only defined for diagonal kernels")
+    return _hh_chain(expr, beta, trace)
+
+
+def _hh_chain(expr, beta, trace):
+    """`hh_action`'s chain on a kernel known to be diagonal."""
     _require_scalar(expr.source, expr.target)
     value = beta * signed_count(expr)
     if trace is not None:
@@ -297,17 +302,12 @@ def hh_action(expr, beta, trace=None):
 
 
 def chern_log(expr, trace=None):
-    """Log Chern character of a diagonal kernel: hh_action on the unit."""
-    return hh_action(expr, 1, trace)
-
-
-def chern_log_expansion(expr, trace=None):
-    """Chern-type scalar of a graph-shaped kernel out of (P^1, pt), where
-    the one-dimensional Hochschild homology of the source supplies the
-    scalar: the signed atom count."""
-    if expr.source.host != _P1_HOST:
-        raise UnsupportedHHShape("expansion needs source (P^1, pt)")
-    _require_scalar(expr.target)
+    """Log Chern character, by the chain the kernel picks: a diagonal
+    endo-kernel runs `hh_action`'s on the unit, any other kernel between
+    scalar pairs is its signed atom count (a t(graph) atom has none)."""
+    if expr.source == expr.target and expr.is_diagonal():
+        return _hh_chain(expr, 1, trace)
+    _require_scalar(expr.source, expr.target)
     if any(a.kind == TGRAPH for a, _ in expr.terms):
         raise UnsupportedHHShape(
             "transposed graphs have no supported expansion chain")

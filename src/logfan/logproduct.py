@@ -84,6 +84,8 @@ class LogPair(FrozenValue):
             raise ValueError("projective space needs dimension >= 1")
         if kind == "Cg:pt" and param < 0:
             raise ValueError("genus must be nonnegative")
+        if kind in ("P1:pt", "A1:0") and param != 0:
+            raise ValueError(f"{kind} takes no parameter")
         if (kind, param) in (("Pn:H", 1), ("Cg:pt", 0)):
             kind, param = "P1:pt", 0
         for name, value in zip(self.__slots__,

@@ -223,9 +223,9 @@ def verify_suite(sign_flip=False):
     # homology is e(U); a toric U has one fixed point per maximal cone
     # missing the boundary ray; in the scalar regime the diagonal kernel
     # pairs with itself to e(U)
-    euler_pairs = (P1, p2, LogPair("Pn:H", 3), LogPair("Cg:pt", 0))
+    euler_pairs = (P1, p2, LogPair("Pn:H", 3), LogPair("Pn:H", 4))
     add("log-euler-three-ways",
-        "e(U) of P1:pt, P2:H, P3:H, C0:pt is 1 three ways: alternating sum "
+        "e(U) of P1:pt, P2:H, P3:H, P4:H is 1 three ways: alternating sum "
         "of log HKR, maximal cones missing the boundary ray, log Euler "
         "pairing of the diagonal with itself",
         [(1, 1, 1)] * len(euler_pairs),

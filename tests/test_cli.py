@@ -461,7 +461,11 @@ class TestChernEuler:
           "graph(deg=1)", "--against", "graph(deg=1)"),
          ["adjoint: R(graph(deg=1,O,0)) = t(graph(deg=1,O,0))",
           "excess: 0", "sym: O", "additivity: 1 -> 1", "1"]),
-    ], ids=["hh-action", "two-excess-routes", "expansion", "zero-excess"])
+        # the zero kernel between two pairs takes the additivity chain
+        (("chern", "--pair", "P2:H", "--target", "P3:H", "--kernel", "0"),
+         ["additivity: 0 -> 0", "0"]),
+    ], ids=["hh-action", "two-excess-routes", "expansion", "zero-excess",
+            "zero-kernel-between-pairs"])
     def test_trace_lines(self, capsys, argv, lines):
         code, out, err = run(capsys, *argv, "--trace")
         assert (code, out.splitlines(), err) == (0, lines, "")
@@ -541,6 +545,38 @@ class TestChernEuler:
         assert code == 1 and out == ""
         assert err == ("error: UnsupportedHHShape: transposed graphs have "
                        "no supported expansion chain\n")
+
+    def test_chern_target_equal_to_pair_changes_nothing(self, capsys):
+        # --target names the kernel's target; the kernel picks the chain
+        for pair in ("P1:pt", "P2:H"):
+            for extra in ((), ("--trace",)):
+                argv = ("chern", "--pair", pair, "--kernel",
+                        "diag(O,0)+2*diag(O(3),1)", *extra)
+                alone = run(capsys, *argv)
+                assert alone[0] == 0 and alone[1].endswith("-1\n")
+                assert run(capsys, *argv, "--target", pair) == alone
+
+    @pytest.mark.parametrize("kernel,value", [
+        ("graph(deg=1)", "1"),
+        ("graph(deg=1)+graph(deg=2,O(1),1)", "0"),
+        ("diag(O,0)+graph(deg=3,O,2)", "2")])
+    def test_chern_of_a_graph_endo_kernel(self, capsys, kernel, value):
+        assert run(capsys, "chern", "--pair", "P1:pt", "--kernel",
+                   kernel) == (0, value + "\n", "")
+
+    @pytest.mark.parametrize("argv,err", [
+        (("--pair", "P2:H", "--target", "P1:pt", "--kernel",
+          "t(graph(deg=1))"), "UnsupportedHHShape: transposed graphs have "
+                              "no supported expansion chain"),
+        (("--pair", "C1:pt", "--target", "P1:pt", "--kernel", "0"),
+         "UnsupportedHHShape: C1:pt has log Hochschild homology beyond "
+         "degree 0"),
+        (("--pair", "A1:0", "--target", "P1:pt", "--kernel", "0"),
+         "NoToricModel: A1:0 is not projective; no cohomology tables"),
+    ], ids=["transposed-graph", "not-scalar", "no-toric-model"])
+    def test_chern_from_another_source_meets_its_refusal(self, capsys, argv,
+                                                          err):
+        assert run(capsys, "chern", *argv) == (1, "", f"error: {err}\n")
 
     def test_unsupported_composition_exits_one(self, capsys):
         code, _, err = run(capsys, "euler", "--source", "P1:pt",
@@ -661,7 +697,7 @@ PINNED_STDOUT = [
     (("fan", "check", "-"), p1_square_overlap(), 1,
      "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b"),
     (("verify", "--json"), None, 0,
-     "d4ca4387769ff77c3da5b8a0a93a59dc8a2bfdbc86c40348b174c77d100356b4"),
+     "e459d3910e9771c7ad52c588210ba51a9305251a24811768481fe1b3e877fa87"),
     # the kernel rewrites: diag.diag, diag.t(graph), graph.diag and the
     # excess route; then t(graph).diag; then two chern chains
     (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",

@@ -15,7 +15,7 @@ from logfan.hkr import hkr_homology
 from logfan.kernels import (Atom, DIAG, GRAPH, TGRAPH, KernelExpr,
                             _bundle_text, _require_scalar, _signed_sum,
                             adjoint_exchange_check, bicategory_law_check,
-                            chern_log, chern_log_expansion, compose,
+                            chern_log, compose,
                             diag_kernel, euler_pairing, excess_intersection,
                             format_kernel, graph_kernel, hh_action,
                             involution_check, left_adjoint, parse_kernel,
@@ -281,18 +281,36 @@ class TestChern:
         assert chern_log(expr) == 0
 
     def test_expansion_identity_graph(self):
-        assert chern_log_expansion(graph_kernel(P1, P1, 1)) == 1
+        assert chern_log(graph_kernel(P1, P1, 1)) == 1
 
     def test_expansion_shift(self):
-        assert chern_log_expansion(graph_kernel(P1, P2, 1, shift=1)) == -1
+        assert chern_log(graph_kernel(P1, P2, 1, shift=1)) == -1
 
     def test_expansion_additive(self):
         gf = graph_kernel(P1, P2, 1)
-        assert chern_log_expansion(gf + gf) == 2
+        assert chern_log(gf + gf) == 2
 
     def test_expansion_rejects_transpose(self):
-        with pytest.raises(UnsupportedHHShape):
-            chern_log_expansion(transpose(graph_kernel(P1, P2, 1)))
+        trace = []
+        with pytest.raises(UnsupportedHHShape,
+                           match="transposed graphs have no supported"):
+            chern_log(transpose(graph_kernel(P1, P2, 1)), trace)
+        assert trace == []
+
+    def test_the_kernel_picks_the_chain(self):
+        # a diagonal endo-kernel runs hh_action on the unit, any other
+        # kernel the additivity chain, whichever pairs it is between
+        for expr, first in [
+                (diag_kernel(P2, 3, 1), "unit: 1 in HH_0 of P2:H"),
+                (KernelExpr(P1, P1, ()), "unit: 1 in HH_0 of P1:pt"),
+                (graph_kernel(P1, P1, 1), "additivity: 1 -> 1"),
+                (KernelExpr(P1, P2, ()), "additivity: 0 -> 0")]:
+            trace, hh_trace = [], []
+            chern_log(expr, trace)
+            assert trace[0] == first
+            if first.startswith("unit"):
+                hh_action(expr, 1, hh_trace)
+                assert trace == hh_trace
 
 
 class TestEulerPairing:
@@ -470,6 +488,25 @@ def test_exchange_and_involution(rnd):
     for expr in (e, f):
         assert involution_check(expr)
         assert adjoint_exchange_check(expr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_chern_is_the_signed_count_unless_a_transposed_graph(rnd):
+    kernels = [random_diag(rnd, rnd.choice((P1, P2, P3))),
+               *random_supported_pair(rnd)]
+    # a t(graph) term fits a kernel that ends at P1:pt
+    kernels += [e + transpose(graph_kernel(P1, e.source, 1,
+                                           rnd.randint(-6, 6),
+                                           rnd.randint(-6, 6)))
+                for e in kernels if e.target == P1]
+    for expr in kernels:
+        if any(a.kind == TGRAPH for a, _ in expr.terms):
+            with pytest.raises(UnsupportedHHShape):
+                chern_log(expr)
+        else:
+            assert chern_log(expr) == sum(m * (-1) ** a.shift
+                                          for a, m in expr.terms)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ counts.  The cones are counted here, not by the library.
 
 from itertools import product
 from math import prod
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from logfan.errors import NoToricModel, UnsupportedHHShape
 from logfan.hkr import hkr_homology
 from logfan.kernels import diag_kernel, euler_pairing
 from logfan.logproduct import log_product, parse_pair
+from logfan.verify import verify_suite
 
 PAIRS = ([f"P{n}:H" for n in range(1, 5)] + ["P1:pt", "A1:0"]
          + [f"C{g}:pt" for g in range(4)])
@@ -82,3 +84,13 @@ def test_log_product_multiplies(n):
         # factors' open cones
         assert opened == direct_sums([open_cones(factors[t]) for t in texts],
                                      [factors[t].rank for t in texts]), texts
+
+
+def test_verify_case_reads_distinct_pairs():
+    # the pairs the claim names, one per expected triple, are distinct
+    # values, not spellings of one pair
+    case = next(c for c in verify_suite().cases
+                if c.case_id == "log-euler-three-ways")
+    names = re.match(r"e\(U\) of (.+) is 1 ", case.claim)[1].split(", ")
+    pairs = {parse_pair(name) for name in names}
+    assert len(pairs) == len(names) == len(case.expected)

@@ -286,6 +286,15 @@ class TestPairParsing:
                 for p in spellings} == {
             ("P1:pt", 0, 1, ("Pn", 1), (-1, 1), "Pn", True)}
 
+    @pytest.mark.parametrize("kind", ["P1:pt", "A1:0"])
+    @pytest.mark.parametrize("param", [3, -1])
+    def test_a_kind_without_a_parameter_refuses_one(self, kind, param):
+        # the pair would print, model and build its fan as LogPair(kind)
+        # yet compare unequal to it
+        with pytest.raises(ValueError, match=f"^{kind} takes no parameter$"):
+            LogPair(kind, param)
+        assert LogPair(kind, 0) == LogPair(kind)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=4), st.randoms())
