@@ -28,11 +28,13 @@ every cone, each in one pass of builtins over all entries, before any
 cone's geometry.
 A fan has two routes in: `Fan(...)` refuses what `fan_to_json` could
 not write back, and `Fan._known_valid` serves `product_fan` and
-`log_product`, whose cones and labels pass those checks by construction.
+`log_product`, whose cones and labels pass those checks by construction,
+and `fan_from_json`, which makes them as it reads.
 
-Both fan checks read one index of the walls by hyperplane (`_hyperplanes`)
-and count the cones over a point by the signs of their walls, a point on a
-wall read as just off it on one fixed side (`_cones_over`):
+Both fan checks run on ray indices, read one index of the walls by
+hyperplane (`_hyperplanes`) and count the cones over a point by the signs
+of their walls, a point on a wall read as just off it on one fixed side
+(`_cones_over`):
 `check_face_closure` decides whether cones meet in common faces by
 matching walls and scanning each boundary hyperplane once, and
 `check_support_preserved` compares two supports by the jumps of their
@@ -50,9 +52,10 @@ slotted, compared and hashed by their fields, with `Cone.det` left out.
 Every operation returns a fresh Fan.
 """
 
+from functools import reduce
 from itertools import chain, combinations, compress, repeat
 from math import comb, gcd
-from operator import attrgetter, eq, itemgetter, mul
+from operator import attrgetter, eq, itemgetter, mul, or_
 
 from .errors import (CenterNotInFan, FanSchemaError, InvalidCone,
                      RankMismatch, TooManySolves, TooMuchWallWork,
@@ -70,8 +73,8 @@ MAX_PAIRWISE_SOLVES = 100_000
 # worst one elimination of about rank^3 steps per wall, rank walls a cone,
 # where each wall spans its own hyperplane; walls that share a hyperplane
 # through ridges pay one between them (A1^7's 20,160 pay 28).  A1^8
-# (40,320 cones of rank 8, 165,150,720) is checked in about 5 s, one dense
-# unimodular cone of rank 118 in about 15 s, on a 2-core x86_64 host; one
+# (40,320 cones of rank 8, 165,150,720) is checked in about 2 s, one dense
+# unimodular cone of rank 118 in about 12 s, on a 2-core x86_64 host; one
 # cone of rank 119 or more and the rank-10 log products of about 50,000
 # cones are refused.
 MAX_WALL_WORK = 200_000_000
@@ -181,26 +184,22 @@ class Fan(FrozenValue):
     name the first offender in sorted order.
     `Fan._known_valid(rank, cones, labels)` only sorts: it serves
     `product_fan`, whose cones are distinct pairs of distinct factor cones
-    and whose labels sit on the factors' labelled rays, padded apart, and
+    and whose labels sit on the factors' labelled rays, padded apart,
     `logproduct.log_product`, whose closed form labels each ray once, and
-    only rays its cones hold.
+    only rays its cones hold, and `fan_from_json` after its own checks.
     """
     __slots__ = ("rank", "cones", "labels")
 
     def __init__(self, rank, cones, labels=()):
         self._store(rank, cones, [(tuple(ray), lab) for ray, lab in labels])
-        cones, labels = self.cones, self.labels
-        rays = list(map(attrgetter("rays"), cones))
-        # sorted, so the first equal neighbours are the first cone listed
-        # twice, and likewise for labels
-        twice = next(compress(rays, map(eq, rays, rays[1:])), None)
-        if twice is not None:
-            raise FanSchemaError(f"cone {quote(twice)} listed twice")
+        labels = self.labels
+        rays = self._distinct_cones()
         if not {rank}.issuperset(map(len, map(itemgetter(0),
                                                filter(None, rays)))):
             bad = next(r for r in rays if r and len(r[0]) != rank)
             raise FanSchemaError(f"cone {quote(bad)} has a ray whose "
                                  f"length is not the rank {rank}")
+        # sorted: the first equal neighbours are the first ray labelled twice
         on = list(map(itemgetter(0), labels))
         second = next(compress(labels[1:], map(eq, on, on[1:])), None)
         if second is not None:
@@ -224,6 +223,15 @@ class Fan(FrozenValue):
         fan = object.__new__(cls)
         fan._store(rank, cones, labels)
         return fan
+
+    def _distinct_cones(self):
+        """The ray tuples of the cones, sorted; raises FanSchemaError
+        naming the first equal neighbours, the first cone listed twice."""
+        rays = list(map(attrgetter("rays"), self.cones))
+        twice = next(compress(rays, map(eq, rays, rays[1:])), None)
+        if twice is not None:
+            raise FanSchemaError(f"cone {quote(twice)} listed twice")
+        return rays
 
     def _store(self, rank, cones, labels):
         object.__setattr__(self, "rank", rank)
@@ -415,80 +423,87 @@ def _dot(u, x):
     return sum(map(mul, u, x))
 
 
-def _wall_normal(wall, dim, through):
-    """The primitive normal of the hyperplane spanned by `wall`, `dim` - 1
-    independent rays, first nonzero entry positive.  `through` maps each
-    ridge (a wall minus one ray) to the first `dim` - 1 distinct normals
-    found through it, and this wall's normal joins the lists of its
-    ridges.
+def _hyperplanes(terms, rays, dim):
+    """The walls of `terms`, pairs (c, indices) of an integer and the
+    indices of `dim` linearly independent rays in the table `rays`,
+    grouped by their hyperplane.
 
-    A normal u found through the ridge wall - r is orthogonal to the
-    ridge, so u . r = 0 makes it orthogonal to the whole wall, whose rays
-    span one hyperplane: u is then the wall's normal exactly, as that
-    normal is unique.  With at most dim - 1 normals on each of its dim - 1
-    ridges, a wall tries at most (dim - 1)^2 dot products, about the work
-    of the one elimination (`normal_vector`) it pays where none fits.  At
-    rank <= 2 a wall's ridges are empty, shared by every wall, so none is
-    tried.
+    A term's cone is the bitmask of its indices, a wall is that mask minus
+    one bit, and a ridge is a wall minus one more.  Returns (planes,
+    facets, normals): normals lists the primitive normal of each distinct
+    hyperplane, first nonzero entry positive, and a hyperplane's id h is
+    its place there; planes[h] lists (c * side, wall) for each term's wall
+    on it, side +1 when the cone lies where the normal is positive, the
+    side of the dropped ray; facets lists, term by term, (c, sides), with
+    sides the ids 2h + (side > 0) of its walls: the cone is the set where
+    side * (normal . x) >= 0 for each.
+
+    Each ridge keeps the first dim - 1 distinct hyperplanes found through
+    it.  A normal u found through the ridge wall - r is orthogonal to the
+    ridge, so u . r = 0 makes it the wall's normal, which is unique; only
+    where no normal on the wall's ridges passes is the wall eliminated
+    (`normal_vector`).  So no wall pays more than one elimination and
+    (dim - 1)^2 dot products, and walls on one hyperplane that meet in
+    ridges, as a log product's do, pay one between them: A1^7's 20,160
+    walls pay 28.  At rank <= 2 a wall's ridges are empty, shared by every
+    wall, so none is tried.  Each product u . r is computed when a ridge
+    test or a side first needs it and remembered, so none is computed
+    twice and no table of every hyperplane against every ray is built.
     """
-    if dim <= 2:
-        return normal_vector(wall, dim)
-    ridges = [(wall[:k] + wall[k + 1:], r) for k, r in enumerate(wall)]
-    u = next((u for ridge, r in ridges for u in through.get(ridge, ())
-              if not _dot(u, r)), None)
-    if u is None:
-        u = normal_vector(wall, dim)
-    for ridge, _ in ridges:
-        found = through.setdefault(ridge, [])
-        if len(found) < dim - 1 and u not in found:
-            found.append(u)
-    return u
-
-
-def _hyperplanes(terms, dim):
-    """The walls of `terms`, pairs (c, rays) of an integer and `dim`
-    linearly independent rays, grouped by their hyperplane.
-
-    A wall is a cone's ray tuple minus one ray.  Returns (planes,
-    facets).  planes is {normal: [(c * side, wall), ...]}, one entry per
-    cone and wall, where the normal is the wall's primitive normal, first
-    nonzero entry positive, so it names the hyperplane, and side is +1
-    when the cone lies where it is positive, the side of the dropped ray.
-    facets lists, term by term, (c, sides), with sides the (normal, side)
-    of each of the cone's walls: the cone is the set where
-    side * (normal . x) >= 0 for all of them.  Each distinct wall's normal
-    is found once, by `_wall_normal`: among the normals already found
-    through its ridges where one fits, else by one elimination.  Walls on
-    one hyperplane that meet in ridges, as a log product's do, so pay one
-    elimination between them: A1^7's 20,160 walls pay 28, one per
-    hyperplane.  No wall pays more than one elimination and (dim - 1)^2
-    dot products.
-    """
-    normals = {}
-    through = {}
-    planes = {}
-    facets = []
-    for c, rays in terms:
+    normals, ids, dots = [], {}, []
+    plane_of, through, planes, facets = {}, {}, [], []
+    for c, idx in terms:
+        mask = 0
+        for i in idx:
+            mask |= 1 << i
         sides = []
-        for i, dropped in enumerate(rays):
-            wall = rays[:i] + rays[i + 1:]
-            u = normals.get(wall)
-            if u is None:
-                u = normals[wall] = _wall_normal(wall, dim, through)
-            side = 1 if _dot(u, dropped) > 0 else -1
-            planes.setdefault(u, []).append((c * side, wall))
-            sides.append((u, side))
+        for i in idx:
+            wall = mask ^ 1 << i
+            h = plane_of.get(wall)
+            if h is None:
+                ridges = ([(wall ^ 1 << j, j) for j in idx if j != i]
+                          if dim > 2 else ())
+                # the first normal through a ridge that fits the wall, else
+                # one elimination
+                for ridge, j in ridges:
+                    for h in through.get(ridge, ()):
+                        at = dots[h]
+                        if j not in at:
+                            at[j] = _dot(normals[h], rays[j])
+                        if not at[j]:
+                            break
+                    else:
+                        continue
+                    break
+                else:
+                    u = normal_vector([rays[j] for j in idx if j != i], dim)
+                    h = ids.setdefault(u, len(normals))
+                    if h == len(normals):
+                        normals.append(u)
+                        planes.append([])
+                        dots.append({})
+                for ridge, _ in ridges:
+                    found = through.get(ridge, ())
+                    if len(found) < dim - 1 and h not in found:
+                        through[ridge] = found + (h,)
+                plane_of[wall] = h
+            at = dots[h]
+            if i not in at:
+                at[i] = _dot(normals[h], rays[i])
+            side = at[i] > 0
+            planes[h].append((c if side else -c, wall))
+            sides.append(2 * h + side)
         facets.append((c, sides))
-    return planes, facets
+    return planes, facets, normals
 
 
-def _cones_over(planes, facets, point):
+def _cones_over(normals, facets, point):
     """The sum of the coefficients c of the full-dimensional simplicial
     cones, given by `_hyperplanes` facets (c, sides), that hold a point
-    just off `point` and on none of the hyperplanes in `planes`.  The sign
-    of u . p is read once per hyperplane, u . p = 0 read as negative, and
-    a cone holds the point exactly when it is on the cone's side of each
-    of its walls.
+    just off `point` and on none of the hyperplanes of `normals`.  The
+    sign of u . p is read once per hyperplane, u . p = 0 read as negative,
+    and a cone holds the point exactly when it is on the cone's side of
+    each of its walls: when the point's side ids hold the cone's.
 
     The count is exact at p - d w, w = (1, e, ..., e^(n-1)), for small
     e > 0 and a still smaller d > 0 (Edelsbrunner and Mucke, Simulation of
@@ -498,9 +513,8 @@ def _cones_over(planes, facets, point):
     that is nonzero and is negative where it is 0, so p - d w has the wall
     signs read and lies on no hyperplane.
     """
-    positive = {u: _dot(u, point) > 0 for u in planes}
-    return sum(c for c, sides in facets
-               if all(positive[u] == (side > 0) for u, side in sides))
+    above = {2 * h + (_dot(u, point) > 0) for h, u in enumerate(normals)}
+    return sum(c for c, sides in facets if above.issuperset(sides))
 
 
 def _meet_in_face(a, b, rank):
@@ -527,17 +541,18 @@ def check_face_closure(fan):
     solvers.
 
     A pure fan, where every cone has `rank` rays, is decided by its walls,
-    which `_hyperplanes` lists once: a wall is a cone's ray set minus one
-    ray, its normal u is its primitive normal, read off a normal already
-    found through one of its ridges or else from one elimination, and the
-    cone lies on the side of u where its dropped ray is.  Before any
-    elimination, a pure fan whose work bound, cones x rank^4 (at worst an
-    elimination per wall; walls sharing a hyperplane through ridges pay
-    one between them), is above `MAX_WALL_WORK` raises TooMuchWallWork.
+    which `_hyperplanes` lists once: a wall is a cone's bitmask of ray
+    indices minus one bit, its normal u is its primitive normal, read off
+    a normal already found through one of its ridges or else from one
+    elimination, and the cone lies on the side of u where its dropped ray
+    is.  Before any elimination, a pure fan whose work bound, cones x
+    rank^4 (at worst an elimination per wall; walls sharing a hyperplane
+    through ridges pay one between them), is above `MAX_WALL_WORK` raises
+    TooMuchWallWork.
 
-    1. If a (side, wall) entry repeats, two cones lie on one side of a wall
-       and overlap next to it: False.  Three cones on one wall force two
-       of them onto the same side.
+    1. If a (side, wall) entry repeats on a hyperplane, two cones lie on
+       one side of a wall and overlap next to it: False.  Three cones on
+       one wall force two of them onto the same side.
     2. Each boundary hyperplane, a (normal, side) pair of a wall that only
        one cone has, is scanned once against the rays of the fan.  If
        every ray lies on that closed side of each, the answer is whether
@@ -571,19 +586,25 @@ def check_face_closure(fan):
                 f"the face check of {len(cones)} cones of rank {fan.rank} "
                 f"bounds its wall work at {work:,} (cones x rank^4), more "
                 f"than {MAX_WALL_WORK:,}")
-        planes, facets = _hyperplanes([(1, c.rays) for c in cones],
-                                      fan.rank)
-        walls = {(normal, side, wall) for normal, entries in planes.items()
-                 for side, wall in entries}
-        if len(walls) < len(cones) * fan.rank:
-            return False
-        boundary = {(normal, side) for normal, side, wall in walls
-                    if (normal, -side, wall) not in walls}
-        rays = fan.rays()
-        if all(side * _dot(normal, x) >= 0
-               for normal, side in boundary for x in rays):
+        index = {}
+        terms = [(1, [index.setdefault(r, len(index)) for r in c.rays])
+                 for c in cones]
+        rays = list(index)
+        planes, facets, normals = _hyperplanes(terms, rays, fan.rank)
+        boundary = []
+        for h, entries in enumerate(planes):
+            up = {wall for side, wall in entries if side > 0}
+            down = {wall for side, wall in entries if side < 0}
+            if len(up) + len(down) < len(entries):
+                return False
+            if not up <= down:
+                boundary.append((h, 1))
+            if not down <= up:
+                boundary.append((h, -1))
+        if all(side * _dot(normals[h], x) >= 0
+               for h, side in boundary for x in rays):
             point = tuple(map(sum, zip(*cones[0].rays)))
-            return _cones_over(planes, facets, point) == 1
+            return _cones_over(normals, facets, point) == 1
     pairs = comb(len(cones), 2)
     if pairs > MAX_PAIRWISE_SOLVES:
         raise TooManySolves(
@@ -620,16 +641,29 @@ def check_support_preserved(before, after):
         if len(cone) != rank:
             raise ValueError(f"the support check needs {rank} rays per "
                              f"cone, and {quote(cone.rays)} has {len(cone)}")
-    return _vanishes([(1, c.rays) for c in before.cones]
-                     + [(-1, c.rays) for c in after.cones], rank)
+    merged = _merged([(c, cone.rays) for c, fan in ((1, before), (-1, after))
+                      for cone in fan.cones])
+    rays = dict(enumerate(sorted(set(chain.from_iterable(merged)))))
+    index = {r: i for i, r in rays.items()}
+    return _vanishes([(c, [index[r] for r in key])
+                      for key, c in merged.items()], rays, rank)
 
 
-def _vanishes(terms, dim):
-    """True when f = sum c * 1_cone over `terms`, pairs (c, rays) of an
-    integer and a tuple of `dim` linearly independent rays in Q^dim, is 0
-    almost everywhere.  Every tuple lists its rays in one common order
-    (`Cone` sorts them, and walls and their projections keep that order),
-    so equal ray sets are equal tuples.
+def _merged(terms):
+    """{key: the sum of the c of its (c, key) terms}, zero sums left
+    out."""
+    merged = {}
+    for c, key in terms:
+        merged[key] = merged.get(key, 0) + c
+    return {key: c for key, c in merged.items() if c}
+
+
+def _vanishes(terms, rays, dim):
+    """True when f = sum c * 1_cone over `terms`, pairs (c, indices) of a
+    nonzero integer and the indices of `dim` linearly independent rays in
+    Q^dim in the dict `rays`, one pair per cone, is 0 almost everywhere.
+    Below rank 2 the cones are the origin or distinct half-lines, so f is
+    0 only with no terms.
 
     f is constant on each chamber of the arrangement of the hyperplanes
     through its cones' walls (Barvinok, Integer Points in Polyhedra, 2008,
@@ -642,30 +676,30 @@ def _vanishes(terms, dim):
     exactly when every g_H is 0 almost everywhere on H.  Dropping a
     coordinate where u is nonzero maps H linearly and isomorphically onto
     Q^(dim - 1), walls onto full-dimensional cones, so that is the same
-    question one dimension down.  The terms (c * side, W) of each g_H are
-    the entries `_hyperplanes` lists under H's primitive normal, at most
-    one elimination per distinct wall and, where walls on H meet in
-    ridges, one for many.  The constant is f at any point off
-    every hyperplane: `_cones_over` at the one it reads just off the
-    origin, with no solve.
+    question one dimension down; the map is injective, so the projected
+    rays on H keep their indices, and equal walls are equal masks.  The
+    terms (c * side, W) of each g_H are the entries `_hyperplanes` lists
+    under H's id, merged by mask (`_merged`), at most one elimination per
+    distinct wall and, where walls on H meet in ridges, one for many.  The
+    constant is f at any point off every hyperplane: `_cones_over` at the
+    one it reads just off the origin, with no solve.
     """
-    merged = {}
-    for c, rays in terms:
-        merged[rays] = merged.get(rays, 0) + c
-    merged = {rays: c for rays, c in merged.items() if c}
-    if not merged:
+    if not terms:
         return True
-    if dim == 0:
+    if dim < 2:
         return False
-    jumps, facets = _hyperplanes([(c, rays) for rays, c in merged.items()],
-                                 dim)
-    for normal, walls in jumps.items():
-        j = next(k for k, x in enumerate(normal) if x)
-        if not _vanishes([(c, tuple(primitive(r[:j] + r[j + 1:])
-                                    for r in wall))
-                          for c, wall in walls], dim - 1):
-            return False
-    return _cones_over(jumps, facets, (0,) * dim) == 0
+    jumps, facets, normals = _hyperplanes(terms, rays, dim)
+    for h, walls in enumerate(jumps):
+        walls = _merged(walls)
+        if walls:
+            j = next(k for k, x in enumerate(normals[h]) if x)
+            on = reduce(or_, walls)
+            below = {i: primitive(r[:j] + r[j + 1:])
+                     for i, r in rays.items() if on >> i & 1}
+            if not _vanishes([(c, [i for i in below if wall >> i & 1])
+                              for wall, c in walls.items()], below, dim - 1):
+                return False
+    return _cones_over(normals, facets, (0,) * dim) == 0
 
 
 def fan_to_json(fan):
@@ -749,16 +783,17 @@ def fan_from_json(data):
     every ray, then of every cone, each in one pass of builtins over all
     entries (`_json_rows`), so a malformed cone anywhere is refused before
     any cone's geometry is read; each cone's checks as `Cone(rays)` runs
-    them, cone by cone; the labels; and the checks of `Fan(...)`.  This
-    is the one fan builder that runs eliminations: its cones come from
-    user input.  Every cone takes one route: its rays sorted, its index
-    from `lattice_index`, and `Cone._indexed`.  Where two coordinates
-    have the same sorted column of ray values, as a coordinate
-    permutation of the ray set needs, cones with one `_index_key` share
-    one elimination, so A1^6's 720 cones pay 1; else each cone pays its
-    own.  The shared indices live for one call.  Past its elimination, a
-    cone costs a sort of its rays, its key and one dict lookup where
-    indices are shared, and the object itself.
+    them, cone by cone; the labels; and a cone listed twice, on the sorted
+    cones, the one check of `Fan(...)` the earlier ones leave, so the fan
+    is built by `Fan._known_valid`.  This is the one fan builder that runs
+    eliminations: its cones come from user input.  Every cone takes one
+    route: its rays sorted, its index from `lattice_index`, and
+    `Cone._indexed`.  Where two coordinates have the same sorted column of
+    ray values, as a coordinate permutation of the ray set needs, cones
+    with one `_index_key` share one elimination, so A1^6's 720 cones pay
+    1; else each cone pays its own.  The shared indices live for one call.
+    Past its elimination, a cone costs a sort of its rays, its key and one
+    dict lookup where indices are shared, and the object itself.
     """
     if not isinstance(data, dict):
         raise FanSchemaError("fan JSON must be an object")
@@ -813,7 +848,9 @@ def fan_from_json(data):
                                  f"label on the ray "
                                  f"{quote(list(rays[index]))}")
         labels[rays[index]] = DivisorLabel(d.get("kind"), d["arg"])
-    return Fan(rank, cones, tuple(labels.items()))
+    fan = Fan._known_valid(rank, cones, tuple(labels.items()))
+    fan._distinct_cones()
+    return fan
 
 
 def fan_dumps(fan):

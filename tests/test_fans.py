@@ -1,6 +1,7 @@
 from collections import Counter
 from functools import cache
 from itertools import combinations
+import importlib.util
 import itertools
 import json
 import math
@@ -856,6 +857,30 @@ def ray_sum(cone):
     return tuple(map(sum, zip(*cone.rays)))
 
 
+def ray_indices(terms):
+    """(c, rays) terms as (c, indices) terms over their sorted ray table,
+    and the table: the input of `_hyperplanes`."""
+    table = sorted({r for _, rays in terms for r in rays})
+    index = {r: i for i, r in enumerate(table)}
+    return [(c, [index[r] for r in rays]) for c, rays in terms], table
+
+
+def hyperplanes_by_rays(terms, dim):
+    """`_hyperplanes` on (c, rays) terms, with its ids read back as
+    normals and its wall masks as ray tuples: (planes, facets) as
+    `oracle_hyperplanes` lists them."""
+    indexed, table = ray_indices(terms)
+    planes, facets, normals = fans._hyperplanes(indexed, table, dim)
+
+    def wall(mask):
+        return tuple(r for i, r in enumerate(table) if mask >> i & 1)
+
+    return ({normals[h]: [(c, wall(mask)) for c, mask in entries]
+             for h, entries in enumerate(planes)},
+            [(c, [(normals[s >> 1], 1 if s & 1 else -1) for s in sides])
+             for c, sides in facets])
+
+
 def generic_count(fan):
     """Step 2's wall-sign count at p, the sum of the first cone's rays,
     and the number of cones that one exact solve each puts over the
@@ -866,17 +891,18 @@ def generic_count(fan):
     u . q has the sign of u . p where that is nonzero and is negative where
     it is 0, which is how `_cones_over` reads p; that is asserted for
     every normal."""
-    planes, facets = fans._hyperplanes([(1, c.rays) for c in fan.cones],
-                                       fan.rank)
+    planes, facets, normals = fans._hyperplanes(*ray_indices(
+        [(1, c.rays) for c in fan.cones]), fan.rank)
+    assert len(planes) == len(normals) and all(planes)
     p = ray_sum(fan.cones[0])
-    e = 1 + max(abs(x) for u in planes for x in u)
+    e = 1 + max(abs(x) for u in normals for x in u)
     w = [e ** (fan.rank - 1 - i) for i in range(fan.rank)]
-    k = 1 + max(abs(fans._dot(u, w)) for u in planes)
+    k = 1 + max(abs(fans._dot(u, w)) for u in normals)
     q = tuple(k * a - b for a, b in zip(p, w))
-    for u in planes:
+    for u in normals:
         assert fans._dot(u, q) != 0
         assert (fans._dot(u, q) > 0) == (fans._dot(u, p) > 0)
-    return (fans._cones_over(planes, facets, p),
+    return (fans._cones_over(normals, facets, p),
             sum(linalg.solve_nonnegative(c.rays, q) is not None
                 for c in fan.cones))
 
@@ -924,8 +950,8 @@ class TestWallSignCount:
         # the point step 2 reads lies on walls of these log products, so
         # the tie rule of `_cones_over` decides their counts
         fan = log_product([parse_pair(p) for p in pairs]).fan
-        planes, _ = fans._hyperplanes([(1, c.rays) for c in fan.cones],
-                                      fan.rank)
+        planes, _ = hyperplanes_by_rays([(1, c.rays) for c in fan.cones],
+                                        fan.rank)
         p = ray_sum(fan.cones[0])
         assert sum(fans._dot(u, p) == 0 for u in planes) == through
         assert generic_count(fan) == (1, 1)
@@ -974,8 +1000,11 @@ def oracle_hyperplanes(terms, dim):
 
 
 def wall_work(monkeypatch, terms, dim):
-    """`_hyperplanes(terms, dim)` and its work: (result, eliminations,
-    distinct walls, dot products beyond the one side test per entry)."""
+    """`hyperplanes_by_rays(terms, dim)` and its work: (result,
+    eliminations, distinct walls, dot products beyond the side tests).
+    Each product u . x is computed at most once, which is asserted, and
+    the side tests are the products of each entry's normal and dropped
+    ray."""
     calls = Counter()
 
     def counted(name, f):
@@ -984,13 +1013,23 @@ def wall_work(monkeypatch, terms, dim):
             return f(*args)
         monkeypatch.setattr(fans, name, run)
 
+    dots = Counter()
+
+    def dot(u, x):
+        dots[u, x] += 1
+        return sum(a * b for a, b in zip(u, x))
+
     counted("normal_vector", fans.normal_vector)
-    counted("_dot", fans._dot)
-    result = fans._hyperplanes(terms, dim)
+    monkeypatch.setattr(fans, "_dot", dot)
+    result = hyperplanes_by_rays(terms, dim)
+    assert all(n == 1 for n in dots.values())
     walls = {rays[:i] + rays[i + 1:] for _, rays in terms
              for i in range(len(rays))}
+    sides = {(u, r) for (_, rays), (_, facet) in zip(terms, result[1])
+             for r, (u, _) in zip(rays, facet)}
+    assert sides <= set(dots)
     return (result, calls["normal_vector"], len(walls),
-            calls["_dot"] - sum(len(rays) for _, rays in terms))
+            len(set(dots) - sides))
 
 
 @st.composite
@@ -1312,6 +1351,62 @@ class TestSupportPreserved:
         assert time.perf_counter() - start < 1.0
 
 
+# log products of rank 3-5 of at most 27 cones, so every pairwise route
+# below stays far under `MAX_PAIRWISE_SOLVES`
+DIFFERENTIAL_PAIRS = [
+    ("A1:0",) * 3, ("P1:pt",) * 3, ("A1:0", "P2:H"), ("P1:pt", "P2:H"),
+    ("A1:0",) * 4, ("P2:H",) * 2, ("A1:0", "P1:pt", "P2:H"),
+    ("P1:pt", "P1:pt", "P2:H"), ("A1:0", "A1:0", "P3:H"), ("P2:H", "P3:H"),
+    ("A1:0", "P1:pt", "P3:H")]
+
+
+@st.composite
+def moved_log_products(draw):
+    """(fan, product, edit): a log product of rank 3-5 and its factors'
+    product fan, both with their coordinates permuted and then moved by
+    one random unimodular matrix.  The log product is left whole, cut by
+    one cone (edit "drop"), or given one cone of the product fan that it
+    subdivides, which overlaps the cones that cone became ("add")."""
+    factors = [parse_pair(p) for p in draw(st.sampled_from(
+        DIFFERENTIAL_PAIRS))]
+    logp, product = log_product(factors).fan, product_of(factors)
+    n = logp.rank
+    permute = [[int(j == i) for j in range(n)]
+               for i in draw(st.permutations(range(n)))]
+    move = unimodular(random.Random(draw(st.integers(0, 99))), n)
+    logp, product = (moved_by(moved_by(f, permute), move)
+                     for f in (logp, product))
+    edit = draw(st.sampled_from(("whole", "drop", "add")))
+    cones = logp.cones
+    if edit == "drop":
+        gone = draw(st.sampled_from(cones))
+        cones = tuple(c for c in cones if c != gone)
+    elif edit == "add":
+        cones += (draw(st.sampled_from(
+            [c for c in product.cones if c not in cones])),)
+    return Fan(n, cones), product, edit
+
+
+@settings(max_examples=20, deadline=None)
+@given(moved_log_products())
+def test_face_and_support_checks_match_the_pairwise_routes(case):
+    """The wall route of `check_face_closure` against one exact solve per
+    pair (`_meet_in_face`) and, with scipy, one LP per pair; and
+    `check_support_preserved` against the product fan."""
+    fan, product, edit = case
+    pairs = list(combinations(fan.cones, 2))
+    assert len(pairs) <= fans.MAX_PAIRWISE_SOLVES
+    closed = edit != "add"
+    assert check_face_closure(fan) is closed
+    assert all(fans._meet_in_face(a, b, fan.rank) for a, b in pairs) \
+        is closed
+    if importlib.util.find_spec("scipy"):
+        assert lp_face_closure(fan) is closed
+    if closed:
+        assert check_support_preserved(fan, product) is (edit == "whole")
+        assert check_support_preserved(product, fan) is (edit == "whole")
+
+
 class TestFan:
     @pytest.mark.parametrize("rank,rays", [
         (2, ((1, 0, 0), (0, 1, 0))), (3, ((1, 0), (0, 1))), (0, ((1,),)),
@@ -1417,6 +1512,38 @@ class TestFan:
     def test_fan_json_refuses_first_with_its_own_message(self, data, match):
         with pytest.raises(FanSchemaError, match=match):
             fan_from_json(data)
+
+    @pytest.mark.parametrize("labels,match", [
+        ({"2": {"kind": "boundary", "arg": 0}},
+         r"^fan JSON label '2' is on the ray \[-1, 0\], which no cone "
+         r"holds$"),
+        ({"0": {"kind": "boundary", "arg": 0},
+          "00": {"kind": "boundary", "arg": 1}},
+         r"^fan JSON label '00' is a second label on the ray \[1, 0\]$"),
+    ], ids=["unheld", "second"])
+    def test_fan_json_label_error_wins_over_a_cone_listed_twice(
+            self, labels, match):
+        """The reader checks its labels before cones listed twice, as when
+        `Fan(...)` made that check after them."""
+        data = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0]],
+                "cones": [[0, 1], [1, 0]], "labels": labels}
+        with pytest.raises(FanSchemaError, match=match):
+            fan_from_json(data)
+        del data["labels"]
+        with pytest.raises(FanSchemaError,
+                           match=r"^cone \(\(0, 1\), \(1, 0\)\) listed "
+                                 r"twice$"):
+            fan_from_json(data)
+
+    def test_fan_json_names_the_first_cone_listed_twice_in_sorted_order(
+            self):
+        cones = [[1, 2], [1, 2], [0, 1], [0, 1]]
+        for listed in (cones, cones[::-1]):
+            with pytest.raises(FanSchemaError,
+                               match=r"^cone \(\(-1, 0\), \(0, 1\)\) "
+                                     r"listed twice$"):
+                fan_from_json({"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0]],
+                               "cones": listed})
 
     @settings(max_examples=200, deadline=None)
     @given(cone_sets(), st.data())

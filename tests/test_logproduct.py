@@ -583,7 +583,8 @@ class TestKnownValidCones:
         and `Fan`'s in `log_product` and `product_fan`, `Cone`'s in
         `toric_fan`, `star_subdivide` and the blow-up centres of
         `order_independence_check`.  `fan_from_json`, which reads user
-        input, validates."""
+        input, validates every cone and checks ray lengths, labels and
+        cones listed twice itself, so it builds its `Fan` this way."""
         uses = []
         src = Path(logproduct.__file__).parent
         for path in sorted(src.glob("*.py")):
@@ -603,6 +604,7 @@ class TestKnownValidCones:
         assert sorted(uses) == sorted(
             [("fans.py", "product_fan")] * 2
             + [("fans.py", "star_subdivide"), ("logproduct.py", "toric_fan")]
+            + [("fans.py", "fan_from_json")]
             + [("logproduct.py", "log_product")] * 2
             + [("logproduct.py", "order_independence_check")])
 
