@@ -78,9 +78,14 @@ def parse_order(text, n):
     return order
 
 
-def _parse_pairs(text):
-    from .logproduct import parse_pair
-    return [parse_pair(p) for p in text.split(",")]
+def _log_product(args):
+    """The log product of `--pairs`, in the blow-up order `--order` when
+    one is given, an empty one included."""
+    from .logproduct import log_product, parse_pair
+    pairs = [parse_pair(p) for p in args.pairs.split(",")]
+    order = None if args.order is None else parse_order(args.order,
+                                                          len(pairs))
+    return log_product(pairs, order)
 
 
 def _dumps(payload):
@@ -110,18 +115,7 @@ def _print_value(value, trace, as_json):
 def cmd_fan(args):
     if args.action == "dump":
         from .fans import fan_dumps
-        pairs = _parse_pairs(args.pairs)
-        if len(pairs) == 1:
-            if args.order:
-                raise ValueError("--order orders the blow-ups of a log "
-                                 "product and needs at least two pairs")
-            fan = pairs[0].toric_fan(0)
-        else:
-            from .logproduct import log_product
-            order = parse_order(args.order, len(pairs)) if args.order \
-                else None
-            fan = log_product(pairs, order).fan
-        print(fan_dumps(fan))
+        print(fan_dumps(_log_product(args).fan))
         return 0
     from .fans import check_face_closure, fan_loads, is_smooth
     if args.file in (None, "-"):
@@ -143,10 +137,8 @@ def cmd_fan(args):
 
 
 def cmd_logproduct(args):
-    from .logproduct import format_pair, log_product
-    pairs = _parse_pairs(args.pairs)
-    order = parse_order(args.order, len(pairs)) if args.order else None
-    space = log_product(pairs, order)
+    from .logproduct import format_pair
+    space = _log_product(args)
     if args.json:
         from .fans import fan_to_json
         payload = fan_to_json(space.fan)

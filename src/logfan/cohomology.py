@@ -41,7 +41,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (AmbiguousDegree, DimensionTooLarge, TwistTooLarge,
-                     printable, quote)
+                     clip, printable, quote)
 from .values import FrozenValue
 
 # Caps on n and on |twist| for the tables of P^n (shared with `hkr`)
@@ -117,17 +117,6 @@ class SplitBundle(FrozenValue):
                                  for s, m in self.terms))
 
 
-def check_wedge_rank(rank):
-    """Refuse wedge powers of a bundle of rank above MAX_PN_DIM
-    (DimensionTooLarge)."""
-    if rank > MAX_PN_DIM:
-        raise DimensionTooLarge(printable(
-            lambda: f"a bundle of rank {rank} is above the cap of rank "
-                    f"{MAX_PN_DIM} for exterior powers",
-            f"a bundle's rank is above the cap of rank {MAX_PN_DIM} for "
-            f"exterior powers"))
-
-
 def exterior_algebra(bundle):
     """(+)_q wedge^q(E)[q] of an unshifted split bundle E: O(D)[q] has the
     coefficient of x^D y^q in the product of (1 + x^d y)^c over E's terms
@@ -135,7 +124,13 @@ def exterior_algebra(bundle):
     (DimensionTooLarge) are refused before any power is built."""
     if any(s.shift for s, _ in bundle.terms):
         raise ValueError("exterior powers need an unshifted bundle")
-    check_wedge_rank(sum(c for _, c in bundle.terms))
+    rank = sum(c for _, c in bundle.terms)
+    if rank > MAX_PN_DIM:
+        raise DimensionTooLarge(printable(
+            lambda: f"a bundle of rank {clip(rank)} is above the cap of "
+                    f"rank {MAX_PN_DIM} for exterior powers",
+            f"a bundle's rank is above the cap of rank {MAX_PN_DIM} for "
+            f"exterior powers"))
     counts = {(0, 0): 1}  # (D, q) -> coefficient of x^D y^q
     for s, c in bundle.terms:
         grown = {}
@@ -207,8 +202,8 @@ def _check_caps(space, bundle):
     if space.kind == "Pn":
         if space.param > MAX_PN_DIM:
             raise DimensionTooLarge(
-                f"P{space.param} is above the cap of dimension {MAX_PN_DIM} "
-                f"for cohomology tables")
+                f"{clip(f'P{space.param}')} is above the cap of dimension "
+                f"{MAX_PN_DIM} for cohomology tables")
         terms = bundle.terms  # sorted: the extreme twists come first, last
         if terms and max(-terms[0][0].twist, terms[-1][0].twist) > MAX_TWIST:
             raise TwistTooLarge(

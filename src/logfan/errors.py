@@ -1,8 +1,8 @@
 """Named error types shared across the package, the kernel grammar the
 CLI prints, the two sides of Python's digit limit for ints (`printable`
 for the text the package prints, `read_int` for the digits the grammars
-read), and `quote`, which bounds the malformed input a usage error
-echoes.
+read), `quote`, which bounds the malformed input a usage error echoes,
+and `clip`, which bounds a number or name an error message holds.
 
 Every operation that can fail raises one of these, so callers (and the CLI)
 can distinguish computation errors from bugs.
@@ -42,7 +42,7 @@ class RankMismatch(LogfanError):
 
 
 class TooFewFactors(LogfanError):
-    """Building sets need at least two factors."""
+    """A log product needs at least one factor."""
 
 
 class NoToricModel(LogfanError):
@@ -135,17 +135,27 @@ def printable(build, fallback=None):
         raise ResultTooLarge(digit_limit("printing")) from exc
 
 
+def clip(value):
+    """`str(value)` when it has up to QUOTE_LIMIT characters; longer text
+    is cut to its first QUOTE_LIMIT characters and its length, so that a
+    number or pair name an error names stays one short line.  An int past
+    Python's digit limit raises ValueError, as `str` does."""
+    text = str(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
 def quote(value):
     """`repr(value)` for malformed input `value` whose text, the string
     itself or the repr of any other value, has up to QUOTE_LIMIT
     characters; longer text is quoted by its first QUOTE_LIMIT characters
     and its length, so that a usage error stays one short line."""
-    is_text = isinstance(value, str)
-    text = value if is_text else repr(value)
-    if len(text) <= QUOTE_LIMIT:
+    if not isinstance(value, str):
+        return clip(repr(value))
+    if len(value) <= QUOTE_LIMIT:
         return repr(value)
-    head = repr(text[:QUOTE_LIMIT]) if is_text else text[:QUOTE_LIMIT]
-    return f"{head}... ({len(text)} characters)"
+    return f"{value[:QUOTE_LIMIT]!r}... ({len(value)} characters)"
 
 
 def read_int(digits):

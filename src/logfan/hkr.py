@@ -1,20 +1,21 @@
 """Log Hochschild homology of a pair via the wedge-power decomposition.
 
-For the pairs handled here the sheaf of log differentials is one split
-term O(d)^c, the pair's `cotangent` slot (see `logproduct._MODEL`):
+For the pairs handled here the sheaf of log differentials is a split
+bundle, the sum of the terms O(d)^c in the pair's `cotangent` slot (see
+`logproduct._MODEL`):
 
 * (P^n, H) and (P^1, pt): Omega^1(log H) = O(-1)^{+n};
 * (C, pt), genus g: Omega^1(log pt) = O(2g - 1), a single line bundle.
 
-`_model` reads it and refuses (A^1, 0), which has no host; the tables
-build the host `Space` once.  A single wedge power is read off that one
-term in closed form, wedge^q = O(qd)^C(c, q), and so is the log Serre
-kernel's line, the top power O(cd) shifted by c = dim.  The tables need
-every power and make one call to `cohomology.exterior_algebra`,
-W = (+)_q wedge^q[q].  Hochschild homology puts H^p(wedge^q) in degree
-q - p, so it is the table of W with its degrees negated; Hochschild
-cohomology puts H^p((wedge^q)^v) in degree p + q, the table of the dual
-of W.
+`_model` reads the terms and refuses (A^1, 0), which has no host; the
+tables build the host `Space` once.  Every wedge power comes from the one
+construction, `cohomology.exterior_algebra`, W = (+)_q wedge^q[q]: a
+single power is the shift-q part of W, and the tables read all of W.
+Hochschild homology puts H^p(wedge^q) in degree q - p, so it is the table
+of W with its degrees negated; Hochschild cohomology puts
+H^p((wedge^q)^v) in degree p + q, the table of the dual of W.  The log
+Serre kernel's line is the top power, the determinant O(sum c d) shifted
+by the rank sum c = dim, in closed form.
 
 The tables of (P^n, H) are refused, with DimensionTooLarge and before
 any is built, for n above `MAX_PN_DIM` = 1000, the cap of the cohomology
@@ -22,17 +23,15 @@ tables: P^1000 takes about 0.1 s, and past a few thousand the dimensions
 outgrow what Python prints.
 """
 
-from math import comb
-
 from .cohomology import MAX_PN_DIM, Space, SplitBundle, Summand, \
-    check_wedge_rank, euler_characteristic, exterior_algebra, \
-    graded_cohomology
-from .errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
+    euler_characteristic, exterior_algebra, graded_cohomology
+from .errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange, clip
 from .logproduct import format_pair, parse_pair
 
 
 def _model(pair):
-    """(d, c) of the pair's log cotangent model O(d)^c; refuses A1:0."""
+    """The terms (d, c) of the pair's log cotangent model, the sum of the
+    O(d)^c; refuses A1:0."""
     if pair.host is None:
         raise NoToricModel(
             f"{format_pair(pair)} is not projective; no cohomology tables")
@@ -40,20 +39,23 @@ def _model(pair):
 
 
 def log_cotangent(pair):
-    """Split model of Omega^1 with log poles along the boundary, one term
-    O(d)^c: O(-1)^n on P^n, O(2g - 1) on a genus-g curve."""
-    d, c = _model(pair)
-    return SplitBundle.line(d, 0, c)
+    """Split model of Omega^1 with log poles along the boundary, the sum
+    of the model's terms O(d)^c: O(-1)^n on P^n, O(2g - 1) on a genus-g
+    curve."""
+    return SplitBundle(tuple((Summand(d), c) for d, c in _model(pair)))
 
 
 def log_wedge(pair, q):
-    """q-th wedge power of the log cotangent bundle O(d)^c: O(qd)^C(c, q),
-    refused past the rank cap of `exterior_algebra`."""
-    d, c = _model(pair)
-    if q < 0 or q > c:
-        raise WedgeOutOfRange(f"wedge degree {q} outside 0..{c}")
-    check_wedge_rank(c)
-    return SplitBundle.line(q * d, 0, comb(c, q))
+    """q-th wedge power of the log cotangent bundle, the shift-q part of
+    its `exterior_algebra`, under that function's rank cap; q outside
+    0..rank raises WedgeOutOfRange first."""
+    bundle = log_cotangent(pair)
+    rank = sum(c for _, c in bundle.terms)
+    if q < 0 or q > rank:
+        raise WedgeOutOfRange(f"wedge degree {q} outside 0..{rank}")
+    return SplitBundle(tuple((Summand(s.twist), m)
+                             for s, m in exterior_algebra(bundle).terms
+                             if s.shift == q))
 
 
 def _tables(pair):
@@ -62,7 +64,7 @@ def _tables(pair):
     bundle = log_cotangent(pair)
     if pair.dim > MAX_PN_DIM:
         raise DimensionTooLarge(
-            f"{format_pair(pair)} is above the cap of dimension "
+            f"{clip(format_pair(pair))} is above the cap of dimension "
             f"{MAX_PN_DIM} for Hochschild tables")
     return Space(*pair.host), exterior_algebra(bundle)
 
@@ -84,9 +86,10 @@ def hkr_cohomology(pair):
 
 def log_serre(pair):
     """The log Serre kernel's line bundle on the diagonal, as a Summand
-    O(twist)[shift]: the top log wedge power shifted by the dimension."""
-    d, c = _model(pair)
-    return Summand(c * d, c)
+    O(twist)[shift]: the top log wedge power, the determinant
+    O(sum c d) of the terms O(d)^c, shifted by the dimension, sum c."""
+    terms = _model(pair)
+    return Summand(sum(c * d for d, c in terms), sum(c for _, c in terms))
 
 
 def residue_euler_check(n, q):

@@ -54,8 +54,8 @@ from typing import NamedTuple
 
 from .cohomology import SplitBundle, Summand, exterior_algebra, normal_form
 from .errors import (KERNEL_GRAMMAR, FormalityUnavailable,
-                     UnsupportedComposition, UnsupportedHHShape, printable,
-                     quote, read_int)
+                     UnsupportedComposition, UnsupportedHHShape, clip,
+                     printable, quote, read_int)
 from .hkr import _model, log_serre
 from .logproduct import format_pair
 from .values import FrozenValue
@@ -109,7 +109,7 @@ class KernelExpr(FrozenValue):
             raise ValueError("graph atoms need degree >= 1")
         if not far.host or far.host[0] != "Pn":
             raise ValueError(f"graph atoms map P1:pt into P<m>:H, P1:pt or "
-                             f"C0:pt, not {format_pair(far)}")
+                             f"C0:pt, not {clip(format_pair(far))}")
 
     def __add__(self, other):
         if (self.source, self.target) != (other.source, other.target):
@@ -264,8 +264,8 @@ def _require_scalar(*pairs):
         _model(pair)
         if not pair.scalar:
             raise UnsupportedHHShape(
-                f"{format_pair(pair)} has log Hochschild homology beyond "
-                f"degree 0")
+                f"{clip(format_pair(pair))} has log Hochschild homology "
+                f"beyond degree 0")
 
 
 def signed_count(expr, sign=-1):

@@ -1,16 +1,18 @@
 """Log products of toric pairs as nested-set fans.
 
-The n-fold log product of pairs (X_i, D_i) is computed on the fan level:
-the direct product fan blown up along every stratum where two or more
-boundary divisors meet.  That building set is every subset of factors of
-size >= 2, so its nested sets are chains and the blown-up fan has a closed
-form (De Concini-Procesi 1995; Feichtner-Yuzvinsky 2004): a product cone
-holding the boundary rays {b_i : i in I} becomes one cone per maximal
-chain S_1 < ... < S_|I| = I, with those rays replaced by the chain rays
-sum_{i in S_k} b_i.  `log_product` builds the fan from that form: every
-chain ray and stratum ray is read from one table of the 2^n subset sums
-of the b_i, and each cone keeps its product cone's determinant, as a
-chain changes the boundary rays by a unitriangular matrix.
+The n-fold log product of pairs (X_i, D_i), n >= 1, is computed on the
+fan level: the direct product fan blown up along every stratum where two
+or more boundary divisors meet.  That building set is every subset of
+factors of size >= 2, so its nested sets are chains and the blown-up fan
+has a closed form (De Concini-Procesi 1995; Feichtner-Yuzvinsky 2004): a
+product cone holding the boundary rays {b_i : i in I} becomes one cone
+per maximal chain S_1 < ... < S_|I| = I, with those rays replaced by the
+chain rays sum_{i in S_k} b_i.  One factor has no such subset, and the
+form gives the factor's own fan with its boundary ray as the strict
+transform.  `log_product` builds the fan from that form: every chain ray
+and stratum ray is read from one table of the 2^n subset sums of the
+b_i, and each cone keeps its product cone's determinant, as a chain
+changes the boundary rays by a unitriangular matrix.
 
 The iterated blow-up (one stellar subdivision per stratum, in an order
 whose every prefix is a building set) lives only in
@@ -37,8 +39,7 @@ import re
 
 from .errors import (DimensionTooLarge, EmptyProjection,
                      NotABuildingSetOrder, NoToricModel, TooFewFactors,
-                     TooManyCones, printable, quote,
-                     read_int)
+                     TooManyCones, clip, printable, quote, read_int)
 from .values import FrozenValue
 
 # Largest number of maximal cones `log_product` builds: A1^8 (8! = 40320
@@ -56,9 +57,9 @@ MAX_RANK = 10
 
 # The pair model: kind -> (param -> the slots of LogPair after its fields)
 _MODEL = {
-    "Pn:H": lambda n: (n, ("Pn", n), (-1, n), "Pn", True),
-    "P1:pt": lambda _: (1, ("Pn", 1), (-1, 1), "Pn", True),
-    "Cg:pt": lambda g: (1, ("curve", g), (2 * g - 1, 1), None, False),
+    "Pn:H": lambda n: (n, ("Pn", n), ((-1, n),), "Pn", True),
+    "P1:pt": lambda _: (1, ("Pn", 1), ((-1, 1),), "Pn", True),
+    "Cg:pt": lambda g: (1, ("curve", g), ((2 * g - 1, 1),), None, False),
     "A1:0": lambda _: (1, None, None, "A1", False),
 }
 
@@ -70,9 +71,10 @@ class LogPair(FrozenValue):
     The fields are `kind` and `param`; the other slots, set once, are the
     kind's `_MODEL` entry at `param`: `dim`; `host`, the cohomology host
     as a (cohomology.Space kind, param) tuple, None when not projective;
-    `cotangent`, the log cotangent split model O(d)^c as (d, c); `shape`,
-    the toric fan's, "Pn", "A1" or None; and `scalar`, whether log
-    Hochschild homology is {0: 1}."""
+    `cotangent`, the log cotangent split model, the sum of its terms
+    O(d)^c, as a tuple of (d, c), None when not projective; `shape`, the
+    toric fan's, "Pn", "A1" or None; and `scalar`, whether log Hochschild
+    homology is {0: 1}."""
     __slots__ = ("kind", "param", "dim", "host", "cotangent", "shape",
                  "scalar")
     _fields = ("kind", "param")
@@ -107,7 +109,7 @@ class LogPair(FrozenValue):
         from .fans import BOUNDARY, Cone, DivisorLabel, Fan
         if self.shape is None:
             raise NoToricModel(
-                f"{format_pair(self)} has no toric local model")
+                f"{clip(format_pair(self))} has no toric local model")
         n = self.dim
         _check_rank(n)
         boundary = tuple(1 if i == 0 else 0 for i in range(n))
@@ -126,7 +128,7 @@ class LogPair(FrozenValue):
 def _check_rank(rank):
     if rank > MAX_RANK:
         raise DimensionTooLarge(printable(
-            lambda: f"a fan of rank {rank} is above the cap of rank "
+            lambda: f"a fan of rank {clip(rank)} is above the cap of rank "
                     f"{MAX_RANK}",
             f"a fan's rank is above the cap of rank {MAX_RANK}"))
 
@@ -155,9 +157,7 @@ def format_pair(pair):
 
 def building_set(n):
     """Default blow-up order: all subsets of {0..n-1} of size >= 2,
-    by decreasing size, then lexicographically."""
-    if n < 2:
-        raise TooFewFactors("building sets need at least two factors")
+    by decreasing size, then lexicographically; empty for n = 1."""
     out = []
     for size in range(n, 1, -1):
         out.extend(combinations(range(n), size))
@@ -226,8 +226,8 @@ def _product(pairs, order):
     cone cap."""
     from .fans import product_fan
     n = len(pairs)
-    if n < 2:
-        raise TooFewFactors("log product needs at least two factors")
+    if not n:
+        raise TooFewFactors("log product needs at least one factor")
     _check_rank(sum(p.dim for p in pairs))
     factor_fans = [p.toric_fan(i) for i, p in enumerate(pairs)]
     count = _cone_count(factor_fans)
@@ -258,7 +258,8 @@ def _subset_sums(rays):
 
 
 def log_product(pairs, order=None):
-    """Log product of the given toric pairs, as a LogProductSpace.
+    """Log product of the given toric pairs, n >= 1 of them, as a
+    LogProductSpace; no pair at all raises TooFewFactors.
 
     The fan is the nested-set closed form (see the module docstring), so
     it does not depend on `order`.  `order` only numbers the exceptional
@@ -370,14 +371,9 @@ def projection_matrix(pairs, keep):
 
 
 def projection(space, keep):
-    """Log product of the kept factors plus the projection matrix; the
-    matrix induces a fan map from the big log product to the small one."""
+    """Log product of the kept factors, one or more, plus the projection
+    matrix; the matrix induces a fan map from the big log product to the
+    small one."""
     matrix = projection_matrix(space.factors, keep)
     kept_pairs = [space.factors[i] for i in sorted(set(keep))]
-    if len(kept_pairs) == 1:
-        fan = kept_pairs[0].toric_fan(0)
-        [(boundary, _)] = fan.labels
-        target = LogProductSpace(tuple(kept_pairs), fan, (), ((0, boundary),))
-    else:
-        target = log_product(kept_pairs)
-    return target, matrix
+    return log_product(kept_pairs), matrix

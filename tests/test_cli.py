@@ -229,11 +229,33 @@ class TestFan:
         assert len(err.encode()) < 300
 
     def test_dump_refuses_an_order_for_one_pair(self, capsys):
+        # one pair has no stratum to blow up, so its only order is empty:
+        # a group of its one index is not a building-set order, and any
+        # other index is outside 1..1
+        code, out, err = run(capsys, "fan", "dump", "--pairs", "P1:pt",
+                             "--order", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: NotABuildingSetOrder: sequence is not a "
+                       "valid building-set order\n")
         code, out, err = run(capsys, "fan", "dump", "--pairs", "P1:pt",
                              "--order", "1,2")
-        assert (code, out) == (2, "")
-        assert err == ("usage error: --order orders the blow-ups of a log "
-                       "product and needs at least two pairs\n")
+        assert (code, out, err) == (
+            2, "", "usage error: order index 2 is outside 1..1\n")
+
+    @pytest.mark.parametrize("text", ["P1:pt", "P2:H", "P3:H", "A1:0"])
+    def test_dump_of_one_pair_is_its_log_product(self, capsys,
+                                                 monkeypatch, text):
+        """The factor's own rays and cones, its boundary ray labelled as
+        the strict transform of factor 0, and a fan that checks."""
+        code, out, err = run(capsys, "fan", "dump", "--pairs", text)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert fan_from_json(data).cones == parse_pair(text).toric_fan().cones
+        assert list(data["labels"].values()) == [
+            {"kind": "strict_transform", "arg": 0}]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, _ = run(capsys, "fan", "check", "-")
+        assert code == 0 and "smooth=True face-closed=True" in out
 
     def test_check_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "fan", "check", str(tmp_path / "nope"))
@@ -291,6 +313,29 @@ class TestLogProduct:
                            "P1:pt,P1:pt,P1:pt", "--order", "1,2;1,3;1,2,3;2,3")
         assert code == 1
         assert "NotABuildingSetOrder" in err
+
+    @pytest.mark.parametrize("text,cones", [("P1:pt", 2), ("A1:0", 1)])
+    def test_one_pair(self, capsys, text, cones):
+        code, out, err = run(capsys, "logproduct", "--pairs", text)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"factors: {text}",
+            f"rank 1: {cones} rays, {cones} maximal cones, 0 exceptional",
+            "factor 1: strict transform ray [1]"]
+        code, out, err = run(capsys, "logproduct", "--pairs", text, "--json")
+        data = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (data["stratum_ray"], data["strict_transforms"]) == (
+            {}, {"1": [1]})
+
+    @pytest.mark.parametrize("argv", [("fan", "dump"), ("logproduct",)])
+    @pytest.mark.parametrize("pairs", ["A1:0,A1:0", "P1:pt"])
+    def test_empty_order_is_usage_error(self, capsys, argv, pairs):
+        """An empty --order is not left out: it has one empty group, which
+        names no stratum."""
+        code, out, err = run(capsys, *argv, "--pairs", pairs, "--order", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: cannot parse order group '': ")
 
     @pytest.mark.parametrize("order", ["1,3", "0,1", "-1,2"])
     def test_order_index_out_of_range_is_usage_error(self, capsys, order):
@@ -678,48 +723,78 @@ def p1_square_overlap():
 
 
 # (argv, stdin, exit code, sha256 of stdout from `python -m logfan.cli
-# ...`): the byte-for-byte output of `logproduct` and `fan dump`, labels
-# and --order included, and of `fan check` on a fan that passes and on
-# one that fails
+# ...`), each under a fixed id: the byte-for-byte output of `logproduct`
+# and `fan dump`, labels and --order included, of one pair too, and of
+# `fan check` on a fan that passes and on one that fails
 PINNED_STDOUT = [
-    (("logproduct", "--pairs", "A1:0,P1:pt,P2:H,P1:pt", "--json"), None, 0,
-     "5bf104b578379cbe9c5aa9025e867c47e6aa4914f3633a768a4950ebae6ee0ff"),
-    (("logproduct", "--pairs", "P1:pt,P1:pt,P1:pt", "--order",
-      "1,2;1,2,3;1,3;2,3", "--json"), None, 0,
-     "6058fcfe28996ccc68f9f54d973daed1a3124cd35f81b7f0a9da3567a4c9e098"),
-    (("fan", "dump", "--pairs", "A1:0,A1:0,A1:0,A1:0"), None, 0,
-     "c21dfcc3023107e482d80cc812cdfddbcdc018deca2b526fcf35887b8cdb8c9c"),
-    (("logproduct", "--pairs", "P2:H,P2:H,P1:pt"), None, 0,
-     "a50573b2d83671059e0a6e407cb3c8d9acdf1f0b4467c3976014601670aec4a1"),
-    (("fan", "check", "-"),
-     fan_dumps(log_product([parse_pair("A1:0")] * 4).fan), 0,
-     "40531ad4da0350226ed4c7a310aace7b3ecce0fd4d29666e743a199bbed11e32"),
-    (("fan", "check", "-"), p1_square_overlap(), 1,
-     "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b"),
-    (("verify", "--json"), None, 0,
-     "e459d3910e9771c7ad52c588210ba51a9305251a24811768481fe1b3e877fa87"),
+    pytest.param(
+        ("logproduct", "--pairs", "A1:0,P1:pt,P2:H,P1:pt", "--json"), None, 0,
+        "5bf104b578379cbe9c5aa9025e867c47e6aa4914f3633a768a4950ebae6ee0ff",
+        id="logproduct-four-pairs-json"),
+    pytest.param(
+        ("logproduct", "--pairs", "P1:pt,P1:pt,P1:pt", "--order",
+         "1,2;1,2,3;1,3;2,3", "--json"), None, 0,
+        "6058fcfe28996ccc68f9f54d973daed1a3124cd35f81b7f0a9da3567a4c9e098",
+        id="logproduct-order-json"),
+    pytest.param(
+        ("fan", "dump", "--pairs", "A1:0,A1:0,A1:0,A1:0"), None, 0,
+        "c21dfcc3023107e482d80cc812cdfddbcdc018deca2b526fcf35887b8cdb8c9c",
+        id="fan-dump-a1-fourth-power"),
+    pytest.param(
+        ("logproduct", "--pairs", "P2:H,P2:H,P1:pt"), None, 0,
+        "a50573b2d83671059e0a6e407cb3c8d9acdf1f0b4467c3976014601670aec4a1",
+        id="logproduct-text"),
+    pytest.param(
+        ("fan", "check", "-"),
+        fan_dumps(log_product([parse_pair("A1:0")] * 4).fan), 0,
+        "40531ad4da0350226ed4c7a310aace7b3ecce0fd4d29666e743a199bbed11e32",
+        id="fan-check-passes"),
+    pytest.param(
+        ("fan", "check", "-"), p1_square_overlap(), 1,
+        "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b",
+        id="fan-check-overlap-fails"),
+    pytest.param(
+        ("verify", "--json"), None, 0,
+        "e459d3910e9771c7ad52c588210ba51a9305251a24811768481fe1b3e877fa87",
+        id="verify-json"),
     # the kernel rewrites: diag.diag, diag.t(graph), graph.diag and the
     # excess route; then t(graph).diag; then two chern chains
-    (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",
-      "diag(O(1),0)+graph(deg=1,O,1)", "--against",
-      "diag(O,1)+graph(deg=1,O(2),0)", "--trace"), None, 0,
-     "78f4511b91620b43765a24793d2d316f3debd901fb2bd3f382be67ec6e682909"),
-    (("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",
-      "t(graph(deg=1,O(1),0))+diag(O,0)", "--against", "diag(O(2),1)",
-      "--trace"), None, 0,
-     "82077d6f618737c4e7a9525c9e73c872f10735d5125fb68a002657e9518f0454"),
-    (("chern", "--pair", "P1:pt", "--target", "P2:H", "--kernel",
-      "graph(deg=1,O(3),1)+graph(deg=2)", "--trace"), None, 0,
-     "17fc4a516843a9668aa1a3fc377ed6776e4c10f6ea68b68c357cd6b7bd66274b"),
-    (("chern", "--pair", "P2:H", "--kernel",
-      "diag(O,0)+diag(O(1),1)+t(t(diag(O(-2),3)))", "--trace"), None, 0,
-     "0e23b01c503bd36bf3f36ee7facad7facb01222e08a74883b83c8d4969a5885d"),
+    pytest.param(
+        ("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",
+         "diag(O(1),0)+graph(deg=1,O,1)", "--against",
+         "diag(O,1)+graph(deg=1,O(2),0)", "--trace"), None, 0,
+        "78f4511b91620b43765a24793d2d316f3debd901fb2bd3f382be67ec6e682909",
+        id="euler-rewrites-trace"),
+    pytest.param(
+        ("euler", "--source", "P1:pt", "--target", "P1:pt", "--kernel",
+         "t(graph(deg=1,O(1),0))+diag(O,0)", "--against", "diag(O(2),1)",
+         "--trace"), None, 0,
+        "82077d6f618737c4e7a9525c9e73c872f10735d5125fb68a002657e9518f0454",
+        id="euler-transposed-graph-trace"),
+    pytest.param(
+        ("chern", "--pair", "P1:pt", "--target", "P2:H", "--kernel",
+         "graph(deg=1,O(3),1)+graph(deg=2)", "--trace"), None, 0,
+        "17fc4a516843a9668aa1a3fc377ed6776e4c10f6ea68b68c357cd6b7bd66274b",
+        id="chern-graphs-trace"),
+    pytest.param(
+        ("chern", "--pair", "P2:H", "--kernel",
+         "diag(O,0)+diag(O(1),1)+t(t(diag(O(-2),3)))", "--trace"), None, 0,
+        "0e23b01c503bd36bf3f36ee7facad7facb01222e08a74883b83c8d4969a5885d",
+        id="chern-diagonals-trace"),
+    # one pair is its own log product, its boundary ray labelled as a
+    # strict transform
+    pytest.param(
+        ("fan", "dump", "--pairs", "P2:H"), None, 0,
+        "39359cc2b2c0044145b41d5347b1c2867caa5f857fc5d6f89f0e95335b22d3cf",
+        id="fan-dump-one-pair"),
+    pytest.param(
+        ("logproduct", "--pairs", "P1:pt", "--json"), None, 0,
+        "0105ff38ac084a51599d685b036d7df9356572988c2e5fe778fb760e297faf40",
+        id="logproduct-one-pair-json"),
 ]
 
 
-@pytest.mark.parametrize("argv,stdin,code,digest", PINNED_STDOUT,
-                         ids=[f"argv{i}-{digest}" for i, (*_, digest)
-                              in enumerate(PINNED_STDOUT)])
+@pytest.mark.parametrize("argv,stdin,code,digest", PINNED_STDOUT)
 def test_pinned_stdout(argv, stdin, code, digest):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -793,6 +868,61 @@ OVER_LONG_SUMS = [
 def test_over_long_sum_is_refused_without_the_number(capsys, argv, error):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+def cut(text):
+    """`text` cut to its first QUOTE_LIMIT characters and its length."""
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+# readable integers that a refusal names, itself or in a pair's name: the
+# number or the name is cut as `cut` does, so the refusal is one stderr
+# line of under 300 bytes; the last is a usage error (exit 2)
+OVER_LONG_REFUSALS = [
+    pytest.param(("hkr", "--pair", f"P{NINES}:H"),
+                 f"error: DimensionTooLarge: {cut(f'P{NINES}:H')} is above "
+                 f"the cap of dimension 1000 for Hochschild tables", id="hkr"),
+    pytest.param(("cohomology", "--base", f"P{NINES}", "--bundle", "O"),
+                 f"error: DimensionTooLarge: {cut(f'P{NINES}')} is above the "
+                 f"cap of dimension 1000 for cohomology tables",
+                 id="cohomology"),
+    # the excess bundle of a degree-1 graph into P^N has rank N - 1
+    pytest.param(("euler", "--source", "P1:pt", "--target", f"P{NINES}:H",
+                  "--kernel", "graph(deg=1)", "--against", "graph(deg=1)"),
+                 f"error: DimensionTooLarge: a bundle of rank "
+                 f"{cut(NINES[:-1] + '8')} is above the cap of rank 1000 "
+                 f"for exterior powers", id="euler"),
+    pytest.param(("chern", "--pair", f"C{NINES}:pt", "--kernel",
+                  "diag(O,0)"),
+                 f"error: UnsupportedHHShape: {cut(f'C{NINES}:pt')} has log "
+                 f"Hochschild homology beyond degree 0", id="chern"),
+    pytest.param(("fan", "dump", "--pairs", f"P{NINES}:H"),
+                 f"error: DimensionTooLarge: a fan of rank {cut(NINES)} is "
+                 f"above the cap of rank 10", id="fan-dump-rank"),
+    pytest.param(("fan", "dump", "--pairs", f"C{NINES}:pt"),
+                 f"error: NoToricModel: {cut(f'C{NINES}:pt')} has no toric "
+                 f"local model", id="fan-dump-curve"),
+    pytest.param(("chern", "--pair", "P1:pt", "--target", f"C{NINES}:pt",
+                  "--kernel", "graph(deg=1)"),
+                 f"usage error: graph atoms map P1:pt into P<m>:H, P1:pt or "
+                 f"C0:pt, not {cut(f'C{NINES}:pt')}", id="chern-graph-target"),
+]
+
+
+@pytest.mark.parametrize("argv,line", OVER_LONG_REFUSALS)
+def test_over_long_refusal_is_one_short_line(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    usage = line.startswith("usage error: ")
+    assert (code, out, err) == (2 if usage else 1, "", f"{line}\n")
+    assert len(err.encode()) < 300
+
+
+def test_only_the_refusal_is_cut(capsys):
+    """The table of a pair with an over-long parameter prints whole."""
+    code, out, err = run(capsys, "hkr", "--pair", f"C{NINES}:pt")
+    assert (code, err) == (0, "") and f": {NINES}\n" in out
+    code, out, err = run(capsys, "hkr", "--pair", f"P{NINES}:H")
+    assert (code, out) == (1, "") and cut(f"P{NINES}:H") in err
 
 
 # malformed input of any length, quoted by a bounded prefix and its length

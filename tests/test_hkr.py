@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from logfan.cohomology import Space, SplitBundle, Summand, \
     euler_characteristic, exterior_algebra
-from logfan import hkr
+from logfan import hkr, logproduct
 from logfan.errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange
 from logfan.hkr import (MAX_PN_DIM, hkr_cohomology, hkr_homology,
                         log_cotangent, log_serre, log_wedge,
@@ -156,8 +156,9 @@ MODELLED_PAIRS = [*(f"P{n}:H" for n in range(1, 41)), "P1:pt",
 
 @pytest.mark.parametrize("text", MODELLED_PAIRS)
 def test_closed_forms_match_the_exterior_algebra(text):
-    """log_wedge and log_serre read the one-term log cotangent bundle in
-    closed form; the exterior algebra builds every power, independently."""
+    """log_wedge reads each power off the exterior algebra, which builds
+    every power; log_serre, the determinant in closed form, is its top
+    one."""
     pair = parse_pair(text)
     algebra = exterior_algebra(log_cotangent(pair)).terms
     for q in range(pair.dim + 1):
@@ -168,13 +169,42 @@ def test_closed_forms_match_the_exterior_algebra(text):
 
 
 def test_single_powers_build_no_exterior_algebra(monkeypatch):
+    """The top power, the log Serre line, is the determinant of the
+    terms, in closed form."""
     def no_algebra(*_):
         raise AssertionError("an exterior algebra was built")
     monkeypatch.setattr(hkr, "exterior_algebra", no_algebra)
-    assert log_wedge(LogPair("Pn:H", 12), 5) == SplitBundle.line(-5, 0, 792)
     assert log_serre(LogPair("Pn:H", 12)) == Summand(-12, 12)
     assert log_serre(LogPair("Cg:pt", 3)) == Summand(5, 1)
-    assert residue_euler_check(12, 5)[3]
+
+
+class TestTwoTerms:
+    """A pair whose log cotangent bundle has two terms, O + O(-1), as
+    (P^2, two lines) has: every power comes from the one exterior
+    algebra, and the Serre line is the determinant."""
+
+    @pytest.fixture
+    def pair(self, monkeypatch):
+        monkeypatch.setitem(logproduct._MODEL, "P2:2H", lambda _: (
+            2, ("Pn", 2), ((0, 1), (-1, 1)), "Pn", False))
+        return LogPair("P2:2H")
+
+    def test_cotangent(self, pair):
+        assert log_cotangent(pair) == SplitBundle.sum_of([0, -1])
+
+    def test_wedges(self, pair):
+        assert [log_wedge(pair, q) for q in range(3)] == [
+            SplitBundle.sum_of([0]), SplitBundle.sum_of([0, -1]),
+            SplitBundle.sum_of([-1])]
+        with pytest.raises(WedgeOutOfRange, match="outside 0..2$"):
+            log_wedge(pair, 3)
+
+    def test_serre(self, pair):
+        assert log_serre(pair) == Summand(-1, 2)
+
+    def test_tables(self, pair):
+        assert hkr_homology(pair) == {0: 1, 1: 1}
+        assert hkr_cohomology(pair) == {0: 1, 1: 4, 2: 3}
 
 
 @pytest.mark.parametrize("call,spaces", [

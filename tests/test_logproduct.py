@@ -45,8 +45,8 @@ class TestBuildingSet:
         assert len(building_set(4)) == 2 ** 4 - 4 - 1 == 11
 
     def test_too_few(self):
-        with pytest.raises(TooFewFactors):
-            building_set(1)
+        # one factor has no subset of size >= 2 to blow up
+        assert building_set(1) == []
 
 
 class TestOrderValidity:
@@ -103,8 +103,14 @@ class TestLogProduct:
             log_product([LogPair("Cg:pt", 2), P1])
 
     def test_single_factor_rejected(self):
-        with pytest.raises(TooFewFactors):
-            log_product([P1])
+        """One factor is its own log product, with no stratum, so the
+        only order it takes is empty; no factor at all is refused."""
+        assert log_product([P1], []) == log_product([P1])
+        with pytest.raises(NotABuildingSetOrder):
+            log_product([P1], [{0}])
+        with pytest.raises(TooFewFactors,
+                           match="^log product needs at least one factor$"):
+            log_product([])
 
     def test_invalid_order_rejected(self):
         bad = [{0, 1}, {0, 2}, {0, 1, 2}, {1, 2}]
@@ -139,6 +145,42 @@ class TestOrderIndependence:
     def test_n2_unique_order(self):
         assert order_independence_check([P1, P1], building_set(2),
                                         building_set(2))
+
+
+ONE_FACTOR = [P1, P2, P3, A1]
+
+
+class TestOneFactor:
+    """One pair is its own log product: the general build gives the
+    factor's cones, no stratum, and its boundary ray as the strict
+    transform of factor 0."""
+
+    @pytest.mark.parametrize("pair", ONE_FACTOR, ids=format_pair)
+    def test_the_factor_fan(self, pair):
+        space = log_product([pair])
+        own = pair.toric_fan(0)
+        [(boundary, _)] = own.labels
+        assert space.fan.cones == own.cones
+        assert space.stratum_ray == ()
+        assert space.fan.labels == (
+            (boundary, DivisorLabel(STRICT_TRANSFORM, 0)),)
+        assert space.strict_transforms == ((0, boundary),)
+        assert _cone_count([own]) == len(space.fan.cones)
+
+    @pytest.mark.parametrize("pair", ONE_FACTOR, ids=format_pair)
+    def test_checks_pass(self, pair):
+        fan = log_product([pair]).fan
+        assert fans.check_face_closure(fan)
+        assert all(is_smooth(c, fan.rank) for c in fan.cones)
+        assert order_independence_check([pair], [], [])
+
+    @pytest.mark.parametrize("pair", ONE_FACTOR, ids=format_pair)
+    def test_projection_onto_the_factor(self, pair):
+        for big, keep in ((log_product([pair]), 0),
+                          (log_product([P1, pair]), 1)):
+            small, mat = projection(big, [keep])
+            assert small == log_product([pair])
+            assert induces_fan_map(big.fan, small.fan, mat)
 
 
 # log products whose projections to two or more factors are checked
@@ -178,7 +220,10 @@ class TestProjection:
     def test_single_factor_target(self):
         big = log_product([P1, P2, A1])
         small, mat = projection(big, [1, 1])
-        assert small.fan == P2.toric_fan(0)
+        assert small == log_product([P2])
+        assert small.fan.cones == P2.toric_fan(0).cones
+        assert small.fan.labels == (
+            ((1, 0), DivisorLabel(STRICT_TRANSFORM, 0)),)
         assert small.strict_transforms == ((0, (1, 0)),)
         assert induces_fan_map(big.fan, small.fan, mat)
 
@@ -284,7 +329,7 @@ class TestPairParsing:
         slots = LogPair.__slots__
         assert {tuple(getattr(p, n) for n in slots)
                 for p in spellings} == {
-            ("P1:pt", 0, 1, ("Pn", 1), (-1, 1), "Pn", True)}
+            ("P1:pt", 0, 1, ("Pn", 1), ((-1, 1),), "Pn", True)}
 
     @pytest.mark.parametrize("kind", ["P1:pt", "A1:0"])
     @pytest.mark.parametrize("param", [3, -1])
@@ -517,6 +562,8 @@ PINNED_PRODUCTS = [
     ("A1:0,A1:0,A1:0,A1:0", None),
     ("P2:H,P2:H,P1:pt", None),
     ("P1:pt,P1:pt", None),
+    ("P2:H", None),
+    ("P1:pt", None),
 ]
 
 
