@@ -44,8 +44,8 @@ and its product fan.  A lattice map induces a fan map when the images of
 each source cone's rays lie in one target cone (`fan_map_witness`).  A
 target cone surely holds an image that is 0 or a multiple of one of its
 rays, which settles every cone of a log product's projections with no
-solve; any other image takes one exact solve per target cone it is tried
-against.
+solve; any other cone is a plain scan of the target cones, one exact
+solve per image and target cone it tries.
 
 Cones, fans and labels are immutable values on `values.FrozenValue`:
 slotted, compared and hashed by their fields, with `Cone.det` left out.
@@ -352,21 +352,18 @@ def fan_map_witness(source, target, lattice_map):
     ray order; None when every source cone lands in some target cone.
 
     A linear map sends cone(rays) into a cone exactly when it sends each
-    ray there, so the work is done once per distinct input: each distinct
-    source ray is mapped once.  Each distinct image p first gets the
-    bitmask of target cones that surely hold it, read off their ray sets:
-    every cone for p = 0, else the cones with `primitive(p)` as a ray, as
-    p is a positive multiple of it.  A source cone whose images' masks
-    share a bit maps into that cone and is passed with no solve.  Every
-    other cone is scanned: whether a target cone holds an image, which may
-    lie on a wall, is read from the mask or else is one `solve_nonnegative`
-    on the cone's rays, made the first time the pair is met and
-    remembered.  A cone whose set of images was already decided reuses the
-    verdict.  Target cones and a cone's images are tried in the order a
-    plain cone-by-cone scan tries them, stopping where it stops, so no
-    input needs more solves than that scan; the masks only prove "holds",
-    so the answer is exact for any target, fan or not.  A matrix whose
-    shape is not target.rank x source.rank raises RankMismatch.
+    ray there.  Each distinct source ray is mapped once, and each distinct
+    image p gets the bitmask of target cones that surely hold it, read off
+    their ray sets: every cone for p = 0, else the cones with
+    `primitive(p)` as a ray, as p is a positive multiple of it.  A source
+    cone whose images' masks share a bit maps into that cone with no
+    solve.  Every other cone is one plain scan of the target cones: an
+    image is held when its mask says so, else when `solve_nonnegative` on
+    the target cone's rays finds it, which may put it on a wall.  The
+    masks only prove "holds", so the answer is exact for any target, fan
+    or not, and skip solves of the plain scan without adding any.  A
+    matrix whose shape is not target.rank x source.rank raises
+    RankMismatch.
     """
     rows = tuple(tuple(r) for r in lattice_map)
     if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
@@ -381,16 +378,6 @@ def fan_map_witness(source, target, lattice_map):
             on_ray[r] = on_ray.get(r, 0) | 1 << i
     sure = {p: on_ray.get(primitive(p), 0) if any(p) else every
             for p in set(image.values())}
-    held = {}
-    verdicts = {}
-
-    def holds(i, point):
-        if sure[point] >> i & 1:
-            return True
-        if (i, point) not in held:
-            held[i, point] = solve_nonnegative(target.cones[i].rays, point)
-        return held[i, point] is not None
-
     for cone in source.cones:
         mask = every
         for r in cone.rays:
@@ -398,11 +385,10 @@ def fan_map_witness(source, target, lattice_map):
         if mask:
             continue
         images = tuple(image[r] for r in cone.rays)
-        key = frozenset(images)
-        if key not in verdicts:
-            verdicts[key] = any(all(holds(i, p) for p in images)
-                                for i in range(len(target.cones)))
-        if not verdicts[key]:
+        if not any(all(sure[p] >> i & 1
+                       or solve_nonnegative(t.rays, p) is not None
+                       for p in images)
+                   for i, t in enumerate(target.cones)):
             return cone, images
     return None
 
@@ -414,7 +400,8 @@ def induces_fan_map(source, target, lattice_map):
     each source cone's rays lie in one target cone.  `fan_map_witness`
     reads that cone off the target's ray sets when each image is 0 or a
     multiple of one of its rays, as for the projections of a log product,
-    and otherwise decides each distinct image once per target cone.
+    and otherwise scans the target cones with one exact solve per image
+    and cone it tries.
     """
     return fan_map_witness(source, target, lattice_map) is None
 

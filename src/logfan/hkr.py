@@ -26,7 +26,7 @@ outgrow what Python prints.
 from .cohomology import MAX_PN_DIM, Space, SplitBundle, Summand, \
     euler_characteristic, exterior_algebra, graded_cohomology
 from .errors import DimensionTooLarge, NoToricModel, WedgeOutOfRange, clip
-from .logproduct import format_pair, parse_pair
+from .logproduct import LogPair, format_pair
 
 
 def _model(pair):
@@ -102,7 +102,7 @@ def residue_euler_check(n, q):
     """
     if not 1 <= q <= n:
         raise WedgeOutOfRange(f"residue check needs 1 <= q <= n, got {q}")
-    pair = parse_pair(f"P{n}:H")
+    pair = LogPair("Pn:H", n)
     lhs = euler_characteristic(Space(*pair.host), log_wedge(pair, q))
     rhs_sub = (-1) ** q          # chi(Omega^q on P^n)
     rhs_res = (-1) ** (q - 1)    # chi(Omega^{q-1} on the hyperplane P^{n-1})

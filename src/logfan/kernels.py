@@ -203,8 +203,8 @@ def compose(first, second, trace=None):
     supported route raises UnsupportedComposition."""
     if first.target != second.source:
         raise UnsupportedComposition(
-            f"cannot compose: middle pairs {format_pair(first.target)} and "
-            f"{format_pair(second.source)} differ")
+            f"cannot compose: middle pairs {clip(format_pair(first.target))} "
+            f"and {clip(format_pair(second.source))} differ")
     m = first.target.dim
     same_map = first.source == second.target
     routes = []

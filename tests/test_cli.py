@@ -4,6 +4,7 @@ import json
 from math import comb
 import os
 from pathlib import Path
+import random
 import subprocess
 import sys
 
@@ -713,12 +714,16 @@ class TestDeterminism:
         assert first == second
 
 
-def p1_square_overlap():
-    """The P1 x P1 log product plus the cone {e1, e2}, which overlaps the
-    two cones on either side of the exceptional ray e1 + e2."""
-    data = fan_to_json(log_product([parse_pair("P1:pt")] * 2).fan)
-    index = {tuple(r): i for i, r in enumerate(data["rays"])}
-    data["cones"].append(sorted([index[(1, 0)], index[(0, 1)]]))
+def log_product_text(pairs, drop_first=False, cone=()):
+    """Fan JSON text of the log product of `pairs`, less its first cone
+    when `drop_first`, plus the cone on the rays `cone` when it names
+    any."""
+    data = fan_to_json(log_product([parse_pair(p) for p in pairs]).fan)
+    if drop_first:
+        data["cones"].pop(0)
+    if cone:
+        index = {tuple(r): i for i, r in enumerate(data["rays"])}
+        data["cones"].append(sorted(index[r] for r in cone))
     return json.dumps(data)
 
 
@@ -749,8 +754,11 @@ PINNED_STDOUT = [
         fan_dumps(log_product([parse_pair("A1:0")] * 4).fan), 0,
         "40531ad4da0350226ed4c7a310aace7b3ecce0fd4d29666e743a199bbed11e32",
         id="fan-check-passes"),
+    # the P1 x P1 log product plus the cone {e1, e2}, which overlaps the
+    # two cones on either side of the exceptional ray e1 + e2
     pytest.param(
-        ("fan", "check", "-"), p1_square_overlap(), 1,
+        ("fan", "check", "-"),
+        log_product_text(["P1:pt"] * 2, cone=[(1, 0), (0, 1)]), 1,
         "2e69791408c2440df4a4caf976aeba672d8eb8e961f980a397a77ed8d03deb4b",
         id="fan-check-overlap-fails"),
     pytest.param(
@@ -791,6 +799,10 @@ PINNED_STDOUT = [
         ("logproduct", "--pairs", "P1:pt", "--json"), None, 0,
         "0105ff38ac084a51599d685b036d7df9356572988c2e5fe778fb760e297faf40",
         id="logproduct-one-pair-json"),
+    pytest.param(
+        ("logproduct", "--pairs", "P1:pt,P2:H", "--json"), None, 0,
+        "f0c012735b21c6f74558d8efac16bbee951321c433a30b1aff7bbc0818427f72",
+        id="logproduct-two-pairs-json"),
 ]
 
 
@@ -994,6 +1006,115 @@ def test_usage_error_quotes_ordinary_input_whole(capsys, monkeypatch):
     assert (code, out, err) == (
         2, "", "usage error: fan JSON ray [1, 0, 0] is not a list of 2 "
         "integers\n")
+
+
+def dense_unimodular_cone(n):
+    """Fan JSON text of one cone of rank n: the identity after 6n random
+    signed row additions, a dense matrix of determinant +-1."""
+    rng = random.Random(1)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(6 * n):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
+    return json.dumps({"rank": n, "rays": rows, "cones": [list(range(n))]})
+
+
+E1 = [1] + [0] * 2999  # e1 in Z^3000
+# (argv, stdin, exit code, a line the command prints on stdout, or on
+# stderr when it prints nothing on stdout), each under a fixed id; stderr
+# never advises raising Python's digit limit
+PRINTED_LINES = [
+    # the first cone's ray sum lies on walls of this fan, so the face
+    # check's tie rule runs
+    pytest.param(("fan", "check", "-"), log_product_text(["P2:H"] * 2), 0,
+                 "rank 4: 7 rays, 13 maximal cones; smooth=True "
+                 "face-closed=True", id="fan-check-p2h-squared"),
+    # a complete rank-4 log product whose walls share hyperplanes
+    pytest.param(("fan", "check", "-"), log_product_text(["P1:pt"] * 4), 0,
+                 "rank 4: 19 rays, 65 maximal cones; smooth=True "
+                 "face-closed=True", id="fan-check-p1pt-fourth-power"),
+    pytest.param(("fan", "check", "-"), log_product_text(["A1:0"] * 5), 0,
+                 "rank 5: 31 rays, 120 maximal cones; smooth=True "
+                 "face-closed=True", id="fan-check-a1-fifth-power"),
+    # 720 cones, each a column permutation of the others, share one index
+    pytest.param(("fan", "check", "-"), log_product_text(["A1:0"] * 6), 0,
+                 "rank 6: 63 rays, 720 maximal cones; smooth=True "
+                 "face-closed=True", id="fan-check-a1-sixth-power"),
+    # A1:0^4 less one cone is still a fan; P1:pt^3 plus the cone
+    # {e1, e2, e3}, which its log product subdivides, is not
+    pytest.param(("fan", "check", "-"),
+                 log_product_text(["A1:0"] * 4, drop_first=True), 0,
+                 "rank 4: 15 rays, 23 maximal cones; smooth=True "
+                 "face-closed=True",
+                 id="fan-check-a1-fourth-power-less-a-cone"),
+    pytest.param(("fan", "check", "-"),
+                 log_product_text(["P1:pt"] * 3,
+                                  cone=[(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 1,
+                 "rank 3: 10 rays, 17 maximal cones; smooth=True "
+                 "face-closed=False", id="fan-check-p1pt-cube-plus-a-cone"),
+    pytest.param(("fan", "check", "-"),
+                 '{"rank": 2, "rays": [[1, 0], [-1, 0]], "cones": [[0, 1]]}',
+                 1, "error: InvalidCone: rays ((-1, 0), (1, 0)) are linearly "
+                 "dependent", id="fan-check-dependent-rays"),
+    # refused by the face check's work cap before any wall is eliminated
+    pytest.param(("fan", "check", "-"), dense_unimodular_cone(150), 1,
+                 "error: TooMuchWallWork: the face check of 1 cones of rank "
+                 "150 bounds its wall work at 506,250,000 (cones x rank^4), "
+                 "more than 200,000,000", id="fan-check-dense-cone-rank-150"),
+    # a rank-3000 ray is quoted by a bounded prefix
+    pytest.param(("fan", "check", "-"),
+                 json.dumps({"rank": 3000, "rays": [E1], "cones": [[0], [0]]}),
+                 2, f"usage error: cone {cut(str((tuple(E1),)))} listed twice",
+                 id="fan-check-cone-listed-twice-rank-3000"),
+    pytest.param(("fan", "check", "-"),
+                 json.dumps({"rank": 3000, "rays": [E1, [-1] + E1[1:]],
+                             "cones": [[0]], "labels": {
+                                 "1": {"kind": "boundary", "arg": 0}}}),
+                 2, f"usage error: fan JSON label '1' is on the ray "
+                 f"{cut(str([-1] + E1[1:]))}, which no cone holds",
+                 id="fan-check-unheld-label-rank-3000"),
+    pytest.param(("cohomology", "--base", "C2", "--bundle",
+                  "O(-3)[1]+O(5)^2+O"), None, 0, "0: 13",
+                 id="cohomology-curve"),
+    pytest.param(("cohomology", "--base", "P3", "--bundle",
+                  "O(-5)^2[1]+O(2)+O(-1)^3", "--json"), None, 0,
+                 '{"dims": {"0": 10, "2": 8}}', id="cohomology-json"),
+    pytest.param(("hkr", "--pair", "P2:H", "--cohomology"), None, 0, "2: 6",
+                 id="hkr-cohomology"),
+    pytest.param(("hkr", "--pair", "A1:0"), None, 1,
+                 "error: NoToricModel: A1:0 is not projective; no cohomology "
+                 "tables", id="hkr-no-toric-model"),
+    # --target names the kernel's target, here the pair itself
+    pytest.param(("chern", "--pair", "P2:H", "--target", "P2:H", "--kernel",
+                  "diag(O,0)"), None, 0, "1", id="chern-target-is-pair"),
+    # kernels the grammar reads but the pairs refuse
+    pytest.param(("chern", "--pair", "P1:pt", "--target", "P2:H", "--kernel",
+                  "graph(deg=0)"), None, 2,
+                 "usage error: graph atoms need degree >= 1",
+                 id="chern-graph-degree-zero"),
+    pytest.param(("euler", "--source", "P1:pt", "--target", "P2:H",
+                  "--kernel", "t(graph(deg=1))", "--against", "0"), None, 2,
+                 "usage error: transposed graph atoms end at P1:pt",
+                 id="euler-transposed-graph-source"),
+    pytest.param(("chern", "--pair", "P1:pt", "--target", "C2:pt",
+                  "--kernel", "graph(deg=1)"), None, 2,
+                 "usage error: graph atoms map P1:pt into P<m>:H, P1:pt or "
+                 "C0:pt, not C2:pt", id="chern-graph-into-c2"),
+    pytest.param(("verify",), None, 0,
+                 "[PASS] logproduct-support: the triple (P^1,pt) log product "
+                 "keeps the support of the product fan of (P^1)^3; without "
+                 "one of its cones it does not", id="verify-support"),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,code,line", PRINTED_LINES)
+def test_prints_the_line(capsys, monkeypatch, argv, stdin, code, line):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    got, out, err = run(capsys, *argv)
+    assert got == code and line in (out or err).splitlines()
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("order,group", [("1,a", "1,a"), ("1,2;", ""),

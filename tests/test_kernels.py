@@ -138,6 +138,17 @@ class TestCompose:
         with pytest.raises(UnsupportedComposition):
             compose(graph_kernel(P1, P2, 1), diag_kernel(P3))
 
+    def test_mismatched_middle_pair_is_named_in_one_short_line(self):
+        # the curve's name has 4,304 characters and is cut
+        curve = LogPair("Cg:pt", int("9" * 4300))
+        with pytest.raises(UnsupportedComposition) as exc:
+            compose(transpose(graph_kernel(P1, P2, 1)), diag_kernel(curve))
+        message = str(exc.value)
+        assert message.startswith("cannot compose: middle pairs P1:pt and "
+                                  "C999")
+        assert message.endswith("... (4304 characters) differ")
+        assert len(message) < 300
+
     def test_transpose_then_graph_unsupported(self):
         tg = transpose(graph_kernel(P1, P2, 1))
         with pytest.raises(UnsupportedComposition):

@@ -23,7 +23,7 @@ def test_readme_has_python_blocks():
 
 
 @pytest.mark.parametrize("line, block", BLOCKS,
-                         ids=[f"line {line}" for line, _ in BLOCKS])
+                         ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_example(line, block):
     test = doctest.DocTestParser().get_doctest(block, {}, "README.md",
                                                str(README), line - 1)
