@@ -5,31 +5,22 @@ simplicial cones in Z^rank, closed under faces (faces are implicit subsets of
 a cone's ray set), and a toric blow-up of an invariant stratum is the stellar
 subdivision at the corresponding cone.
 
-Every check is exact integer arithmetic on the `linalg` core, with no floats
-and no sampling: a cone's validity and smoothness come from the index of
-its rays' lattice in its saturation (`lattice_index`, the absolute
-determinant for a full-dimensional cone), and a wall's hyperplane is its
-primitive normal, found by one dot product among the normals already met
-through its ridges or else from one elimination (`_wall_normal`).  A cone
-has three routes in: `Cone(rays)` validates, with one index computation;
-`Cone._indexed` runs the same checks on an index its caller computed,
-and builds every cone of user input (`fan_from_json`); the private
-`Cone._known_valid` takes rays and index from a builder that makes cones
-from cones it already holds, whose closed form proves them valid and
-gives their indices: `product_fan`, `star_subdivide`,
-`logproduct.log_product`, `LogPair.toric_fan` and the blow-up centres of
-`logproduct.order_independence_check` (Cox-Little-Schenck, Toric
-Varieties, 3.3 and 11.1).  So no built fan's cone pays an elimination:
-only a fan read from JSON pays them, one per cone, or one per class of
-cones whose ray matrices differ by a column permutation where two
-coordinates carry the same values, as a log product's do
-(`fan_from_json`).  The reader checks the schema of every ray, then of
-every cone, each in one pass of builtins over all entries, before any
-cone's geometry.
-A fan has two routes in: `Fan(...)` refuses what `fan_to_json` could
-not write back, and `Fan._known_valid` serves `product_fan` and
-`log_product`, whose cones and labels pass those checks by construction,
-and `fan_from_json`, which makes them as it reads.
+A fan has one representation, as in toric software (Macaulay2's
+NormalToricVarieties gives each cone as indices into one ray list): its
+distinct rays once, sorted, and each maximal cone as its sorted ray
+indices with its lattice index, so index order is ray order.  Builders
+and the JSON reader emit it through one private route, `Fan._built`, and
+every check, the writer and the fan map read it; `Fan(rank, cones,
+labels)`, the one public route in, validates.
+
+Every check is exact integer arithmetic on the `linalg` core, with no
+floats and no sampling: a cone's validity and smoothness come from the
+index of its rays' lattice in its saturation (`lattice_index`, the
+absolute determinant for a full-dimensional cone).  No built fan's cone
+pays an elimination, as each builder's closed form proves its cones valid
+and gives their indices (Cox-Little-Schenck, Toric Varieties, 3.3 and
+11.1); a fan read from JSON pays one per cone, or one per class of cones
+whose ray matrices differ by a column permutation (`fan_from_json`).
 
 Both fan checks run on ray indices, read one index of the walls by
 hyperplane (`_hyperplanes`) and count the cones over a point by the signs
@@ -52,6 +43,7 @@ slotted, compared and hashed by their fields, with `Cone.det` left out.
 Every operation returns a fresh Fan.
 """
 
+from bisect import bisect_left
 from functools import reduce
 from itertools import chain, combinations, compress, repeat
 from math import comb, gcd
@@ -96,6 +88,28 @@ class DivisorLabel(FrozenValue):
         object.__setattr__(self, "arg", arg)
 
 
+def _check_cone(rays, d):
+    """Raises InvalidCone unless the sorted `rays`, of lattice index `d`
+    (None for rays of different lengths), span a cone.  Index 1 settles
+    it: the rays are independent and primitive, as the gcd of a ray's
+    entries divides every maximal minor.  Else the checks run in this
+    order: distinct, nonzero and primitive rays, one length, and a nonzero
+    index; the message quotes the rays by `errors.quote`."""
+    if d == 1:
+        return
+    if len(set(rays)) != len(rays):
+        raise InvalidCone(f"duplicate rays in {quote(rays)}")
+    for r in rays:
+        if not any(r):
+            raise InvalidCone(f"zero ray {quote(r)} in {quote(rays)}")
+        if primitive(r) != r:
+            raise InvalidCone(f"ray {quote(r)} is not primitive")
+    if d is None:
+        raise InvalidCone(f"rays {quote(rays)} have different lengths")
+    if d == 0:
+        raise InvalidCone(f"rays {quote(rays)} are linearly dependent")
+
+
 class Cone(FrozenValue):
     """Simplicial cone given by its primitive ray generators, all of one
     length, sorted lex.
@@ -103,68 +117,18 @@ class Cone(FrozenValue):
     `det` is the index of the rays' lattice in its saturation, the gcd of
     their maximal minors (`lattice_index`): the absolute determinant of a
     square cone, k rays of length k.  It is left out of ==, hash and repr.
-    There are three routes in.  `Cone(rays)` checks its input: the index is
-    computed once, and index 1 settles validity: the rays are independent,
-    and each is primitive, as the gcd of a ray's entries divides every
-    maximal minor.  Every other cone is checked in this order: distinct
-    rays, nonzero and primitive rays, one length, and independent rays,
-    which is a nonzero index; the InvalidCone message quotes the rays by
-    `errors.quote`, so a long ray list is cut to its first QUOTE_LIMIT
-    characters and its length.  `Cone._indexed(rays, det)` runs the same
-    checks on an index the caller computed, and is how `fan_from_json`
-    builds every cone: it computes one index per cone, or one per class of
-    cones whose ray matrices differ by a column permutation
-    (`_index_key`), and passes it in.  `Cone._known_valid(rays, det)`
-    only sorts: it serves the builders `product_fan`, `star_subdivide`,
-    `logproduct.log_product`, `LogPair.toric_fan` and
-    `logproduct.order_independence_check`, whose closed forms prove their
-    cones valid and give their indices.
+    `Cone(rays)` checks its input with one index computation; the cones a
+    fan yields are views of its stored cones, made with no check.
     """
     __slots__ = ("rays", "det")
     _fields = ("rays",)
 
     def __init__(self, rays):
         rays = tuple(sorted(tuple(r) for r in rays))
-        self._check(rays, lattice_index(rays)
-                    if len({len(r) for r in rays}) < 2 else None)
-
-    @classmethod
-    def _indexed(cls, rays, det):
-        """`Cone(rays)` for sorted ray tuples of one length whose lattice
-        index `det` the caller computed: the same checks, in the same
-        order and with the same messages, and no elimination."""
-        cone = object.__new__(cls)
-        cone._check(rays, det)
-        return cone
-
-    def _check(self, rays, d):
-        """Sets the fields to the sorted `rays` and their index `d` (None
-        for rays of different lengths) and checks the rays."""
+        det = lattice_index(rays) if len({len(r) for r in rays}) < 2 else None
+        _check_cone(rays, det)
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "det", d)
-        if d == 1:
-            return
-        if len(set(rays)) != len(rays):
-            raise InvalidCone(f"duplicate rays in {quote(rays)}")
-        for r in rays:
-            if not any(r):
-                raise InvalidCone(f"zero ray {quote(r)} in {quote(rays)}")
-            if primitive(r) != r:
-                raise InvalidCone(f"ray {quote(r)} is not primitive")
-        if d is None:
-            raise InvalidCone(f"rays {quote(rays)} have different lengths")
-        if d == 0:
-            raise InvalidCone(f"rays {quote(rays)} are linearly dependent")
-
-    @classmethod
-    def _known_valid(cls, rays, det):
-        """The cone on `rays`, which the caller knows to be distinct,
-        primitive, of one length and independent, with `det` their
-        lattice index: no check is run."""
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "rays", tuple(sorted(rays)))
-        object.__setattr__(cone, "det", det)
-        return cone
+        object.__setattr__(self, "det", det)
 
     def __len__(self):
         return len(self.rays)
@@ -173,76 +137,86 @@ class Cone(FrozenValue):
 class Fan(FrozenValue):
     """Set of maximal simplicial cones, with optional ray labels.
 
-    The `Cone`s are stored canonically sorted so identical fans compare
-    equal bit-for-bit, and labels as a sorted tuple of (ray, label).
-    `Fan(...)` refuses, with FanSchemaError, what `fan_to_json` could not
-    write back, checked in this order: a cone listed twice, a cone with a
-    ray whose length is not `rank`, a second label on one ray and a label
-    on a ray no cone holds.  Each check is one pass of builtins over all
-    the sorted cones or labels (equal neighbours, the set of ray lengths,
-    the set of held rays); only where one fails is a plain scan run, to
-    name the first offender in sorted order.
-    `Fan._known_valid(rank, cones, labels)` only sorts: it serves
-    `product_fan`, whose cones are distinct pairs of distinct factor cones
-    and whose labels sit on the factors' labelled rays, padded apart,
-    `logproduct.log_product`, whose closed form labels each ray once, and
-    only rays its cones hold, and `fan_from_json` after its own checks.
+    A fan stores its distinct rays once, sorted (`rays()`), and its
+    maximal cones, sorted, each as its sorted ray indices with its lattice
+    index; labels are a sorted tuple of (ray, label).  `cones` yields the
+    stored cones as `Cone`s, made on first use; ==, hash and repr read
+    `rank`, `cones` and `labels`.  `Fan(rank, cones, labels)` refuses what
+    `fan_to_json` could not write back (`_check`); `Fan._built` takes the
+    stored form and checks nothing.
     """
-    __slots__ = ("rank", "cones", "labels")
+    __slots__ = ("rank", "labels", "_rays", "_at", "_det", "_cones")
+    _fields = ("rank", "cones", "labels")
 
     def __init__(self, rank, cones, labels=()):
-        self._store(rank, cones, [(tuple(ray), lab) for ray, lab in labels])
-        labels = self.labels
-        rays = self._distinct_cones()
-        if not {rank}.issuperset(map(len, map(itemgetter(0),
-                                               filter(None, rays)))):
-            bad = next(r for r in rays if r and len(r[0]) != rank)
-            raise FanSchemaError(f"cone {quote(bad)} has a ray whose "
-                                 f"length is not the rank {rank}")
-        # sorted: the first equal neighbours are the first ray labelled twice
+        cones = tuple(sorted(cones, key=attrgetter("rays")))
+        rays = tuple(sorted({r for c in cones for r in c.rays}))
+        index = {r: i for i, r in enumerate(rays)}
+        self._store(rank, rays, [(tuple(map(index.__getitem__, c.rays)),
+                                  c.det) for c in cones],
+                    [(tuple(ray), lab) for ray, lab in labels], cones)
+        self._check()
+
+    @classmethod
+    def _built(cls, rank, rays, cones, labels):
+        """The fan on the sorted distinct `rays` with the maximal cones
+        `cones`, (sorted ray indices, lattice index), and `labels`."""
+        return object.__new__(cls)._store(rank, rays, cones, labels)
+
+    def _store(self, rank, rays, cones, labels, views=None):
+        at, det = tuple(zip(*sorted(cones))) or ((), ())
+        object.__setattr__(self, "_cones", views)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_rays", rays)
+        object.__setattr__(self, "_at", at)
+        object.__setattr__(self, "_det", det)
+        object.__setattr__(self, "labels", tuple(sorted(
+            labels, key=lambda item: (item[0], item[1].kind, item[1].arg))))
+        return self
+
+    def _check(self):
+        """Raises FanSchemaError, in this order, on a cone listed twice, a
+        ray whose length is not `rank`, a second label on one ray and a
+        label on a ray no cone holds: the first offender in sorted order."""
+        at, rays, labels, rank = self._at, self._rays, self.labels, self.rank
+        twice = next(compress(at, map(eq, at, at[1:])), None)
+        if twice is not None:
+            raise FanSchemaError(f"cone {quote(self._cone_rays(twice))} "
+                                 f"listed twice")
+        if not {rank}.issuperset(map(len, rays)):
+            # a cone's rays have one length, so its first ray tells
+            bad = next(c for c in at if c and len(rays[c[0]]) != rank)
+            raise FanSchemaError(f"cone {quote(self._cone_rays(bad))} has a "
+                                 f"ray whose length is not the rank {rank}")
         on = list(map(itemgetter(0), labels))
         second = next(compress(labels[1:], map(eq, on, on[1:])), None)
         if second is not None:
             ray, lab = second
             raise FanSchemaError(f"the label {quote(lab)} is a second "
                                  f"label on the ray {quote(ray)}")
-        if labels:
-            held = set(chain.from_iterable(rays))
-            if not held.issuperset(on):
-                ray, lab = next(item for item in labels
-                                if item[0] not in held)
-                raise FanSchemaError(
-                    f"the label {quote(lab)} is on the ray {quote(ray)}, "
-                    f"which no cone holds")
+        if labels and not set(rays).issuperset(on):
+            ray, lab = next(item for item in labels if item[0] not in rays)
+            raise FanSchemaError(
+                f"the label {quote(lab)} is on the ray {quote(ray)}, "
+                f"which no cone holds")
 
-    @classmethod
-    def _known_valid(cls, rank, cones, labels):
-        """The fan of `cones` and `labels`, (ray tuple, label) pairs, which
-        the caller knows to pass every check of `Fan(...)`: no check is
-        run."""
-        fan = object.__new__(cls)
-        fan._store(rank, cones, labels)
-        return fan
+    def _cone_rays(self, at):
+        return tuple(map(self._rays.__getitem__, at))
 
-    def _distinct_cones(self):
-        """The ray tuples of the cones, sorted; raises FanSchemaError
-        naming the first equal neighbours, the first cone listed twice."""
-        rays = list(map(attrgetter("rays"), self.cones))
-        twice = next(compress(rays, map(eq, rays, rays[1:])), None)
-        if twice is not None:
-            raise FanSchemaError(f"cone {quote(twice)} listed twice")
-        return rays
-
-    def _store(self, rank, cones, labels):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cones",
-                           tuple(sorted(cones, key=attrgetter("rays"))))
-        object.__setattr__(self, "labels", tuple(sorted(
-            labels, key=lambda item: (item[0], item[1].kind, item[1].arg))))
+    @property
+    def cones(self):
+        if self._cones is None:
+            ray, views = self._rays.__getitem__, []
+            set_rays, set_det = Cone.rays.__set__, Cone.det.__set__
+            for at, det in zip(self._at, self._det):
+                views.append(object.__new__(Cone))
+                set_rays(views[-1], tuple(map(ray, at)))
+                set_det(views[-1], det)
+            object.__setattr__(self, "_cones", tuple(views))
+        return self._cones
 
     def rays(self):
-        return tuple(sorted(set(chain.from_iterable(
-            map(attrgetter("rays"), self.cones)))))
+        return self._rays
 
     def exceptional_count(self):
         return sum(1 for _, lab in self.labels if lab.kind == EXCEPTIONAL)
@@ -251,8 +225,23 @@ class Fan(FrozenValue):
         """Maximal cones holding no labelled ray.  For a toric pair (X, D)
         these are the torus-fixed points of U = X minus D, so the count
         is the Euler characteristic e(U)."""
-        labelled = {ray for ray, _ in self.labels}
-        return sum(1 for c in self.cones if labelled.isdisjoint(c.rays))
+        labelled = {bisect_left(self._rays, ray) for ray, _ in self.labels}
+        return sum(1 for c in self._at if labelled.isdisjoint(c))
+
+
+def _union(a, b):
+    """The sorted table of the distinct rays of the ray tables `a` and `b`,
+    and the places in it of a's rays and of b's.  Timsort merges sorted
+    tables in one linear pass."""
+    rays = tuple(dict.fromkeys(sorted([*a, *b])))
+    return (rays, list(map(bisect_left, repeat(rays), a)),
+            list(map(bisect_left, repeat(rays), b)))
+
+
+def _place(rays, ray):
+    """The index of `ray` in the sorted table `rays`, else len(rays)."""
+    i = bisect_left(rays, ray)
+    return i if rays[i:i + 1] == (ray,) else len(rays)
 
 
 def is_smooth(cone, ambient_rank):
@@ -285,27 +274,33 @@ def star_subdivide(fan, center):
     rays), which keeps the lattice, and then s by the primitive s / g adds
     s / g to a basis vector of it, a lattice g times larger with the same
     saturation.  So each new cone is valid with index `cone.det // g`.
+    A new ray that is not a ray of the fan makes distinct new cones and a
+    label on a fresh ray, so only a ray of the fan checks the result.
     """
     if len(center) < 2:
         raise CenterNotInFan("subdivision center needs at least two rays")
-    total = tuple(sum(xs) for xs in zip(*center.rays))
+    total = tuple(map(sum, zip(*center.rays)))
     g = gcd(*total)
     new_ray = tuple(x // g for x in total)
-    center_set = set(center.rays)
-    new_cones = []
-    for cone in fan.cones:
-        if center_set <= set(cone.rays):
-            det = cone.det // g
-            for dropped in center.rays:
-                kept = tuple(r for r in cone.rays if r != dropped)
-                new_cones.append(Cone._known_valid(kept + (new_ray,), det))
+    table = fan.rays()
+    at = [_place(table, r) for r in center.rays]
+    inside = set(at)  # a ray off the table gets an index no cone holds
+    rays, old, (new,) = _union(table, (new_ray,))
+    cones = []
+    for idx, det in zip(fan._at, fan._det):
+        if inside.issubset(idx):
+            cones += [(tuple(sorted([old[i] for i in idx if i != dropped]
+                                    + [new])), det // g) for dropped in at]
         else:
-            new_cones.append(cone)
-    if len(new_cones) == len(fan.cones):  # no cone held the center
+            cones.append((tuple(map(old.__getitem__, idx)), det))
+    if len(cones) == len(fan._at):  # no cone held the center
         raise CenterNotInFan(f"{quote(center.rays)} is not a cone of the fan")
     step = fan.exceptional_count()
     labels = fan.labels + ((new_ray, DivisorLabel(EXCEPTIONAL, step)),)
-    return Fan(fan.rank, tuple(new_cones), labels)
+    subdivided = Fan._built(fan.rank, rays, cones, labels)
+    if len(rays) == len(table):  # the new ray is a ray of the fan
+        subdivided._check()
+    return subdivided
 
 
 def product_fan(f, g, offset=0):
@@ -319,31 +314,27 @@ def product_fan(f, g, offset=0):
 
     No cone is eliminated: a product cone's lattice is the direct sum of
     its factor cones' lattices, and so is its saturation, so its index is
-    `a.det * b.det`, and it is valid as both factors are.
+    `a.det * b.det`, and it is valid as both factors are.  A product
+    cone's indices are its factors' indices read through the merge of the
+    two padded ray tables.
     """
-    def left(ray):
-        return tuple(ray) + (0,) * g.rank
-
-    def right(ray):
-        return (0,) * f.rank + tuple(ray)
-
-    cones = []
-    for a in f.cones:
-        for b in g.cones:
-            cones.append(Cone._known_valid(
-                tuple(left(r) for r in a.rays)
-                + tuple(right(r) for r in b.rays), a.det * b.det))
-    if not cones:
+    if not (f._at and g._at):
         return Fan(f.rank + g.rank, ())
-    labels = [(left(ray), lab) for ray, lab in f.labels]
+    zf, zg = (0,) * f.rank, (0,) * g.rank
+    rays, at_f, at_g = _union([r + zg for r in f.rays()],
+                              [zf + r for r in g.rays()])
+    cones = [(tuple(sorted([*map(at_f.__getitem__, a),
+                            *map(at_g.__getitem__, b)])), da * db)
+             for a, da in zip(f._at, f._det) for b, db in zip(g._at, g._det)]
+    labels = [(ray + zg, lab) for ray, lab in f.labels]
     for ray, lab in g.labels:
         if lab.kind in (BOUNDARY, STRICT_TRANSFORM):
             lab = DivisorLabel(lab.kind, lab.arg + offset)
-        labels.append((right(ray), lab))
+        labels.append((zf + ray, lab))
     # distinct pairs of distinct factor cones give distinct cones, with
     # rays of length f.rank + g.rank, and each factor labels only rays its
     # cones hold, once each, so the checks of `Fan(...)` pass
-    return Fan._known_valid(f.rank + g.rank, cones, labels)
+    return Fan._built(f.rank + g.rank, rays, cones, labels)
 
 
 def fan_map_witness(source, target, lattice_map):
@@ -352,44 +343,45 @@ def fan_map_witness(source, target, lattice_map):
     ray order; None when every source cone lands in some target cone.
 
     A linear map sends cone(rays) into a cone exactly when it sends each
-    ray there.  Each distinct source ray is mapped once, and each distinct
-    image p gets the bitmask of target cones that surely hold it, read off
-    their ray sets: every cone for p = 0, else the cones with
-    `primitive(p)` as a ray, as p is a positive multiple of it.  A source
-    cone whose images' masks share a bit maps into that cone with no
-    solve.  Every other cone is one plain scan of the target cones: an
-    image is held when its mask says so, else when `solve_nonnegative` on
-    the target cone's rays finds it, which may put it on a wall.  The
-    masks only prove "holds", so the answer is exact for any target, fan
-    or not, and skip solves of the plain scan without adding any.  A
-    matrix whose shape is not target.rank x source.rank raises
-    RankMismatch.
+    ray there.  Each source ray is mapped once, and its image p gets the
+    bitmask of target cones that surely hold it, read off their ray
+    indices: every cone for p = 0, else the cones with `primitive(p)` as a
+    ray, found in the target's table by bisection, as p is a positive
+    multiple of it.  A source cone whose images' masks share a bit maps
+    into that cone with no solve.  Every other cone is one plain scan of
+    the target cones: an image is held when its mask says so, else when
+    `solve_nonnegative` on the target cone's rays finds it, which may put
+    it on a wall.  The masks only prove "holds", so the answer is exact
+    for any target, fan or not, and skip solves of the plain scan without
+    adding any.  A matrix whose shape is not target.rank x source.rank
+    raises RankMismatch.
     """
     rows = tuple(tuple(r) for r in lattice_map)
     if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
         raise RankMismatch(
             f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}, "
             f"expected {target.rank}x{source.rank}")
-    image = {r: mat_mul_vec(rows, r) for r in source.rays()}
-    every = (1 << len(target.cones)) - 1
-    on_ray = {}
-    for i, cone in enumerate(target.cones):
-        for r in cone.rays:
-            on_ray[r] = on_ray.get(r, 0) | 1 << i
-    sure = {p: on_ray.get(primitive(p), 0) if any(p) else every
-            for p in set(image.values())}
-    for cone in source.cones:
+    table = target.rays()
+    every = (1 << len(target._at)) - 1
+    on_ray = [0] * (len(table) + 1)  # the last for an image on no ray
+    for i, idx in enumerate(target._at):
+        for j in idx:
+            on_ray[j] |= 1 << i
+    image = [mat_mul_vec(rows, r) for r in source.rays()]
+    sure = [on_ray[_place(table, primitive(p))] if any(p) else every
+            for p in image]
+    for k, idx in enumerate(source._at):
         mask = every
-        for r in cone.rays:
-            mask &= sure[image[r]]
+        for i in idx:
+            mask &= sure[i]
         if mask:
             continue
-        images = tuple(image[r] for r in cone.rays)
-        if not any(all(sure[p] >> i & 1
-                       or solve_nonnegative(t.rays, p) is not None
-                       for p in images)
-                   for i, t in enumerate(target.cones)):
-            return cone, images
+        if not any(all(sure[i] >> t & 1
+                       or solve_nonnegative(list(map(table.__getitem__, t_at)),
+                                            image[i]) is not None
+                       for i in idx)
+                   for t, t_at in enumerate(target._at)):
+            return source.cones[k], tuple(image[i] for i in idx)
     return None
 
 
@@ -398,10 +390,10 @@ def induces_fan_map(source, target, lattice_map):
 
     The rule (Cox-Little-Schenck, Toric Varieties, 3.3): the images of
     each source cone's rays lie in one target cone.  `fan_map_witness`
-    reads that cone off the target's ray sets when each image is 0 or a
-    multiple of one of its rays, as for the projections of a log product,
-    and otherwise scans the target cones with one exact solve per image
-    and cone it tries.
+    reads that cone off the target's ray indices when each image is 0 or
+    a multiple of one of its rays, as for the projections of a log
+    product, and otherwise scans the target cones with one exact solve per
+    image and cone it tries.
     """
     return fan_map_witness(source, target, lattice_map) is None
 
@@ -504,20 +496,20 @@ def _cones_over(normals, facets, point):
     return sum(c for c, sides in facets if above.issuperset(sides))
 
 
-def _meet_in_face(a, b, rank):
-    """True when cone(a) n cone(b) is the face spanned by the shared rays.
+def _meet_in_face(a, b, rays, rank):
+    """True when the cones on ray indices `a` and `b` meet in a face.
 
-    It is not exactly when (0,...,0,1) is a nonnegative combination of
-    the columns [a;1] (a in A-B), [-b;1] (b in B-A) and [+-s;0] (s shared):
+    They do not exactly when (0,...,0,1) is a nonnegative combination of
+    the columns [r;1] (r in A-B), [-r;1] (r in B-A) and [+-s;0] (s shared):
     a point of both cones with positive mass off the shared rays.  One
     exact solve decides it, whatever the columns' rank.
     """
-    shared = set(a.rays) & set(b.rays)
-    columns = ([r + (1,) for r in a.rays if r not in shared]
-               + [tuple(-x for x in r) + (1,) for r in b.rays
-                  if r not in shared]
-               + [s + (0,) for s in shared]
-               + [tuple(-x for x in s) + (0,) for s in shared])
+    shared = [i for i in a if i in b]
+    columns = ([rays[i] + (1,) for i in a if i not in shared]
+               + [tuple(-x for x in rays[i]) + (1,) for i in b
+                  if i not in shared]
+               + [rays[i] + (0,) for i in shared]
+               + [tuple(-x for x in rays[i]) + (0,) for i in shared])
     return solve_nonnegative(columns, (0,) * rank + (1,)) is None
 
 
@@ -565,7 +557,7 @@ def check_face_closure(fan):
        solve per pair.  Before any of them, a fan of more than
        `MAX_PAIRWISE_SOLVES` pairs raises TooManySolves.
     """
-    cones = fan.cones
+    cones, rays = fan._at, fan.rays()
     if cones and all(len(c) == fan.rank for c in cones):
         work = len(cones) * fan.rank ** 4
         if work > MAX_WALL_WORK:
@@ -573,11 +565,8 @@ def check_face_closure(fan):
                 f"the face check of {len(cones)} cones of rank {fan.rank} "
                 f"bounds its wall work at {work:,} (cones x rank^4), more "
                 f"than {MAX_WALL_WORK:,}")
-        index = {}
-        terms = [(1, [index.setdefault(r, len(index)) for r in c.rays])
-                 for c in cones]
-        rays = list(index)
-        planes, facets, normals = _hyperplanes(terms, rays, fan.rank)
+        planes, facets, normals = _hyperplanes([(1, c) for c in cones],
+                                               rays, fan.rank)
         boundary = []
         for h, entries in enumerate(planes):
             up = {wall for side, wall in entries if side > 0}
@@ -590,7 +579,7 @@ def check_face_closure(fan):
                 boundary.append((h, -1))
         if all(side * _dot(normals[h], x) >= 0
                for h, side in boundary for x in rays):
-            point = tuple(map(sum, zip(*cones[0].rays)))
+            point = tuple(map(sum, zip(*map(rays.__getitem__, cones[0]))))
             return _cones_over(normals, facets, point) == 1
     pairs = comb(len(cones), 2)
     if pairs > MAX_PAIRWISE_SOLVES:
@@ -598,7 +587,7 @@ def check_face_closure(fan):
             f"the pairwise face check of {len(cones)} cones of rank "
             f"{fan.rank} needs {pairs:,} exact solves, one per pair, more "
             f"than {MAX_PAIRWISE_SOLVES:,}")
-    return all(_meet_in_face(a, b, fan.rank)
+    return all(_meet_in_face(a, b, rays, fan.rank)
                for a, b in combinations(cones, 2))
 
 
@@ -624,16 +613,18 @@ def check_support_preserved(before, after):
         raise RankMismatch(f"cannot compare the supports of fans of rank "
                            f"{before.rank} and {after.rank}")
     rank = before.rank
-    for cone in before.cones + after.cones:
-        if len(cone) != rank:
+    for fan in (before, after):
+        for at in filter(lambda at: len(at) != rank, fan._at):
             raise ValueError(f"the support check needs {rank} rays per "
-                             f"cone, and {quote(cone.rays)} has {len(cone)}")
-    merged = _merged([(c, cone.rays) for c, fan in ((1, before), (-1, after))
-                      for cone in fan.cones])
-    rays = dict(enumerate(sorted(set(chain.from_iterable(merged)))))
-    index = {r: i for i, r in rays.items()}
-    return _vanishes([(c, [index[r] for r in key])
-                      for key, c in merged.items()], rays, rank)
+                             f"cone, and {quote(fan._cone_rays(at))} has "
+                             f"{len(at)}")
+    rays, at_before, at_after = _union(before.rays(), after.rays())
+    merged = _merged([(c, tuple(map(place.__getitem__, at)))
+                      for c, fan, place in ((1, before, at_before),
+                                            (-1, after, at_after))
+                      for at in fan._at])
+    return _vanishes([(c, key) for key, c in merged.items()],
+                     dict(enumerate(rays)), rank)
 
 
 def _merged(terms):
@@ -694,17 +685,16 @@ def fan_to_json(fan):
     {"rank": int, "rays": [[int]], "cones": [[ray-index]],
      "labels": {ray-index: {"kind": str, "arg": int}}}.
 
-    The rays are sorted, so a ray's index grows with it; a cone's rays are
-    sorted and the fan's cones are sorted by their rays, so each cone's
-    index list, and the list of them, come out sorted.
+    The fan's stored form is written as it is: its sorted ray table and
+    the sorted cones, each as its sorted ray indices.
     """
     rays = fan.rays()
-    index = {r: i for i, r in enumerate(rays)}
     return {
         "rank": fan.rank,
         "rays": [list(r) for r in rays],
-        "cones": [list(map(index.__getitem__, c.rays)) for c in fan.cones],
-        "labels": {str(index[ray]): {"kind": lab.kind, "arg": lab.arg}
+        "cones": [list(c) for c in fan._at],
+        "labels": {str(bisect_left(rays, ray)): {"kind": lab.kind,
+                                                  "arg": lab.arg}
                    for ray, lab in fan.labels},
     }
 
@@ -770,17 +760,14 @@ def fan_from_json(data):
     every ray, then of every cone, each in one pass of builtins over all
     entries (`_json_rows`), so a malformed cone anywhere is refused before
     any cone's geometry is read; each cone's checks as `Cone(rays)` runs
-    them, cone by cone; the labels; and a cone listed twice, on the sorted
-    cones, the one check of `Fan(...)` the earlier ones leave, so the fan
-    is built by `Fan._known_valid`.  This is the one fan builder that runs
-    eliminations: its cones come from user input.  Every cone takes one
-    route: its rays sorted, its index from `lattice_index`, and
-    `Cone._indexed`.  Where two coordinates have the same sorted column of
-    ray values, as a coordinate permutation of the ray set needs, cones
-    with one `_index_key` share one elimination, so A1^6's 720 cones pay
-    1; else each cone pays its own.  The shared indices live for one call.
-    Past its elimination, a cone costs a sort of its rays, its key and one
-    dict lookup where indices are shared, and the object itself.
+    them, cone by cone; the labels; and a cone listed twice (`Fan._check`).
+
+    The cones keep the indices read, through the sorted table of the rays
+    they hold, where a ray listed twice is one entry.  A cone's index is
+    `lattice_index` of its rays.  Where two coordinates have the same
+    sorted column of ray values, as a coordinate permutation of the ray
+    set needs, cones with one `_index_key` share one elimination, so
+    A1^6's 720 cones pay 1; else each cone pays its own.
     """
     if not isinstance(data, dict):
         raise FanSchemaError("fan JSON must be an object")
@@ -790,10 +777,15 @@ def fan_from_json(data):
     rays = _json_field(data, "rays", list)
     _json_rows(rays, "ray", length=rank)
     rays = list(map(tuple, rays))
+    listed = _json_field(data, "cones", list)
+    indices = _json_rows(listed, "cone", bound=len(rays))
+    held = set(map(rays.__getitem__, indices))
+    table = tuple(sorted(held))
+    place = list(map(bisect_left, repeat(table), rays))
     # a coordinate permutation of the ray set needs two coordinates with
     # one sorted column of values, and only then are indices shared; two
     # columns make rank >= 2, so a key's columns give its ray count
-    columns = [tuple(sorted(c)) for c in zip(*rays)]
+    columns = [tuple(sorted(c)) for c in zip(*table)]
     if len(set(columns)) < len(columns):
         shared = {}
 
@@ -805,13 +797,13 @@ def fan_from_json(data):
             return det
     else:
         det_of = lattice_index
-    listed = _json_field(data, "cones", list)
-    indices = _json_rows(listed, "cone", bound=len(rays))
-    cone_rays = [tuple(sorted(map(rays.__getitem__, c))) for c in listed]
-    cones = list(map(Cone._indexed, cone_rays, map(det_of, cone_rays)))
-    # the rays the cones hold; a ray listed twice is held under either
-    # index
-    held = set(map(rays.__getitem__, indices))
+    cones = []
+    for c in listed:
+        at = tuple(sorted(map(place.__getitem__, c)))
+        cone_rays = tuple(map(table.__getitem__, at))
+        det = det_of(cone_rays)
+        _check_cone(cone_rays, det)
+        cones.append((at, det))
     labels = {}
     for i, d in _json_field(data, "labels", dict, {}).items():
         try:
@@ -835,8 +827,9 @@ def fan_from_json(data):
                                  f"label on the ray "
                                  f"{quote(list(rays[index]))}")
         labels[rays[index]] = DivisorLabel(d.get("kind"), d["arg"])
-    fan = Fan._known_valid(rank, cones, tuple(labels.items()))
-    fan._distinct_cones()
+    fan = Fan._built(rank, table, cones, labels.items())
+    if any(map(eq, fan._at, fan._at[1:])):  # a cone listed twice
+        fan._check()
     return fan
 
 

@@ -105,24 +105,22 @@ class LogPair(FrozenValue):
         Every cone has index 1, with no elimination: the octant ray is
         e_1, and n of the rays of P^n are e_1..e_n or, with one e_j
         replaced by -(e_1+..+e_n), a change of basis of determinant -1.
+        The sorted rays of P^n are -(e_1+..+e_n), e_n, ..., e_1.
         """
-        from .fans import BOUNDARY, Cone, DivisorLabel, Fan
+        from .fans import BOUNDARY, DivisorLabel, Fan
         if self.shape is None:
             raise NoToricModel(
                 f"{clip(format_pair(self))} has no toric local model")
         n = self.dim
         _check_rank(n)
-        boundary = tuple(1 if i == 0 else 0 for i in range(n))
+        rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         if self.shape == "A1":
-            ray_sets = [(boundary,)]
+            rays, cones = rays[:1], [(0,)]
         else:
-            rays = [tuple(1 if i == j else 0 for i in range(n))
-                    for j in range(n)]
-            rays.append(tuple(-1 for _ in range(n)))
-            ray_sets = combinations(rays, n)
-        cones = tuple(Cone._known_valid(sub, 1) for sub in ray_sets)
-        labels = ((boundary, DivisorLabel(BOUNDARY, factor)),)
-        return Fan(n, cones, labels)
+            rays = [(-1,) * n] + rays[::-1]
+            cones = combinations(range(n + 1), n)
+        return Fan._built(n, tuple(rays), [(c, 1) for c in cones],
+                          ((rays[-1], DivisorLabel(BOUNDARY, factor)),))
 
 
 def _check_rank(rank):
@@ -215,7 +213,7 @@ def _cone_count(factor_fans):
     e = [1]
     for ff in factor_fans:
         v = ff.open_cone_count()
-        w = len(ff.cones) - v
+        w = len(ff._at) - v
         e = [x * v + y * w for x, y in zip(e + [0], [0] + e)]
     return sum(factorial(k) * x for k, x in enumerate(e))
 
@@ -271,24 +269,27 @@ def log_product(pairs, order=None):
     MAX_CONES maximal cones raises TooManyCones, and a rank above MAX_RANK
     DimensionTooLarge, before anything is built.
     """
-    from .fans import EXCEPTIONAL, STRICT_TRANSFORM, Cone, DivisorLabel, Fan
+    from .fans import EXCEPTIONAL, STRICT_TRANSFORM, DivisorLabel, Fan, _union
     fan, boundary, order = _product(pairs, order)
-    ray_of = _subset_sums([boundary[i] for i in range(len(pairs))])
-    bit = {ray: 1 << i for i, ray in boundary.items()}
+    n = len(pairs)
+    ray_of = _subset_sums([boundary[i] for i in range(n)])
+    # the sums of one boundary ray are product rays, the others new rays
+    rays, old, place = _union(fan.rays(), ray_of[1:])
+    bit = {place[(1 << i) - 1]: 1 << i for i in range(n)}
     chains = {}
     cones = []
-    for cone in fan.cones:
-        inside = sum(bit.get(r, 0) for r in cone.rays)
+    for at, det in zip(fan._at, fan._det):
+        at = [old[j] for j in at]
+        inside = sum(bit.get(j, 0) for j in at)
         if inside not in chains:
-            bits = [b for b in bit.values() if b & inside]
-            chains[inside] = [tuple(map(ray_of.__getitem__,
-                                        accumulate(p, or_)))
+            bits = [bit[j] for j in at if j in bit]
+            chains[inside] = [[place[m - 1] for m in accumulate(p, or_)]
                               for p in permutations(bits)]
-        rest = tuple(r for r in cone.rays if r not in bit)
+        rest = [j for j in at if j not in bit]
         # the chains depend only on the boundary rays the cone holds; each
         # is a unitriangular change of them, so the new cone is valid and
         # keeps the product cone's lattice index
-        cones += [Cone._known_valid(rest + chain, cone.det)
+        cones += [(tuple(sorted(rest + chain)), det)
                   for chain in chains[inside]]
     stratum_ray = {s: ray_of[sum(1 << i for i in s)] for s in order}
     labels = [(ray, DivisorLabel(STRICT_TRANSFORM, i))
@@ -298,7 +299,7 @@ def log_product(pairs, order=None):
     # every stratum ray and boundary ray lies in a chain, and each is
     # labelled once, so the labels pass the checks of `Fan(...)` too
     return LogProductSpace(
-        tuple(pairs), Fan._known_valid(fan.rank, cones, labels),
+        tuple(pairs), Fan._built(fan.rank, rays, cones, labels),
         tuple(sorted(stratum_ray.items(), key=lambda kv: sorted(kv[0]))),
         tuple(sorted(boundary.items())))
 
@@ -316,20 +317,24 @@ def order_independence_check(pairs, order_a, order_b):
     `star_subdivide` keeps `det // g`, with g = 1 as the rays of a
     unimodular cone sum to a primitive vector.  A centre is a face of such
     a cone, and a subset of a basis extends to a basis, so its index is 1
-    too.  The comparison with the closed form reads only the rays.
+    too; it is built as the one cone of a fan.  The comparison with the
+    closed form reads the stored ray tables and cones.
     """
-    from .fans import Cone, star_subdivide
-    expected = log_product(pairs).fan.cones
+    from .fans import Fan, star_subdivide
+    expected = log_product(pairs).fan
     for order in (order_a, order_b):
         fan, boundary, order = _product(pairs, order)
         tracked = {s: frozenset(boundary[i] for i in s) for s in order}
         for stratum in order:
             center = tracked[stratum]
-            fan = star_subdivide(fan, Cone._known_valid(tuple(center), 1))
+            face = tuple(sorted(center))
+            [cone] = Fan._built(fan.rank, face,
+                                [(tuple(range(len(face))), 1)], ()).cones
+            fan = star_subdivide(fan, cone)
             for s, rays in tracked.items():
                 if center <= rays:
                     tracked[s] = (rays - center) | {reduce(_add, center)}
-        if fan.cones != expected:
+        if (fan.rays(), fan._at) != (expected.rays(), expected._at):
             return False
     return True
 

@@ -1398,8 +1398,8 @@ def test_face_and_support_checks_match_the_pairwise_routes(case):
     assert len(pairs) <= fans.MAX_PAIRWISE_SOLVES
     closed = edit != "add"
     assert check_face_closure(fan) is closed
-    assert all(fans._meet_in_face(a, b, fan.rank) for a, b in pairs) \
-        is closed
+    assert all(fans._meet_in_face(a, b, fan.rays(), fan.rank)
+               for a, b in combinations(fan._at, 2)) is closed
     if importlib.util.find_spec("scipy"):
         assert lp_face_closure(fan) is closed
     if closed:
@@ -1917,6 +1917,67 @@ def test_reader_test_fails_on_a_coarser_key(monkeypatch):
                         lambda rays: tuple(sorted(map(sum, zip(*rays)))))
     with pytest.raises(AssertionError):
         test_reader_indices_match_lattice_index()
+
+
+def json_by_hand(fan):
+    """`fan_to_json` written from the ray tuples of `fan.cones`: a sorted
+    list of the rays they hold, and each cone and label by list index."""
+    rays = sorted({r for c in fan.cones for r in c.rays})
+    return {"rank": fan.rank, "rays": [list(r) for r in rays],
+            "cones": [[rays.index(r) for r in c.rays] for c in fan.cones],
+            "labels": {str(rays.index(ray)): {"kind": lab.kind,
+                                              "arg": lab.arg}
+                       for ray, lab in fan.labels}}
+
+
+@st.composite
+def moved_product_json(draw):
+    """(JSON, cones): the JSON of a log product of `FANCHECK_PAIRS`, labels
+    included, with its coordinates permuted with signs or moved by a
+    random unimodular matrix, and the ray sets of its cones.  The JSON may
+    list its rays out of order, and may list one ray twice, some cones and
+    its label naming the second copy."""
+    data = product_json(draw(st.sampled_from(FANCHECK_PAIRS)))
+    n, rng = data["rank"], random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        matrix = unimodular(rng, n)
+    else:
+        matrix = [[rng.choice((1, -1)) * int(j == k) for j in range(n)]
+                  for k in rng.sample(range(n), n)]
+    rays = [list(mat_mul_vec(matrix, r)) for r in data["rays"]]
+    cones, labels = data["cones"], data["labels"]
+    expected = {frozenset(tuple(rays[i]) for i in c) for c in cones}
+    if draw(st.booleans()):  # one ray listed twice
+        k = rng.randrange(len(rays))
+        rays.append(rays[k])
+        cones = [[len(rays) - 1 if i == k and rng.random() < 0.5 else i
+                  for i in c] for c in cones]
+        if str(k) in labels and rng.random() < 0.5:
+            labels = {str(len(rays) - 1) if key == str(k) else key: lab
+                      for key, lab in labels.items()}
+    if draw(st.booleans()):  # the rays out of order
+        to = rng.sample(range(len(rays)), len(rays))
+        rays = [rays[to.index(i)] for i in range(len(rays))]
+        cones = [[to[i] for i in c] for c in cones]
+        labels = {str(to[int(key)]): lab for key, lab in labels.items()}
+    return {"rank": n, "rays": rays, "cones": cones,
+            "labels": labels}, expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_product_json())
+def test_the_routes_in_agree(case):
+    """A fan read from JSON, the same fan through the validating
+    `Fan(...)` and the fan read back from its JSON are one value, with one
+    hash and one JSON, which a writer from the cones' ray tuples gives."""
+    data, expected = case
+    fan = fan_from_json(data)
+    assert {frozenset(c.rays) for c in fan.cones} == expected
+    checked = Fan(fan.rank, fan.cones, fan.labels)
+    assert checked == fan and hash(checked) == hash(fan)
+    assert fan_from_json(fan_to_json(fan)) == fan
+    assert fan_to_json(fan) == fan_to_json(checked) == json_by_hand(fan)
+    assert len(fan.labels) == len(data["labels"])
 
 
 @settings(max_examples=50, deadline=None)

@@ -592,10 +592,10 @@ def assert_matches_public_path(space):
 
 
 class TestKnownValidCones:
-    """`log_product` builds its cones through `Cone._known_valid` and its
-    fan through `Fan._known_valid`, which run no check; these tests hold
-    them to the validating `Cone` and `Fan`.  The other builders that use
-    them are held to those in tests/test_fans.py::TestClosedFormIndices."""
+    """`log_product` builds its fan through `Fan._built`, which runs no
+    check; these tests hold it to the validating `Cone` and `Fan`.  The
+    other builders that use it are held to those in
+    tests/test_fans.py::TestClosedFormIndices."""
 
     @pytest.mark.parametrize("text,order", PINNED_PRODUCTS)
     def test_pinned_products(self, text, order):
@@ -625,13 +625,13 @@ class TestKnownValidCones:
                                   "cones": [[0, 1]]}))
 
     def test_only_closed_form_builders_call_it(self):
-        """The uses of `_known_valid` in the package sit in the builders
-        that make cones from cones they hold, by closed forms: `Cone`'s
-        and `Fan`'s in `log_product` and `product_fan`, `Cone`'s in
-        `toric_fan`, `star_subdivide` and the blow-up centres of
-        `order_independence_check`.  `fan_from_json`, which reads user
-        input, validates every cone and checks ray lengths, labels and
-        cones listed twice itself, so it builds its `Fan` this way."""
+        """The uses of `_built`, the one private route in, sit in the
+        builders that make fans from fans they hold, by closed forms:
+        `toric_fan`, `product_fan`, `log_product`, `star_subdivide` and
+        the blow-up centres of `order_independence_check`; and in
+        `fan_from_json`, which reads user input and validates every cone
+        itself.  `star_subdivide` and `fan_from_json` run `Fan._check` on
+        what it returns."""
         uses = []
         src = Path(logproduct.__file__).parent
         for path in sorted(src.glob("*.py")):
@@ -642,18 +642,17 @@ class TestKnownValidCones:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     function = node.name
                 if ((isinstance(node, ast.Attribute)
-                     and node.attr == "_known_valid")
+                     and node.attr == "_built")
                         or (isinstance(node, ast.Constant)
-                            and node.value == "_known_valid")):
+                            and node.value == "_built")):
                     uses.append((path.name, function))
                 stack.extend((child, function)
                              for child in ast.iter_child_nodes(node))
         assert sorted(uses) == sorted(
-            [("fans.py", "product_fan")] * 2
-            + [("fans.py", "star_subdivide"), ("logproduct.py", "toric_fan")]
-            + [("fans.py", "fan_from_json")]
-            + [("logproduct.py", "log_product")] * 2
-            + [("logproduct.py", "order_independence_check")])
+            [("fans.py", "product_fan"), ("fans.py", "star_subdivide"),
+             ("fans.py", "fan_from_json"), ("logproduct.py", "toric_fan"),
+             ("logproduct.py", "log_product"),
+             ("logproduct.py", "order_independence_check")])
 
 
 class TestLabelsOnHeldRays:

@@ -103,7 +103,8 @@ def test_defaults():
 
 
 def test_cone_det_is_outside_equality_hash_and_repr():
-    checked, kept = Cone(SQUARE), Cone._known_valid(SQUARE, 5)
+    checked = Cone(SQUARE)
+    [kept] = Fan._built(2, SQUARE, [((0, 1), 5)], ()).cones
     assert (checked.det, kept.det) == (1, 5)
     assert checked == kept and hash(checked) == hash(kept)
     assert repr(checked) == repr(kept) == "Cone(rays=((0, 1), (1, 0)))"
