@@ -19,8 +19,10 @@ index of its rays' lattice in its saturation (`lattice_index`, the
 absolute determinant for a full-dimensional cone).  No built fan's cone
 pays an elimination, as each builder's closed form proves its cones valid
 and gives their indices (Cox-Little-Schenck, Toric Varieties, 3.3 and
-11.1); a fan read from JSON pays one per cone, or one per class of cones
-whose ray matrices differ by a column permutation (`fan_from_json`).
+11.1); a fan read from JSON pays one index computation per cone, or one
+per class of cones whose ray matrices differ by a column permutation
+(`fan_from_json`).  Up to rank 4 that computation, like a wall's normal,
+is a closed-form cofactor expansion in `linalg`, not an elimination.
 
 Both fan checks run on ray indices, read one index of the walls by
 hyperplane (`_hyperplanes`) and count the cones over a point by the signs
@@ -766,7 +768,7 @@ def fan_from_json(data):
     they hold, where a ray listed twice is one entry.  A cone's index is
     `lattice_index` of its rays.  Where two coordinates have the same
     sorted column of ray values, as a coordinate permutation of the ray
-    set needs, cones with one `_index_key` share one elimination, so
+    set needs, cones with one `_index_key` share one `lattice_index`, so
     A1^6's 720 cones pay 1; else each cone pays its own.
     """
     if not isinstance(data, dict):

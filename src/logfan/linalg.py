@@ -7,16 +7,21 @@ elimination `_echelon` updates only the rows below the pivot row and only
 from the pivot column on, where everything to the left is already 0,
 while the simplex tableau is pivoted over its full width (start 0).
 
-One forward elimination gives the rank, read inside `lattice_index` and
-`normal_vector` and not exported: a lattice index is a nonzero maximal
-minor or a Hermite reduction modulo one, a normal an integer
-back-substitution.  Cone membership, and any nonnegative
-combination, is phase 1 of the simplex method on a tableau pivoted by
-the same `_pivot`, whose integer tableau gives the solution with its
-common denominator.  No floats or fractions enter the core geometry.
+Up to rank 4 a square index and the normal of independent rows need no
+elimination: they are read off the rows' cofactor vector in closed form
+(`_cofactors`), a handful of products where an elimination is almost all
+interpreter overhead.  Otherwise one forward elimination gives the rank,
+read inside `lattice_index` and `normal_vector` and not exported: a
+lattice index is a nonzero maximal minor or a Hermite reduction modulo
+one, a normal an integer back-substitution.  Cone membership, and any
+nonnegative combination, is phase 1 of the simplex method on a tableau
+pivoted by the same `_pivot`, whose integer tableau gives the solution
+with its common denominator.  No floats or fractions enter the core
+geometry.
 """
 
 from math import gcd
+from operator import mul
 
 
 def primitive(vec):
@@ -79,26 +84,51 @@ def _echelon(rows):
     return m, pivots, d
 
 
+def _cofactors(rows, n):
+    """The cofactor vector u of n - 1 integer rows of length n, 1 <= n <= 4,
+    in closed form: u . v = +-det(rows + [v]) for every row v, so u is 0
+    exactly when the rows are dependent.  At n = 4 the six 2 x 2 minors of
+    the last two rows are combined with the first row.
+    """
+    if n == 1:
+        return (1,)
+    if n == 2:
+        (a, b), = rows
+        return (b, -a)
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+    return (a3 * m12 - a2 * m13 + a1 * m23, a2 * m03 - a3 * m02 - a0 * m23,
+            a3 * m01 - a1 * m03 + a0 * m13, a1 * m02 - a2 * m01 - a0 * m12)
+
+
 def lattice_index(rows):
     """The index of the lattice spanned by k integer rows in its
     saturation (their span over Q, intersected with Z^n): the gcd of the
     k x k minors, 1 exactly when the rows extend to a basis of Z^n and 0
     when they are dependent.
 
-    One `_echelon` gives the rank and, at rank k, a nonzero maximal minor
-    D, which is the answer for a square matrix.  Otherwise the index is
-    that of the lattice L in Z^k spanned by the columns, which divides D.
-    It is read off a Hermite reduction modulo R, at first |D| (Domich,
-    Kannan and Trotter 1987): the index of L divides R, so R Z^k lies in
-    L and every entry may be kept reduced mod R.  Euclid column steps
+    A square matrix of k <= 4 rows is one determinant: the first k - 1
+    rows' cofactor vector (`_cofactors`) dotted with the last.  Any other
+    takes one `_echelon`, which gives the rank and, at rank k, a nonzero
+    maximal minor D, the answer for a larger square matrix.  Otherwise the
+    index is that of the lattice L in Z^k spanned by the columns, which
+    divides D.  It is read off a Hermite reduction modulo R, at first |D|
+    (Domich, Kannan and Trotter 1987): the index of L divides R, so R Z^k
+    lies in L and every entry may be kept reduced mod R.  Euclid column steps
     fold the first entry of every column into one pivot column, which
     starts as R e_1, until it ends as the gcd h of those entries and R.
     The index of L is h times that of L', spanned by the other columns
     without their first entry, and the index of L' divides R / h; so R
     becomes R / h and the reduction goes on one row down.
     """
-    _, pivots, d = _echelon(rows)
     k = len(rows)
+    if 0 < k <= 4 and len(rows[0]) == k:
+        return abs(sum(map(mul, _cofactors(rows[:-1], k), rows[-1])))
+    _, pivots, d = _echelon(rows)
     if len(pivots) < k:
         return 0
     if not rows or len(rows[0]) == k:
@@ -125,23 +155,27 @@ def normal_vector(rows, n):
     """Primitive normal of the hyperplane spanned by n - 1 linearly
     independent integer rows in Q^n, with its first nonzero entry positive.
 
-    The elimination leaves one free column; it is set to the last pivot d
-    and the pivot columns are back-substituted, last row first, so that
-    each row is orthogonal to the result.  Each row is zero left of its
+    Up to n = 4 it is the rows' cofactor vector (`_cofactors`) made
+    primitive; only dependent rows, whose cofactors are 0, and n > 4 take
+    the elimination.  It leaves one free column; that is set to the last
+    pivot d and the pivot columns are back-substituted, last row first, so
+    that each row is orthogonal to the result.  Each row is zero left of its
     pivot, so only the entries right of it enter, and those are filled
     before it; by Cramer's rule every division is exact: this is the rows'
     cofactor vector up to sign before it is made primitive, and the sign
     of its first nonzero entry is set last.
     """
-    m, pivots, d = _echelon(rows)
-    ys = [d] * n
-    for col in pivots:
-        ys[col] = 0
-    for row, col in reversed(list(zip(m, pivots))):
-        s = 0
-        for j in range(col + 1, n):
-            s += row[j] * ys[j]
-        ys[col] = -s // row[col]
+    ys = _cofactors(rows, n) if n <= 4 and len(rows) == n - 1 else ()
+    if not any(ys):
+        m, pivots, d = _echelon(rows)
+        ys = [d] * n
+        for col in pivots:
+            ys[col] = 0
+        for row, col in reversed(list(zip(m, pivots))):
+            s = 0
+            for j in range(col + 1, n):
+                s += row[j] * ys[j]
+            ys[col] = -s // row[col]
     u = primitive(ys)
     for x in u:
         if x:

@@ -206,12 +206,16 @@ class TestConeChecks:
 
 def counting(monkeypatch):
     """Counts of eliminations and `primitive` calls made from now on;
-    `primitive` is counted at its binding in `fans` too."""
+    `primitive` is counted at its binding in `fans` too.  A closed-form
+    cofactor vector (`linalg._cofactors`, up to rank 4) stands in for an
+    elimination, so it counts as one under the same key."""
     calls = Counter()
-    for module, name in ((linalg, "_echelon"), (linalg, "primitive"),
-                         (fans, "primitive")):
-        def counted(*args, _f=getattr(module, name), _name=name):
-            calls[_name] += 1
+    for module, name, key in ((linalg, "_echelon", "_echelon"),
+                              (linalg, "_cofactors", "_echelon"),
+                              (linalg, "primitive", "primitive"),
+                              (fans, "primitive", "primitive")):
+        def counted(*args, _f=getattr(module, name), _key=key):
+            calls[_key] += 1
             return _f(*args)
         monkeypatch.setattr(module, name, counted)
     return calls

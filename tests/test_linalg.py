@@ -4,10 +4,13 @@ The oracles share no code with logfan.linalg: determinants by the Leibniz
 expansion, lattice indices as the gcd of every maximal minor so expanded,
 rank as the size of the largest nonzero minor, nonnegative solutions by
 Cramer's rule and exact substitution, and hyperplane normals as Leibniz
-cofactor vectors.  One differential oracle does share its method: the
-full-width elimination and back-substitution, kept here as they were
-before each step wrote only the columns from its pivot on, pins
-`_echelon` and `normal_vector` to their results entry for entry.
+cofactor vectors.  One differential oracle shares the elimination's
+method: the full-width elimination and back-substitution, kept here as
+they were before each step wrote only the columns from its pivot on, pins
+`_echelon` to its results entry for entry, and `normal_vector` to its
+answer for n > 4 and for dependent rows, where it still eliminates; for
+independent rows at n <= 4 `normal_vector` reads the closed-form
+cofactors, so there the oracle compares two different routes.
 """
 
 from fractions import Fraction
@@ -83,6 +86,11 @@ def matrices(draw, rows=None, cols=None):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
 @example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])  # zeros below a pivot of 2
+@example([[-7]])  # 1 x 1: the empty cofactor product (1,)
+@example([[10**6, -10**6 + 1, 3, 10**6 + 2],
+          [-10**6 - 3, 10**6 + 1, -10**6, 2],
+          [0, 10**6 - 2, -10**6 - 1, 10**6],
+          [10**6 + 3, -1, 10**6 - 3, -10**6 + 2]])  # the largest closed form
 def test_lattice_index_of_square_is_abs_det(m):
     assert lattice_index(m) == abs(leibniz(m))
 
@@ -229,6 +237,7 @@ def cofactors(rows, n):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: matrices(n - 1, n)))
 @example(((2, 0, 1), (0, 3, 1)))  # (3, 2, -6): row 2 rescaled by 2
+@example(((1, 0, 2, 0), (0, 3, 0, 1), (2, 2, 0, 6)))  # n = 4, gcd 4
 def test_normal_vector_matches_cofactors(rows):
     n = len(rows[0]) if rows else 1
     u = cofactors(rows, n)
@@ -298,6 +307,8 @@ def test_echelon_matches_the_full_width_elimination(m):
 @example(((2, 0, 1), (0, 3, 1)))
 @example(((0, 1, 0), (0, 2, 0)))  # dependent rows: two free columns
 @example(((0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)))  # zero rows
+# n = 4, row 3 = row 1 + 2 row 2: zero cofactors, so the elimination
+@example(((1, 2, 0, -1), (0, 1, 3, 2), (1, 4, 6, 3)))
 def test_normal_vector_matches_the_full_width_back_substitution(rows):
     n = len(rows[0]) if rows else 1
     assert normal_vector(rows, n) == normal_vector_full_width(rows, n)
